@@ -228,13 +228,12 @@ func BenchmarkProofPlan30(b *testing.B) {
 
 // benchBudgetSweep runs one planner across a whole Figure-3-style
 // budget axis per iteration: the workload the parametric pipeline
-// targets. Warm keeps the planner's cached model and basis chain
-// (one cold solve amortized across all iterations); Cold rebuilds and
-// cold-solves every Plan call via DisableWarm.
-func benchBudgetSweep(b *testing.B, disableWarm bool) {
+// targets. Warm keeps one planner's cached model and basis chain (one
+// cold solve amortized across all iterations); cold builds a fresh
+// planner per Plan call, so every call rebuilds and cold-solves.
+func benchBudgetSweep(b *testing.B, cold bool) {
 	b.Helper()
 	s := benchGaussian(b, 27, 60, 10, 15)
-	s.cfg.DisableWarm = disableWarm
 	naive, err := core.NaiveKPlan(s.cfg.Net, 10)
 	if err != nil {
 		b.Fatal(err)
@@ -249,6 +248,11 @@ func benchBudgetSweep(b *testing.B, disableWarm bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fracs {
+			if cold {
+				if pl, err = core.NewLPNoFilter(s.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
 			if _, err := pl.Plan(f * base); err != nil {
 				b.Fatal(err)
 			}
@@ -507,32 +511,6 @@ func BenchmarkNetworkBuild(b *testing.B) {
 		if _, err := network.Build(network.DefaultBuildConfig(200), rng); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPresolve ablates the LP presolve reductions on the PROOF
-// program, where chain/bandwidth structure collapses heavily.
-func BenchmarkPresolve(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		disable bool
-	}{{"WithPresolve", false}, {"NoPresolve", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			s := benchGaussian(b, 21, 26, 5, 5)
-			s.cfg.DisablePresolve = v.disable
-			pp, err := core.NewProofPlanner(s.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			budget := pp.MinBudget() * 1.4
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pp.Plan(budget); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

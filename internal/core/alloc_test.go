@@ -8,9 +8,9 @@ import (
 // //alloc:none claim: once the program is built and the basis chain is
 // established, serving a budget from the warm chain performs zero heap
 // allocations. The static checker verifies the same path transitively
-// through lp's annotated warm chain; the blessed call edges (first
-// solve, chain-break fallback) never fire here because the chain stays
-// intact.
+// through lp's annotated warm chain; the blessed call edge's cold
+// cases (first solve, broken-chain recovery) never fire here because
+// the chain stays intact.
 func TestParametricSolveAllocFree(t *testing.T) {
 	s := makeScenario(t, 5, 30, 6, 8)
 	pl, err := NewLPNoFilter(s.cfg)

@@ -34,16 +34,6 @@ type Config struct {
 	// (which may exceed the budget by the rounding slack). Exposed for
 	// the rounding ablation.
 	DisableRepair bool
-	// DisablePresolve skips the LP presolve reductions before the
-	// simplex. Exposed for the presolve ablation bench.
-	DisablePresolve bool
-	// DisableWarm turns off the parametric solve pipeline: every Plan
-	// call rebuilds its LP from scratch and cold-solves it through the
-	// legacy presolve path, instead of caching the model per
-	// (network, samples) state and warm re-solving budget updates.
-	// Exposed for the warm-start ablation and as the reference side of
-	// the warm-vs-cold differential tests.
-	DisableWarm bool
 	// Obs, when non-nil, receives core.<planner>.* metrics (see obs.go)
 	// and is forwarded to the LP solver for the lp.* family.
 	Obs *obs.Registry
@@ -68,17 +58,6 @@ func (c Config) lpOptions() lp.Options {
 		opts.Span = c.Span
 	}
 	return opts
-}
-
-// solveLP runs the legacy one-shot solve path (presolve by default).
-// The parametric planners use paramLP.solve instead and keep this as
-// their fallback when a warm chain breaks down.
-func (c Config) solveLP(m *lp.Model) (*lp.Solution, error) {
-	opts := c.lpOptions()
-	if c.DisablePresolve {
-		return m.Solve(opts)
-	}
-	return lp.SolveWithPresolve(m, opts)
 }
 
 func (c Config) validate() error {

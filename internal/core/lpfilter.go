@@ -64,33 +64,21 @@ func (p *LPFilter) Plan(budget float64) (*plan.Plan, error) {
 	net := cfg.Net
 	n := net.Size()
 
-	var prog lpfilterProgram
-	var sol *lp.Solution
-	var err error
-	if cfg.DisableWarm {
-		prog = buildLPFilterProgram(cfg, budget)
-		if !prog.empty {
-			sol, err = cfg.solveLP(prog.model)
-		}
-	} else {
-		if !p.param.fresh(cfg) {
-			p.prog = buildLPFilterProgram(cfg, budget)
-			if p.prog.empty {
-				p.param.installEmpty(cfg)
-			} else {
-				p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-			}
-		}
-		prog = p.prog
-		if !prog.empty {
-			sol, err = p.param.solve(cfg, budget)
+	if !p.param.fresh(cfg) {
+		p.prog = buildLPFilterProgram(cfg, budget)
+		if p.prog.empty {
+			p.param.installEmpty(cfg)
+		} else {
+			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
 		}
 	}
+	prog := p.prog
+	if prog.empty {
+		return finishPlan(cfg, p.Name(), budget)(plan.NewFiltering(net, make([]int, n)))
+	}
+	sol, err := p.param.solve(cfg, budget)
 	if err != nil {
 		return nil, err
-	}
-	if sol == nil {
-		return finishPlan(cfg, p.Name(), budget)(plan.NewFiltering(net, make([]int, n)))
 	}
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("core: LP+LF solve ended %v", sol.Status)

@@ -64,35 +64,23 @@ func (p *LPNoFilter) Plan(budget float64) (*plan.Plan, error) {
 	net := cfg.Net
 	n := net.Size()
 
-	var prog lplfProgram
-	var sol *lp.Solution
-	var err error
-	if cfg.DisableWarm {
-		prog = buildLPNoFilterProgram(cfg, budget)
-		if !prog.empty {
-			sol, err = cfg.solveLP(prog.model)
-		}
-	} else {
-		if !p.param.fresh(cfg) {
-			p.prog = buildLPNoFilterProgram(cfg, budget)
-			if p.prog.empty {
-				p.param.installEmpty(cfg)
-			} else {
-				p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-			}
-		}
-		prog = p.prog
-		if !prog.empty {
-			sol, err = p.param.solve(cfg, budget)
+	if !p.param.fresh(cfg) {
+		p.prog = buildLPNoFilterProgram(cfg, budget)
+		if p.prog.empty {
+			p.param.installEmpty(cfg)
+		} else {
+			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if sol == nil {
+	prog := p.prog
+	if prog.empty {
 		// No candidate ever ranked in the top k; the empty plan is
 		// optimal.
 		return finishPlan(cfg, p.Name(), budget)(plan.NewSelection(net, make([]bool, n)))
+	}
+	sol, err := p.param.solve(cfg, budget)
+	if err != nil {
+		return nil, err
 	}
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("core: LP-LF solve ended %v", sol.Status)

@@ -87,11 +87,11 @@ func (c *paramLP) installEmpty(cfg Config) {
 }
 
 // solve points the budget row at the new budget and re-solves: warm
-// from the chained basis when one exists, cold-direct otherwise. Any
-// non-optimal outcome (an IterationLimit mid-chain, a numerically
-// wedged basis) breaks the chain and falls back to the legacy presolve
-// path on the same mutated model, which also re-arms the next call to
-// start a fresh chain.
+// from the chained basis when one exists, cold-direct otherwise. A
+// warm attempt that fails (an iteration limit after a long budget
+// jump, a numerically wedged basis) restarts cold inside lp.Solve, so
+// every optimal solution carries duals and a basis that re-arms the
+// chain for the next call.
 //
 // The steady state — an intact chain served warm, no tracing — is the
 // figure sweeps' inner loop and stays off the heap; the blessed call
@@ -116,11 +116,6 @@ func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status == lp.Optimal {
-		c.basis = sol.Basis
-		return sol, nil
-	}
-	c.basis = nil
-	//alloc:amortized chain-break fallback re-solves cold through presolve; it never runs in an intact warm chain
-	return cfg.solveLP(c.model)
+	c.basis = sol.Basis
+	return sol, nil
 }

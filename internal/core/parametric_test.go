@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prospector/internal/lp"
 	"prospector/internal/obs"
 	"prospector/internal/plan"
 	"prospector/internal/workload"
@@ -19,18 +20,21 @@ type diffCase struct {
 	budgets func(cfg Config) []float64
 }
 
+func newLPNoFilter(cfg Config) (Planner, error) { return NewLPNoFilter(cfg) }
+func newLPFilter(cfg Config) (Planner, error)   { return NewLPFilter(cfg) }
+
 func diffCases() []diffCase {
 	return []diffCase{
 		{
 			name: "LP-LF",
-			make: func(cfg Config) (Planner, error) { return NewLPNoFilter(cfg) },
+			make: newLPNoFilter,
 			budgets: func(cfg Config) []float64 {
 				return []float64{25, 40, 60, 90, 140, 220, 350}
 			},
 		},
 		{
 			name: "LP+LF",
-			make: func(cfg Config) (Planner, error) { return NewLPFilter(cfg) },
+			make: newLPFilter,
 			budgets: func(cfg Config) []float64 {
 				return []float64{30, 50, 80, 130, 210, 340}
 			},
@@ -56,11 +60,62 @@ func plansEqual(a, b *plan.Plan) bool {
 		reflect.DeepEqual(a.Chosen, b.Chosen)
 }
 
+// freshPlan is the cold reference of the warm-chain tests: a new
+// planner's first Plan builds the program and cold-solves it directly,
+// with no basis chain behind it.
+func freshPlan(t testing.TB, newPlanner func(Config) (Planner, error), cfg Config, budget float64) *plan.Plan {
+	t.Helper()
+	p, err := newPlanner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := p.Plan(budget)
+	if err != nil {
+		t.Fatalf("budget %g: fresh planner: %v", budget, err)
+	}
+	return pl
+}
+
+// chainOf returns the parametric program behind an LP planner.
+func chainOf(t testing.TB, p Planner) *paramLP {
+	t.Helper()
+	switch p := p.(type) {
+	case *LPNoFilter:
+		return &p.param
+	case *LPFilter:
+		return &p.param
+	case *ProofPlanner:
+		return &p.param
+	}
+	t.Fatalf("%T has no parametric program", p)
+	return nil
+}
+
+// certifyChain checks the KKT certificate of the chain's solution at
+// budget. It re-solves from the chain's own basis, which must be
+// optimal already (zero pivots), so the certified point is the one the
+// last Plan rounded.
+func certifyChain(t testing.TB, p Planner, cfg Config, budget float64) {
+	t.Helper()
+	c := chainOf(t, p)
+	sol, err := c.solve(cfg, budget)
+	if err != nil {
+		t.Fatalf("budget %g: chain re-solve: %v", budget, err)
+	}
+	if !sol.Warm || sol.Pivots != 0 {
+		t.Fatalf("budget %g: chain re-solve warm=%v pivots=%d, want a warm no-op", budget, sol.Warm, sol.Pivots)
+	}
+	if err := lp.CheckOptimal(c.model, sol, 1e-6); err != nil {
+		t.Fatalf("budget %g: chain solution: %v", budget, err)
+	}
+}
+
 // TestWarmDifferentialMatchesCold is the acceptance test for the
 // parametric pipeline: a single planner serving a whole budget sweep
-// through its warm basis chain must emit bitwise-identical plans to the
-// legacy path that rebuilds and cold-solves every call, for all three
-// LP planners, across seeds and a randomized budget order.
+// through its warm basis chain must emit bitwise-identical plans to a
+// fresh planner per budget (rebuild plus cold solve), for all three LP
+// planners, across seeds and a randomized budget order, and every
+// chain solution must carry a KKT certificate.
 func TestWarmDifferentialMatchesCold(t *testing.T) {
 	for _, tc := range diffCases() {
 		tc := tc
@@ -78,21 +133,6 @@ func TestWarmDifferentialMatchesCold(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The cold reference rebuilds the model every call and
-				// cold-solves it directly. Presolve stays off on both
-				// sides: on degenerate programs the reduced model can
-				// land on a different optimal vertex (same objective,
-				// different rounding), which would mask what this test
-				// isolates — that the warm basis chain itself never
-				// changes the answer.
-				coldCfg := s.cfg
-				coldCfg.DisableWarm = true
-				coldCfg.DisablePresolve = true
-				cold, err := tc.make(coldCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-
 				budgets := tc.budgets(s.cfg)
 				if len(budgets) < 6 {
 					t.Fatalf("need >= 6 budgets, have %d", len(budgets))
@@ -109,11 +149,8 @@ func TestWarmDifferentialMatchesCold(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d budget %g: warm: %v", seed, budget, err)
 					}
-					cp, err := cold.Plan(budget)
-					if err != nil {
-						t.Fatalf("seed %d budget %g: cold: %v", seed, budget, err)
-					}
-					if !plansEqual(wp, cp) {
+					certifyChain(t, warm, warmCfg, budget)
+					if cp := freshPlan(t, tc.make, s.cfg, budget); !plansEqual(wp, cp) {
 						t.Errorf("seed %d budget %g: warm plan %v != cold plan %v",
 							seed, budget, wp, cp)
 					}
@@ -160,16 +197,10 @@ func TestWarmChainIsActuallyWarm(t *testing.T) {
 
 // TestParametricRebuildOnSampleChange pins the cache key: mutating the
 // sample window mid-chain must rebuild the program, and the rebuilt
-// chain must still match the cold reference on the new window.
+// chain must still match a fresh planner on the new window.
 func TestParametricRebuildOnSampleChange(t *testing.T) {
 	s := makeScenario(t, 29, 30, 6, 8)
 	warm, err := NewLPNoFilter(s.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldCfg := s.cfg
-	coldCfg.DisableWarm = true
-	cold, err := NewLPNoFilter(coldCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +210,7 @@ func TestParametricRebuildOnSampleChange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: warm: %v", label, err)
 		}
-		cp, err := cold.Plan(budget)
-		if err != nil {
-			t.Fatalf("%s: cold: %v", label, err)
-		}
-		if !plansEqual(wp, cp) {
+		if cp := freshPlan(t, newLPNoFilter, s.cfg, budget); !plansEqual(wp, cp) {
 			t.Errorf("%s: warm plan %v != cold plan %v", label, wp, cp)
 		}
 	}
@@ -254,34 +281,80 @@ func TestWarmPlannerReuseAcrossKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldCfg := s.cfg
-	coldCfg.DisableWarm = true
-	coldCfg.DisablePresolve = true
-	coldLplf, _ := NewLPNoFilter(coldCfg)
-	coldLpf, _ := NewLPFilter(coldCfg)
 	for i, budget := range []float64{40, 70, 110, 180} {
 		label := fmt.Sprintf("step %d budget %g", i, budget)
 		wp, err := lplf.Plan(budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := coldLplf.Plan(budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !plansEqual(wp, cp) {
+		if !plansEqual(wp, freshPlan(t, newLPNoFilter, s.cfg, budget)) {
 			t.Errorf("%s: LP-LF warm != cold", label)
 		}
 		wf, err := lpf.Plan(budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cf, err := coldLpf.Plan(budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !plansEqual(wf, cf) {
+		if !plansEqual(wf, freshPlan(t, newLPFilter, s.cfg, budget)) {
 			t.Errorf("%s: LP+LF warm != cold", label)
 		}
+	}
+}
+
+// TestChainBreakRestartsCold drives a real chain break: a long
+// downward budget jump whose warm re-solve exhausts the simplex
+// iteration limit. lp restarts it cold, so the break must surface as
+// one lp.warm_fallbacks, return a certified optimum whose plan matches
+// a fresh planner's, and leave the chain armed: the next Plan is a
+// warm re-solve, not a second cold solve.
+func TestChainBreakRestartsCold(t *testing.T) {
+	s := makeScenario(t, 2, 25, 5, 6)
+	reg := obs.NewRegistry()
+	cfg := s.cfg
+	cfg.Obs = reg
+	p, err := NewLPFilter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := NaiveKPlan(cfg.Net, cfg.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := naive.CollectionCost(cfg.Net, cfg.Costs)
+	low, high := 0.05*full, 0.8*full
+	for _, b := range []float64{low, high} {
+		if _, err := p.Plan(b); err != nil {
+			t.Fatalf("budget %g: %v", b, err)
+		}
+	}
+
+	// The break, solved through the chain directly so its own solution
+	// is in hand.
+	fallbacks := reg.Counter("lp.warm_fallbacks").Value()
+	sol, err := p.param.solve(cfg, low)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("lp.warm_fallbacks").Value() - fallbacks; got != 1 {
+		t.Fatalf("lp.warm_fallbacks moved by %d at the break, want 1", got)
+	}
+	if got := reg.Counter("lp.status.iteration-limit").Value(); got != 0 {
+		t.Errorf("lp.status.iteration-limit = %d: the warm failure leaked out of lp", got)
+	}
+	if err := lp.CheckOptimal(p.param.model, sol, 1e-6); err != nil {
+		t.Fatalf("chain-break solution: %v", err)
+	}
+
+	colds := reg.Counter("lp.cold_solves").Value()
+	for _, b := range []float64{low, 0.3 * full} {
+		wp, err := p.Plan(b)
+		if err != nil {
+			t.Fatalf("budget %g: %v", b, err)
+		}
+		if !plansEqual(wp, freshPlan(t, newLPFilter, s.cfg, b)) {
+			t.Errorf("budget %g: plan after the break != fresh planner's plan", b)
+		}
+	}
+	if got := reg.Counter("lp.cold_solves").Value() - colds; got != 0 {
+		t.Errorf("lp.cold_solves moved by %d after the break, want 0 (the chain re-armed)", got)
 	}
 }

@@ -100,20 +100,12 @@ func (p *ProofPlanner) Plan(budget float64) (*plan.Plan, error) {
 		return nil, fmt.Errorf("core: proof plans need at least %.2f mJ, budget is %.2f", min, budget)
 	}
 
-	var prog proofProgram
-	var sol *lp.Solution
-	var err error
-	if cfg.DisableWarm {
-		prog = buildProofProgram(cfg, p.strictC3, budget)
-		sol, err = cfg.solveLP(prog.model)
-	} else {
-		if !p.param.fresh(cfg) {
-			p.prog = buildProofProgram(cfg, p.strictC3, budget)
-			p.param.install(cfg, p.prog.model, p.prog.budgetRow, p.prog.fixed)
-		}
-		prog = p.prog
-		sol, err = p.param.solve(cfg, budget)
+	if !p.param.fresh(cfg) {
+		p.prog = buildProofProgram(cfg, p.strictC3, budget)
+		p.param.install(cfg, p.prog.model, p.prog.budgetRow, p.prog.fixed)
 	}
+	prog := p.prog
+	sol, err := p.param.solve(cfg, budget)
 	if err != nil {
 		return nil, err
 	}

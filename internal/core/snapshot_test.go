@@ -25,9 +25,9 @@ func snapshotKindFor(name string) string {
 
 // TestSnapshotPlannerMatchesCold: a planner stamped from a snapshot —
 // pre-installed program, cloned model, own warm chain — must emit
-// plans bitwise-identical to the cold reference (rebuild + cold solve
-// every call), for every kind, over a shuffled budget axis. This is
-// the snapshot-side analog of TestWarmDifferentialMatchesCold.
+// plans bitwise-identical to the cold reference (a fresh planner per
+// budget: rebuild + cold solve), for every kind, over its budget axis.
+// This is the snapshot-side analog of TestWarmDifferentialMatchesCold.
 func TestSnapshotPlannerMatchesCold(t *testing.T) {
 	for _, tc := range diffCases() {
 		tc := tc
@@ -42,23 +42,12 @@ func TestSnapshotPlannerMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldCfg := s.cfg
-			coldCfg.DisableWarm = true
-			coldCfg.DisablePresolve = true
-			cold, err := tc.make(coldCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, budget := range tc.budgets(s.cfg) {
 				wp, err := warm.Plan(budget)
 				if err != nil {
 					t.Fatalf("budget %.1f: snapshot planner: %v", budget, err)
 				}
-				cp, err := cold.Plan(budget)
-				if err != nil {
-					t.Fatalf("budget %.1f: cold reference: %v", budget, err)
-				}
-				if !plansEqual(wp, cp) {
+				if cp := freshPlan(t, tc.make, s.cfg, budget); !plansEqual(wp, cp) {
 					t.Fatalf("budget %.1f: snapshot plan %v != cold plan %v", budget, wp, cp)
 				}
 			}

@@ -18,15 +18,13 @@ import (
 //	lp.cold_solves             counter, solves that ran both cold phases
 //	lp.warm_resolves           counter, solves served from a cached Basis
 //	lp.warm_fallbacks          counter, warm attempts restarted cold
+//	                           (stale or singular basis, iteration
+//	                           limit, infeasible/unbounded verdict)
 //	lp.warm_pivots             histogram, recovery pivots per warm re-solve
 //	lp.warm_hit_rate           gauge, warm_resolves / (warm_resolves +
 //	                           cold_solves + warm_fallbacks), kept
 //	                           current per solve so end-of-run snapshots
 //	                           and the live exposition agree
-//	lp.presolve.runs           counter, one per SolveWithPresolve call
-//	lp.presolve.rows_removed   counter, constraint rows eliminated
-//	lp.presolve.vars_fixed     counter, variables pinned by reductions
-//	lp.presolve.solved_outright counter, models presolve closed alone
 
 // solveSecondsBounds buckets solve wall time from 10µs to 10s.
 var solveSecondsBounds = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
@@ -113,30 +111,5 @@ func recordSolve(opts Options, sol *Solution, elapsed time.Duration, timed bool,
 		} else {
 			opts.Trace.Span("lp.solve", 0, 0, fields...)
 		}
-	}
-}
-
-// recordPresolve publishes one presolve pass's reductions; no-op when
-// r is nil.
-func recordPresolve(r *obs.Registry, red *reduction, solvedOutright bool) {
-	if r == nil {
-		return
-	}
-	rowsRemoved, varsFixed := 0, 0
-	for _, live := range red.rowLive {
-		if !live {
-			rowsRemoved++
-		}
-	}
-	for _, f := range red.fixed {
-		if f {
-			varsFixed++
-		}
-	}
-	r.Counter("lp.presolve.runs").Inc()
-	r.Counter("lp.presolve.rows_removed").Add(int64(rowsRemoved))
-	r.Counter("lp.presolve.vars_fixed").Add(int64(varsFixed))
-	if solvedOutright {
-		r.Counter("lp.presolve.solved_outright").Inc()
 	}
 }

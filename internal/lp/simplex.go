@@ -48,10 +48,10 @@ const (
 // Options tunes the solver. The zero value gives sensible defaults.
 type Options struct {
 	// MaxIters bounds total pivots across both phases; 0 means
-	// 5000 + 50*rows. A warm solve gets the same budget; its internal
-	// cold fallback (when the cached basis proves unusable) restarts
-	// the count, so a fallback solve is never budget-starved by the
-	// failed warm attempt.
+	// 5000 + 50*rows. A warm solve gets the same budget; when the warm
+	// attempt fails (including by exhausting this budget) its internal
+	// cold fallback restarts the count, so a fallback solve is never
+	// budget-starved by the failed warm attempt.
 	MaxIters int
 	// Tol is the feasibility/optimality tolerance; 0 means 1e-7.
 	Tol float64
@@ -71,8 +71,10 @@ type Options struct {
 	// Warm, when non-nil, is a Basis captured from a previous solve
 	// (KeepBasis) of the same Model. The solver restores it and runs
 	// dual-simplex recovery pivots instead of the two cold phases; if
-	// the basis is stale (structural edits) or numerically unusable it
-	// falls back to a cold solve internally (lp.warm_fallbacks).
+	// the basis is stale (structural edits) or numerically unusable, or
+	// the recovery ends anything but Optimal (iteration limit included),
+	// it falls back to a cold solve internally (lp.warm_fallbacks,
+	// Solution.Warm false). The caller sees one outcome either way.
 	Warm *Basis
 	// KeepBasis asks Solve to capture the final basis on Solution.Basis
 	// for a later warm re-solve. With a Workspace the Basis storage is

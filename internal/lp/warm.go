@@ -53,9 +53,10 @@ func (k solveKind) String() string {
 
 // warmRun attempts to solve from the snapshot basis, falling back to a
 // cold run (with a fresh iteration budget) when the snapshot is stale,
-// numerically unusable, or classifies the model as infeasible or
-// unbounded — the cold run is the arbiter for terminal statuses, so a
-// warm chain can never misreport feasibility.
+// numerically unusable, exhausts the iteration budget, or classifies
+// the model as infeasible or unbounded — the cold run is the arbiter
+// for every non-optimal outcome, so a warm chain can never misreport
+// feasibility and callers never see a warm-only failure.
 //
 //alloc:none
 func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) {
@@ -86,11 +87,13 @@ func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) 
 		s.iters = 0
 		return s.run(), solveWarmFallback
 	}
-	if st == Optimal || st == IterationLimit {
+	if st == Optimal {
 		return st, solveWarm
 	}
 	// Infeasible/Unbounded from a warm start can be an artifact of the
-	// snapshot; confirm with a cold run before reporting.
+	// snapshot, and an IterationLimit a stalled recovery (long budget
+	// jumps can take thousands of dual pivots); settle both with a cold
+	// run before reporting.
 	s.iters = 0
 	return s.run(), solveWarmFallback
 }

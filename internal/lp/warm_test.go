@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"prospector/internal/obs"
 )
 
 // solveWarmChain cold-solves m once through ws capturing the basis,
@@ -241,9 +243,11 @@ func TestWarmAcrossWorkspaces(t *testing.T) {
 	}
 }
 
-// TestWarmIterationLimit pins the satellite behavior: a warm solve
-// that exhausts MaxIters reports IterationLimit (it does not burn a
-// hidden cold restart), so callers can fall back deliberately.
+// TestWarmIterationLimit pins the fallback contract for an exhausted
+// budget: a warm solve whose recovery hits MaxIters restarts cold
+// inside Solve (one lp.warm_fallbacks, Solution.Warm false), and the
+// restart honours the same MaxIters, so a too-small budget still ends
+// IterationLimit rather than running unbounded.
 func TestWarmIterationLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	m := randomFeasibleModel(rng, 14, 14)
@@ -260,12 +264,22 @@ func TestWarmIterationLimit(t *testing.T) {
 	if err := m.SetRHS(row, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := m.Solve(Options{Workspace: ws, Warm: sol.Basis, MaxIters: 1})
+	reg := obs.NewRegistry()
+	starved, err := m.Solve(Options{Workspace: ws, Warm: sol.Basis, MaxIters: 1, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Status == Optimal && warm.Iterations > 1 {
-		t.Fatalf("MaxIters=1 not honored: %d iterations", warm.Iterations)
+	if starved.Status != IterationLimit {
+		t.Fatalf("MaxIters=1 status %v, want %v", starved.Status, IterationLimit)
+	}
+	if starved.Iterations > 1 {
+		t.Errorf("MaxIters=1 not honored by the cold restart: %d iterations", starved.Iterations)
+	}
+	if starved.Warm {
+		t.Error("a warm attempt that hit MaxIters was reported as a warm solve")
+	}
+	if got := reg.Counter("lp.warm_fallbacks").Value(); got != 1 {
+		t.Errorf("lp.warm_fallbacks = %d, want 1", got)
 	}
 	// With a sane budget the same chain succeeds.
 	full, err := m.Solve(Options{Workspace: ws, Warm: sol.Basis})
@@ -378,50 +392,36 @@ func TestMutatorValidation(t *testing.T) {
 	}
 }
 
-// TestSetRHSPresolveEliminatedRow: a row presolve would eliminate as
-// redundant still accepts SetRHS on the original model, and the update
-// takes effect when it becomes binding — through both SolveWithPresolve
-// and a direct warm chain.
-func TestSetRHSPresolveEliminatedRow(t *testing.T) {
+// TestSetRHSRedundantRowBinds: a row that starts redundant (it can
+// never bind under the variable bounds) still accepts SetRHS, and a
+// warm chain honours each update once the tightened row binds.
+func TestSetRHSRedundantRowBinds(t *testing.T) {
 	m := NewModel()
 	x := m.MustVar(0, 1, -1, "x") // maximize x via minimizing -x
 	y := m.MustVar(0, 1, -1, "y")
-	// Redundant at first: x + y <= 10 can never bind with x,y <= 1, so
-	// presolve drops it from the reduced model.
+	// Redundant at first: x + y <= 10 can never bind with x,y <= 1.
 	row := m.MustConstr([]Term{{x, 1}, {y, 1}}, LE, 10)
-	sol, err := SolveWithPresolve(m, Options{})
+	ws := NewWorkspace()
+	sol, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
 	if err != nil || sol.Status != Optimal {
-		t.Fatalf("presolve solve: %v / %v", err, sol.Status)
+		t.Fatalf("cold start: %v / %v", err, sol.Status)
 	}
 	if math.Abs(sol.Objective-(-2)) > 1e-8 {
 		t.Fatalf("objective %g, want -2", sol.Objective)
 	}
-	// Tighten the previously-eliminated row until it binds.
-	if err := m.SetRHS(row, 0.5); err != nil {
-		t.Fatalf("SetRHS on presolve-eliminated row: %v", err)
-	}
-	sol2, err := SolveWithPresolve(m, Options{})
-	if err != nil || sol2.Status != Optimal {
-		t.Fatalf("re-solve: %v / %v", err, sol2.Status)
-	}
-	if math.Abs(sol2.Objective-(-0.5)) > 1e-8 {
-		t.Errorf("objective %g after tightening, want -0.5", sol2.Objective)
-	}
-	// Same sweep through the warm path.
-	ws := NewWorkspace()
-	cold, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
-	if err != nil || cold.Status != Optimal {
-		t.Fatalf("warm-chain cold start: %v / %v", err, cold.Status)
-	}
-	if err := m.SetRHS(row, 1.25); err != nil {
-		t.Fatal(err)
-	}
-	warm, err := m.Solve(Options{Workspace: ws, Warm: cold.Basis})
-	if err != nil || warm.Status != Optimal {
-		t.Fatalf("warm re-solve: %v / %v", err, warm.Status)
-	}
-	if math.Abs(warm.Objective-(-1.25)) > 1e-8 {
-		t.Errorf("warm objective %g, want -1.25", warm.Objective)
+	// Tighten the redundant row until it binds, then loosen it within
+	// the binding range.
+	for _, rhs := range []float64{0.5, 1.25} {
+		if err := m.SetRHS(row, rhs); err != nil {
+			t.Fatalf("SetRHS(%g) on redundant row: %v", rhs, err)
+		}
+		sol, err = m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: sol.Basis})
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("rhs %g: warm re-solve: %v / %v", rhs, err, sol.Status)
+		}
+		if math.Abs(sol.Objective-(-rhs)) > 1e-8 {
+			t.Errorf("rhs %g: warm objective %g, want %g", rhs, sol.Objective, -rhs)
+		}
 	}
 }
 

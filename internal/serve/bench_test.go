@@ -13,9 +13,10 @@ import (
 // The serving benchmarks answer the PR's headline question: at 8
 // concurrent clients pacing over a shared budget axis, how many
 // plans/sec does the pool serve versus (a) one warm planner behind a
-// mutex and (b) one cold planner behind a mutex? The pool's edge is
-// coalescing — equal in-flight budgets cost one warm resolve — so the
-// win is architectural, not parallelism (these run on any core count).
+// mutex and (b) a fresh cold planner per request behind a mutex? The
+// pool's edge is coalescing — equal in-flight budgets cost one warm
+// resolve — so the win is architectural, not parallelism (these run on
+// any core count).
 //
 // Measured with:
 //
@@ -139,22 +140,21 @@ func BenchmarkServeThroughput(b *testing.B) {
 		reportWarmHitRate(b, reg)
 	})
 
-	// Floor reference: one cold planner (warm path and presolve off)
-	// behind a mutex — what serving costs without the parametric tier.
+	// Floor reference: a fresh planner per request (rebuild + cold
+	// solve) behind a mutex — what serving costs without the
+	// parametric tier.
 	b.Run("cold8", func(b *testing.B) {
 		reg := obs.NewRegistry()
 		cfg := benchScenario(b, reg)
-		cfg.DisableWarm = true
-		cfg.DisablePresolve = true
-		pl, err := core.NewLPFilter(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
 		var mu sync.Mutex
 		runClients(b, func(budget float64) error {
 			mu.Lock()
 			defer mu.Unlock()
-			_, err := pl.Plan(budget)
+			pl, err := core.NewLPFilter(cfg)
+			if err != nil {
+				return err
+			}
+			_, err = pl.Plan(budget)
 			return err
 		})
 	})

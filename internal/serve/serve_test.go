@@ -408,7 +408,7 @@ func TestServePlannerErrorIsIsolated(t *testing.T) {
 // a shuffled, duplicate-heavy budget axis submitted concurrently
 // through the pool — batched, budget-sorted, coalesced, warm-solved —
 // must return plans bitwise-identical to serving each budget on a
-// fresh cold planner (DisableWarm + DisablePresolve).
+// fresh planner (rebuild + cold solve).
 func TestServeCoalescedShuffledMatchesCold(t *testing.T) {
 	cfg := makeConfig(t, 7, 25, 5, 6)
 	reg := obs.NewRegistry()
@@ -430,14 +430,11 @@ func TestServeCoalescedShuffledMatchesCold(t *testing.T) {
 		budgets = append(budgets, axis[rng.Intn(len(axis))])
 	}
 
-	// Cold reference: a fresh planner per budget, warm path and
-	// presolve both off (the warm-vs-cold differential convention).
-	coldCfg := cfg
-	coldCfg.DisableWarm = true
-	coldCfg.DisablePresolve = true
+	// Cold reference: a fresh planner per budget, whose first Plan is a
+	// rebuild plus a cold solve.
 	want := make(map[float64]*plan.Plan)
 	for _, b := range axis {
-		pl, err := core.NewLPFilter(coldCfg)
+		pl, err := core.NewLPFilter(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
