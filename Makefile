@@ -38,6 +38,6 @@ alloc:
 	go test -run 'AllocFree|ZeroAlloc' -count=1 -v ./internal/obs/ ./internal/obs/telemetry/ ./internal/lp/ ./internal/sim/ ./internal/exec/ ./internal/core/
 
 bench:
-	go test -run xxx -bench 'ObsOverhead|SolveObs|ObsRegistry|SpanEmit|LabeledHandles|Manifest' -benchtime 0.3s ./internal/exec/ ./internal/lp/ ./internal/obs/ ./internal/ledger/
+	go test -run xxx -bench 'ObsOverhead|SolveObs|ObsRegistry|SpanEmit|Manifest' -benchtime 0.3s ./internal/exec/ ./internal/lp/ ./internal/obs/ ./internal/ledger/
 	go test -run xxx -bench 'TelemetryTick|FlightAppend' -benchmem -benchtime 0.3s ./internal/obs/telemetry/
 	go test -run xxx -bench 'BenchmarkConfine|BenchmarkLockcheck|BenchmarkAlloccheck' -benchtime 0.3s .

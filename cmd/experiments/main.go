@@ -13,14 +13,14 @@
 //
 // Each figure prints a per-phase cost breakdown (collection, trigger,
 // request energy plus traffic and LP solver totals) under its table.
-// -metrics additionally writes the whole run's metric exposition at
-// exit ("-" for stdout); -trace streams JSON-lines trace events, one
+// -metrics additionally writes the whole run's Prometheus exposition
+// at exit ("-" for stdout); -trace streams JSON-lines trace events, one
 // span per figure so tracetool can attribute work per experiment;
-// -listen serves the live registry (/metrics in Prometheus text
-// format, /snapshot.json, plus the telemetry surfaces /healthz,
-// /readyz, and /debug/telemetry) while the sweep runs — the main use
-// case for watching long sweeps; -pprof serves net/http/pprof (value
-// with ":") or writes cpu.prof/heap.prof into a directory; -manifest
+// -listen serves the live registry (/metrics, the same exposition,
+// plus the telemetry surfaces /healthz, /readyz, and /debug/telemetry)
+// while the sweep runs — the main use case for watching long sweeps;
+// -pprof serves net/http/pprof (value with ":") or writes
+// cpu.prof/heap.prof into a directory; -manifest
 // writes the run ledger ("-" for stdout) — one JSON document with the
 // run's flags, environment, final metrics, per-figure wall time, and
 // (when -trace names a file) the trace-derived aggregates — the
@@ -40,91 +40,75 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"prospector/internal/experiments"
-	"prospector/internal/ledger"
 	"prospector/internal/obs"
 	"prospector/internal/obs/telemetry"
-	"prospector/internal/regress"
-)
-
-// telemetryWindow is how many ticks each windowed series retains;
-// flightCapacity bounds the flight recorder's record ring. A full
-// sweep samples once per figure plus once per second under -listen.
-const (
-	telemetryWindow = 256
-	flightCapacity  = 4096
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run() (err error) {
 	fig := flag.String("fig", "all", "which experiment to run: all, 3, 4, 5, 7, 8, 9, samplesize, installcost, spatial, lossymedium, naivetradeoff")
 	csvDir := flag.String("csv", "", "directory to write per-figure CSV files into")
 	quick := flag.Bool("quick", false, "shrink experiments to smoke-test scale")
 	plot := flag.Bool("plot", false, "render an ASCII chart under each table")
-	metrics := flag.String("metrics", "", "write the run's metric exposition here at exit ('-' for stdout)")
+	metrics := flag.String("metrics", "", "write the run's /metrics exposition here at exit ('-' for stdout)")
 	traceOut := flag.String("trace", "", "stream JSON-lines trace events to this file ('-' for stdout)")
-	listen := flag.String("listen", "", "serve live /metrics and /snapshot.json at this address for the run's lifetime")
+	listen := flag.String("listen", "", "serve live /metrics and the telemetry surfaces at this address for the run's lifetime")
 	pprofArg := flag.String("pprof", "", "serve net/http/pprof at ADDR (contains ':') or write cpu/heap profiles into DIR")
 	manifest := flag.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
 	flight := flag.String("flight", "", "dump the last retained trace records here when a live telemetry rule breaches")
 	flightRls := flag.String("flight-rules", "", "JSON rules (regress grammar) judged against live windowed series")
 	hold := flag.Duration("hold", 0, "keep the -listen endpoints up this long after the sweep completes")
 	flag.Parse()
-	startUnix := time.Now().Unix()
+	order := []string{"3", "4", "5", "7", "8", "9", "samplesize", "installcost", "spatial", "lossymedium", "naivetradeoff"}
+	selected := order
+	if strings.ToLower(*fig) != "all" {
+		if !slices.Contains(order, *fig) {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: all %s\n", *fig, strings.Join(order, " "))
+			os.Exit(2)
+		}
+		selected = []string{*fig}
+	}
 
-	ocli, err := obs.StartCLI(*metrics, *traceOut, *pprofArg)
+	// The breakdown tables want a registry even when -metrics is off.
+	sess, err := telemetry.Start("experiments", telemetry.Flags{
+		Metrics: *metrics, Trace: *traceOut, Pprof: *pprofArg, Manifest: *manifest,
+		Listen: *listen, Flight: *flight, FlightRules: *flightRls, Hold: *hold,
+		AlwaysRegistry: true,
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	// Close exactly once: the manifest wants the tracer flushed before
-	// it parses the trace file, but the deferred close must still cover
-	// early exits.
-	obsClosed := false
-	closeObs := func() {
-		if obsClosed {
-			return
+	wallSeconds := map[string]float64{}
+	defer func() {
+		err = sess.Finish(err, map[string]string{
+			"fig":   *fig,
+			"quick": fmt.Sprint(*quick),
+			"trace": *traceOut,
+		}, wallSeconds)
+		if err == nil && *manifest != "" && *manifest != "-" {
+			fmt.Printf("wrote %s\n", *manifest)
 		}
-		obsClosed = true
-		if cerr := ocli.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, cerr)
-		}
+	}()
+	reg, mon := sess.Registry(), sess.Monitor()
+	bound, err := sess.Serve(telemetry.Endpoints(mon.Collector())...)
+	if err != nil {
+		return err
 	}
-	defer closeObs()
-	// The breakdown tables want a registry even when -metrics is off;
-	// EnsureRegistry keeps every surface (exposition, manifest, live
-	// telemetry) observing the same one.
-	reg := ocli.EnsureRegistry()
-	// Live telemetry: the collector windows the registry's series; the
-	// flight ring taps the tracer (creating one if -trace is off) so a
-	// breach can dump the recent records.
-	var fl *telemetry.Flight
-	if *flight != "" {
-		fl = telemetry.NewFlight(flightCapacity)
-		ocli.EnsureTracer(fl)
+	if bound != "" {
+		fmt.Printf("serving /metrics, /healthz, /readyz, and /debug/telemetry on %s\n", bound)
 	}
-	var rules []regress.Rule
-	if *flightRls != "" {
-		var err error
-		if rules, err = telemetry.LoadRules(*flightRls); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	mon := telemetry.NewMonitor(telemetry.NewCollector(reg, telemetryWindow), fl, rules, *flight)
-	if *listen != "" {
-		bound, err := ocli.Serve(*listen, telemetry.Endpoints(mon.Collector())...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("serving /metrics, /snapshot.json, /healthz, /readyz, and /debug/telemetry on %s\n", bound)
-		stopTicker := telemetry.StartTicker(mon, telemetry.NewRuntimeBridge(reg), time.Second)
-		defer stopTicker()
-	}
-	experiments.SetObs(reg, ocli.Tracer())
+	experiments.SetObs(reg, sess.Tracer())
 
 	runs := map[string]func() (*experiments.Result, error){
 		"3": func() (*experiments.Result, error) {
@@ -217,34 +201,18 @@ func main() {
 			return experiments.LossyMediumStudy(cfg)
 		},
 	}
-	order := []string{"3", "4", "5", "7", "8", "9", "samplesize", "installcost", "spatial", "lossymedium", "naivetradeoff"}
-
-	var selected []string
-	switch strings.ToLower(*fig) {
-	case "all":
-		selected = order
-	default:
-		if _, ok := runs[*fig]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: all %s\n", *fig, strings.Join(order, " "))
-			os.Exit(2)
-		}
-		selected = []string{*fig}
-	}
-
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
-	wallSeconds := map[string]float64{}
 	for i, id := range selected {
 		start := time.Now()
 		before := reg.Snapshot()
 		// One span per figure on an index clock, so tracetool groups and
 		// attributes the work per experiment.
 		var fspan *obs.Span
-		if tr := ocli.Tracer(); tr != nil {
+		if tr := sess.Tracer(); tr != nil {
 			fspan = tr.StartSpan(nil, "experiment", float64(i), obs.F("fig", id))
 			experiments.SetSpan(fspan)
 		}
@@ -254,8 +222,7 @@ func main() {
 			fspan.End(float64(i + 1))
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("experiment %s: %w", id, err)
 		}
 		fmt.Println(res.Render())
 		if *plot {
@@ -268,57 +235,23 @@ func main() {
 		// as per-figure costs, and the flight rules get judged between
 		// figures rather than mid-sweep.
 		if err := mon.Sample(float64(i)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, res.ID+".csv")
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			if err := res.WriteCSV(f); err != nil {
 				f.Close()
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return err
 			}
 			fmt.Printf("wrote %s\n", path)
 		}
 	}
-
-	if *hold > 0 && *listen != "" {
-		fmt.Printf("holding endpoints for %s\n", *hold)
-		time.Sleep(*hold)
-	}
-
-	if *manifest != "" {
-		snap := reg.Snapshot()
-		env := ledger.HostEnvironment(startUnix)
-		env.WallSeconds = wallSeconds
-		m := ledger.New("experiments", map[string]string{
-			"fig":   *fig,
-			"quick": fmt.Sprint(*quick),
-			"trace": *traceOut,
-		}, snap, env)
-		// The tracer must flush before the trace file is parsed back.
-		closeObs()
-		if *traceOut != "" && *traceOut != "-" {
-			if err := m.AttachTraceFile(*traceOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if err := ledger.WriteFile(*manifest, m); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *manifest != "-" {
-			fmt.Printf("wrote %s\n", *manifest)
-		}
-	}
+	return nil
 }

@@ -39,9 +39,8 @@ import (
 	"os"
 	"time"
 
-	"prospector/internal/ledger"
 	"prospector/internal/lp"
-	"prospector/internal/obs"
+	"prospector/internal/obs/telemetry"
 )
 
 type inputVar struct {
@@ -87,25 +86,21 @@ func run() (err error) {
 	dumpMPS := flag.String("dump-mps", "", "also write the model as MPS to this path")
 	manifest := flag.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
 	flag.Parse()
-	startUnix := time.Now().Unix()
-	startWall := time.Now()
+	sess, err := telemetry.Start("lpsolve", telemetry.Flags{Manifest: *manifest})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		err = sess.Finish(err, map[string]string{
+			"mps": fmt.Sprint(*mps), "file": flag.Arg(0),
+		}, nil)
+	}()
 	// The solver itself never reads clocks; the CLI injects one so
 	// lp.solve_seconds gets real data (the manifest quarantines it).
 	opts := lp.Options{}
-	if *manifest != "" {
-		opts.Obs = obs.NewRegistry()
+	if reg := sess.Registry(); reg != nil {
+		opts.Obs = reg
 		opts.Now = time.Now
-		defer func() {
-			if err != nil {
-				return
-			}
-			env := ledger.HostEnvironment(startUnix)
-			env.WallSeconds = map[string]float64{"run": time.Since(startWall).Seconds()}
-			m := ledger.New("lpsolve", map[string]string{
-				"mps": fmt.Sprint(*mps), "file": flag.Arg(0),
-			}, opts.Obs.Snapshot(), env)
-			err = ledger.WriteFile(*manifest, m)
-		}()
 	}
 	var r io.Reader = os.Stdin
 	if flag.NArg() > 0 {

@@ -17,12 +17,12 @@
 // latency and per-node energy) instead of the analytic executor;
 // -loss adds a uniform per-link loss probability to the simulation.
 //
-// Observability: -metrics writes the run's metric exposition at exit
+// Observability: -metrics writes the run's Prometheus exposition at exit
 // ("-" for stdout); -trace streams deterministic JSON-lines events —
 // the run is wrapped in a root "query" span so tracetool can rebuild
 // the full tree (query → plan/solve → epochs → per-node rounds);
-// -listen serves the live registry at ADDR (/metrics in Prometheus
-// text format, /snapshot.json, plus the telemetry surfaces /healthz,
+// -listen serves the live registry at ADDR (/metrics, the same
+// Prometheus exposition, plus the telemetry surfaces /healthz,
 // /readyz, and /debug/telemetry) while the run executes; -pprof either
 // serves net/http/pprof (value with a ":") or writes cpu.prof/heap.prof
 // into a directory; -manifest writes the run ledger ("-" for stdout) —
@@ -67,26 +67,15 @@ import (
 	"prospector/internal/core"
 	"prospector/internal/energy"
 	"prospector/internal/exec"
-	"prospector/internal/ledger"
 	"prospector/internal/lp"
 	"prospector/internal/network"
 	"prospector/internal/obs"
 	"prospector/internal/obs/telemetry"
 	"prospector/internal/plan"
-	"prospector/internal/regress"
 	"prospector/internal/sample"
 	"prospector/internal/serve"
 	"prospector/internal/sim"
 	"prospector/internal/workload"
-)
-
-// telemetryWindow is how many ticks each windowed series retains;
-// flightCapacity bounds the flight recorder's record ring. Both are
-// sized for a default run (tens of epochs, a few hundred spans per
-// epoch) with headroom for -listen interval sampling.
-const (
-	telemetryWindow = 256
-	flightCapacity  = 4096
 )
 
 // epochMSBounds buckets the wall-clock milliseconds an epoch took.
@@ -142,9 +131,9 @@ func run() (err error) {
 		dotFile    = flag.String("dot", "", "write the network+plan as Graphviz DOT to this file")
 		useSim     = flag.Bool("sim", false, "execute through the discrete-event mote simulator")
 		lossProb   = flag.Float64("loss", 0, "uniform per-link loss probability for -sim")
-		metrics    = flag.String("metrics", "", "write the metric exposition here at exit ('-' for stdout)")
+		metrics    = flag.String("metrics", "", "write the /metrics exposition here at exit ('-' for stdout)")
 		traceOut   = flag.String("trace", "", "stream JSON-lines trace events to this file ('-' for stdout)")
-		listen     = flag.String("listen", "", "serve live /metrics and /snapshot.json at this address for the run's lifetime")
+		listen     = flag.String("listen", "", "serve live /metrics and the telemetry surfaces at this address for the run's lifetime")
 		pprofArg   = flag.String("pprof", "", "serve net/http/pprof at ADDR (contains ':') or write cpu/heap profiles into DIR")
 		manifest   = flag.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
 		flight     = flag.String("flight", "", "dump the last retained trace records here when a live telemetry rule breaches")
@@ -161,103 +150,53 @@ func run() (err error) {
 	if *serveMode && *listen == "" {
 		return fmt.Errorf("-serve requires -listen")
 	}
-	startUnix := time.Now().Unix()
-	startWall := time.Now()
-
-	ocli, err := obs.StartCLI(*metrics, *traceOut, *pprofArg)
+	sf := telemetry.Flags{
+		Metrics: *metrics, Trace: *traceOut, Pprof: *pprofArg, Manifest: *manifest,
+		Listen: *listen, Flight: *flight, FlightRules: *flightRls, Hold: *hold,
+	}
+	if *serveMode {
+		// The plan service drains on SIGTERM or -serve-for instead of
+		// holding; a flight recorder without explicit rules gets the
+		// serving tier's stock set.
+		sf.Hold = 0
+		sf.DefaultRules = serve.DefaultFlightRules(*serveQueue)
+	}
+	sess, err := telemetry.Start("prospector", sf)
 	if err != nil {
 		return err
 	}
-	// A manifest without metrics would be an empty ledger, and the live
-	// telemetry surfaces need series to window; give the run a registry
-	// whenever any consumer of one is enabled.
-	reg := ocli.Registry()
-	if reg == nil && (*manifest != "" || *listen != "" || *flight != "" || *flightRls != "") {
-		reg = ocli.EnsureRegistry()
-	}
-	// Registered before the Close defer so it runs after it (LIFO): the
-	// manifest parses the trace file, which Close flushes.
+	// Registered first so it runs last (LIFO): the root span ends before
+	// Finish flushes the tracer and parses the trace for the manifest.
 	defer func() {
-		if err != nil || *manifest == "" {
-			return
-		}
-		env := ledger.HostEnvironment(startUnix)
-		env.WallSeconds = map[string]float64{"run": time.Since(startWall).Seconds()}
-		m := ledger.New("prospector", map[string]string{
+		err = sess.Finish(err, map[string]string{
 			"planner": *planner, "nodes": fmt.Sprint(*nodes), "k": fmt.Sprint(*k),
 			"samples": fmt.Sprint(*nSamples), "budget-frac": fmt.Sprint(*budgetFrac),
 			"seed": fmt.Sprint(*seed), "epochs": fmt.Sprint(*epochs),
 			"sim": fmt.Sprint(*useSim), "loss": fmt.Sprint(*lossProb),
-		}, reg.Snapshot(), env)
-		if *traceOut != "" && *traceOut != "-" {
-			if aerr := m.AttachTraceFile(*traceOut); aerr != nil {
-				err = aerr
-				return
-			}
-		}
-		if werr := ledger.WriteFile(*manifest, m); werr != nil {
-			err = werr
-			return
-		}
-		if *manifest != "-" {
+		}, nil)
+		if err == nil && *manifest != "" && *manifest != "-" {
 			fmt.Printf("wrote %s\n", *manifest)
 		}
 	}()
-	defer func() {
-		if cerr := ocli.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "prospector:", cerr)
-		}
-	}()
-	// Live telemetry rides along whenever a registry exists: the
-	// collector windows every registered series, and -flight taps the
-	// tracer (creating one if -trace is off) so the recent record ring
-	// is on hand for a breach dump.
-	var mon *telemetry.Monitor
-	if reg != nil {
-		var fl *telemetry.Flight
-		if *flight != "" {
-			fl = telemetry.NewFlight(flightCapacity)
-			ocli.EnsureTracer(fl)
-		}
-		var rules []regress.Rule
-		if *flightRls != "" {
-			if rules, err = telemetry.LoadRules(*flightRls); err != nil {
-				return err
-			}
-		} else if *serveMode && *flight != "" {
-			// A serving process with a flight recorder but no explicit
-			// rules gets the serving tier's stock set.
-			rules = serve.DefaultFlightRules(*serveQueue)
-		}
-		mon = telemetry.NewMonitor(telemetry.NewCollector(reg, telemetryWindow), fl, rules, *flight)
-	}
+	reg, mon := sess.Registry(), sess.Monitor()
 	lv := newLiveObs(reg, mon)
 	// In serve mode the HTTP surface is mounted by serveLoop once the
 	// planning state exists — serve.Endpoints owns /healthz, /readyz,
 	// and /debug/telemetry there, so mounting telemetry.Endpoints here
 	// too would register duplicate mux patterns.
-	if *listen != "" && !*serveMode {
-		bound, err := ocli.Serve(*listen, telemetry.Endpoints(mon.Collector())...)
+	if !*serveMode {
+		bound, err := sess.Serve(telemetry.Endpoints(mon.Collector())...)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("serving /metrics, /snapshot.json, /healthz, /readyz, and /debug/telemetry on %s\n", bound)
-		// Interval sampling keeps the windows (and the go.* runtime
-		// gauges) moving while serving, even between epochs; the epoch
-		// loop ticks the same collector on the epoch-index clock.
-		stopTicker := telemetry.StartTicker(mon, telemetry.NewRuntimeBridge(reg), time.Second)
-		defer stopTicker()
-		if *hold > 0 {
-			defer func() {
-				fmt.Printf("holding endpoints for %s\n", *hold)
-				time.Sleep(*hold)
-			}()
+		if bound != "" {
+			fmt.Printf("serving /metrics, /healthz, /readyz, and /debug/telemetry on %s\n", bound)
 		}
 	}
 	// The root span makes the whole run one tree for tracetool; its End
-	// is deferred after Close's defer, so it lands before the flush.
+	// is deferred after Finish's defer, so it lands before the flush.
 	var root *obs.Span
-	if tr := ocli.Tracer(); tr != nil {
+	if tr := sess.Tracer(); tr != nil {
 		root = tr.StartSpan(nil, "query",
 			0, obs.F("planner", *planner), obs.F("nodes", *nodes), obs.F("k", *k))
 		defer root.End(0)
@@ -286,11 +225,11 @@ func run() (err error) {
 	// The LP solver never reads the wall clock itself (determinism
 	// analyzer); the CLI injects one so lp.solve_seconds gets real data.
 	cfg := core.Config{Net: net, Costs: costs, Samples: set, K: *k, Obs: reg,
-		Trace: ocli.Tracer(), Span: root, LP: lp.Options{Now: time.Now}}
-	env := exec.Env{Net: net, Costs: costs, Obs: reg, Trace: ocli.Tracer(), Span: root}
+		Trace: sess.Tracer(), Span: root, LP: lp.Options{Now: time.Now}}
+	env := exec.Env{Net: net, Costs: costs, Obs: reg, Trace: sess.Tracer(), Span: root}
 
 	if *serveMode {
-		return serveLoop(ocli, mon, cfg, serveSettings{
+		return serveLoop(sess, cfg, serveSettings{
 			listen: *listen, kind: *planner, seed: *seed, nodes: *nodes, k: *k,
 			queue: *serveQueue, workers: *serveWorkers, batch: *serveBatch, dur: *serveFor,
 		})
@@ -352,7 +291,7 @@ func run() (err error) {
 		// like any other filtering plan (the budget does not apply).
 		fmt.Printf("NAIVE-%d plan: %v\n", *k, naivePlan)
 		return finish(naivePlan, env, net, truth, *k, *describe, *dotFile,
-			*useSim, *lossProb, rng, reg, ocli, root, lv)
+			*useSim, *lossProb, rng, reg, sess.Tracer(), root, lv)
 	default:
 		var pl core.Planner
 		switch *planner {
@@ -374,7 +313,7 @@ func run() (err error) {
 		}
 		fmt.Printf("%s plan: %v\n", pl.Name(), p)
 		return finish(p, env, net, truth, *k, *describe, *dotFile,
-			*useSim, *lossProb, rng, reg, ocli, root, lv)
+			*useSim, *lossProb, rng, reg, sess.Tracer(), root, lv)
 	}
 }
 
@@ -391,7 +330,7 @@ type serveSettings struct {
 // state into snapshots, stand up the worker pool, mount the serving
 // surface on -listen, and drain cleanly on SIGINT/SIGTERM or after
 // -serve-for elapses.
-func serveLoop(ocli *obs.CLI, mon *telemetry.Monitor, cfg core.Config, st serveSettings) error {
+func serveLoop(sess *telemetry.Session, cfg core.Config, st serveSettings) error {
 	base := serve.Key{
 		Network: fmt.Sprintf("seed%d-n%d", st.seed, st.nodes),
 		Gen:     cfg.Samples.Gen(),
@@ -435,15 +374,13 @@ func serveLoop(ocli *obs.CLI, mon *telemetry.Monitor, cfg core.Config, st serveS
 	if err != nil {
 		return err
 	}
-	bound, err := ocli.Serve(st.listen, serve.Endpoints(svc, base, mon.Collector())...)
+	bound, err := sess.Serve(serve.Endpoints(svc, base, sess.Monitor().Collector())...)
 	if err != nil {
 		svc.Close()
 		return err
 	}
-	fmt.Printf("plan service on %s: /plan (default planner %s, k=%d), /metrics, /snapshot.json, /healthz, /readyz, /debug/telemetry\n",
+	fmt.Printf("plan service on %s: /plan (default planner %s, k=%d), /metrics, /healthz, /readyz, /debug/telemetry\n",
 		bound, st.kind, st.k)
-	stopTicker := telemetry.StartTicker(mon, telemetry.NewRuntimeBridge(cfg.Obs), time.Second)
-	defer stopTicker()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -469,7 +406,7 @@ func serveLoop(ocli *obs.CLI, mon *telemetry.Monitor, cfg core.Config, st serveS
 // or the analytic executor.
 func finish(p *plan.Plan, env exec.Env, net *network.Network, truth [][]float64,
 	k int, describe bool, dotFile string, useSim bool, loss float64,
-	rng *rand.Rand, reg *obs.Registry, ocli *obs.CLI, root *obs.Span, lv *liveObs) error {
+	rng *rand.Rand, reg *obs.Registry, tr *obs.Tracer, root *obs.Span, lv *liveObs) error {
 	if describe {
 		fmt.Print(p.Describe(net))
 	}
@@ -480,7 +417,7 @@ func finish(p *plan.Plan, env exec.Env, net *network.Network, truth [][]float64,
 		fmt.Printf("wrote %s\n", dotFile)
 	}
 	if useSim {
-		return simReport(net, p, truth, k, loss, rng, reg, ocli, root, lv)
+		return simReport(net, p, truth, k, loss, rng, reg, tr, root, lv)
 	}
 	return report(env, p, truth, k, lv)
 }
@@ -499,13 +436,13 @@ func writeDOT(net *network.Network, p *plan.Plan, path string) error {
 
 // simReport executes the plan through the discrete-event simulator,
 // reporting latency, retransmissions, and the hottest radios.
-func simReport(net *network.Network, p *plan.Plan, truth [][]float64, k int, loss float64, rng *rand.Rand, reg *obs.Registry, ocli *obs.CLI, root *obs.Span, lv *liveObs) error {
+func simReport(net *network.Network, p *plan.Plan, truth [][]float64, k int, loss float64, rng *rand.Rand, reg *obs.Registry, tr *obs.Tracer, root *obs.Span, lv *liveObs) error {
 	if p.Kind == plan.Selection {
 		return fmt.Errorf("-sim supports filtering/proof plans (use -planner lp+lf or proof)")
 	}
 	cfg := sim.DefaultConfig(net)
 	cfg.Obs = reg
-	cfg.Trace = ocli.Tracer()
+	cfg.Trace = tr
 	cfg.Span = root
 	if loss > 0 {
 		probs := make([]float64, net.Size())

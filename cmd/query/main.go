@@ -20,13 +20,11 @@ import (
 	"math/rand"
 	"os"
 	"strings"
-	"time"
 
 	"prospector/internal/energy"
 	"prospector/internal/exec"
-	"prospector/internal/ledger"
 	"prospector/internal/network"
-	"prospector/internal/obs"
+	"prospector/internal/obs/telemetry"
 	"prospector/internal/query"
 	"prospector/internal/workload"
 )
@@ -47,8 +45,16 @@ func run() (err error) {
 		manifest = flag.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
 	)
 	flag.Parse()
-	startUnix := time.Now().Unix()
-	startWall := time.Now()
+	sess, err := telemetry.Start("query", telemetry.Flags{Manifest: *manifest})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		err = sess.Finish(err, map[string]string{
+			"nodes": fmt.Sprint(*nodes), "seed": fmt.Sprint(*seed),
+			"warmup": fmt.Sprint(*warmup), "q": *oneShot,
+		}, nil)
+	}()
 
 	rng := rand.New(rand.NewSource(*seed))
 	net, err := network.Build(network.DefaultBuildConfig(*nodes), rng)
@@ -63,23 +69,7 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	var reg *obs.Registry
-	if *manifest != "" {
-		reg = obs.NewRegistry()
-		eng.SetObs(reg, nil)
-		defer func() {
-			if err != nil {
-				return
-			}
-			env := ledger.HostEnvironment(startUnix)
-			env.WallSeconds = map[string]float64{"run": time.Since(startWall).Seconds()}
-			m := ledger.New("query", map[string]string{
-				"nodes": fmt.Sprint(*nodes), "seed": fmt.Sprint(*seed),
-				"warmup": fmt.Sprint(*warmup), "q": *oneShot,
-			}, reg.Snapshot(), env)
-			err = ledger.WriteFile(*manifest, m)
-		}()
-	}
+	eng.SetObs(sess.Registry(), nil)
 	for e := 0; e < *warmup; e++ {
 		if err := eng.Observe(src.Next()); err != nil {
 			return err

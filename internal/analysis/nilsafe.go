@@ -83,7 +83,7 @@ func hasNilGuard(st ast.Stmt, recv string) bool {
 }
 
 // isPureDelegation matches a body that is exactly one call rooted at
-// the receiver, e.g. `c.Add(1)` or `return r.Snapshot().WriteText(w)`.
+// the receiver, e.g. `c.Add(1)` or `return r.Snapshot().WritePrometheus(w)`.
 // Calling a method on a nil pointer is legal; the callee carries the
 // guard and is verified on its own.
 func isPureDelegation(body []ast.Stmt, recv string) bool {
@@ -110,7 +110,7 @@ func isPureDelegation(body []ast.Stmt, recv string) bool {
 }
 
 // rootedAt reports whether a selector/call chain bottoms out at the
-// identifier name (r.Snapshot().WriteText -> r).
+// identifier name (r.Snapshot().WritePrometheus -> r).
 func rootedAt(e ast.Expr, name string) bool {
 	for {
 		switch x := e.(type) {

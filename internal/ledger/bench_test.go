@@ -10,7 +10,7 @@ import (
 )
 
 // benchRegistry builds a registry of the shape a full experiments run
-// leaves behind: a few dozen counters, per-node gauges, and labeled
+// leaves behind: a few dozen counters, per-node gauges, and
 // histograms.
 func benchRegistry() *obs.Registry {
 	reg := obs.NewRegistry()

@@ -75,8 +75,8 @@ type Environment struct {
 }
 
 // wallClockSeries names the histogram families whose observations are
-// wall-clock readings. The family's histogram (any label block) and
-// its derived quantile gauges are relocated into the environment.
+// wall-clock readings. The family's histogram and its derived quantile
+// gauges are relocated into the environment.
 var wallClockSeries = []string{"lp.solve_seconds", "exec.epoch_ms"}
 
 // wallClockPrefixes names whole metric families that are inherently
@@ -162,14 +162,13 @@ func emptySnapshot() *obs.Snapshot {
 }
 
 // isWallClockHistogram matches a histogram series key against the
-// wall-clock families: the bare family name or the family with a label
-// block.
+// wall-clock families.
 func isWallClockHistogram(key string) bool {
 	if hasWallClockPrefix(key) {
 		return true
 	}
 	for _, name := range wallClockSeries {
-		if key == name || strings.HasPrefix(key, name+"{") {
+		if key == name {
 			return true
 		}
 	}
@@ -177,7 +176,7 @@ func isWallClockHistogram(key string) bool {
 }
 
 // isWallClockGauge matches the derived quantile gauges of a wall-clock
-// family (<family>.p50 and friends, with or without labels).
+// family (<family>.p50 and friends).
 func isWallClockGauge(key string) bool {
 	if hasWallClockPrefix(key) {
 		return true

@@ -6,19 +6,17 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // Live exposition. Handler serves a registry over HTTP so long sweeps
-// can be watched while they run:
-//
-//	/metrics        Prometheus text exposition (format 0.0.4)
-//	/snapshot.json  the registry snapshot as one JSON document
-//
-// Both endpoints take a fresh snapshot per request; the registry stays
-// lock-free for writers in between. Every response carries
-// Cache-Control: no-store — these are live documents, and a cached
-// snapshot would silently report a stale run.
+// can be watched while they run: /metrics is the Prometheus text
+// exposition (format 0.0.4), the same bytes -metrics writes at exit.
+// Each scrape takes a fresh snapshot; the registry stays lock-free for
+// writers in between. Responses carry Cache-Control: no-store — this
+// is a live document, and a cached one would silently report a stale
+// run.
 
 // Endpoint is one extra HTTP surface mounted next to the registry
 // exposition, e.g. the telemetry endpoints (/healthz, /readyz,
@@ -41,11 +39,6 @@ func Handler(reg *Registry, extra ...Endpoint) http.Handler {
 		// The snapshot is already in memory; an exposition write error
 		// just means the scraper hung up.
 		_ = reg.Snapshot().WritePrometheus(w)
-	})
-	mux.HandleFunc("/snapshot.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Cache-Control", "no-store")
-		_ = reg.Snapshot().WriteJSON(w)
 	})
 	for _, e := range extra {
 		mux.Handle(e.Path, e.Handler)
@@ -83,89 +76,75 @@ func Serve(addr string, reg *Registry, extra ...Endpoint) (string, func() error,
 // WritePrometheus emits the snapshot in the Prometheus text exposition
 // format: metric names sanitized to [a-zA-Z0-9_:], one # TYPE line per
 // family, histograms expanded into cumulative _bucket/_sum/_count
-// series. Families are sorted, so the output is deterministic. A nil
-// snapshot writes nothing.
+// series. A histogram that rejected NaN observations also gets a
+// <family>_nan_observations counter. Families are sorted, so the output
+// is deterministic. A nil snapshot writes nothing.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
 	type series struct {
-		labels string // rendered label block, "" when unlabeled
-		key    string // original series key, for value lookup
-	}
-	type family struct {
 		name string // sanitized family name
 		kind string // counter | gauge | histogram
-		ss   []series
+		key  string // registry series name
+		val  string // rendered value; unused for histograms
 	}
-	fams := map[string]*family{}
-	add := func(key, kind string) {
-		name, labels := splitSeries(key)
-		name = sanitizeMetricName(name)
-		f := fams[name]
-		if f == nil {
-			f = &family{name: name, kind: kind}
-			fams[name] = f
+	ss := make([]series, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
+	for k, v := range s.Counters {
+		ss = append(ss, series{sanitizeMetricName(k), "counter", k, strconv.FormatInt(v, 10)})
+	}
+	for k, v := range s.Gauges {
+		ss = append(ss, series{sanitizeMetricName(k), "gauge", k, formatFloat(v)})
+	}
+	for k, h := range s.Histograms {
+		name := sanitizeMetricName(k)
+		ss = append(ss, series{name: name, kind: "histogram", key: k})
+		if h.NaNCount > 0 {
+			ss = append(ss, series{name + "_nan_observations", "counter", k, strconv.FormatInt(h.NaNCount, 10)})
 		}
-		f.ss = append(f.ss, series{labels: labels, key: key})
 	}
-	for k := range s.Counters {
-		add(k, "counter")
-	}
-	for k := range s.Gauges {
-		add(k, "gauge")
-	}
-	for k := range s.Histograms {
-		add(k, "histogram")
-	}
-	names := make([]string, 0, len(fams))
-	for n := range fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := fams[n]
-		sort.Slice(f.ss, func(i, j int) bool { return f.ss[i].key < f.ss[j].key })
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
+	sort.Slice(ss, func(i, j int) bool {
+		if ss[i].name != ss[j].name {
+			return ss[i].name < ss[j].name
 		}
-		for _, sr := range f.ss {
-			var err error
-			switch f.kind {
-			case "counter":
-				_, err = fmt.Fprintf(w, "%s%s %d\n", f.name, sr.labels, s.Counters[sr.key])
-			case "gauge":
-				_, err = fmt.Fprintf(w, "%s%s %s\n", f.name, sr.labels, formatFloat(s.Gauges[sr.key]))
-			case "histogram":
-				err = writePromHistogram(w, f.name, sr.labels, s.Histograms[sr.key])
-			}
-			if err != nil {
+		return ss[i].key < ss[j].key
+	})
+	for i, sr := range ss {
+		// Distinct registry names can sanitize to one family; it gets
+		// one TYPE line.
+		if i == 0 || sr.name != ss[i-1].name {
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", sr.name, sr.kind); err != nil {
 				return err
 			}
+		}
+		var err error
+		if sr.kind == "histogram" {
+			err = writePromHistogram(w, sr.name, s.Histograms[sr.key])
+		} else {
+			_, err = fmt.Fprintf(w, "%s %s\n", sr.name, sr.val)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func writePromHistogram(w io.Writer, name, labels string, h HistogramSnapshot) error {
-	bucket := func(edge string, cum int64) error {
-		_, err := fmt.Fprintf(w, "%s %d\n", withLE(name+"_bucket"+labels, edge), cum)
-		return err
-	}
+func writePromHistogram(w io.Writer, name string, h HistogramSnapshot) error {
 	cum := int64(0)
 	for i, b := range h.Bounds {
 		cum += h.Counts[i]
-		if err := bucket(formatFloat(b), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, formatFloat(b), cum); err != nil {
 			return err
 		}
 	}
-	if err := bucket("+Inf", h.Count); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.Sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.Count)
+	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
 	return err
 }
 

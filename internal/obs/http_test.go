@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestExpositionHeaders pins the response headers of both registry
-// surfaces: a correct Content-Type and Cache-Control: no-store, so no
+// TestExpositionHeaders pins the response headers of the registry
+// exposition: a correct Content-Type and Cache-Control: no-store, so no
 // intermediary ever serves a stale exposition of a live run.
 func TestExpositionHeaders(t *testing.T) {
 	r := NewRegistry()
@@ -17,26 +17,17 @@ func TestExpositionHeaders(t *testing.T) {
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 
-	cases := []struct {
-		path     string
-		wantType string
-	}{
-		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/snapshot.json", "application/json"},
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		resp, err := http.Get(srv.URL + c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if got := resp.Header.Get("Content-Type"); got != c.wantType {
-			t.Errorf("%s Content-Type = %q, want %q", c.path, got, c.wantType)
-		}
-		if got := resp.Header.Get("Cache-Control"); got != "no-store" {
-			t.Errorf("%s Cache-Control = %q, want %q", c.path, got, "no-store")
-		}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if got, want := resp.Header.Get("Content-Type"), "text/plain; version=0.0.4; charset=utf-8"; got != want {
+		t.Errorf("Content-Type = %q, want %q", got, want)
+	}
+	if got := resp.Header.Get("Cache-Control"); got != "no-store" {
+		t.Errorf("Cache-Control = %q, want %q", got, "no-store")
 	}
 }
 
@@ -68,5 +59,65 @@ func TestHandlerExtraEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics with extras = %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPHandler drives the live endpoints end to end, including the
+// nil-registry case the CLIs hit when -listen is set without metrics.
+func TestHTTPHandler(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("sim.messages").Add(7)
+	srv := httptest.NewServer(Handler(r))
+	defer srv.Close()
+
+	get := func(path string) (string, string) {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body), resp.Header.Get("Content-Type")
+	}
+	body, ctype := get("/metrics")
+	if !strings.Contains(ctype, "version=0.0.4") {
+		t.Errorf("metrics content type = %q", ctype)
+	}
+	if !strings.Contains(body, "sim_messages 7") {
+		t.Errorf("metrics body missing counter:\n%s", body)
+	}
+	nilSrv := httptest.NewServer(Handler(nil))
+	defer nilSrv.Close()
+	resp, err := http.Get(nilSrv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("nil registry /metrics = %d", resp.StatusCode)
+	}
+}
+
+// TestServeLifecycle covers the eager-listen contract: ":0" binds and
+// reports a real address, stop shuts the listener down, and a bad
+// address fails up front.
+func TestServeLifecycle(t *testing.T) {
+	addr, stop, err := Serve("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatalf("serve bound %s but GET failed: %v", addr, err)
+	}
+	resp.Body.Close()
+	if err := stop(); err != nil {
+		t.Errorf("stop: %v", err)
+	}
+	if _, _, err := Serve("256.256.256.256:0", nil); err == nil {
+		t.Error("bad address did not fail eagerly")
 	}
 }

@@ -2,7 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -34,11 +35,11 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 		t.Error("nil registry snapshot not empty")
 	}
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := snap.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Errorf("nil registry text exposition: %q", buf.String())
+		t.Errorf("nil registry exposition: %q", buf.String())
 	}
 	var tr *Tracer
 	tr.Event("x", 0, F("a", 1))
@@ -124,6 +125,9 @@ func TestHistogramIdentity(t *testing.T) {
 	}
 }
 
+// TestSnapshotAndText pins the snapshot's values and their Prometheus
+// text exposition: cumulative buckets, _sum/_count, and the derived
+// quantile gauges.
 func TestSnapshotAndText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.count").Add(3)
@@ -133,42 +137,127 @@ func TestSnapshotAndText(t *testing.T) {
 	h.Observe(5)
 	h.Observe(50)
 
+	snap := r.Snapshot()
+	if snap.Counters["b.count"] != 3 || snap.Gauges["a.gauge"] != 2.5 {
+		t.Errorf("snapshot wrong: %+v", snap)
+	}
+	if hs := snap.Histograms["c.hist"]; hs.Count != 3 || hs.Sum != 55.5 {
+		t.Errorf("snapshot histogram wrong: %+v", hs)
+	}
 	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
+	if err := snap.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
-		`a.gauge 2.5`,
-		`b.count 3`,
-		`c.hist{le="1"} 1`,
-		`c.hist{le="10"} 2`,
-		`c.hist{le="+Inf"} 3`,
-		`c.hist.sum 55.5`,
-		`c.hist.count 3`,
+		`# TYPE a_gauge gauge`,
+		`a_gauge 2.5`,
+		`# TYPE b_count counter`,
+		`b_count 3`,
+		`# TYPE c_hist histogram`,
+		`c_hist_bucket{le="1"} 1`,
+		`c_hist_bucket{le="10"} 2`,
+		`c_hist_bucket{le="+Inf"} 3`,
+		`c_hist_sum 55.5`,
+		`c_hist_count 3`,
 		// Derived quantile gauges: rank p50 = 1.5 interpolates halfway
 		// through the (1, 10] bucket; p95/p99 land in the overflow
 		// bucket and clamp to the highest finite bound.
-		`c.hist.p50 5.5`,
-		`c.hist.p95 10`,
-		`c.hist.p99 10`,
+		`# TYPE c_hist_p50 gauge`,
+		`c_hist_p50 5.5`,
+		`# TYPE c_hist_p95 gauge`,
+		`c_hist_p95 10`,
+		`# TYPE c_hist_p99 gauge`,
+		`c_hist_p99 10`,
 	}, "\n") + "\n"
 	if buf.String() != want {
 		t.Errorf("text exposition:\n%s\nwant:\n%s", buf.String(), want)
 	}
+}
 
-	var jbuf bytes.Buffer
-	if err := r.WriteJSON(&jbuf); err != nil {
+// TestHistogramBoundsSanitized: duplicate and unsorted edges are
+// deduped and sorted; NaN and infinite edges are dropped.
+func TestHistogramBoundsSanitized(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", []float64{2, 1, 2, math.NaN(), math.Inf(1), 1, math.Inf(-1)})
+	got := h.Bounds()
+	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("bounds = %v, want [1 2]", got)
+	}
+	if counts := h.BucketCounts(); len(counts) != 3 {
+		t.Fatalf("%d buckets for 2 edges, want 3", len(counts))
+	}
+}
+
+// TestHistogramNaNObservations: NaN observations land in a dedicated
+// counter, never in buckets, count, or sum.
+func TestHistogramNaNObservations(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", []float64{1})
+	h.Observe(0.5)
+	h.Observe(math.NaN())
+	h.Observe(math.NaN())
+	if h.Count() != 1 || h.Sum() != 0.5 {
+		t.Fatalf("NaN leaked into count/sum: %d %g", h.Count(), h.Sum())
+	}
+	if h.NaNCount() != 2 {
+		t.Fatalf("NaNCount = %d, want 2", h.NaNCount())
+	}
+	snap := r.Snapshot()
+	if snap.Histograms["h"].NaNCount != 2 {
+		t.Errorf("snapshot NaNCount = %d", snap.Histograms["h"].NaNCount)
+	}
+	var nilH *Histogram
+	if nilH.NaNCount() != 0 {
+		t.Error("nil histogram NaNCount != 0")
+	}
+}
+
+// TestWritePrometheus pins the exposition format: sanitized names, one
+// TYPE line per family (also when two names sanitize alike), and the
+// NaN tally as its own counter family.
+func TestWritePrometheus(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("sim.messages").Add(4)
+	r.Counter("sim-messages").Add(1)
+	r.Gauge("sim.latency_seconds").Set(0.25)
+	h := r.Histogram("solve_s", []float64{0.1, 1})
+	h.Observe(0.05)
+	h.Observe(0.5)
+	h.Observe(5)
+	h.Observe(math.NaN())
+
+	var buf bytes.Buffer
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(jbuf.Bytes(), &snap); err != nil {
-		t.Fatalf("JSON exposition invalid: %v", err)
+	want := strings.Join([]string{
+		`# TYPE sim_latency_seconds gauge`,
+		`sim_latency_seconds 0.25`,
+		`# TYPE sim_messages counter`,
+		`sim_messages 1`,
+		`sim_messages 4`,
+		`# TYPE solve_s histogram`,
+		`solve_s_bucket{le="0.1"} 1`,
+		`solve_s_bucket{le="1"} 2`,
+		`solve_s_bucket{le="+Inf"} 3`,
+		`solve_s_sum 5.55`,
+		`solve_s_count 3`,
+		`# TYPE solve_s_nan_observations counter`,
+		`solve_s_nan_observations 1`,
+		`# TYPE solve_s_p50 gauge`,
+		`solve_s_p50 0.55`,
+		`# TYPE solve_s_p95 gauge`,
+		`solve_s_p95 1`,
+		`# TYPE solve_s_p99 gauge`,
+		`solve_s_p99 1`,
+	}, "\n") + "\n"
+	if buf.String() != want {
+		t.Errorf("prometheus exposition:\n%swant:\n%s", buf.String(), want)
 	}
-	if snap.Counters["b.count"] != 3 || snap.Gauges["a.gauge"] != 2.5 {
-		t.Errorf("round-tripped snapshot wrong: %+v", snap)
-	}
-	if hs := snap.Histograms["c.hist"]; hs.Count != 3 || hs.Sum != 55.5 {
-		t.Errorf("round-tripped histogram wrong: %+v", snap.Histograms["c.hist"])
+
+	var nilSnap *Snapshot
+	if err := nilSnap.WritePrometheus(io.Discard); err != nil {
+		t.Errorf("nil snapshot exposition: %v", err)
 	}
 }
 

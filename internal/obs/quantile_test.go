@@ -63,22 +63,21 @@ func TestHistogramSnapshotQuantile(t *testing.T) {
 }
 
 // TestSnapshotDerivedQuantiles pins that Snapshot publishes the p50/
-// p95/p99 gauges for non-empty histograms only, preserving label
-// blocks.
+// p95/p99 gauges for non-empty histograms only.
 func TestSnapshotDerivedQuantiles(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("empty.hist", []float64{1})
-	h := r.HistogramL("lat", []float64{1, 10}, L("op", "solve"))
+	h := r.Histogram("lat", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(50)
 	s := r.Snapshot()
-	for _, name := range []string{`lat.p50{op="solve"}`, `lat.p95{op="solve"}`, `lat.p99{op="solve"}`} {
+	for _, name := range []string{"lat.p50", "lat.p95", "lat.p99"} {
 		if _, ok := s.Gauges[name]; !ok {
 			t.Errorf("derived gauge %s missing; gauges: %v", name, s.Gauges)
 		}
 	}
-	if got := s.Gauges[`lat.p50{op="solve"}`]; math.Abs(got-5.5) > 1e-12 {
+	if got := s.Gauges["lat.p50"]; math.Abs(got-5.5) > 1e-12 {
 		t.Errorf("lat.p50 = %g, want 5.5", got)
 	}
 	for name := range s.Gauges {

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-)
+import "strconv"
 
 // HistogramSnapshot is one histogram's frozen state.
 type HistogramSnapshot struct {
@@ -18,7 +12,8 @@ type HistogramSnapshot struct {
 	NaNCount int64 `json:"nan_count,omitempty"`
 }
 
-// Snapshot is a frozen, serializable view of a registry.
+// Snapshot is a frozen view of a registry; its JSON encoding is the
+// metrics block of a run manifest (internal/ledger).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
@@ -78,18 +73,17 @@ var quantileProbes = []struct {
 }
 
 // addDerivedQuantiles adds one gauge per probe and non-empty histogram,
-// named `<hist>.p50{labels}` (p95, p99 likewise), so baseline rules and
+// named `<hist>.p50` (p95, p99 likewise), so baseline rules and
 // dashboards can reference latency quantiles without re-deriving them
-// from raw buckets. The gauges flow into every exposition that consumes
-// a snapshot: WriteText, WriteJSON (/snapshot.json), WritePrometheus.
+// from raw buckets. The gauges flow into everything that consumes a
+// snapshot: the Prometheus exposition and the run manifest.
 func (s *Snapshot) addDerivedQuantiles() {
 	for k, h := range s.Histograms {
 		if h.Count == 0 {
 			continue
 		}
-		name, labels := splitSeries(k)
 		for _, p := range quantileProbes {
-			s.Gauges[name+"."+p.suffix+labels] = h.Quantile(p.q)
+			s.Gauges[k+"."+p.suffix] = h.Quantile(p.q)
 		}
 	}
 }
@@ -155,99 +149,12 @@ func BucketQuantile(bounds []float64, counts []int64, count int64, sum float64, 
 	return bounds[len(bounds)-1]
 }
 
-// WriteText emits the registry expvar-style: one sorted "name value"
-// line per counter and gauge; histograms expand into cumulative
-// name{le="edge"} lines plus .count and .sum.
-func (r *Registry) WriteText(w io.Writer) error {
-	return r.Snapshot().WriteText(w)
-}
-
-// WriteJSON emits the registry as one JSON document (sorted keys, via
-// encoding/json's map ordering).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	return r.Snapshot().WriteJSON(w)
-}
-
 func emptySnapshot() *Snapshot {
 	return &Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
-}
-
-// WriteText formats the snapshot as sorted plain-text lines. A nil
-// snapshot writes nothing.
-func (s *Snapshot) WriteText(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for k := range s.Counters {
-		names = append(names, k)
-	}
-	for k := range s.Gauges {
-		names = append(names, k)
-	}
-	for k := range s.Histograms {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if v, ok := s.Counters[k]; ok {
-			if _, err := fmt.Fprintf(w, "%s %d\n", k, v); err != nil {
-				return err
-			}
-			continue
-		}
-		if v, ok := s.Gauges[k]; ok {
-			if _, err := fmt.Fprintf(w, "%s %s\n", k, formatFloat(v)); err != nil {
-				return err
-			}
-			continue
-		}
-		h := s.Histograms[k]
-		cum := int64(0)
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			if _, err := fmt.Fprintf(w, "%s %d\n", withLE(k, formatFloat(b)), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", withLE(k, "+Inf"), h.Count); err != nil {
-			return err
-		}
-		name, labels := splitSeries(k)
-		if _, err := fmt.Fprintf(w, "%s.sum%s %s\n", name, labels, formatFloat(h.Sum)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s.count%s %d\n", name, labels, h.Count); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// withLE appends the cumulative-bucket le label to a series key,
-// merging into an existing label block: `h{le="1"}` for plain names,
-// `h{a="b",le="1"}` for labeled series.
-func withLE(series, edge string) string {
-	name, labels := splitSeries(series)
-	if labels == "" {
-		return name + `{le="` + edge + `"}`
-	}
-	return name + labels[:len(labels)-1] + `,le="` + edge + `"}`
-}
-
-// WriteJSON emits the snapshot as one indented JSON document. A nil
-// snapshot encodes as an empty one, keeping the output well-formed.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	if s == nil {
-		s = emptySnapshot()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 func formatFloat(v float64) string {

@@ -67,7 +67,7 @@ func TestSpanNilSafety(t *testing.T) {
 }
 
 // TestSpanConcurrency hammers one tracer with interleaved span/event
-// emission while other goroutines hit labeled registry handles; run
+// emission while other goroutines hit per-worker registry handles; run
 // with -race. Afterwards the trace must hold every record with strictly
 // increasing seq, and the registry totals must balance exactly.
 func TestSpanConcurrency(t *testing.T) {
@@ -81,15 +81,15 @@ func TestSpanConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lbl := L("worker", fmt.Sprintf("w%d", w))
+			suffix := fmt.Sprintf(".w%d", w)
 			for i := 0; i < perWorker; i++ {
 				s := tr.StartSpan(nil, "round", float64(i))
 				s.Event("tick", float64(i), F("w", w))
 				s.Span("leaf", float64(i), float64(i)+0.5)
 				s.End(float64(i) + 1)
-				reg.CounterL("rounds", lbl).Inc()
-				reg.GaugeL("progress", lbl).Add(1)
-				reg.HistogramL("lat", []float64{0.25, 0.5}, lbl).Observe(0.3)
+				reg.Counter("rounds" + suffix).Inc()
+				reg.Gauge("progress" + suffix).Add(1)
+				reg.Histogram("lat"+suffix, []float64{0.25, 0.5}).Observe(0.3)
 			}
 		}(w)
 	}
@@ -116,7 +116,7 @@ func TestSpanConcurrency(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	for w := 0; w < workers; w++ {
-		series := SeriesName("rounds", L("worker", fmt.Sprintf("w%d", w)))
+		series := fmt.Sprintf("rounds.w%d", w)
 		if got := snap.Counters[series]; got != perWorker {
 			t.Errorf("%s = %d, want %d", series, got, perWorker)
 		}
@@ -202,7 +202,7 @@ func TestBufferedTracerMidRunOverflow(t *testing.T) {
 }
 
 // BenchmarkSpanEmit measures trace emission on the span hot paths the
-// simulator and executor sit on (results tracked in BENCH_obs.json).
+// simulator and executor sit on (`make bench` runs it).
 func BenchmarkSpanEmit(b *testing.B) {
 	b.Run("event-nil", func(b *testing.B) {
 		var s *Span
@@ -243,26 +243,6 @@ func BenchmarkSpanEmit(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.Span("sim.xfer", float64(i), float64(i)+0.5,
 				F("node", 3), F("dst", 1), F("tx_mj", 1.5), F("rx_mj", 0.5))
-		}
-	})
-}
-
-// BenchmarkLabeledHandles splits the labeled-metric cost into series-key
-// resolution (per lookup) and the pre-resolved handle update the hot
-// paths actually pay.
-func BenchmarkLabeledHandles(b *testing.B) {
-	b.Run("resolve", func(b *testing.B) {
-		r := NewRegistry()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.CounterL("hits", L("plan", "lp"), L("phase", "epoch")).Inc()
-		}
-	})
-	b.Run("preresolved", func(b *testing.B) {
-		c := NewRegistry().CounterL("hits", L("plan", "lp"), L("phase", "epoch"))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.Inc()
 		}
 	})
 }

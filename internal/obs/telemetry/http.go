@@ -46,8 +46,7 @@ func ReadyHandler(c *Collector) http.Handler {
 }
 
 // Endpoints returns the live-telemetry HTTP surfaces, shaped for
-// obs.Handler / obs.CLI.Serve to mount next to /metrics and
-// /snapshot.json.
+// obs.Handler / Session.Serve to mount next to /metrics.
 func Endpoints(c *Collector) []obs.Endpoint {
 	return []obs.Endpoint{
 		{Path: "/healthz", Handler: HealthHandler()},

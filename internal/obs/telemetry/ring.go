@@ -5,7 +5,7 @@
 // top-k monitors): those need per-window rates, live health signals,
 // and after-the-fact evidence when an epoch goes bad.
 //
-// Four pieces:
+// Five pieces:
 //
 //   - Collector: fixed-capacity ring-buffer time series attached to the
 //     registry's counters/gauges/histograms, sampled on an explicit
@@ -25,7 +25,10 @@
 //     evaluated against the windowed series — breaches, Monitor dumps
 //     the ring to a file readable by `tracetool flight`.
 //   - HTTP surfaces: /healthz, /readyz, /debug/telemetry, mounted next
-//     to the existing /metrics and /snapshot.json via obs.Endpoint.
+//     to the existing /metrics via obs.Endpoint.
+//   - Session: one command run's observability lifecycle (registry,
+//     tracer, monitor, -listen server, profiles, run manifest), shared
+//     by every CLI.
 //
 // The sampling tick (Collector.Tick) and the flight-recorder append
 // (Flight.Append) honor the //alloc:none discipline, so the layer is

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -13,7 +14,7 @@ import (
 )
 
 // HTTP surface. The service mounts on the existing -listen plumbing
-// (obs.Handler / obs.CLI.Serve) next to /metrics and /snapshot.json:
+// (obs.Handler / telemetry.Session.Serve) next to /metrics:
 //
 //	/plan             answer one plan query (GET or POST)
 //	/healthz          liveness: the process is up
@@ -27,13 +28,18 @@ import (
 //	planner      planner kind (default the base key's); unknown kinds
 //	             are rejected by the provider with 400
 //	k            rank bound (default the base key's)
-//	budget       energy budget in mJ, required, > 0
-//	deadline_ms  per-request deadline; 0 or absent means none
+//	budget       energy budget in mJ, required, finite and > 0
+//	deadline_ms  per-request deadline; 0 or absent means none, at
+//	             most maxDeadlineMS (the longest time.Duration)
 //
 // Status mapping: 200 a plan; 400 bad parameters or an unknown
 // (planner, k); 429 the deadline passed before a worker dispatched
 // the request; 503 the queue is full or the service is shutting down
 // (with Retry-After: 1).
+
+// maxDeadlineMS is the longest deadline_ms a time.Duration holds
+// (~292 years); larger values would overflow it.
+const maxDeadlineMS = float64(math.MaxInt64 / int64(time.Millisecond))
 
 // planDoc is the /plan response document.
 type planDoc struct {
@@ -63,16 +69,17 @@ func Handler(s *Service, base Key) http.Handler {
 			}
 			key.K = k
 		}
+		// Negated comparisons reject NaN, which fails every ordering.
 		budget, err := strconv.ParseFloat(q.Get("budget"), 64)
-		if err != nil || budget <= 0 {
-			http.Error(w, "serve: budget must be a positive number", http.StatusBadRequest)
+		if err != nil || !(budget > 0) || math.IsInf(budget, 1) {
+			http.Error(w, "serve: budget must be a positive finite number", http.StatusBadRequest)
 			return
 		}
 		var deadline time.Time
 		if ds := q.Get("deadline_ms"); ds != "" {
 			ms, err := strconv.ParseFloat(ds, 64)
-			if err != nil || ms < 0 {
-				http.Error(w, "serve: bad deadline_ms: must be a non-negative number", http.StatusBadRequest)
+			if err != nil || !(ms >= 0 && ms <= maxDeadlineMS) {
+				http.Error(w, "serve: bad deadline_ms: must be a number in [0, 9.2e12]", http.StatusBadRequest)
 				return
 			}
 			if ms > 0 {
@@ -129,7 +136,7 @@ func ReadyHandler(s *Service, c *telemetry.Collector) http.Handler {
 }
 
 // Endpoints assembles the full serving surface for obs.Handler /
-// obs.CLI.Serve. It replaces telemetry.Endpoints in serve mode — the
+// telemetry.Session.Serve. It replaces telemetry.Endpoints in serve mode — the
 // mux panics on duplicate patterns, so exactly one composition owns
 // /healthz, /readyz, and /debug/telemetry.
 func Endpoints(s *Service, base Key, c *telemetry.Collector) []obs.Endpoint {

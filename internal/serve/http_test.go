@@ -97,6 +97,12 @@ func TestHTTPPlanBadRequests(t *testing.T) {
 		{"unknown planner kind", "budget=50&planner=oracle"},
 		{"wrong k for snapshot", "budget=50&k=9"},
 		{"bad deadline", "budget=50&deadline_ms=-1"},
+		{"NaN budget", "budget=NaN"},
+		{"infinite budget", "budget=Inf"},
+		{"NaN budget, greedy", "budget=NaN&planner=greedy"},
+		{"NaN deadline", "budget=50&deadline_ms=NaN"},
+		{"infinite deadline", "budget=50&deadline_ms=Inf"},
+		{"overflowing deadline", "budget=50&deadline_ms=1e300"},
 	} {
 		status, body, _ := get(t, srv.URL+"/plan?"+tc.query)
 		if status != http.StatusBadRequest {

@@ -19,8 +19,8 @@ import (
 // TestServeStress drives the pool the way production would under
 // load, built to be run with -race: at least 8 client goroutines
 // spread over two planner keys hammer Submit with mixed budgets while
-// scraper goroutines concurrently pull /metrics, /snapshot.json,
-// /debug/telemetry, and /readyz, and the collector ticks. Any data
+// scraper goroutines concurrently pull /metrics, /debug/telemetry,
+// and /readyz, and the collector ticks. Any data
 // race between the workers, the admission path, the registry, and the
 // HTTP surface surfaces here.
 func TestServeStress(t *testing.T) {
@@ -76,7 +76,7 @@ func TestServeStress(t *testing.T) {
 	// Scrapers run until the clients finish.
 	done := make(chan struct{})
 	var scrapeWG sync.WaitGroup
-	for _, path := range []string{"/metrics", "/snapshot.json", "/debug/telemetry", "/readyz"} {
+	for _, path := range []string{"/metrics", "/debug/telemetry", "/readyz"} {
 		scrapeWG.Add(1)
 		go func(path string) {
 			defer scrapeWG.Done()
