@@ -302,12 +302,14 @@ func TestWarmPlannerReuseAcrossKinds(t *testing.T) {
 
 // TestChainBreakRestartsCold drives a real chain break: a long
 // downward budget jump whose warm re-solve exhausts the simplex
-// iteration limit. lp restarts it cold, so the break must surface as
-// one lp.warm_fallbacks, return a certified optimum whose plan matches
-// a fresh planner's, and leave the chain armed: the next Plan is a
-// warm re-solve, not a second cold solve.
+// iteration limit (on this scenario the dual recovery from the
+// high-budget basis stalls; many scenarios' jumps recover warm). lp
+// restarts it cold, so
+// the break must surface as one lp.warm_fallbacks, return a certified
+// optimum whose plan matches a fresh planner's, and leave the chain
+// armed: the next Plan is a warm re-solve, not a second cold solve.
 func TestChainBreakRestartsCold(t *testing.T) {
-	s := makeScenario(t, 2, 25, 5, 6)
+	s := makeScenario(t, 10, 25, 5, 6)
 	reg := obs.NewRegistry()
 	cfg := s.cfg
 	cfg.Obs = reg

@@ -1,0 +1,265 @@
+package lp
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// denseInverse is the test oracle: the inverse of the basis matrix
+// (column p is cols[basis[p]]) by Gauss-Jordan elimination with
+// partial pivoting, row-major with rows indexed by basis position.
+// ok is false when a pivot falls below 1e-9.
+func denseInverse(basis []int, cols [][]centry) (inv []float64, ok bool) {
+	m := len(basis)
+	a := make([]float64, m*m)
+	inv = make([]float64, m*m)
+	for p, bj := range basis {
+		for _, e := range cols[bj] {
+			a[e.row*m+p] += e.coef
+		}
+		inv[p*m+p] = 1
+	}
+	for c := 0; c < m; c++ {
+		piv := c
+		for r := c + 1; r < m; r++ {
+			if math.Abs(a[r*m+c]) > math.Abs(a[piv*m+c]) {
+				piv = r
+			}
+		}
+		if math.Abs(a[piv*m+c]) < 1e-9 {
+			return nil, false
+		}
+		for k := 0; k < m; k++ {
+			a[piv*m+k], a[c*m+k] = a[c*m+k], a[piv*m+k]
+			inv[piv*m+k], inv[c*m+k] = inv[c*m+k], inv[piv*m+k]
+		}
+		d := a[c*m+c]
+		for k := 0; k < m; k++ {
+			a[c*m+k] /= d
+			inv[c*m+k] /= d
+		}
+		for r := 0; r < m; r++ {
+			if r == c {
+				continue
+			}
+			l := a[r*m+c]
+			for k := 0; k < m; k++ {
+				a[r*m+k] -= l * a[c*m+k]
+				inv[r*m+k] -= l * inv[c*m+k]
+			}
+		}
+	}
+	return inv, true
+}
+
+// randomSparseColumn returns a column with 1 to maxNnz entries on
+// distinct rows of an m-row matrix.
+func randomSparseColumn(rng *rand.Rand, m, maxNnz int) []centry {
+	n := 1 + rng.Intn(maxNnz)
+	if n > m {
+		n = m
+	}
+	col := make([]centry, 0, n)
+	for _, r := range rng.Perm(m)[:n] {
+		col = append(col, centry{row: r, coef: rng.Float64()*4 - 2})
+	}
+	return col
+}
+
+// randomBasis builds an m×m basis in the shape LP bases take: a mix of
+// ±1 unit columns (slacks, artificials), sparse structurals with a
+// dominant entry, and a handful of dense columns forming a bump.
+func randomBasis(rng *rand.Rand, m int) (basis []int, cols [][]centry) {
+	perm := rng.Perm(m)
+	for p := 0; p < m; p++ {
+		diag := perm[p]
+		var col []centry
+		switch x := rng.Float64(); {
+		case x < 0.5:
+			col = []centry{{row: diag, coef: float64(1 - 2*rng.Intn(2))}}
+		case x < 0.8:
+			col = []centry{{row: diag, coef: 3 + rng.Float64()}}
+			for _, e := range randomSparseColumn(rng, m, 3) {
+				if e.row != diag {
+					col = append(col, e)
+				}
+			}
+		default:
+			col = randomSparseColumn(rng, m, m)
+		}
+		cols = append(cols, col)
+		basis = append(basis, p)
+	}
+	return basis, cols
+}
+
+func denseOf(col []centry, m int) []float64 {
+	v := make([]float64, m)
+	for _, e := range col {
+		v[e.row] = e.coef
+	}
+	return v
+}
+
+// checkAgainstOracle compares ftranCol, ftranDense and btran on f with
+// the dense inverse of the basis.
+func checkAgainstOracle(t *testing.T, label string, f *factor, basis []int, cols [][]centry, rng *rand.Rand) {
+	t.Helper()
+	m := len(basis)
+	inv, ok := denseInverse(basis, cols)
+	if !ok {
+		t.Fatalf("%s: oracle finds the basis singular", label)
+	}
+	const tol = 1e-9
+	near := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > tol*(1+math.Abs(want[i])) {
+				t.Fatalf("%s: %s[%d] = %.15g, oracle %.15g", label, what, i, got[i], want[i])
+			}
+		}
+	}
+	a := randomSparseColumn(rng, m, 4)
+	ad := denseOf(a, m)
+	want := make([]float64, m)
+	for r := 0; r < m; r++ {
+		for i := 0; i < m; i++ {
+			want[r] += inv[r*m+i] * ad[i]
+		}
+	}
+	got := make([]float64, m)
+	f.ftranCol(a, got)
+	near("ftranCol", got, want)
+
+	v := make([]float64, m)
+	for i := range v {
+		v[i] = rng.Float64()*2 - 1
+	}
+	for r := 0; r < m; r++ {
+		want[r] = 0
+		for i := 0; i < m; i++ {
+			want[r] += inv[r*m+i] * v[i]
+		}
+	}
+	f.ftranDense(v)
+	near("ftranDense", v, want)
+
+	y := make([]float64, m)
+	for i := range y {
+		if rng.Intn(3) == 0 {
+			y[i] = rng.Float64()*2 - 1
+		}
+	}
+	for i := 0; i < m; i++ {
+		want[i] = 0
+		for r := 0; r < m; r++ {
+			want[i] += y[r] * inv[r*m+i]
+		}
+	}
+	f.btran(y)
+	near("btran", y, want)
+}
+
+// TestFactorMatchesDenseOracle checks the sparse LU, alone and with a
+// product-form eta file on top, against a dense Gauss-Jordan inverse on
+// random sparse bases.
+func TestFactorMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	f := &factor{}
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + rng.Intn(40)
+		basis, cols := randomBasis(rng, m)
+		if _, ok := denseInverse(basis, cols); !ok {
+			continue
+		}
+		if !f.refactorize(basis, cols) {
+			t.Fatalf("trial %d: refactorize rejected a nonsingular basis", trial)
+		}
+		checkAgainstOracle(t, "trial", f, basis, cols, rng)
+		// Pivot random entering columns in, as the simplex does, so the
+		// eta file composes with the factors.
+		w := make([]float64, m)
+		for pivots := 0; pivots < 6; pivots++ {
+			enter := randomSparseColumn(rng, m, 5)
+			f.ftranCol(enter, w)
+			leave := -1
+			for r := range w {
+				if math.Abs(w[r]) > 0.2 && (leave < 0 || rng.Intn(2) == 0) {
+					leave = r
+				}
+			}
+			if leave < 0 {
+				continue
+			}
+			f.appendEta(w, leave)
+			cols = append(cols, enter)
+			basis[leave] = len(cols) - 1
+			checkAgainstOracle(t, "after eta", f, basis, cols, rng)
+		}
+	}
+}
+
+// TestFactorRejectsSingular covers the three ways a basis is singular
+// at the peel or in the bump: two unit columns on one row (a column
+// left empty), a row no column touches, and a bump column that is an
+// exact multiple of another. A rejected refactorization must leave the
+// previous factors in force.
+func TestFactorRejectsSingular(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	for trial := 0; trial < 100; trial++ {
+		m := 3 + rng.Intn(20)
+		basis, cols := randomBasis(rng, m)
+		if _, ok := denseInverse(basis, cols); !ok {
+			continue
+		}
+		f := &factor{}
+		if !f.refactorize(basis, cols) {
+			t.Fatalf("trial %d: refactorize rejected a nonsingular basis", trial)
+		}
+		bad := append([]int(nil), basis...)
+		badCols := append([][]centry(nil), cols...)
+		p, q := rng.Intn(m), rng.Intn(m-1)
+		if q >= p {
+			q++
+		}
+		var kind string
+		switch trial % 3 {
+		case 0:
+			kind = "shared unit row"
+			row := rng.Intn(m)
+			badCols = append(badCols, []centry{{row: row, coef: 1}}, []centry{{row: row, coef: -1}})
+			bad[p], bad[q] = len(badCols)-2, len(badCols)-1
+		case 1:
+			kind = "uncovered row"
+			row := rng.Intn(m)
+			for c, bj := range bad {
+				kept := []centry{}
+				for _, e := range badCols[bj] {
+					if e.row != row {
+						kept = append(kept, e)
+					}
+				}
+				if len(kept) == 0 {
+					kept = []centry{{row: (row + 1) % m, coef: 1}}
+				}
+				badCols = append(badCols, kept)
+				bad[c] = len(badCols) - 1
+			}
+		default:
+			kind = "dependent bump columns"
+			var base, twice []centry
+			for r := 0; r < m; r++ {
+				v := rng.Float64()*2 - 1
+				base = append(base, centry{row: r, coef: v})
+				twice = append(twice, centry{row: r, coef: 2 * v})
+			}
+			badCols = append(badCols, base, twice)
+			bad[p], bad[q] = len(badCols)-2, len(badCols)-1
+		}
+		if f.refactorize(bad, badCols) {
+			t.Fatalf("trial %d (%s): refactorize accepted a singular basis", trial, kind)
+		}
+		checkAgainstOracle(t, kind+": previous factors", f, basis, cols, rng)
+	}
+}

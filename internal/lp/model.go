@@ -7,8 +7,9 @@
 // implementation. The planners' LPs are pure minimization problems with
 // box-bounded variables (0 <= x <= u) and sparse inequality rows, which
 // is exactly the shape this solver is tuned for: bounds are handled
-// implicitly (no extra rows), columns are stored sparse, and the basis
-// inverse is kept dense.
+// implicitly (no extra rows), columns are stored sparse, cold solves
+// start from a slack crash basis, and the basis is kept as a sparse LU
+// factorization.
 package lp
 
 import (

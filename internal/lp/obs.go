@@ -14,6 +14,7 @@ import (
 //	lp.pivots                  counter, basis changes
 //	lp.degenerate_pivots       counter, zero-step basis changes
 //	lp.bound_flips             counter, nonbasic bound-to-bound moves
+//	lp.refactorizations        counter, rebuilds of the basis LU factors
 //	lp.solve_seconds           histogram of wall time per solve
 //	lp.cold_solves             counter, solves that ran both cold phases
 //	lp.warm_resolves           counter, solves served from a cached Basis
@@ -74,6 +75,7 @@ func recordSolve(opts Options, sol *Solution, elapsed time.Duration, timed bool,
 		r.Counter("lp.pivots").Add(int64(sol.Pivots))
 		r.Counter("lp.degenerate_pivots").Add(int64(sol.DegeneratePivots))
 		r.Counter("lp.bound_flips").Add(int64(sol.BoundFlips))
+		r.Counter("lp.refactorizations").Add(int64(sol.Refactorizations))
 		warms := r.Counter("lp.warm_resolves")
 		colds := r.Counter("lp.cold_solves")
 		fallbacks := r.Counter("lp.warm_fallbacks")

@@ -121,6 +121,11 @@ type Solution struct {
 	Pivots           int
 	DegeneratePivots int
 	BoundFlips       int
+	// Refactorizations counts rebuilds of the basis factorization: the
+	// periodic ones that fold the eta file back into fresh LU factors,
+	// and a warm start's factorization of a basis not already live in
+	// its Workspace.
+	Refactorizations int
 	// Warm reports that this solve reused the supplied Basis (possibly
 	// with recovery pivots); false for cold solves and for warm
 	// attempts that fell back to a cold solve.
@@ -143,8 +148,9 @@ const (
 // solver holds the standard-form problem: minimize c.x subject to
 // Ax = b, lo <= x <= hi, where columns 0..nStruct-1 are the model's
 // variables, then one slack per inequality row, then one artificial
-// per row (phase 1 only). All slice state lives in a Workspace so the
-// shell can be replayed without allocating.
+// per row (basic only on rows the crash basis cannot cover with their
+// slack). All slice state lives in a Workspace so the shell can be
+// replayed without allocating.
 type solver struct {
 	m, nStruct, nSlack int
 	nTotal             int // structural + slack + artificial
@@ -155,16 +161,14 @@ type solver struct {
 
 	basis []int // basis[r] = column basic in row r
 	stat  []vstat
-	f     *factor   // basis inverse in product form
+	f     *factor   // basis inverse: sparse LU plus eta file
 	xB    []float64 // values of basic variables
 	xN    []float64 // current value of every column (authoritative for nonbasic)
 	y     []float64 // duals scratch
 	w     []float64 // entering column in basis coordinates
 	rho   []float64 // dual simplex: row r of B^-1
-	scr   []float64 // btran / dense mat-vec scratch
 	resid []float64 // recomputeBasics right-hand side scratch
 	p1c   []float64 // phase-1 cost vector
-	mat   []float64 // refactorization scratch (reused, not reallocated)
 
 	tol      float64
 	opts     Options
@@ -176,6 +180,7 @@ type solver struct {
 	pivotsTotal int
 	degenerate  int
 	flips       int
+	refactors   int
 }
 
 type centry struct {
@@ -233,8 +238,10 @@ func (s *solver) run() Status {
 			s.stat[j], s.xN[j] = nonbasicFree, 0
 		}
 	}
-	// Residual r = b - A x_N decides artificial signs; basis starts as
-	// the artificials with a signed-diagonal inverse.
+	// Crash basis from the residual r = b - A x_N: a row's own slack
+	// is basic when it can absorb r within its bounds, otherwise the
+	// row's artificial, signed to carry |r|. Only rows left on an
+	// artificial at a nonzero level need phase 1.
 	resid := s.resid[:s.m]
 	copy(resid, s.b)
 	for j := 0; j < s.nStruct+s.nSlack; j++ {
@@ -245,29 +252,45 @@ func (s *solver) run() Status {
 		}
 	}
 	art := s.artStart
+	for r := 0; r < s.m; r++ {
+		s.basis[r] = -1
+	}
+	for j := s.nStruct; j < art; j++ {
+		e := s.cols[j][0]
+		if v := resid[e.row] / e.coef; v >= 0 {
+			s.basis[e.row] = j
+			s.stat[j] = basic
+			s.xB[e.row] = v
+		}
+	}
 	needPhase1 := false
 	for i := range s.p1c {
 		s.p1c[i] = 0
 	}
-	s.f.resetDiag(s.m)
 	for r := 0; r < s.m; r++ {
 		j := art + r
+		s.p1c[j] = 1
 		// The column arena persists across solves, so the sign must be
 		// written both ways, not just flipped when negative.
 		if resid[r] < 0 {
 			s.cols[j][0].coef = -1
-			s.f.diag[r] = -1
 		} else {
 			s.cols[j][0].coef = 1
+		}
+		if s.basis[r] >= 0 {
+			s.stat[j], s.xN[j] = atLower, 0
+			continue
 		}
 		s.basis[r] = j
 		s.stat[j] = basic
 		s.xB[r] = math.Abs(resid[r])
 		s.hi[j] = Inf
-		s.p1c[j] = 1
 		if s.xB[r] > s.tol {
 			needPhase1 = true
 		}
+	}
+	if !s.f.refactorize(s.basis[:s.m], s.cols) {
+		panic("lp: crash basis is a signed permutation, never singular")
 	}
 
 	if needPhase1 {
@@ -285,8 +308,8 @@ func (s *solver) run() Status {
 			return Infeasible
 		}
 	}
-	// Close the artificials: they may remain basic at ~zero but can
-	// never grow again.
+	// Close the artificials: any still basic sit at ~zero and can never
+	// grow again.
 	for r := 0; r < s.m; r++ {
 		j := art + r
 		s.hi[j] = 0
@@ -302,7 +325,7 @@ func (s *solver) computeDuals(cost []float64) {
 	for r := 0; r < s.m; r++ {
 		s.y[r] = cost[s.basis[r]]
 	}
-	s.f.btran(s.y, s.scr)
+	s.f.btran(s.y)
 }
 
 // reducedCost returns c_j - y . A_j.
@@ -511,8 +534,8 @@ func (s *solver) pivot(enter int, sigma, t float64, leaveRow int, leaveStat vsta
 }
 
 // refactorEvery is the pivot budget between explicit refactorizations
-// of the basis; the O(m^3) rebuild is amortized against the eta file's
-// per-pivot cost.
+// of the basis, bounding the floating-point drift the eta file
+// accumulates.
 func (s *solver) refactorEvery() int {
 	if s.opts.RefactorEvery > 0 {
 		return s.opts.RefactorEvery
@@ -523,16 +546,13 @@ func (s *solver) refactorEvery() int {
 	return 1500
 }
 
-// etaBudget bounds the eta file's off-pivot nonzeros: past this, the
-// per-iteration Ftran/Btran cost of replaying spikes exceeds what a
-// fresh dense factorization amortizes to. The bound is deliberately a
-// small multiple of one dense pass (m²/8): spikes are near-dense, so a
-// long eta file makes every iteration pay several dense-pass
-// equivalents — warm chains, which inherit the file across re-solves,
-// are especially sensitive (a 4096 floor here once made chained warm
-// iterations ~3x the cost of cold ones at m~70).
+// etaBudget bounds the eta file's off-pivot nonzeros. Every Ftran and
+// Btran replays the whole file on top of one pass over the LU factors,
+// and a refactorization costs only a few such passes (B0 is nearly
+// triangular), so the file is folded back into the factors once
+// replaying it costs as much as the factors themselves.
 func (s *solver) etaBudget() int {
-	b := s.m * s.m / 8
+	b := s.f.luNnz()
 	if b < 128 {
 		b = 128
 	}
@@ -548,10 +568,11 @@ func (s *solver) maybeRefactor() {
 		!(f.pivotsSince >= 32 && f.nnz() > s.etaBudget()) {
 		return
 	}
-	if !f.refactorize(s.basis, s.cols, s.mat) {
+	if !f.refactorize(s.basis, s.cols) {
 		f.pivotsSince = 0
 		return
 	}
+	s.refactors++
 	s.recomputeBasics()
 }
 
@@ -569,5 +590,5 @@ func (s *solver) recomputeBasics() {
 		}
 	}
 	copy(s.xB[:s.m], resid)
-	s.f.ftranDense(s.xB[:s.m], s.scr)
+	s.f.ftranDense(s.xB[:s.m])
 }

@@ -138,11 +138,14 @@ func (s *solver) adoptBasis(b *Basis, ws *Workspace) bool {
 			s.xN[j] = 0
 		}
 	}
-	if b.ws == ws && ws.lastSeq == b.seq && ws.lastModel == b.model &&
-		ws.lastVersion == b.structVersion && ws.f.m == s.m {
-		// Unbroken chain: the factor already represents this basis.
-	} else if !ws.f.refactorize(s.basis[:s.m], s.cols, s.mat) {
-		return false
+	// An unbroken chain's factor already represents this basis.
+	live := b.ws == ws && ws.lastSeq == b.seq && ws.lastModel == b.model &&
+		ws.lastVersion == b.structVersion && ws.f.m == s.m
+	if !live {
+		if !ws.f.refactorize(s.basis[:s.m], s.cols) {
+			return false
+		}
+		s.refactors++
 	}
 	s.recomputeBasics()
 	return true
@@ -247,7 +250,7 @@ func (s *solver) dualIterate() Status {
 			s.rho[i] = 0
 		}
 		s.rho[leaveRow] = 1
-		s.f.btran(s.rho[:s.m], s.scr)
+		s.f.btran(s.rho[:s.m])
 		bj := s.basis[leaveRow]
 		target := s.lo[bj]
 		leaveStat := atLower

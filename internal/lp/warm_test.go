@@ -293,48 +293,81 @@ func TestWarmIterationLimit(t *testing.T) {
 
 // TestWarmSteadyStateZeroAlloc is the tentpole's allocation pin: once
 // the chain is warm, a mutate→warm-resolve cycle through a Workspace
-// must not allocate at all in the solver core.
+// must not allocate at all in the solver core — also when the chain
+// rebuilds its LU factors after every pivot (RefactorEvery 1), where
+// the RHS swings far enough that every re-solve pivots.
 func TestWarmSteadyStateZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	m := randomFeasibleModel(rng, 10, 12)
-	terms := make([]Term, 0, m.NumVars())
-	for v := 0; v < m.NumVars(); v++ {
-		terms = append(terms, Term{Var: VarID(v), Coef: 1})
+	for _, tc := range []struct {
+		every int
+		rhs   []float64
+	}{
+		{0, []float64{4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 2.5, 3.0, 3.5, 4.0}},
+		{1, []float64{0.5, 4.5}},
+	} {
+		every, rhs := tc.every, tc.rhs
+		rng := rand.New(rand.NewSource(97))
+		m := randomFeasibleModel(rng, 10, 12)
+		terms := make([]Term, 0, m.NumVars())
+		for v := 0; v < m.NumVars(); v++ {
+			terms = append(terms, Term{Var: VarID(v), Coef: 1})
+		}
+		row := m.MustConstr(terms, LE, 5)
+		ws := NewWorkspace()
+		opts := Options{Workspace: ws, KeepBasis: true, RefactorEvery: every}
+		sol, err := m.Solve(opts)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("RefactorEvery %d: cold: %v / %v", every, err, sol.Status)
+		}
+		basis := sol.Basis
+		step := 0
+		resolve := func() {
+			if err := m.SetRHS(row, rhs[step%len(rhs)]); err != nil {
+				t.Fatal(err)
+			}
+			step++
+			opts.Warm = basis
+			s, err := m.Solve(opts)
+			if err != nil || s.Status != Optimal || !s.Warm {
+				t.Fatalf("RefactorEvery %d, step %d: %v / %v (warm %v)", every, step, err, s.Status, s.Warm)
+			}
+			// AllocsPerRun truncates to whole allocations per run, so
+			// the pin only covers the LU rebuild if every run does one.
+			if every == 1 && s.Refactorizations == 0 {
+				t.Fatalf("RefactorEvery 1, step %d: no refactorization; the pin is vacuous", step)
+			}
+			basis = s.Basis
+		}
+		// Warm the chain (first warm solve may still grow buffers).
+		for i := 0; i < 3; i++ {
+			resolve()
+		}
+		if allocs := testing.AllocsPerRun(50, resolve); allocs != 0 {
+			t.Errorf("RefactorEvery %d: steady-state warm re-solve allocates %.1f allocs/op, want 0", every, allocs)
+		}
 	}
-	row := m.MustConstr(terms, LE, 5)
-	ws := NewWorkspace()
-	sol, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("cold: %v / %v", err, sol.Status)
-	}
-	basis := sol.Basis
-	rhs := []float64{4.5, 4.0, 3.5, 3.0, 2.5, 2.0, 2.5, 3.0, 3.5, 4.0}
-	step := 0
-	// Warm the chain (first warm solve may still grow buffers).
-	for i := 0; i < 3; i++ {
-		if err := m.SetRHS(row, rhs[step%len(rhs)]); err != nil {
-			t.Fatal(err)
+}
+
+// TestColdResolveZeroAlloc pins the cold path: once a Workspace has
+// grown to a model, re-solving it cold (crash basis, phase 1 where the
+// mixed rows need it, refactorizations) allocates nothing.
+func TestColdResolveZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	m := randomMixedModel(rng, 12, 10)
+	for _, every := range []int{0, 1} {
+		ws := NewWorkspace()
+		opts := Options{Workspace: ws, RefactorEvery: every}
+		solve := func() {
+			s, err := m.Solve(opts)
+			if err != nil || s.Status != Optimal {
+				t.Fatalf("RefactorEvery %d: %v / %v", every, err, s.Status)
+			}
 		}
-		step++
-		s, err := m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: basis})
-		if err != nil || s.Status != Optimal {
-			t.Fatalf("warmup: %v / %v", err, s.Status)
+		for i := 0; i < 3; i++ {
+			solve()
 		}
-		basis = s.Basis
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := m.SetRHS(row, rhs[step%len(rhs)]); err != nil {
-			t.Fatal(err)
+		if allocs := testing.AllocsPerRun(50, solve); allocs != 0 {
+			t.Errorf("RefactorEvery %d: cold re-solve allocates %.1f allocs/op, want 0", every, allocs)
 		}
-		step++
-		s, err := m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: basis})
-		if err != nil || s.Status != Optimal {
-			t.Fatalf("steady state: %v / %v", err, s.Status)
-		}
-		basis = s.Basis
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state warm re-solve allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -74,7 +74,7 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	s.tol = opts.Tol
 	s.opts = opts
 	s.maxIt = opts.MaxIters
-	s.iters, s.pivotsTotal, s.degenerate, s.flips = 0, 0, 0, 0
+	s.iters, s.pivotsTotal, s.degenerate, s.flips, s.refactors = 0, 0, 0, 0, 0
 
 	if ws.colModel != m || ws.colVersion != m.structVersion {
 		ws.buildCols(m, rows)
@@ -110,10 +110,8 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	s.y = growF64(s.y, rows)
 	s.w = growF64(s.w, rows)
 	s.rho = growF64(s.rho, rows)
-	s.scr = growF64(s.scr, rows)
 	s.resid = growF64(s.resid, rows)
 	s.p1c = growF64(s.p1c, s.nTotal)
-	s.mat = growF64(s.mat, rows*rows)
 	return s
 }
 
@@ -212,6 +210,7 @@ func (ws *Workspace) takeSolution(m *Model, s *solver, st Status) *Solution {
 		Pivots:           s.pivotsTotal,
 		DegeneratePivots: s.degenerate,
 		BoundFlips:       s.flips,
+		Refactorizations: s.refactors,
 	}
 	if st == Optimal || st == IterationLimit {
 		for j := 0; j < s.nStruct; j++ {
