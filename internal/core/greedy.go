@@ -128,6 +128,22 @@ func candidateNodes(cfg Config) []network.NodeID {
 	return out
 }
 
+// neededEdges marks the edges that can carry a value some sample in
+// the window ranks in its top k (the edges above the candidate nodes);
+// ok is false when there are none.
+func neededEdges(cfg Config) (needed []bool, ok bool) {
+	needed = make([]bool, cfg.Net.Size())
+	for j := 0; j < cfg.Samples.Len(); j++ {
+		for _, i := range cfg.Samples.Ones(j) {
+			if i != int(network.Root) {
+				ok = true
+				cfg.Net.AncestorEdges(network.NodeID(i), func(e network.NodeID) { needed[e] = true })
+			}
+		}
+	}
+	return needed, ok
+}
+
 func commit(net *network.Network, i network.NodeID, chosen, usedEdge []bool) {
 	chosen[i] = true
 	net.AncestorEdges(i, func(e network.NodeID) {

@@ -28,6 +28,10 @@ import (
 //
 // with cap_e = min(k, subtree size): a top-k query never benefits from
 // moving more than k values across one edge.
+//
+// Each sample's x_ij and the rows that mention them (x_ij <= y and the
+// sample's bandwidth rows) form one block, which is what a window
+// slide retires or appends (see slideProgram).
 // LPFilter caches its LP across Plan calls (see paramLP) and is
 // therefore not safe for concurrent use; build one per goroutine.
 //
@@ -38,13 +42,21 @@ type LPFilter struct {
 	prog  lpfilterProgram
 }
 
-// lpfilterProgram is the built LP+LF model plus what rounding needs.
+// lpfilterProgram is the built LP+LF model plus what rounding and a
+// slide need.
 type lpfilterProgram struct {
 	model     *lp.Model
 	budgetRow int
-	bs        []lp.VarID
-	caps      []float64
-	empty     bool
+	// ys and bs are each edge's variables, -1 for an edge never needed.
+	// A slide keeps the variables of an edge the window stops needing
+	// but fixes them at zero.
+	ys, bs []lp.VarID
+	// caps is each edge's bandwidth cap, and 0 on the edges no sample
+	// in the window needs: the rounding sees what a fresh build has.
+	caps []float64
+	// blocks[j] holds sample j's x variables.
+	blocks [][]lp.VarID
+	empty  bool
 }
 
 // NewLPFilter builds the planner.
@@ -64,12 +76,16 @@ func (p *LPFilter) Plan(budget float64) (*plan.Plan, error) {
 	net := cfg.Net
 	n := net.Size()
 
-	if !p.param.fresh(cfg) {
+	if d, ok := p.param.slide(cfg); !ok {
 		p.prog = buildLPFilterProgram(cfg, budget)
 		if p.prog.empty {
 			p.param.installEmpty(cfg)
 		} else {
 			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
+		}
+	} else if d.moved() {
+		if err := p.slideProgram(d, budget); err != nil {
+			return nil, err
 		}
 	}
 	prog := p.prog
@@ -88,7 +104,7 @@ func (p *LPFilter) Plan(budget float64) (*plan.Plan, error) {
 	// (no used edge under an unused one), then repair the budget.
 	bw := make([]int, n)
 	for v := 1; v < n; v++ {
-		if prog.bs[v] >= 0 {
+		if prog.caps[v] > 0 {
 			bw[v] = int(math.Floor(sol.X[prog.bs[v]] + 0.5))
 			if bw[v] > int(prog.caps[v]) {
 				bw[v] = int(prog.caps[v])
@@ -120,7 +136,7 @@ func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
 		v lp.VarID
 	}
 	xvars := make([][]entry, S)
-	edgeNeeded := make([]bool, n)
+	blocks := make([][]lp.VarID, S)
 	for j := 0; j < S; j++ {
 		for _, i := range cfg.Samples.Ones(j) {
 			if i == int(network.Root) {
@@ -128,9 +144,10 @@ func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
 			}
 			id := m.MustVar(0, 1, 1, fmt.Sprintf("x_%d_%d", j, i))
 			xvars[j] = append(xvars[j], entry{i: network.NodeID(i), v: id})
-			net.AncestorEdges(network.NodeID(i), func(e network.NodeID) { edgeNeeded[e] = true })
+			blocks[j] = append(blocks[j], id)
 		}
 	}
+	edgeNeeded, _ := neededEdges(cfg)
 	ys := make([]lp.VarID, n)
 	bs := make([]lp.VarID, n)
 	caps := make([]float64, n)
@@ -144,24 +161,15 @@ func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
 		if !edgeNeeded[v] {
 			continue
 		}
-		caps[v] = math.Min(float64(cfg.K), float64(net.SubtreeSize(network.NodeID(v))))
-		ys[v] = m.MustVar(0, 1, 0, fmt.Sprintf("y%d", v))
-		// Tiny index-distinct bandwidth penalty so the rounded plan is
-		// the same from every optimal pivot path (see tieEps).
-		obj := -tieEps * (1 + float64(v)/float64(n))
-		bs[v] = m.MustVar(0, caps[v], obj, fmt.Sprintf("b%d", v))
+		caps[v] = edgeCap(cfg, v)
+		ys[v], bs[v] = addEdgeVars(m, cfg, v)
 		costTerms = append(costTerms,
 			lp.Term{Var: ys[v], Coef: cfg.Costs.Msg[v]},
 			lp.Term{Var: bs[v], Coef: cfg.Costs.Val[v]})
 	}
 	for v := 1; v < n; v++ {
-		if ys[v] < 0 {
-			continue
-		}
-		// b_e <= cap_e * y_e ties bandwidth to edge usage.
-		m.MustConstr([]lp.Term{{Var: bs[v], Coef: 1}, {Var: ys[v], Coef: -caps[v]}}, lp.LE, 0)
-		if parent := net.Parent(network.NodeID(v)); parent != network.Root {
-			m.MustConstr([]lp.Term{{Var: ys[v], Coef: 1}, {Var: ys[parent], Coef: -1}}, lp.LE, 0)
+		if ys[v] >= 0 {
+			addEdgeRows(m, cfg, ys, bs, v)
 		}
 	}
 	if len(costTerms) == 0 {
@@ -196,7 +204,177 @@ func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
 		}
 	}
 
-	return lpfilterProgram{model: m, budgetRow: budgetRow, bs: bs, caps: caps}
+	return lpfilterProgram{model: m, budgetRow: budgetRow, ys: ys, bs: bs, caps: caps, blocks: blocks}
+}
+
+// edgeCap is edge v's bandwidth cap: a top-k query never moves more
+// than k values, or more than the subtree holds, across one edge.
+func edgeCap(cfg Config, v int) float64 {
+	return math.Min(float64(cfg.K), float64(cfg.Net.SubtreeSize(network.NodeID(v))))
+}
+
+// addEdgeVars adds edge v's usage y_v and bandwidth b_v.
+func addEdgeVars(m *lp.Model, cfg Config, v int) (y, b lp.VarID) {
+	y = m.MustVar(0, 1, 0, fmt.Sprintf("y%d", v))
+	// Tiny index-distinct bandwidth penalty so the rounded plan is
+	// the same from every optimal pivot path (see tieEps).
+	obj := -tieEps * (1 + float64(v)/float64(cfg.Net.Size()))
+	b = m.MustVar(0, edgeCap(cfg, v), obj, fmt.Sprintf("b%d", v))
+	return y, b
+}
+
+// addEdgeRows adds edge v's rows: b_v <= cap_v * y_v ties bandwidth to
+// edge usage, and y_v <= y_parent keeps the used edges a rooted tree.
+func addEdgeRows(m *lp.Model, cfg Config, ys, bs []lp.VarID, v int) {
+	m.MustConstr([]lp.Term{{Var: bs[v], Coef: 1}, {Var: ys[v], Coef: -edgeCap(cfg, v)}}, lp.LE, 0)
+	if parent := cfg.Net.Parent(network.NodeID(v)); parent != network.Root {
+		m.MustConstr([]lp.Term{{Var: ys[v], Coef: 1}, {Var: ys[parent], Coef: -1}}, lp.LE, 0)
+	}
+}
+
+// slideProgram moves the live program with the window (see paramLP)
+// in three steps, each keeping the point the last solve left:
+//
+//  1. Retire: the leaving blocks' x and the variables of every edge the
+//     window no longer needs are fixed at zero, and a warm re-solve
+//     (dual pivots, as after a budget move) takes the point there.
+//  2. Drop: the retired blocks leave the model with their rows. With
+//     their x at zero each such row had reduced to -y <= 0 or
+//     -b <= 0, which the bounds imply, so the point stays a vertex and
+//     the carried-over basis keeps it.
+//  3. Append: newly needed edges are opened (created, or unfixed) and
+//     the joining samples' blocks added. Every new x rests at zero, so
+//     the point stays feasible and the caller's warm re-solve finishes
+//     with primal pivots.
+//
+// A window whose samples rank no non-root node at all installs the
+// empty program instead.
+func (p *LPFilter) slideProgram(d windowSlide, budget float64) error {
+	cfg := p.cfg
+	n := cfg.Net.Size()
+	needed, ok := neededEdges(cfg)
+	if !ok {
+		p.prog = lpfilterProgram{empty: true}
+		p.param.installEmpty(cfg)
+		return nil
+	}
+	prog := &p.prog
+	m := prog.model
+	ed := modelEdits{m: m}
+
+	var dead []lp.VarID
+	for _, k := range d.retired {
+		for _, x := range prog.blocks[k] {
+			ed.bound(x, 0, 0)
+			dead = append(dead, x)
+		}
+	}
+	for v := 1; v < n; v++ {
+		if prog.caps[v] > 0 && !needed[v] {
+			ed.bound(prog.ys[v], 0, 0)
+			ed.bound(prog.bs[v], 0, 0)
+		}
+	}
+	if ed.err != nil {
+		return ed.err
+	}
+	if _, err := p.param.solve(cfg, budget); err != nil {
+		return err
+	}
+
+	if len(dead) > 0 {
+		varMap, rowMap, err := m.RemoveVars(dead)
+		if err != nil {
+			return err
+		}
+		remapVars(prog.ys, varMap)
+		remapVars(prog.bs, varMap)
+		for _, b := range prog.blocks {
+			remapVars(b, varMap)
+		}
+		prog.budgetRow = rowMap[prog.budgetRow]
+		p.param.budgetRow = prog.budgetRow
+	}
+
+	caps := make([]float64, n)
+	var opened []int
+	for v := 1; v < n; v++ {
+		if !needed[v] {
+			continue
+		}
+		caps[v] = edgeCap(cfg, v)
+		switch {
+		case prog.caps[v] > 0:
+		case prog.ys[v] < 0:
+			prog.ys[v], prog.bs[v] = addEdgeVars(m, cfg, v)
+			ed.term(prog.budgetRow, prog.ys[v], cfg.Costs.Msg[v])
+			ed.term(prog.budgetRow, prog.bs[v], cfg.Costs.Val[v])
+			opened = append(opened, v)
+		default:
+			ed.bound(prog.ys[v], 0, 1)
+			ed.bound(prog.bs[v], 0, caps[v])
+		}
+	}
+	if ed.err != nil {
+		return ed.err
+	}
+	for _, v := range opened {
+		addEdgeRows(m, cfg, prog.ys, prog.bs, v)
+	}
+	prog.caps = caps
+
+	// The window's blocks in order: the kept ones as they were, the
+	// joining ones new.
+	blocks := make([][]lp.VarID, 0, cfg.Samples.Len())
+	k, retired, added := 0, 0, 0
+	for j := 0; j < cfg.Samples.Len(); j++ {
+		if added < len(d.added) && d.added[added] == j {
+			blocks = append(blocks, p.appendBlock(j))
+			added++
+			continue
+		}
+		for ; retired < len(d.retired) && d.retired[retired] == k; retired++ {
+			k++
+		}
+		blocks = append(blocks, prog.blocks[k])
+		k++
+	}
+	prog.blocks = blocks
+	p.param.noteWindow(cfg)
+	return nil
+}
+
+// appendBlock adds sample j's block: its x variables, their x <= y
+// rows, and its bandwidth row on every needed edge above them.
+func (p *LPFilter) appendBlock(j int) []lp.VarID {
+	cfg, prog := p.cfg, &p.prog
+	net, m := cfg.Net, prog.model
+	var xs []lp.VarID
+	var nodes []network.NodeID
+	for _, i := range cfg.Samples.Ones(j) {
+		if i == int(network.Root) {
+			continue
+		}
+		x := m.MustVar(0, 1, 1, fmt.Sprintf("x_%d_%d", j, i))
+		m.MustConstr([]lp.Term{{Var: x, Coef: 1}, {Var: prog.ys[i], Coef: -1}}, lp.LE, 0)
+		xs = append(xs, x)
+		nodes = append(nodes, network.NodeID(i))
+	}
+	for v := 1; v < net.Size(); v++ {
+		if prog.caps[v] <= 0 {
+			continue
+		}
+		var terms []lp.Term
+		for k, i := range nodes {
+			if net.IsAncestor(network.NodeID(v), i) {
+				terms = append(terms, lp.Term{Var: xs[k], Coef: 1})
+			}
+		}
+		if len(terms) > 0 {
+			m.MustConstr(append(terms, lp.Term{Var: prog.bs[v], Coef: -1}), lp.LE, 0)
+		}
+	}
+	return xs
 }
 
 // enforceMonotone zeroes any bandwidth whose path to the root crosses

@@ -38,13 +38,19 @@ type LPNoFilter struct {
 	prog  lplfProgram
 }
 
-// lplfProgram is the built LP-LF model plus what rounding needs.
+// lplfProgram is the built LP-LF model plus what rounding and a slide
+// need.
 type lplfProgram struct {
 	model     *lp.Model
 	budgetRow int
-	xs        []lp.VarID
-	cands     []network.NodeID
-	empty     bool
+	// xs and ys are each node's and each edge's variable, -1 for one
+	// never needed. A slide keeps the variables of a node that stops
+	// being a candidate, or an edge no candidate needs, but fixes them
+	// at zero.
+	xs, ys []lp.VarID
+	cands  []network.NodeID
+	needed []bool // the edges above some candidate
+	empty  bool
 }
 
 // NewLPNoFilter builds the planner.
@@ -64,12 +70,16 @@ func (p *LPNoFilter) Plan(budget float64) (*plan.Plan, error) {
 	net := cfg.Net
 	n := net.Size()
 
-	if !p.param.fresh(cfg) {
+	if d, ok := p.param.slide(cfg); !ok {
 		p.prog = buildLPNoFilterProgram(cfg, budget)
 		if p.prog.empty {
 			p.param.installEmpty(cfg)
 		} else {
 			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
+		}
+	} else if d.moved() {
+		if err := p.slideProgram(budget); err != nil {
+			return nil, err
 		}
 	}
 	prog := p.prog
@@ -116,16 +126,11 @@ func buildLPNoFilterProgram(cfg Config, budget float64) lplfProgram {
 		xs[i] = -1
 	}
 	cands := candidateNodes(cfg)
-	// Edges that can carry a candidate's value.
-	edgeNeeded := make([]bool, n)
 	for _, i := range cands {
-		// Tiny lower-index preference splits equal-column-sum candidate
-		// ties the same way from every optimal pivot path (see tieEps);
-		// it matches fillSelection's lower-id-first ordering.
-		obj := float64(cfg.Samples.ColumnSum(int(i))) + tieEps*float64(n-int(i))/float64(n)
-		xs[i] = m.MustVar(0, 1, obj, fmt.Sprintf("x%d", i))
-		net.AncestorEdges(i, func(e network.NodeID) { edgeNeeded[e] = true })
+		xs[i] = m.MustVar(0, 1, candidateObj(cfg, i), fmt.Sprintf("x%d", i))
 	}
+	// Edges that can carry a candidate's value.
+	edgeNeeded, _ := neededEdges(cfg)
 	ys := make([]lp.VarID, n)
 	for i := range ys {
 		ys[i] = -1
@@ -138,10 +143,7 @@ func buildLPNoFilterProgram(cfg Config, budget float64) lplfProgram {
 
 	var costTerms []lp.Term
 	for _, i := range cands {
-		// Choosing i pays the per-value cost along its whole path.
-		pathVal := 0.0
-		net.AncestorEdges(i, func(e network.NodeID) { pathVal += cfg.Costs.Val[e] })
-		costTerms = append(costTerms, lp.Term{Var: xs[i], Coef: pathVal})
+		costTerms = append(costTerms, lp.Term{Var: xs[i], Coef: pathValueCost(cfg, i)})
 		// x_i <= y_{edge above i}.
 		m.MustConstr([]lp.Term{{Var: xs[i], Coef: 1}, {Var: ys[i], Coef: -1}}, lp.LE, 0)
 	}
@@ -158,7 +160,114 @@ func buildLPNoFilterProgram(cfg Config, budget float64) lplfProgram {
 		return lplfProgram{empty: true}
 	}
 	row := m.MustConstr(costTerms, lp.LE, budget)
-	return lplfProgram{model: m, budgetRow: row, xs: xs, cands: cands}
+	return lplfProgram{model: m, budgetRow: row, xs: xs, ys: ys, cands: cands, needed: edgeNeeded}
+}
+
+// candidateObj is candidate i's objective: its column sum, plus a tiny
+// lower-index preference that splits equal-column-sum ties the same
+// way from every optimal pivot path (see tieEps); it matches
+// fillSelection's lower-id-first ordering.
+func candidateObj(cfg Config, i network.NodeID) float64 {
+	n := cfg.Net.Size()
+	return float64(cfg.Samples.ColumnSum(int(i))) + tieEps*float64(n-int(i))/float64(n)
+}
+
+// pathValueCost is what choosing i pays in per-value costs along its
+// whole path to the root.
+func pathValueCost(cfg Config, i network.NodeID) float64 {
+	c := 0.0
+	cfg.Net.AncestorEdges(i, func(e network.NodeID) { c += cfg.Costs.Val[e] })
+	return c
+}
+
+// slideProgram moves the live program with the window (see paramLP).
+// A slide changes the column sums, so:
+//
+//  1. Retire: nodes that stopped being candidates and edges no
+//     candidate needs are fixed at zero (the tie-break epsilon can no
+//     longer pull them in), and a warm re-solve (dual pivots) takes the
+//     point there.
+//  2. Re-price and append: every candidate gets its new column sum
+//     (SetObjCoef), returning nodes and edges are unfixed, and new
+//     ones are added. All of these leave the point feasible, so the
+//     caller's warm re-solve finishes with primal pivots.
+//
+// A window whose samples rank no non-root node installs the empty
+// program instead.
+func (p *LPNoFilter) slideProgram(budget float64) error {
+	cfg := p.cfg
+	net := cfg.Net
+	n := net.Size()
+	cands := candidateNodes(cfg)
+	if len(cands) == 0 {
+		p.prog = lplfProgram{empty: true}
+		p.param.installEmpty(cfg)
+		return nil
+	}
+	prog := &p.prog
+	m := prog.model
+	ed := modelEdits{m: m}
+	isCand := make([]bool, n)
+	for _, i := range cands {
+		isCand[i] = true
+	}
+	needed, _ := neededEdges(cfg)
+
+	wasCand := make([]bool, n)
+	for _, i := range prog.cands {
+		wasCand[i] = true
+		if !isCand[i] {
+			ed.bound(prog.xs[i], 0, 0)
+		}
+	}
+	for v := 1; v < n; v++ {
+		if prog.needed[v] && !needed[v] {
+			ed.bound(prog.ys[v], 0, 0)
+		}
+	}
+	if ed.err != nil {
+		return ed.err
+	}
+	if _, err := p.param.solve(cfg, budget); err != nil {
+		return err
+	}
+
+	var opened []int
+	for v := 1; v < n; v++ {
+		switch {
+		case !needed[v] || prog.needed[v]:
+		case prog.ys[v] < 0:
+			prog.ys[v] = m.MustVar(0, 1, 0, fmt.Sprintf("y%d", v))
+			ed.term(prog.budgetRow, prog.ys[v], cfg.Costs.Msg[v])
+			opened = append(opened, v)
+		default:
+			ed.bound(prog.ys[v], 0, 1)
+		}
+	}
+	for _, v := range opened {
+		if parent := net.Parent(network.NodeID(v)); parent != network.Root {
+			m.MustConstr([]lp.Term{{Var: prog.ys[v], Coef: 1}, {Var: prog.ys[parent], Coef: -1}}, lp.LE, 0)
+		}
+	}
+	for _, i := range cands {
+		obj := candidateObj(cfg, i)
+		if prog.xs[i] < 0 {
+			prog.xs[i] = m.MustVar(0, 1, obj, fmt.Sprintf("x%d", i))
+			ed.term(prog.budgetRow, prog.xs[i], pathValueCost(cfg, i))
+			m.MustConstr([]lp.Term{{Var: prog.xs[i], Coef: 1}, {Var: prog.ys[i], Coef: -1}}, lp.LE, 0)
+			continue
+		}
+		ed.obj(prog.xs[i], obj)
+		if !wasCand[i] {
+			ed.bound(prog.xs[i], 0, 1)
+		}
+	}
+	if ed.err != nil {
+		return ed.err
+	}
+	prog.cands, prog.needed = cands, needed
+	p.param.noteWindow(cfg)
+	return nil
 }
 
 // repairSelection drops chosen nodes — least column sum first, ties by

@@ -28,11 +28,15 @@ const tieEps = 1e-5
 // instead of two cold simplex phases, and no model canonicalization
 // at all.
 //
-// The cache is keyed on the sample window's mutation generation
-// (sample.Set.Gen): the adaptive runner slides the window in place, so
-// any observed mutation rebuilds the program. A paramLP (and therefore
-// any planner holding one) is not safe for concurrent use; experiment
-// trials each build their own planners.
+// The cache is keyed on the identities of the window's samples
+// (sample.Set.ID). When the adaptive scheme slides the window, LP-LF
+// and LP+LF move the live program with it instead of rebuilding (see
+// slide): what left is fixed at zero and re-solved warm, then dropped
+// or kept inert, and what joined is appended and re-solved warm from
+// the carried-over basis. A window with no sample left in common, and
+// PROOF on any change, rebuild. A paramLP (and therefore any planner
+// holding one) is not safe for concurrent use; experiment trials each
+// build their own planners.
 //
 //confine:goroutine
 type paramLP struct {
@@ -46,7 +50,9 @@ type paramLP struct {
 	fixed float64
 	ws    *lp.Workspace
 	basis *lp.Basis
-	gen   uint64
+	// ids are the identities of the samples the program describes,
+	// oldest first.
+	ids   []uint64
 	built bool
 	empty bool // no candidates: Plan short-circuits without a model
 	// own enforces the //confine:goroutine contract dynamically under
@@ -54,11 +60,88 @@ type paramLP struct {
 	own owner
 }
 
-// fresh reports whether the cached program still describes cfg's
-// sample window.
-func (c *paramLP) fresh(cfg Config) bool {
+// windowSlide is how cfg's sample window moved since the program was
+// built: the program's samples that left (as indices into paramLP.ids)
+// and the window's samples that joined (as sample indices).
+type windowSlide struct {
+	retired []int
+	added   []int
+}
+
+// slide compares the cached program's samples with cfg's window. ok
+// is false when the program must be rebuilt: none is built, it is the
+// empty program, or no sample is left in common. A window that did not
+// move returns ok with an empty slide.
+func (c *paramLP) slide(cfg Config) (d windowSlide, ok bool) {
 	c.own.assert("parametric planner")
-	return c.built && c.gen == cfg.Samples.Gen()
+	if !c.built {
+		return d, false
+	}
+	set := cfg.Samples
+	i, kept := 0, 0
+	for j := 0; j < set.Len(); j++ {
+		id := set.ID(j)
+		for ; i < len(c.ids) && c.ids[i] < id; i++ {
+			d.retired = append(d.retired, i)
+		}
+		if i < len(c.ids) && c.ids[i] == id {
+			i++
+			kept++
+			continue
+		}
+		d.added = append(d.added, j)
+	}
+	for ; i < len(c.ids); i++ {
+		d.retired = append(d.retired, i)
+	}
+	return d, !d.moved() || (kept > 0 && !c.empty)
+}
+
+// moved reports whether the slide changed anything.
+func (d windowSlide) moved() bool { return len(d.retired)+len(d.added) > 0 }
+
+// modelEdits applies a slide's edits to the live model, keeping the
+// first error (only an out-of-range id, which would be a bug, makes
+// one) so the edit sequence reads straight.
+type modelEdits struct {
+	m   *lp.Model
+	err error
+}
+
+func (e *modelEdits) bound(v lp.VarID, lo, hi float64) {
+	if e.err == nil {
+		e.err = e.m.SetVarBound(v, lo, hi)
+	}
+}
+
+func (e *modelEdits) obj(v lp.VarID, c float64) {
+	if e.err == nil {
+		e.err = e.m.SetObjCoef(v, c)
+	}
+}
+
+func (e *modelEdits) term(row int, v lp.VarID, coef float64) {
+	if e.err == nil {
+		e.err = e.m.AddTerm(row, v, coef)
+	}
+}
+
+// remapVars renumbers ids after lp.Model.RemoveVars; entries that
+// are -1 (never created) stay -1.
+func remapVars(ids []lp.VarID, varMap []lp.VarID) {
+	for k, v := range ids {
+		if v >= 0 {
+			ids[k] = varMap[v]
+		}
+	}
+}
+
+// noteWindow records cfg's window as the one the program describes.
+func (c *paramLP) noteWindow(cfg Config) {
+	c.ids = c.ids[:0]
+	for j := 0; j < cfg.Samples.Len(); j++ {
+		c.ids = append(c.ids, cfg.Samples.ID(j))
+	}
 }
 
 // install caches a freshly built model. The workspace survives
@@ -72,7 +155,7 @@ func (c *paramLP) install(cfg Config, model *lp.Model, budgetRow int, fixed floa
 		c.ws = lp.NewWorkspace()
 	}
 	c.basis = nil
-	c.gen = cfg.Samples.Gen()
+	c.noteWindow(cfg)
 	c.built = true
 	c.empty = false
 }
@@ -81,7 +164,7 @@ func (c *paramLP) install(cfg Config, model *lp.Model, budgetRow int, fixed floa
 func (c *paramLP) installEmpty(cfg Config) {
 	c.model = nil
 	c.basis = nil
-	c.gen = cfg.Samples.Gen()
+	c.noteWindow(cfg)
 	c.built = true
 	c.empty = true
 }

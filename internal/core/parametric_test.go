@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"prospector/internal/lp"
 	"prospector/internal/obs"
 	"prospector/internal/plan"
+	"prospector/internal/sample"
 	"prospector/internal/workload"
 )
 
@@ -196,8 +198,9 @@ func TestWarmChainIsActuallyWarm(t *testing.T) {
 }
 
 // TestParametricRebuildOnSampleChange pins the cache key: mutating the
-// sample window mid-chain must rebuild the program, and the rebuilt
-// chain must still match a fresh planner on the new window.
+// sample window mid-chain must move the program with it (a slide here;
+// see TestSlideMatchesFreshPlanner), and the chain must still match a
+// fresh planner on the new window.
 func TestParametricRebuildOnSampleChange(t *testing.T) {
 	s := makeScenario(t, 29, 30, 6, 8)
 	warm, err := NewLPNoFilter(s.cfg)
@@ -235,36 +238,72 @@ func TestParametricRebuildOnSampleChange(t *testing.T) {
 }
 
 // TestParametricEmptyCandidates covers the degenerate program: when no
-// non-root node ever ranks in the top k, the parametric path must
-// short-circuit to the empty plan just like the legacy path, and keep
-// doing so across the chain.
+// non-root node ranks in the top k of any sample in the window, the
+// planners return the empty plan without an LP. A 5-sample window
+// slides into that state one root-topped sample at a time (every step
+// but the last a warm slide) and back out, and every plan must match a
+// fresh planner's.
 func TestParametricEmptyCandidates(t *testing.T) {
-	s := makeScenario(t, 3, 12, 1, 5)
-	// Force every sample's top-1 onto the root so no candidates exist.
-	cfg := s.cfg
-	set := cfg.Samples.Clone()
-	cfg.Samples = set
-	n := cfg.Net.Size()
-	for j := 0; j < 5; j++ {
-		vals := make([]float64, n)
-		vals[0] = 1000 + float64(j)
-		if err := set.Add(vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Rebuild the window with only root-topped samples.
-	fresh, err := NewLPNoFilter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range 2 {
-		// Drain until only the forced samples would matter: simplest is
-		// to just check the planner tolerates repeated calls.
-		for _, b := range []float64{10, 20} {
-			if _, err := fresh.Plan(b); err != nil {
-				t.Fatalf("budget %g: %v", b, err)
+	for _, tc := range []struct {
+		name  string
+		make  func(Config) (Planner, error)
+		empty func(Planner) bool
+	}{
+		{"LP-LF", newLPNoFilter, func(p Planner) bool { return p.(*LPNoFilter).prog.empty }},
+		{"LP+LF", newLPFilter, func(p Planner) bool { return p.(*LPFilter).prog.empty }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := makeScenario(t, 3, 12, 1, 5)
+			cfg := s.cfg
+			n := cfg.Net.Size()
+			set := sample.MustNewSet(n, 1, 5)
+			for j := 0; j < s.cfg.Samples.Len(); j++ {
+				if err := set.Add(s.cfg.Samples.Values(j)); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
+			cfg.Samples = set
+			p, err := tc.make(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(label string, wantEmpty bool) {
+				t.Helper()
+				for _, b := range []float64{10, 20} {
+					got, err := p.Plan(b)
+					if err != nil {
+						t.Fatalf("%s, budget %g: %v", label, b, err)
+					}
+					if !bytes.Equal(got.Encode(), freshPlan(t, tc.make, cfg, b).Encode()) {
+						t.Errorf("%s, budget %g: plan %v != fresh planner's", label, b, got)
+					}
+					if tc.empty(p) != wantEmpty {
+						t.Fatalf("%s: empty program %v, want %v", label, tc.empty(p), wantEmpty)
+					}
+					if wantEmpty && got.Participants() != 1 {
+						t.Errorf("%s, budget %g: empty program planned %v", label, b, got)
+					}
+				}
+			}
+			check("original window", false)
+			// Force each new sample's top-1 onto the root; the empty plan
+			// involves the root alone.
+			for j := 0; j < 5; j++ {
+				vals := make([]float64, n)
+				vals[0] = 1000 + float64(j)
+				if err := set.Add(vals); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%d root-topped samples", j+1), j == 4)
+			}
+			// And back out: the window's samples top non-root nodes again.
+			for j := 0; j < 2; j++ {
+				if err := set.Add(s.truth[j]); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%d samples out of the empty window", j+1), false)
+			}
+		})
 	}
 }
 

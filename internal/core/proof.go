@@ -100,7 +100,11 @@ func (p *ProofPlanner) Plan(budget float64) (*plan.Plan, error) {
 		return nil, fmt.Errorf("core: proof plans need at least %.2f mJ, budget is %.2f", min, budget)
 	}
 
-	if !p.param.fresh(cfg) {
+	// PROOF rebuilds on any window change rather than sliding its
+	// program like LP-LF and LP+LF: its per-sample prover variables
+	// could move the same way, but no sliding-window path runs PROOF,
+	// so it keeps the simpler rebuild.
+	if d, ok := p.param.slide(cfg); !ok || d.moved() {
 		p.prog = buildProofProgram(cfg, p.strictC3, budget)
 		p.param.install(cfg, p.prog.model, p.prog.budgetRow, p.prog.fixed)
 	}

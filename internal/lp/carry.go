@@ -1,0 +1,224 @@
+package lp
+
+import "math"
+
+// adoptEdited installs a basis captured before structural edits into
+// the prepared solver (see Basis). Surviving columns and rows are
+// matched by their stable keys, which ascend in index order on both
+// sides, so one merge walk maps the captured layout onto the current
+// one. The captured point is kept where it can be: surviving
+// structurals keep their captured values (the nonbasic ones at the
+// bound nearest it), each basic slack, and each new row's slack, takes
+// the residual that point leaves its row, and when there are more
+// basic candidates than rows those strictly inside their bounds are
+// kept first. Returns false when no nonsingular basis could be
+// assembled. Its scratch is allocated per call: it runs once per
+// structural edit, not on a warm chain's steady state.
+func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
+	// Captured layout: structurals, one slack per inequality row, one
+	// artificial per row.
+	nS0, m0 := len(b.colKey), len(b.rowIDs)
+	art0 := nS0
+	for _, id := range b.rowIDs {
+		if !id.eq() {
+			art0++
+		}
+	}
+	if len(b.stat) != art0+m0 || len(b.basis) != m0 || len(b.x) != nS0 {
+		return false
+	}
+	mp := make([]int, art0+m0) // captured column -> current, -1 once removed
+	for c := range mp {
+		mp[c] = -1
+	}
+	rowSlack := make([]int, s.m) // current row -> its slack, -1 for an equality
+	var newRows []int
+
+	// Every column starts where a cold start would rest it; the merge
+	// walks below overwrite the survivors.
+	for j := 0; j < s.artStart; j++ {
+		s.rest(j, 0)
+	}
+	for j := s.artStart; j < s.nTotal; j++ {
+		s.stat[j] = atLower
+	}
+	j := 0
+	for c, key := range b.colKey {
+		for j < s.nStruct && m.colKey[j] < key {
+			j++
+		}
+		if j < s.nStruct && m.colKey[j] == key {
+			mp[c] = j
+			j++
+		}
+	}
+	slack := s.nStruct
+	for r, id := range m.rowIDs {
+		rowSlack[r] = -1
+		if !id.eq() {
+			rowSlack[r] = slack
+			slack++
+		}
+		s.cols[s.artStart+r][0].coef = 1
+	}
+	i, slack0 := 0, nS0 // captured row, and its slack column
+	for r, id := range m.rowIDs {
+		for ; i < m0 && b.rowIDs[i] < id; i++ {
+			if !b.rowIDs[i].eq() {
+				slack0++
+			}
+		}
+		if i == m0 || b.rowIDs[i] != id {
+			newRows = append(newRows, r)
+			continue
+		}
+		mp[art0+i] = s.artStart + r
+		s.cols[s.artStart+r][0].coef = float64(b.artSign[i])
+		if !id.eq() {
+			mp[slack0] = rowSlack[r]
+			slack0++
+		}
+		i++
+	}
+	for c, st := range b.stat {
+		if st != basic && mp[c] >= 0 {
+			s.stat[mp[c]] = st
+		}
+	}
+	s.restNonbasics()
+
+	// The basic candidates, and the captured point: structurals from
+	// the capture (a bound edit since then must not move a nonbasic
+	// one), slacks from their row's residual, artificials at zero.
+	for c, st := range b.stat {
+		if st == basic && mp[c] >= 0 {
+			s.stat[mp[c]] = basic
+		}
+	}
+	for _, r := range newRows {
+		if u := rowSlack[r]; u >= 0 {
+			s.stat[u] = basic
+		}
+	}
+	for c, v := range b.x {
+		if j := mp[c]; j >= 0 {
+			if s.stat[j] == basic {
+				s.xN[j] = v
+			} else {
+				s.rest(j, v)
+			}
+		}
+	}
+	for r, rw := range m.rows {
+		if a := s.artStart + r; s.stat[a] == basic {
+			s.xN[a] = 0
+		}
+		if u := rowSlack[r]; u >= 0 && s.stat[u] == basic {
+			v := rw.rhs
+			for _, t := range rw.terms {
+				v -= t.Coef * s.xN[t.Var]
+			}
+			s.xN[u] = v * s.cols[u][0].coef
+		}
+	}
+
+	n := 0
+	for pass := 0; pass < 2; pass++ {
+		for j := 0; j < s.nTotal; j++ {
+			if s.stat[j] != basic || s.interior(j) != (pass == 0) {
+				continue
+			}
+			if n == s.m {
+				s.rest(j, s.xN[j])
+				continue
+			}
+			s.basis[n] = j
+			n++
+		}
+	}
+	full := n == s.m
+	for ; n < s.m; n++ {
+		s.basis[n] = -1
+	}
+	if !full || !ws.f.refactorize(s.basis[:s.m], s.cols) {
+		if !s.repairCarried(ws, rowSlack) {
+			return false
+		}
+	}
+	s.refactors++
+	s.recomputeBasics()
+	return true
+}
+
+// repairCarried makes the assembled basis nonsingular: the sparse LU
+// names the columns it could not pivot, and each is replaced by a unit
+// column (the slack, or for an equality the artificial) of a row no
+// pivot covered. The point is kept when every column replaced sits at
+// a bound, which the unit columns, nonbasic until now, also do. An
+// interior column the LU dropped (the peel can pivot an at-bound column
+// first) is brought back by a basis exchange against a position that
+// holds a column at a bound, which exists because a vertex's interior
+// columns are independent; the factor absorbs each exchange as an eta.
+func (s *solver) repairCarried(ws *Workspace, rowSlack []int) bool {
+	pos, rows, ok := ws.f.deficiency(s.basis[:s.m], s.cols)
+	if !ok || len(pos) != len(rows) {
+		return false
+	}
+	var back []int
+	for k, p := range pos {
+		if j := s.basis[p]; j >= 0 {
+			if s.interior(j) {
+				back = append(back, j)
+				s.stat[j] = atLower // nonbasic until it is brought back
+			} else {
+				s.rest(j, s.xN[j])
+			}
+		}
+		u := rowSlack[rows[k]]
+		if u < 0 {
+			u = s.artStart + int(rows[k])
+		}
+		s.basis[p], s.stat[u] = u, basic
+	}
+	if !ws.f.refactorize(s.basis[:s.m], s.cols) {
+		return false
+	}
+	for _, j := range back {
+		s.ftran(j)
+		p, best := -1, dualPivotTol
+		for r := 0; r < s.m; r++ {
+			if w := math.Abs(s.w[r]); w > best && !s.interior(s.basis[r]) {
+				p, best = r, w
+			}
+		}
+		if p < 0 {
+			s.rest(j, s.xN[j])
+			continue
+		}
+		leave := s.basis[p]
+		s.rest(leave, s.xN[leave])
+		s.basis[p], s.stat[j] = j, basic
+		ws.f.appendEta(s.w, p)
+	}
+	return true
+}
+
+// interior reports whether column j's value lies strictly inside its
+// bounds.
+func (s *solver) interior(j int) bool {
+	return s.xN[j] > s.lo[j]+s.tol && s.xN[j] < s.hi[j]-s.tol
+}
+
+// rest makes column j nonbasic at its finite bound nearest v, or free
+// at zero when it has none.
+func (s *solver) rest(j int, v float64) {
+	lo, hi := s.lo[j], s.hi[j]
+	switch {
+	case lo > math.Inf(-1) && (math.IsInf(hi, 1) || v-lo <= hi-v):
+		s.stat[j], s.xN[j] = atLower, lo
+	case !math.IsInf(hi, 1):
+		s.stat[j], s.xN[j] = atUpper, hi
+	default:
+		s.stat[j], s.xN[j] = nonbasicFree, 0
+	}
+}

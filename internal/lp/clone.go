@@ -2,14 +2,15 @@ package lp
 
 // Clone returns an independently mutable copy of the model. The
 // in-place mutators (SetRHS, SetObjCoef, SetVarBound) and structural
-// edits (AddVar, AddConstr) on either side never affect the other:
-// the objective, bound, name, and row slices are copied with exact
-// capacity, so even an append reallocates instead of sharing a
-// backing array.
+// edits (AddVar, AddConstr, AddTerm, RemoveVars) on either side never
+// affect the other: the objective, bound, name, and row slices are
+// copied with exact capacity, so even an append reallocates instead of
+// sharing a backing array.
 //
 // Constraint term slices are shared between the original and the
 // clone. They are read-only after construction — SetRHS rewrites the
-// row's rhs field (copied per clone), never its terms — which is what
+// row's rhs field (copied per clone), AddTerm and RemoveVars build new
+// term slices, never edit old ones — which is what
 // makes cloning a built parametric program cheap enough to do once
 // per pool worker (see core.Snapshot).
 //
@@ -26,6 +27,11 @@ func (m *Model) Clone() *Model {
 		rows:          make([]row, len(m.rows)),
 		maximize:      m.maximize,
 		structVersion: m.structVersion,
+		// No edit changes an identity in place, so the clone shares
+		// them; the clipped capacity makes its appends reallocate.
+		colKey:  m.colKey[:len(m.colKey):len(m.colKey)],
+		rowIDs:  m.rowIDs[:len(m.rowIDs):len(m.rowIDs)],
+		nextKey: m.nextKey,
 	}
 	copy(c.obj, m.obj)
 	copy(c.lo, m.lo)

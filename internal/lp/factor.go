@@ -231,6 +231,122 @@ func (f *factor) btran(y []float64) {
 //
 //alloc:none
 func (f *factor) refactorize(basis []int, cols [][]centry) bool {
+	k, ok := f.peel(basis, cols)
+	if !ok || !f.factorBump(basis, cols, k) {
+		return false
+	}
+	f.lu, f.spare = f.spare, f.lu
+	f.m = len(basis)
+	f.work = growF64(f.work, f.m)
+	f.clearEtas()
+	f.pivotsSince = 0
+	return true
+}
+
+// deficiency explains why a basis is singular: it runs refactorize's
+// elimination but skips, instead of failing on, each column left with
+// no usable pivot, and returns those columns' basis positions together
+// with the constraint rows no pivot covered (as many as there are
+// skipped columns). A position holding -1 counts as an empty column.
+// Putting a unit column of each uncovered row in place of the skipped
+// columns makes the basis nonsingular. ok is false when a singleton
+// peel meets a tiny pivot. The live factors are left untouched; the
+// returned slices alias scratch valid until the next refactorization.
+func (f *factor) deficiency(basis []int, cols [][]centry) (pos, rows []int32, ok bool) {
+	k, ok := f.peel(basis, cols)
+	if !ok {
+		return nil, nil, false
+	}
+	sc := &f.sc
+	m := len(basis)
+	nb := m - k
+	sc.bumpRow = growInt32(sc.bumpRow, nb)
+	sc.bumpCol = growInt32(sc.bumpCol, nb)
+	sc.bumpOf = growInt32(sc.bumpOf, m)
+	// Columns the peel left without an active entry are skipped
+	// outright, and rows without one are uncovered outright (packed at
+	// the back of bumpRow); only the rest is eliminated densely, as a
+	// rectangle no larger than refactorize's bump.
+	pos = sc.stack[:0]
+	nc := 0
+	for p := 0; p < m; p++ {
+		switch {
+		case sc.colPos[p] >= 0:
+		case sc.colCnt[p] == 0:
+			pos = append(pos, int32(p)) //alloc:amortized the length-m stack carved by peel holds at most one entry per bump column
+		default:
+			sc.bumpCol[nc] = int32(p)
+			nc++
+		}
+	}
+	nr, back := 0, nb
+	for i := 0; i < m; i++ {
+		switch {
+		case sc.rowPos[i] >= 0:
+		case sc.rowCnt[i] == 0:
+			back--
+			sc.bumpRow[back] = int32(i)
+		default:
+			sc.bumpRow[nr], sc.bumpOf[i] = int32(i), int32(nr)
+			nr++
+		}
+	}
+	a := growF64(sc.bump, nr*nc)
+	sc.bump = a
+	for i := range a {
+		a[i] = 0
+	}
+	for c, p := range sc.bumpCol[:nc] {
+		for _, e := range basisCol(cols, basis[p]) {
+			if sc.rowPos[e.row] < 0 {
+				a[int(sc.bumpOf[e.row])*nc+c] = e.coef
+			}
+		}
+	}
+	rank := 0
+	for c := 0; c < nc; c++ {
+		piv := rank
+		for r := rank + 1; r < nr; r++ {
+			if math.Abs(a[r*nc+c]) > math.Abs(a[piv*nc+c]) {
+				piv = r
+			}
+		}
+		if rank == nr || tinyPivot(a[piv*nc+c], basisCol(cols, basis[sc.bumpCol[c]])) {
+			pos = append(pos, sc.bumpCol[c]) //alloc:amortized the length-m stack carved by peel holds at most one entry per bump column
+			continue
+		}
+		if piv != rank {
+			for j := 0; j < nc; j++ {
+				a[piv*nc+j], a[rank*nc+j] = a[rank*nc+j], a[piv*nc+j]
+			}
+			sc.bumpRow[piv], sc.bumpRow[rank] = sc.bumpRow[rank], sc.bumpRow[piv]
+		}
+		d := a[rank*nc+c]
+		for r := rank + 1; r < nr; r++ {
+			if l := a[r*nc+c] / d; !isZero(l) {
+				for j := c + 1; j < nc; j++ {
+					a[r*nc+j] -= l * a[rank*nc+j]
+				}
+			}
+		}
+		rank++
+	}
+	return pos, sc.bumpRow[rank:nb], true
+}
+
+// basisCol returns the column at a basis position; -1 (a position
+// deficiency is asked to fill) is an empty column.
+func basisCol(cols [][]centry, bj int) []centry {
+	if bj < 0 {
+		return nil
+	}
+	return cols[bj]
+}
+
+// peel starts a factorization into f.spare: it lays B0 out by rows
+// and pivots its column singletons, then its row singletons, and
+// returns how many pivots it made. ok is false on a tiny pivot.
+func (f *factor) peel(basis []int, cols [][]centry) (k int, ok bool) {
 	m := len(basis)
 	sc := &f.sc
 	lu := &f.spare
@@ -247,9 +363,10 @@ func (f *factor) refactorize(basis []int, cols [][]centry) bool {
 	}
 	nnz := 0
 	for p, bj := range basis {
-		sc.colCnt[p] = int32(len(cols[bj]))
-		nnz += len(cols[bj])
-		for _, e := range cols[bj] {
+		col := basisCol(cols, bj)
+		sc.colCnt[p] = int32(len(col))
+		nnz += len(col)
+		for _, e := range col {
 			sc.rowCnt[e.row]++
 		}
 	}
@@ -263,7 +380,7 @@ func (f *factor) refactorize(basis []int, cols [][]centry) bool {
 	fill := sc.stack
 	copy(fill, sc.rowOff[:m])
 	for p, bj := range basis {
-		for _, e := range cols[bj] {
+		for _, e := range basisCol(cols, bj) {
 			sc.rowIdx[fill[e.row]] = int32(p)
 			sc.rowVal[fill[e.row]] = e.coef
 			fill[e.row]++
@@ -272,7 +389,7 @@ func (f *factor) refactorize(basis []int, cols [][]centry) bool {
 
 	// Column singletons: pivot on the one active entry; the row leaves,
 	// so the other columns it touches each lose an active entry.
-	k := int32(0)
+	kk := int32(0)
 	stack := sc.stack[:0]
 	for p := 0; p < m; p++ {
 		if sc.colCnt[p] == 1 {
@@ -286,16 +403,16 @@ func (f *factor) refactorize(basis []int, cols [][]centry) bool {
 			continue // its active row went to another column: a zero column the bump rejects
 		}
 		row, v := -1, 0.0
-		for _, e := range cols[basis[p]] {
+		for _, e := range basisCol(cols, basis[p]) {
 			if sc.rowPos[e.row] < 0 {
 				row, v = e.row, e.coef
 				break
 			}
 		}
-		if tinyPivot(v, cols[basis[p]]) {
-			return false
+		if tinyPivot(v, basisCol(cols, basis[p])) {
+			return 0, false
 		}
-		sc.rowPos[row], sc.colPos[p] = k, k
+		sc.rowPos[row], sc.colPos[p] = kk, kk
 		lu.pushPivot(int32(row), p, v)
 		for q := sc.rowOff[row]; q < sc.rowOff[row+1]; q++ {
 			c := sc.rowIdx[q]
@@ -309,7 +426,7 @@ func (f *factor) refactorize(basis []int, cols [][]centry) bool {
 			}
 		}
 		lu.endU()
-		k++
+		kk++
 	}
 
 	// Row singletons: the pivot's row has no other active entry, so
@@ -333,14 +450,14 @@ func (f *factor) refactorize(basis []int, cols [][]centry) bool {
 				break
 			}
 		}
-		if tinyPivot(v, cols[basis[p]]) {
-			return false
+		if tinyPivot(v, basisCol(cols, basis[p])) {
+			return 0, false
 		}
-		sc.rowPos[row], sc.colPos[p] = k, k
+		sc.rowPos[row], sc.colPos[p] = kk, kk
 		lu.pushPivot(row, p, v)
 		lu.endU()
 		lu.beginL(row)
-		for _, e := range cols[basis[p]] {
+		for _, e := range basisCol(cols, basis[p]) {
 			if sc.rowPos[e.row] >= 0 {
 				continue
 			}
@@ -351,19 +468,10 @@ func (f *factor) refactorize(basis []int, cols [][]centry) bool {
 			}
 		}
 		lu.endL()
-		k++
+		kk++
 	}
 	sc.stack = stack
-
-	if !f.factorBump(basis, cols, int(k)) {
-		return false
-	}
-	f.lu, f.spare = f.spare, f.lu
-	f.m = m
-	f.work = growF64(f.work, m)
-	f.clearEtas()
-	f.pivotsSince = 0
-	return true
+	return int(kk), true
 }
 
 // pivotTol is the smallest pivot refactorize accepts, relative to the
@@ -414,7 +522,7 @@ func (f *factor) factorBump(basis []int, cols [][]centry, k int) bool {
 		a[i] = 0
 	}
 	for c, p := range sc.bumpCol[:nb] {
-		for _, e := range cols[basis[p]] {
+		for _, e := range basisCol(cols, basis[p]) {
 			if sc.rowPos[e.row] < 0 {
 				a[int(sc.bumpOf[e.row])*nb+c] = e.coef
 			}
@@ -427,7 +535,7 @@ func (f *factor) factorBump(basis []int, cols [][]centry, k int) bool {
 				piv = r
 			}
 		}
-		if tinyPivot(a[piv*nb+c], cols[basis[sc.bumpCol[c]]]) {
+		if tinyPivot(a[piv*nb+c], basisCol(cols, basis[sc.bumpCol[c]])) {
 			return false
 		}
 		if piv != c {

@@ -79,3 +79,106 @@ func FuzzColdSolve(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWarmEdits drives one warm chain through a random sequence of
+// edits decoded from data, a base model as in FuzzColdSolve followed
+// by steps of SetRHS, SetObjCoef, SetVarBound, AddVar (with terms in
+// existing rows), AddConstr, AddTerm and RemoveVars. After every step
+// the warm re-solve must agree with a cold-direct solve in status and
+// objective, and every optimum must carry a KKT certificate.
+func FuzzWarmEdits(f *testing.F) {
+	f.Fuzz(checkWarmEdits)
+}
+
+func checkWarmEdits(t *testing.T, data []byte) {
+	if len(data) < 2 {
+		return
+	}
+	split := 2 + int(data[0])%(len(data)-1)
+	m := fuzzModel(data[1:split])
+	if m == nil {
+		return
+	}
+	// A bounded edit script keeps each run short, so the fuzzer's
+	// input minimization stays cheap.
+	edits := data[split:]
+	if len(edits) > 64 {
+		edits = edits[:64]
+	}
+	next := func() int {
+		if len(edits) == 0 {
+			return 0
+		}
+		b := edits[0]
+		edits = edits[1:]
+		return int(b)
+	}
+	half := func() float64 { return float64(next()%17-8) / 2 }
+	ws := NewWorkspace()
+	var basis *Basis
+	for step := 0; ; step++ {
+		warm, err := m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := m.Solve(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != cold.Status {
+			t.Fatalf("step %d: warm status %v, cold %v", step, warm.Status, cold.Status)
+		}
+		if warm.Status == Optimal {
+			if math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+				t.Fatalf("step %d: warm objective %.17g, cold %.17g", step, warm.Objective, cold.Objective)
+			}
+			if err := CheckOptimal(m, warm, 1e-6); err != nil {
+				t.Fatalf("step %d: warm: %v", step, err)
+			}
+			if err := CheckOptimal(m, cold, 1e-6); err != nil {
+				t.Fatalf("step %d: cold: %v", step, err)
+			}
+			basis = warm.Basis
+		}
+		if len(edits) == 0 {
+			return
+		}
+		nv, nr := m.NumVars(), m.NumConstrs()
+		switch op := next() % 7; {
+		case op == 0 && nr > 0:
+			_ = m.SetRHS(next()%nr, half())
+		case op == 1 && nv > 0:
+			_ = m.SetObjCoef(VarID(next()%nv), float64(next()%9-4))
+		case op == 2 && nv > 0:
+			lo := float64(next()%5 - 2)
+			_ = m.SetVarBound(VarID(next()%nv), lo, lo+float64(next()%4))
+		case op == 3:
+			lo := float64(next()%5 - 2)
+			v := m.MustVar(lo, lo+float64(next()%5), float64(next()%9-4), "")
+			for r := 0; r < nr; r++ {
+				if c := next()%7 - 3; c != 0 {
+					_ = m.AddTerm(r, v, float64(c)/2)
+				}
+			}
+		case op == 4 && nv > 0:
+			var terms []Term
+			for v := 0; v < nv; v++ {
+				if c := next()%7 - 3; c != 0 {
+					terms = append(terms, Term{Var: VarID(v), Coef: float64(c) / 2})
+				}
+			}
+			_ = m.AddConstr(terms, Sense(next()%3), half())
+		case op == 5 && nv > 0:
+			// The planners' retire-then-drop: fix at zero, then remove.
+			v := VarID(next() % nv)
+			if next()%2 == 0 {
+				_ = m.SetVarBound(v, 0, 0)
+			}
+			if _, _, err := m.RemoveVars([]VarID{v}); err != nil {
+				t.Fatal(err)
+			}
+		case op == 6 && nv > 0 && nr > 0:
+			_ = m.AddTerm(next()%nr, VarID(next()%nv), float64(next()%7-3)/2)
+		}
+	}
+}

@@ -60,11 +60,20 @@ type Model struct {
 	names    []string
 	rows     []row
 	maximize bool
-	// structVersion counts structural edits (new variables or rows).
-	// A Basis captured from a solve is only reusable while the version
-	// is unchanged; the in-place mutators (SetRHS, SetObjCoef,
+	// structVersion counts structural edits (AddVar, AddConstr,
+	// AddTerm, RemoveVars). A Basis captured at the current version is
+	// replayed as is; one captured earlier is carried over to the new
+	// structure (see Basis). The in-place mutators (SetRHS, SetObjCoef,
 	// SetVarBound) deliberately leave it alone.
 	structVersion uint64
+	// colKey and rowIDs hold stable identities drawn from nextKey,
+	// ascending in index order, that survive the renumbering RemoveVars
+	// does. No edit changes an element of either in place (appends
+	// extend, removals reallocate), so a Basis can keep the slices it
+	// was captured against.
+	colKey  []uint64
+	rowIDs  []rowID
+	nextKey uint64
 }
 
 type row struct {
@@ -72,6 +81,22 @@ type row struct {
 	sense Sense
 	rhs   float64
 }
+
+// rowID is a row's stable key, shifted left one bit to make room for
+// whether the row is an equality (which has no slack column): what a
+// Basis needs of the rows it was captured against. IDs order as their
+// keys do.
+type rowID uint64
+
+func newRowID(key uint64, sense Sense) rowID {
+	id := rowID(key << 1)
+	if sense == EQ {
+		id |= 1
+	}
+	return id
+}
+
+func (id rowID) eq() bool { return id&1 == 1 }
 
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{} }
@@ -95,6 +120,8 @@ func (m *Model) AddVar(lo, hi, obj float64, name string) (VarID, error) {
 	m.lo = append(m.lo, lo)
 	m.hi = append(m.hi, hi)
 	m.names = append(m.names, name)
+	m.colKey = append(m.colKey, m.nextKey)
+	m.nextKey++
 	m.structVersion++
 	return id, nil
 }
@@ -155,6 +182,8 @@ func (m *Model) AddConstr(terms []Term, sense Sense, rhs float64) error {
 		return nil
 	}
 	m.rows = append(m.rows, row{terms: clean, sense: sense, rhs: rhs})
+	m.rowIDs = append(m.rowIDs, newRowID(m.nextKey, sense))
+	m.nextKey++
 	m.structVersion++
 	return nil
 }
@@ -222,9 +251,108 @@ func (m *Model) SetVarBound(v VarID, lo, hi float64) error {
 	return nil
 }
 
-// StructVersion identifies the model's structure (variable and row
-// count history). In-place mutators do not change it; AddVar and
-// AddConstr do, invalidating any captured Basis.
+// AddTerm adds coef*v to retained row i (summed into an existing term
+// on v). It is a structural edit: a Basis captured before it carries
+// over, re-factored against the new row, and is repaired if the edit
+// made it singular.
+func (m *Model) AddTerm(i int, v VarID, coef float64) error {
+	if i < 0 || i >= len(m.rows) {
+		return fmt.Errorf("lp: AddTerm row %d out of range [0,%d)", i, len(m.rows))
+	}
+	if v < 0 || int(v) >= len(m.obj) {
+		return fmt.Errorf("lp: AddTerm unknown variable %d", v)
+	}
+	if math.IsNaN(coef) || math.IsInf(coef, 0) {
+		return fmt.Errorf("lp: AddTerm coefficient %g on variable %d", coef, v)
+	}
+	// Term slices may be shared with clones: build a new one.
+	old := m.rows[i].terms
+	terms := make([]Term, 0, len(old)+1)
+	merged := false
+	for _, t := range old {
+		if t.Var == v {
+			t.Coef += coef
+			merged = true
+			if isZero(t.Coef) {
+				continue
+			}
+		}
+		terms = append(terms, t)
+	}
+	if !merged && !isZero(coef) {
+		terms = append(terms, Term{Var: v, Coef: coef})
+	}
+	if len(terms) == 0 {
+		return fmt.Errorf("lp: AddTerm would empty row %d", i)
+	}
+	m.rows[i].terms = terms
+	m.structVersion++
+	return nil
+}
+
+// RemoveVars deletes the given variables together with every row that
+// references one of them. The surviving variables and rows keep their
+// order and are renumbered densely; varMap[old] and rowMap[old] give
+// each old VarID and row index its new value, or -1 when it was
+// removed. A Basis captured before the removal carries over to the
+// smaller model (see Basis); dropping a row is the caller's decision,
+// so the removed variables are usually fixed at zero first, which
+// reduces each of their rows to a constraint the remaining ones imply.
+func (m *Model) RemoveVars(vars []VarID) (varMap []VarID, rowMap []int, err error) {
+	varMap = make([]VarID, len(m.obj))
+	for _, v := range vars {
+		if v < 0 || int(v) >= len(m.obj) {
+			return nil, nil, fmt.Errorf("lp: RemoveVars unknown variable %d", v)
+		}
+		varMap[v] = -1
+	}
+	// The per-variable slices compact in place; the identity slices are
+	// rebuilt (a Basis may still hold the old ones) with their old
+	// capacity, so the appends of a later slide fit.
+	keys := make([]uint64, 0, cap(m.colKey))
+	n := 0
+	for j := range m.obj {
+		if varMap[j] < 0 {
+			continue
+		}
+		varMap[j] = VarID(n)
+		m.obj[n], m.lo[n], m.hi[n], m.names[n] = m.obj[j], m.lo[j], m.hi[j], m.names[j]
+		keys = append(keys, m.colKey[j])
+		n++
+	}
+	clear(m.names[n:])
+	m.obj, m.lo, m.hi, m.names, m.colKey = m.obj[:n], m.lo[:n], m.hi[:n], m.names[:n], keys
+
+	rowMap = make([]int, len(m.rows))
+	ids := make([]rowID, 0, cap(m.rowIDs))
+	k := 0
+rows:
+	for i, r := range m.rows {
+		rowMap[i] = -1
+		for _, t := range r.terms {
+			if varMap[t.Var] < 0 {
+				continue rows
+			}
+		}
+		// Term slices may be shared with clones: build new ones.
+		terms := make([]Term, len(r.terms))
+		for q, t := range r.terms {
+			terms[q] = Term{Var: varMap[t.Var], Coef: t.Coef}
+		}
+		r.terms = terms
+		m.rows[k], rowMap[i] = r, k
+		ids = append(ids, m.rowIDs[i])
+		k++
+	}
+	clear(m.rows[k:])
+	m.rows, m.rowIDs = m.rows[:k], ids
+	m.structVersion++
+	return varMap, rowMap, nil
+}
+
+// StructVersion identifies the model's structure (its history of
+// structural edits). In-place mutators do not change it; AddVar,
+// AddConstr, AddTerm and RemoveVars do.
 func (m *Model) StructVersion() uint64 { return m.structVersion }
 
 // NumVars returns the number of variables added so far.

@@ -69,12 +69,14 @@ type Options struct {
 	// Workspace.
 	Workspace *Workspace
 	// Warm, when non-nil, is a Basis captured from a previous solve
-	// (KeepBasis) of the same Model. The solver restores it and runs
+	// (KeepBasis) of the same Model, before or after structural edits
+	// (see Basis). The solver restores it and runs primal or
 	// dual-simplex recovery pivots instead of the two cold phases; if
-	// the basis is stale (structural edits) or numerically unusable, or
-	// the recovery ends anything but Optimal (iteration limit included),
-	// it falls back to a cold solve internally (lp.warm_fallbacks,
-	// Solution.Warm false). The caller sees one outcome either way.
+	// the basis comes from another Model, cannot be carried over the
+	// edits, or is numerically unusable, or the recovery ends anything
+	// but Optimal (iteration limit included), it falls back to a cold
+	// solve internally (lp.warm_fallbacks, Solution.Warm false). The
+	// caller sees one outcome either way.
 	Warm *Basis
 	// KeepBasis asks Solve to capture the final basis on Solution.Basis
 	// for a later warm re-solve. With a Workspace the Basis storage is
@@ -189,8 +191,9 @@ type centry struct {
 }
 
 // Solve optimizes the model. The model may be reused, mutated in place
-// (SetRHS, SetObjCoef, SetVarBound), or extended and solved again; each
-// call is independent unless Options.Warm chains it to a prior basis.
+// (SetRHS, SetObjCoef, SetVarBound), edited structurally (AddVar,
+// AddConstr, AddTerm, RemoveVars) and solved again; each call is
+// independent unless Options.Warm chains it to a prior basis.
 func (m *Model) Solve(opts Options) (*Solution, error) {
 	var start time.Time
 	if opts.Now != nil {
@@ -514,7 +517,10 @@ func (s *solver) pivot(enter int, sigma, t float64, leaveRow int, leaveStat vsta
 			s.xB[r] -= sigma * t * s.w[r]
 		}
 	}
-	if leaveStat == atLower {
+	// A fixed column rests at its lower bound whichever side it left
+	// through: the value is the same, and a later SetVarBound that
+	// reopens its upper bound then leaves it where it was fixed.
+	if leaveStat == atLower || sameFloat(s.lo[leave], s.hi[leave]) {
 		s.stat[leave] = atLower
 		s.xN[leave] = s.lo[leave]
 	} else {

@@ -3,11 +3,19 @@ package lp
 import "math"
 
 // Basis is an opaque snapshot of a solver's final basis, captured with
-// Options.KeepBasis and replayed with Options.Warm. It stays valid
-// while the model's structure is unchanged: the in-place mutators
-// (SetRHS, SetObjCoef, SetVarBound) preserve it, AddVar/AddConstr
-// invalidate it (a stale Basis silently degrades to a cold solve, it
-// never corrupts a result).
+// Options.KeepBasis and replayed with Options.Warm on the same Model.
+// The in-place mutators (SetRHS, SetObjCoef, SetVarBound) leave it
+// exactly valid. It also survives structural edits (AddVar, AddConstr,
+// AddTerm, RemoveVars): the next warm solve carries it over by the
+// stable identities of the surviving variables and rows. New variables
+// rest nonbasic at their bound nearest zero and new rows start with
+// their slack (or, for an equality, their artificial) basic; when more
+// survivors are basic than there are rows, those resting at a bound are
+// demoted first, and a carried-over basis the sparse LU finds singular
+// has its dependent columns replaced by unit columns of the rows left
+// uncovered (see repairCarried). A basis that cannot be repaired, or
+// one captured from another Model, degrades to a cold solve; it never
+// corrupts a result.
 //
 //confine:goroutine
 type Basis struct {
@@ -15,6 +23,16 @@ type Basis struct {
 	structVersion uint64
 	basis         []int
 	stat          []vstat
+	// x holds the structural values at capture. A carried-over basis
+	// keeps that point where it can: nonbasic survivors rest at the
+	// bound nearest their captured value, and the basic columns strictly
+	// inside their bounds stay basic ahead of those at a bound.
+	x []float64
+	// colKey and rowIDs are the model's slices at capture (never
+	// edited in place, see Model): they give the captured column layout
+	// and the identities the carry-over matches against.
+	colKey []uint64
+	rowIDs []rowID
 	// artSign records the direction each artificial column had when the
 	// basis was captured; the shared column arena must be re-patched to
 	// the same signs for the snapshot to describe the same matrix B.
@@ -24,11 +42,6 @@ type Basis struct {
 	// reuses the live factorization instead of refactorizing.
 	ws  *Workspace
 	seq uint64
-}
-
-// validFor reports whether the snapshot can seed a warm solve of m.
-func (b *Basis) validFor(m *Model) bool {
-	return b != nil && b.model == m && b.structVersion == m.structVersion
 }
 
 // solveKind classifies a solve for the lp.* metrics and the lp.solve
@@ -52,7 +65,8 @@ func (k solveKind) String() string {
 }
 
 // warmRun attempts to solve from the snapshot basis, falling back to a
-// cold run (with a fresh iteration budget) when the snapshot is stale,
+// cold run (with a fresh iteration budget) when the snapshot belongs to
+// another model, cannot be carried over a structural edit, is
 // numerically unusable, exhausts the iteration budget, or classifies
 // the model as infeasible or unbounded — the cold run is the arbiter
 // for every non-optimal outcome, so a warm chain can never misreport
@@ -60,10 +74,16 @@ func (k solveKind) String() string {
 //
 //alloc:none
 func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) {
-	if !b.validFor(m) || len(b.basis) != s.m || len(b.stat) != s.nTotal {
-		return s.run(), solveWarmFallback
+	var adopted bool
+	switch {
+	case b.model != m:
+	case b.structVersion == m.structVersion:
+		adopted = len(b.basis) == s.m && len(b.stat) == s.nTotal && s.adoptBasis(b, ws)
+	default:
+		//alloc:amortized the carry-over allocates its scratch once per structural edit; a chain without edits never reaches it
+		adopted = s.adoptEdited(m, b, ws)
 	}
-	if !s.adoptBasis(b, ws) {
+	if !adopted {
 		return s.run(), solveWarmFallback
 	}
 	var st Status
@@ -109,6 +129,23 @@ func (s *solver) adoptBasis(b *Basis, ws *Workspace) bool {
 	for r := 0; r < s.m; r++ {
 		s.cols[s.artStart+r][0].coef = float64(b.artSign[r])
 	}
+	s.restNonbasics()
+	// An unbroken chain's factor already represents this basis.
+	live := b.ws == ws && ws.lastSeq == b.seq && ws.lastModel == b.model &&
+		ws.lastVersion == b.structVersion && ws.f.m == s.m
+	if !live {
+		if !ws.f.refactorize(s.basis[:s.m], s.cols) {
+			return false
+		}
+		s.refactors++
+	}
+	s.recomputeBasics()
+	return true
+}
+
+// restNonbasics puts every nonbasic column at the value its status
+// names under the *current* bounds.
+func (s *solver) restNonbasics() {
 	for j := 0; j < s.nTotal; j++ {
 		switch s.stat[j] {
 		case basic:
@@ -133,22 +170,15 @@ func (s *solver) adoptBasis(b *Basis, ws *Workspace) bool {
 				}
 				continue
 			}
+			if sameFloat(s.lo[j], s.hi[j]) {
+				// Fixed: rest at the lower bound, as pivot does.
+				s.stat[j] = atLower
+			}
 			s.xN[j] = s.hi[j]
 		case nonbasicFree:
 			s.xN[j] = 0
 		}
 	}
-	// An unbroken chain's factor already represents this basis.
-	live := b.ws == ws && ws.lastSeq == b.seq && ws.lastModel == b.model &&
-		ws.lastVersion == b.structVersion && ws.f.m == s.m
-	if !live {
-		if !ws.f.refactorize(s.basis[:s.m], s.cols) {
-			return false
-		}
-		s.refactors++
-	}
-	s.recomputeBasics()
-	return true
 }
 
 // primalInfeasibility returns the largest bound violation among basic

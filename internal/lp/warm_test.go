@@ -180,8 +180,11 @@ func TestWarmAfterObjChange(t *testing.T) {
 	}
 }
 
-// TestWarmStaleBasisFallsBack pins that structural edits invalidate the
-// basis and the solve silently degrades to a correct cold run.
+// TestWarmStaleBasisFallsBack pins the two fates of a captured basis
+// after the model moves on. Appending a variable and a row carries the
+// basis over and stays warm; a basis captured from another model
+// (here a clone, which shares the structure but not the identity) is
+// stale, and the solve falls back cold. Both must match a cold solve.
 func TestWarmStaleBasisFallsBack(t *testing.T) {
 	m := NewModel()
 	x := m.MustVar(0, 4, -1, "x")
@@ -192,26 +195,47 @@ func TestWarmStaleBasisFallsBack(t *testing.T) {
 		t.Fatalf("cold: %v / %v", err, sol.Status)
 	}
 	basis := sol.Basis
-	// Structural edit: the captured basis no longer describes m.
+	// Structural append: the captured basis carries over.
 	y := m.MustVar(0, 4, -2, "y")
 	m.MustConstr([]Term{{x, 1}, {y, 1}}, LE, 5)
-	warm, err := m.Solve(Options{Workspace: ws, Warm: basis})
+	appended, err := m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: basis})
 	if err != nil {
-		t.Fatalf("warm-after-edit: %v", err)
+		t.Fatalf("warm-after-append: %v", err)
 	}
-	if warm.Warm {
-		t.Error("stale basis was reported as a warm solve")
+	if !appended.Warm {
+		t.Error("an appended variable and row broke the warm start")
 	}
-	if warm.Status != Optimal {
-		t.Fatalf("status %v", warm.Status)
-	}
-	want := -1*3.0 - 2*2.0 // y fills to its bound... check against cold
+	want := -1*1.0 - 2*4.0 // y fills to its bound, x takes the row's rest
 	cold, err := m.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameFloat(warm.Objective, cold.Objective) && math.Abs(warm.Objective-cold.Objective) > 1e-9 {
-		t.Errorf("warm-fallback objective %g, cold %g (sanity want about %g)", warm.Objective, cold.Objective, want)
+	if appended.Status != Optimal || math.Abs(appended.Objective-cold.Objective) > 1e-9 ||
+		math.Abs(cold.Objective-want) > 1e-9 {
+		t.Errorf("warm-after-append %v objective %g, cold %g, want %g", appended.Status, appended.Objective, cold.Objective, want)
+	}
+
+	// A basis from another model is stale: the solve falls back cold.
+	other := m.Clone()
+	if err := other.SetRHS(1, 4); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := other.Solve(Options{Workspace: ws, Warm: appended.Basis})
+	if err != nil {
+		t.Fatalf("warm from another model: %v", err)
+	}
+	if warm.Warm {
+		t.Error("a basis from another model was reported as a warm solve")
+	}
+	if warm.Status != Optimal {
+		t.Fatalf("status %v", warm.Status)
+	}
+	coldOther, err := other.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(warm.Objective-coldOther.Objective) > 1e-9 {
+		t.Errorf("warm-fallback objective %g, cold %g", warm.Objective, coldOther.Objective)
 	}
 }
 
@@ -497,5 +521,113 @@ func TestWarmMixedMutations(t *testing.T) {
 			}
 			objClose(t, trial, warm, cold)
 		}
+	}
+}
+
+// TestWarmCarriesOverSlide walks a basis through the slide the sliding
+// planners make: fix a block of columns at zero and re-solve, remove
+// them with their rows, append a new block with terms in a surviving
+// row, and re-solve. Both re-solves must stay warm and match a cold
+// solve, and RemoveVars must renumber the survivors densely.
+func TestWarmCarriesOverSlide(t *testing.T) {
+	// maximize sum x subject to x_i <= y, sum x_i <= b per block,
+	// y + b <= budget.
+	m := NewModel()
+	m.Maximize()
+	y := m.MustVar(0, 1, 0, "y")
+	b := m.MustVar(0, 3, -0.01, "b")
+	budget := m.MustConstr([]Term{{y, 1}, {b, 1}}, LE, 2.5)
+	block := func(n int) []VarID {
+		xs := make([]VarID, n)
+		terms := []Term{{b, -1}}
+		for i := range xs {
+			xs[i] = m.MustVar(0, 1, 1, "")
+			m.MustConstr([]Term{{xs[i], 1}, {y, -1}}, LE, 0)
+			terms = append(terms, Term{xs[i], 1})
+		}
+		m.MustConstr(terms, LE, 0)
+		return xs
+	}
+	old := block(3)
+	block(2)
+	ws := NewWorkspace()
+	sol, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("cold: %v / %v", err, sol.Status)
+	}
+	check := func(label string) {
+		t.Helper()
+		warm, err := m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: sol.Basis})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := m.Solve(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Warm || warm.Status != Optimal {
+			t.Fatalf("%s: warm %v, status %v", label, warm.Warm, warm.Status)
+		}
+		if math.Abs(warm.Objective-cold.Objective) > 1e-9 {
+			t.Errorf("%s: warm objective %g, cold %g", label, warm.Objective, cold.Objective)
+		}
+		if err := CheckOptimal(m, warm, 1e-9); err != nil {
+			t.Errorf("%s: %v", label, err)
+		}
+		sol = warm
+	}
+	for _, x := range old {
+		if err := m.SetVarBound(x, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("retire")
+	vars, rows := m.NumVars(), m.NumConstrs()
+	varMap, rowMap, err := m.RemoveVars(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumVars() != vars-3 || m.NumConstrs() != rows-4 {
+		t.Fatalf("RemoveVars left %d vars, %d rows; want %d, %d", m.NumVars(), m.NumConstrs(), vars-3, rows-4)
+	}
+	for _, x := range old {
+		if varMap[x] != -1 {
+			t.Errorf("removed variable %d maps to %d", x, varMap[x])
+		}
+	}
+	if varMap[y] != y || varMap[b] != b || rowMap[budget] != budget || varMap[vars-1] != VarID(vars-4) {
+		t.Errorf("survivors renumbered to y %d, b %d, budget row %d, last %d", varMap[y], varMap[b], rowMap[budget], varMap[vars-1])
+	}
+	check("drop")
+	// The new block opens a new edge variable with a term in the
+	// budget row.
+	z := m.MustVar(0, 1, 0.5, "z")
+	if err := m.AddTerm(rowMap[budget], z, 1); err != nil {
+		t.Fatal(err)
+	}
+	block(4)
+	check("append")
+}
+
+// TestStructuralEditValidation covers AddTerm's and RemoveVars' error
+// paths.
+func TestStructuralEditValidation(t *testing.T) {
+	m := NewModel()
+	x := m.MustVar(0, 1, 1, "x")
+	r := m.MustConstr([]Term{{x, 1}}, LE, 1)
+	if err := m.AddTerm(r+1, x, 1); err == nil {
+		t.Error("AddTerm accepted an unknown row")
+	}
+	if err := m.AddTerm(r, x+1, 1); err == nil {
+		t.Error("AddTerm accepted an unknown variable")
+	}
+	if err := m.AddTerm(r, x, math.NaN()); err == nil {
+		t.Error("AddTerm accepted NaN")
+	}
+	if err := m.AddTerm(r, x, -1); err == nil {
+		t.Error("AddTerm emptied a row")
+	}
+	if _, _, err := m.RemoveVars([]VarID{x + 1}); err == nil {
+		t.Error("RemoveVars accepted an unknown variable")
 	}
 }

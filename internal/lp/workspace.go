@@ -242,15 +242,19 @@ func (ws *Workspace) takeSolution(m *Model, s *solver, st Status) *Solution {
 }
 
 // captureBasis snapshots the final basis into the workspace-owned
-// Basis for a later warm re-solve.
+// Basis for a later warm re-solve. It runs after takeSolution, whose
+// X it copies.
 //
 //alloc:none
 func (ws *Workspace) captureBasis(m *Model, s *solver) *Basis {
 	b := &ws.basisOut
 	b.model = m
 	b.structVersion = m.structVersion
+	b.colKey, b.rowIDs = m.colKey, m.rowIDs
 	b.basis = growInt(b.basis, s.m)
 	copy(b.basis, s.basis[:s.m])
+	b.x = growF64(b.x, s.nStruct)
+	copy(b.x, ws.x[:s.nStruct])
 	b.stat = growVstat(b.stat, s.nTotal)
 	copy(b.stat, s.stat[:s.nTotal])
 	b.artSign = growInt8(b.artSign, s.m)

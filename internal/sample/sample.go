@@ -56,9 +56,15 @@ type Set struct {
 	isOne        [][]bool
 	colSums      []int
 	// gen counts content mutations. A sliding window keeps Len constant
-	// while the samples change, so consumers caching derived state (the
-	// parametric LP planners) key on Gen, not Len.
+	// while the samples change, so consumers caching derived state key
+	// on Gen, not Len.
 	gen uint64
+	// ids[j] is sample j's identity: drawn from nextID on Add, so they
+	// ascend oldest first and tell which samples a slide evicted and
+	// which it added (the parametric LP planners move their programs
+	// by them).
+	ids    []uint64
+	nextID uint64
 }
 
 // NewSet creates an empty sample set for an n-node network, tracking
@@ -117,6 +123,8 @@ func (s *Set) Add(values []float64) error {
 	s.samples = append(s.samples, v)
 	s.ones = append(s.ones, top)
 	s.isOne = append(s.isOne, mask)
+	s.ids = append(s.ids, s.nextID)
+	s.nextID++
 	s.gen++
 	return nil
 }
@@ -125,6 +133,11 @@ func (s *Set) Add(values []float64) error {
 // content changes (Add, including evictions). Cache derived state
 // against Gen — Len alone misses sliding-window turnover.
 func (s *Set) Gen() uint64 { return s.gen }
+
+// ID returns sample j's identity: unique within the set and its
+// clones, kept while the sample stays in the window, and larger for
+// later samples.
+func (s *Set) ID(j int) uint64 { return s.ids[j] }
 
 // AddAll adds every epoch in order.
 func (s *Set) AddAll(epochs [][]float64) error {
@@ -143,6 +156,7 @@ func (s *Set) evictOldest() {
 	s.samples = s.samples[1:]
 	s.ones = s.ones[1:]
 	s.isOne = s.isOne[1:]
+	s.ids = s.ids[1:]
 }
 
 // Value returns node i's reading in sample j.
@@ -208,7 +222,9 @@ func (s *Set) Project(mapping []int) (*Set, error) {
 	if survivors == 0 {
 		return nil, fmt.Errorf("sample: projection removes every node")
 	}
-	out := &Set{n: survivors, k: s.k, window: s.window, mark: s.mark, colSums: make([]int, survivors)}
+	// The projected samples are new samples: their identities continue
+	// after this set's instead of reusing them.
+	out := &Set{n: survivors, k: s.k, window: s.window, mark: s.mark, colSums: make([]int, survivors), nextID: s.nextID}
 	if out.k > survivors {
 		out.k = survivors
 	}
@@ -229,9 +245,11 @@ func (s *Set) Project(mapping []int) (*Set, error) {
 	return out, nil
 }
 
-// Clone returns a deep copy of the set; useful for what-if planning.
+// Clone returns a deep copy of the set, sample identities included;
+// useful for what-if planning.
 func (s *Set) Clone() *Set {
-	c := &Set{n: s.n, k: s.k, window: s.window, mark: s.mark, colSums: append([]int(nil), s.colSums...)}
+	c := &Set{n: s.n, k: s.k, window: s.window, mark: s.mark, colSums: append([]int(nil), s.colSums...),
+		ids: append([]uint64(nil), s.ids...), nextID: s.nextID}
 	c.samples = make([][]float64, len(s.samples))
 	c.ones = make([][]int, len(s.ones))
 	c.isOne = make([][]bool, len(s.isOne))

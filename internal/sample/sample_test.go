@@ -158,6 +158,45 @@ func TestSetValidation(t *testing.T) {
 	}
 }
 
+// TestSampleIDs pins the identities the parametric planners slide by:
+// they ascend, follow their sample through evictions, survive Clone,
+// and are never reused by the clone's or a projection's new samples.
+func TestSampleIDs(t *testing.T) {
+	s := MustNewSet(3, 1, 2)
+	ids := func(s *Set) []uint64 {
+		var out []uint64
+		for j := 0; j < s.Len(); j++ {
+			out = append(out, s.ID(j))
+		}
+		return out
+	}
+	for i := 0; i < 5; i++ {
+		if err := s.Add([]float64{float64(i), 0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ids(s); !reflect.DeepEqual(got, []uint64{3, 4}) {
+		t.Fatalf("IDs after eviction = %v, want [3 4]", got)
+	}
+	c := s.Clone()
+	if got := ids(c); !reflect.DeepEqual(got, []uint64{3, 4}) {
+		t.Fatalf("clone IDs = %v, want [3 4]", got)
+	}
+	if err := c.Add([]float64{0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(c); !reflect.DeepEqual(got, []uint64{4, 5}) {
+		t.Errorf("clone IDs after a slide = %v, want [4 5]", got)
+	}
+	p, err := s.Project([]int{0, -1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(p); !reflect.DeepEqual(got, []uint64{5, 6}) {
+		t.Errorf("projection IDs = %v, want [5 6]", got)
+	}
+}
+
 func TestClone(t *testing.T) {
 	s := MustNewSet(3, 1, 0)
 	if err := s.Add([]float64{1, 2, 3}); err != nil {
