@@ -171,8 +171,8 @@ func (c *paramLP) installEmpty(cfg Config) {
 
 // solve points the budget row at the new budget and re-solves: warm
 // from the chained basis when one exists, cold-direct otherwise. A
-// warm attempt that fails (an iteration limit after a long budget
-// jump, a numerically wedged basis) restarts cold inside lp.Solve, so
+// warm attempt that fails (an iteration limit under cfg.LP.MaxIters,
+// a numerically wedged basis) restarts cold inside lp.Solve, so
 // every optimal solution carries duals and a basis that re-arms the
 // chain for the next call.
 //

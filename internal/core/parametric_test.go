@@ -339,39 +339,100 @@ func TestWarmPlannerReuseAcrossKinds(t *testing.T) {
 	}
 }
 
-// TestChainBreakRestartsCold drives a real chain break: a long
-// downward budget jump whose warm re-solve exhausts the simplex
-// iteration limit (on this scenario the dual recovery from the
-// high-budget basis stalls; many scenarios' jumps recover warm). lp
-// restarts it cold, so
-// the break must surface as one lp.warm_fallbacks, return a certified
-// optimum whose plan matches a fresh planner's, and leave the chain
-// armed: the next Plan is a warm re-solve, not a second cold solve.
-func TestChainBreakRestartsCold(t *testing.T) {
-	s := makeScenario(t, 10, 25, 5, 6)
-	reg := obs.NewRegistry()
-	cfg := s.cfg
-	cfg.Obs = reg
-	p, err := NewLPFilter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// naiveCost is the collection cost of the NAIVE-k plan, the scale of
+// the budget axes below.
+func naiveCost(t *testing.T, cfg Config) float64 {
+	t.Helper()
 	naive, err := NaiveKPlan(cfg.Net, cfg.K)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := naive.CollectionCost(cfg.Net, cfg.Costs)
-	low, high := 0.05*full, 0.8*full
-	for _, b := range []float64{low, high} {
-		if _, err := p.Plan(b); err != nil {
-			t.Fatalf("budget %g: %v", b, err)
+	return naive.CollectionCost(cfg.Net, cfg.Costs)
+}
+
+// TestChainBreakRestartsCold drives a chain break: a long downward
+// budget jump re-solved under a MaxIters cap that the dual recovery
+// outruns but a cold solve fits in. lp restarts it cold, so the break
+// must surface as one lp.warm_fallbacks, return a certified optimum
+// whose plan matches a fresh planner's, and leave the chain armed: the
+// next Plan is a warm re-solve, not a second cold solve. Uncapped, the
+// long jumps of the seed-10 scenario stay warm.
+func TestChainBreakRestartsCold(t *testing.T) {
+	t.Run("uncapped jumps stay warm", func(t *testing.T) {
+		s := makeScenario(t, 10, 25, 5, 6)
+		reg := obs.NewRegistry()
+		cfg := s.cfg
+		cfg.Obs = reg
+		p, err := NewLPFilter(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		full := naiveCost(t, cfg)
+		for _, b := range []float64{0.05 * full, 0.8 * full, 0.05 * full} {
+			if _, err := p.Plan(b); err != nil {
+				t.Fatalf("budget %g: %v", b, err)
+			}
+		}
+		if got := reg.Counter("lp.warm_fallbacks").Value(); got != 0 {
+			t.Errorf("lp.warm_fallbacks = %d over low → high → low, want 0", got)
+		}
+		if got := reg.Counter("lp.warm_resolves").Value(); got != 2 {
+			t.Errorf("lp.warm_resolves = %d over low → high → low, want 2", got)
+		}
+	})
+
+	// On this scenario the recovery from the high-budget basis takes
+	// more iterations than a cold solve of the low budget, so a cap at
+	// the cold solve's count breaks the warm attempt alone.
+	s := makeScenario(t, 15, 60, 5, 6)
+	reg := obs.NewRegistry()
+	cfg := s.cfg
+	cfg.Obs = reg
+	full := naiveCost(t, cfg)
+	low, high := 0.002*full, 0.8*full
+	coldIters := func() int {
+		coldReg := obs.NewRegistry()
+		coldCfg := s.cfg
+		coldCfg.Obs = coldReg
+		fresh, err := NewLPFilter(coldCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Plan(low); err != nil {
+			t.Fatal(err)
+		}
+		return int(coldReg.Counter("lp.iterations").Value())
+	}()
+	twin, err := NewLPFilter(s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.Plan(high); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := twin.param.solve(s.cfg, low)
+	if err != nil || !warm.Warm {
+		t.Fatalf("uncapped jump: %v, warm %v", err, warm.Warm)
+	}
+	if warm.Iterations <= coldIters {
+		t.Fatalf("the jump recovers in %d iterations, within the cold solve's %d: no cap breaks it alone", warm.Iterations, coldIters)
 	}
 
+	p, err := NewLPFilter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Plan(high); err != nil {
+		t.Fatalf("budget %g: %v", high, err)
+	}
 	// The break, solved through the chain directly so its own solution
 	// is in hand.
+	// lp checks the cap before the pricing pass that proves
+	// optimality, so a solve of n iterations needs a cap of n+1.
+	capped := cfg
+	capped.LP.MaxIters = coldIters + 1
 	fallbacks := reg.Counter("lp.warm_fallbacks").Value()
-	sol, err := p.param.solve(cfg, low)
+	sol, err := p.param.solve(capped, low)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,5 +458,65 @@ func TestChainBreakRestartsCold(t *testing.T) {
 	}
 	if got := reg.Counter("lp.cold_solves").Value() - colds; got != 0 {
 		t.Errorf("lp.cold_solves moved by %d after the break, want 0 (the chain re-armed)", got)
+	}
+}
+
+// TestLongBudgetJumpsStayWarm walks LP+LF chains through uniformly
+// random budgets in [0.05, 0.8]×NAIVE-k, so most steps are long jumps
+// in either direction. Every re-solve must recover warm (no
+// lp.warm_fallbacks) within a bounded iteration count, and spot budgets
+// must plan byte-equal to a fresh planner's.
+func TestLongBudgetJumpsStayWarm(t *testing.T) {
+	// maxWarmIters bounds one warm re-solve. The longest recovery on
+	// these chains takes 71 iterations; a stalled one runs into the
+	// thousands.
+	const maxWarmIters = 200
+	for _, n := range []int{25, 60} {
+		for seed := int64(1); seed <= 10; seed++ {
+			s := makeScenario(t, seed, n, 5, 8)
+			reg := obs.NewRegistry()
+			cfg := s.cfg
+			cfg.Obs = reg
+			p, err := NewLPFilter(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := naiveCost(t, cfg)
+			rng := rand.New(rand.NewSource(seed))
+			worst := 0
+			for i := 0; i < 40; i++ {
+				b := (0.05 + 0.75*rng.Float64()) * full
+				if i == 0 {
+					if _, err := p.Plan(b); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				sol, err := p.param.solve(cfg, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sol.Warm {
+					t.Fatalf("n %d seed %d step %d: budget %.4g re-solved cold", n, seed, i, b)
+				}
+				worst = max(worst, sol.Iterations)
+				if i%8 == 0 {
+					wp, err := p.Plan(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !plansEqual(wp, freshPlan(t, newLPFilter, s.cfg, b)) {
+						t.Errorf("n %d seed %d step %d: budget %.4g plans differently from a fresh planner", n, seed, i, b)
+					}
+				}
+			}
+			if got := reg.Counter("lp.warm_fallbacks").Value(); got != 0 {
+				t.Errorf("n %d seed %d: lp.warm_fallbacks = %d, want 0", n, seed, got)
+			}
+			if worst > maxWarmIters {
+				t.Errorf("n %d seed %d: a warm re-solve took %d iterations, want <= %d", n, seed, worst, maxWarmIters)
+			}
+			t.Logf("n %d seed %d: longest warm re-solve %d iterations", n, seed, worst)
+		}
 	}
 }

@@ -10,7 +10,10 @@ import (
 //
 //	lp.solves                  counter, one per Solve call
 //	lp.status.<status>         counter per terminal status
-//	lp.iterations              counter, simplex iterations (pivots + flips)
+//	lp.iterations              counter, simplex iterations: a primal one
+//	                           pivots or flips a bound, a dual one picks
+//	                           a row and pivots (with any flips its
+//	                           ratio test passes)
 //	lp.pivots                  counter, basis changes
 //	lp.degenerate_pivots       counter, zero-step basis changes
 //	lp.bound_flips             counter, nonbasic bound-to-bound moves

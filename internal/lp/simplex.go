@@ -169,8 +169,18 @@ type solver struct {
 	y     []float64 // duals scratch
 	w     []float64 // entering column in basis coordinates
 	rho   []float64 // dual simplex: row r of B^-1
-	resid []float64 // recomputeBasics right-hand side scratch
+	resid []float64 // recomputeBasics right-hand side scratch; dual flips' A·Δx
 	p1c   []float64 // phase-1 cost vector
+
+	// Dual simplex state (see dualIterate). d holds the reduced costs
+	// of the nonbasic columns, kept across dual pivots. alpha holds the
+	// pivot row ρᵀA_j of the nonbasic columns that are not fixed, and
+	// cands lists the ones among them that can enter. devex holds the
+	// dual Devex reference weights, one per row.
+	d     []float64
+	alpha []float64
+	cands []int32
+	devex []float64
 
 	tol      float64
 	opts     Options
@@ -351,12 +361,18 @@ func (s *solver) ftran(j int) {
 func (s *solver) iterate(cost []float64, phase1 bool) Status {
 	stall := 0
 	const stallLimit = 400 // degenerate pivots before forcing Bland
+	// fresh reports that s.y holds the duals of the current basis: a
+	// bound flip changes no dual, so only pivots and refactorizations
+	// owe a Btran.
+	fresh := false
 	for {
 		if s.iters >= s.maxIt {
 			return IterationLimit
 		}
-		s.maybeRefactor()
-		s.computeDuals(cost)
+		if s.maybeRefactor() || !fresh {
+			s.computeDuals(cost)
+			fresh = true
+		}
 		useBland := s.opts.Pricing == Bland || stall >= stallLimit
 		enter, sigma := s.price(cost, useBland)
 		if enter < 0 {
@@ -395,6 +411,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 			leaveStat = atLower
 		}
 		s.pivot(enter, sigma, t, leaveRow, leaveStat)
+		fresh = false
 	}
 }
 
@@ -566,20 +583,23 @@ func (s *solver) etaBudget() int {
 }
 
 // maybeRefactor rebuilds the factor when the drift budget or the eta
-// growth budget is exhausted. A singular basis keeps the stale factor
-// (and resets the counter so the rebuild is not retried every pivot).
-func (s *solver) maybeRefactor() {
+// growth budget is exhausted, and reports whether it tried: callers
+// then recompute what they keep from the old factor. A singular basis
+// keeps the stale factor (and resets the counter so the rebuild is not
+// retried every pivot).
+func (s *solver) maybeRefactor() bool {
 	f := s.f
 	if f.pivotsSince < s.refactorEvery() &&
 		!(f.pivotsSince >= 32 && f.nnz() > s.etaBudget()) {
-		return
+		return false
 	}
 	if !f.refactorize(s.basis, s.cols) {
 		f.pivotsSince = 0
-		return
+		return true
 	}
 	s.refactors++
 	s.recomputeBasics()
+	return true
 }
 
 // recomputeBasics sets xB = B^-1 (b - N x_N) from authoritative

@@ -111,9 +111,8 @@ func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) 
 		return st, solveWarm
 	}
 	// Infeasible/Unbounded from a warm start can be an artifact of the
-	// snapshot, and an IterationLimit a stalled recovery (long budget
-	// jumps can take thousands of dual pivots); settle both with a cold
-	// run before reporting.
+	// snapshot, and an IterationLimit a recovery cut short by a caller's
+	// MaxIters; settle both with a cold run before reporting.
 	s.iters = 0
 	return s.run(), solveWarmFallback
 }
@@ -197,17 +196,29 @@ func (s *solver) primalInfeasibility() float64 {
 	return worst
 }
 
+// computeReducedCosts sets d_j = c_j − yᵀA_j for every nonbasic
+// structural and slack column from a fresh Btran of the basic costs.
+func (s *solver) computeReducedCosts() {
+	s.computeDuals(s.c)
+	for j := 0; j < s.artStart; j++ {
+		if s.stat[j] != basic {
+			s.d[j] = s.reducedCost(s.c, j)
+		}
+	}
+}
+
 // dualFeasible reports whether every nonbasic reduced cost is
 // consistent with its resting bound — the precondition for dual
-// simplex recovery.
+// simplex recovery. It leaves the reduced costs in s.d, where
+// dualIterate keeps them.
 func (s *solver) dualFeasible() bool {
-	s.computeDuals(s.c)
+	s.computeReducedCosts()
 	for j := 0; j < s.artStart; j++ {
 		st := s.stat[j]
 		if st == basic || sameFloat(s.lo[j], s.hi[j]) {
 			continue
 		}
-		d := s.reducedCost(s.c, j)
+		d := s.d[j]
 		switch st {
 		case atLower:
 			if d < -s.tol {
@@ -232,40 +243,37 @@ const dualPivotTol = 1e-9
 // dualIterate runs dual simplex pivots from a dual-feasible,
 // primal-infeasible basis until primal feasibility (Optimal), proven
 // primal infeasibility (Infeasible — the caller cold-confirms), or the
-// iteration limit. Each pass picks the most-violated basic variable,
-// prices entering candidates against row r of B^-1 (Btran of a unit
-// vector), and keeps dual feasibility with the |d|/|alpha| ratio test.
+// iteration limit. It starts from the reduced costs dualFeasible left
+// in s.d. Each iteration
+//
+//   - picks the leaving row r by dual Devex (dualLeaving);
+//   - forms ρ = e_rᵀB⁻¹ with one Btran, and the pivot row α_j = ρᵀA_j
+//     with the columns that can enter (pivotRow);
+//   - runs the bound-flipping ratio test (dualRatio), which flips the
+//     boxed columns it passes and names the entering column q, so every
+//     iteration ends in exactly one basis change (Maros 2003;
+//     Koberstein 2005);
+//   - moves x_B for the flips with one Ftran, pivots, and keeps the
+//     reduced costs: d_j −= θ·α_j over the pivot row with θ = d_q/α_q,
+//     and −θ for the leaving column.
+//
+// The reduced costs are recomputed in full only after a
+// refactorization, which also wipes their incremental drift.
 func (s *solver) dualIterate() Status {
 	stall := 0
 	const stallLimit = 400 // degenerate dual pivots before giving up
-	// Duals are maintained incrementally across pivots (y' = y + θ·ρ_r
-	// with θ = d_enter/α_r, using the ρ row already in hand) instead of
-	// a full cB·B⁻¹ Btran per iteration — that Btran dominated warm
-	// re-solve time. A full recompute happens only at entry and after a
-	// refactorization, which also wipes the incremental drift.
-	s.computeDuals(s.c)
+	devex := s.devex[:s.m]
+	for r := range devex {
+		devex[r] = 1
+	}
 	for {
 		if s.iters >= s.maxIt {
 			return IterationLimit
 		}
-		sincePivots := s.f.pivotsSince
-		s.maybeRefactor()
-		if s.f.pivotsSince < sincePivots {
-			s.computeDuals(s.c)
+		if s.maybeRefactor() {
+			s.computeReducedCosts()
 		}
-		// Leaving row: most violated basic variable, and the bound it
-		// must land on.
-		leaveRow, leaveToUpper := -1, false
-		worst := s.tol
-		for r := 0; r < s.m; r++ {
-			bj := s.basis[r]
-			if d := s.lo[bj] - s.xB[r]; d > worst {
-				worst, leaveRow, leaveToUpper = d, r, false
-			}
-			if d := s.xB[r] - s.hi[bj]; d > worst {
-				worst, leaveRow, leaveToUpper = d, r, true
-			}
-		}
+		leaveRow, leaveToUpper, delta := s.dualLeaving()
 		if leaveRow < 0 {
 			return Optimal
 		}
@@ -275,149 +283,212 @@ func (s *solver) dualIterate() Status {
 			return Infeasible
 		}
 		s.iters++
-		// rho = e_r^T B^-1, the leaving row of the inverse.
-		for i := 0; i < s.m; i++ {
-			s.rho[i] = 0
+		rho := s.rho[:s.m]
+		for i := range rho {
+			rho[i] = 0
 		}
-		s.rho[leaveRow] = 1
-		s.f.btran(s.rho[:s.m])
-		bj := s.basis[leaveRow]
-		target := s.lo[bj]
-		leaveStat := atLower
+		rho[leaveRow] = 1
+		s.f.btran(rho)
+		nc := s.pivotRow(leaveToUpper)
+		enter, sigma, flipped := s.dualRatio(nc, leaveToUpper, delta)
+		if enter < 0 {
+			// Dual unbounded: no column can repair the violated row,
+			// so the primal is infeasible.
+			return Infeasible
+		}
+		if flipped {
+			// x_B −= B⁻¹·Σ A_j·Δx_j over the passed columns.
+			resid := s.resid[:s.m]
+			s.f.ftranDense(resid)
+			for r, v := range resid {
+				s.xB[r] -= v
+			}
+		}
+		s.ftran(enter)
+		alpha := s.w[leaveRow]
+		if math.Abs(alpha) <= 1e-11 {
+			// Btran/Ftran disagree badly; the factor has drifted.
+			return Infeasible
+		}
+		leave := s.basis[leaveRow]
+		target, leaveStat := s.lo[leave], atLower
 		if leaveToUpper {
-			target = s.hi[bj]
-			leaveStat = atUpper
+			target, leaveStat = s.hi[leave], atUpper
 		}
-		// Bound-flipping ratio pass over the FIXED leaving row: when the
-		// min-ratio column saturates its span before the row reaches its
-		// bound, flip it and re-price the same row — the flip leaves the
-		// duals untouched, so the flipped column's eligibility sign
-		// inverts and it cannot be selected again this pass, bounding
-		// the pass by the column count. (Re-picking the most-violated
-		// row after each flip instead lets two rows ping-pong flips
-		// between each other indefinitely — a crawl this code once hit.)
-		repaired := false
-		for {
-			enter, sigma := s.dualPrice(leaveRow, leaveToUpper)
-			if enter < 0 {
-				// Dual unbounded: no entering column can repair the
-				// violated row — the primal is infeasible.
-				return Infeasible
-			}
-			s.ftran(enter)
-			alpha := s.w[leaveRow]
-			if math.Abs(alpha) <= 1e-11 {
-				// Btran/Ftran disagree badly; the factor has drifted.
-				return Infeasible
-			}
-			t := (s.xB[leaveRow] - target) / (sigma * alpha)
-			if t < 0 {
-				t = 0
-			}
-			if !math.IsInf(s.hi[enter], 1) && s.lo[enter] > math.Inf(-1) {
-				if span := s.hi[enter] - s.lo[enter]; t > span {
-					s.flips++
-					s.iters++
-					s.applyBoundFlip(enter, sigma, span)
-					// The flips may already have carried the row to its
-					// bound (tolerance slack); if so, no pivot is owed.
-					if s.xB[leaveRow] >= s.lo[bj]-s.tol && s.xB[leaveRow] <= s.hi[bj]+s.tol {
-						repaired = true
-						break
-					}
-					if s.iters >= s.maxIt {
-						return IterationLimit
-					}
-					continue
-				}
-			}
-			if t <= s.tol {
-				s.degenerate++
-				stall++
-			} else {
-				stall = 0
-			}
-			theta := s.reducedCost(s.c, enter) / alpha
-			s.pivot(enter, sigma, t, leaveRow, leaveStat)
-			for i := 0; i < s.m; i++ {
-				s.y[i] += theta * s.rho[i]
-			}
-			break
+		t := (s.xB[leaveRow] - target) / (sigma * alpha)
+		if t < 0 {
+			t = 0
 		}
-		if repaired {
-			continue
+		if span := s.hi[enter] - s.lo[enter]; t > span {
+			// The ratio test lets a boxed column enter once crossing
+			// its whole span would leave the row violated by at most
+			// tol, so its step stops at its other bound.
+			t = span
+		}
+		if t <= s.tol {
+			s.degenerate++
+			stall++
+		} else {
+			stall = 0
+		}
+		theta := s.d[enter] / s.alpha[enter]
+		s.updateReducedCosts(theta)
+		s.updateDevex(leaveRow, alpha)
+		s.pivot(enter, sigma, t, leaveRow, leaveStat)
+		if leave < s.artStart {
+			s.d[leave] = -theta
 		}
 	}
 }
 
-// dualPrice selects the entering column for the violated leaveRow by
-// the bounded-variable dual ratio test: among nonbasic columns whose
-// movement pushes the leaving basic value toward its violated bound,
-// minimize |d_j| / |alpha_j| so every other reduced cost keeps its
-// sign. Ties prefer the larger pivot magnitude for stability.
-func (s *solver) dualPrice(leaveRow int, leaveToUpper bool) (enter int, sigma float64) {
-	enter = -1
-	bestRatio := Inf
-	bestAlpha := 0.0
-	for j := 0; j < s.artStart; j++ {
-		st := s.stat[j]
-		if st == basic || sameFloat(s.lo[j], s.hi[j]) {
+// dualLeaving picks the leaving row by dual Devex pricing: the largest
+// infeasibility²/β_r among the rows whose basic value is out of bounds
+// by more than tol, the lowest row on ties. It returns the row (-1 when
+// the basis is primal feasible), whether its value must land on the
+// upper bound, and the infeasibility.
+func (s *solver) dualLeaving() (leaveRow int, toUpper bool, delta float64) {
+	leaveRow = -1
+	best := 0.0
+	for r := 0; r < s.m; r++ {
+		bj := s.basis[r]
+		v, up := s.lo[bj]-s.xB[r], false
+		if u := s.xB[r] - s.hi[bj]; u > v {
+			v, up = u, true
+		}
+		if v <= s.tol {
 			continue
 		}
-		alpha := 0.0
-		for _, e := range s.cols[j] {
-			alpha += s.rho[e.row] * e.coef
-		}
-		if math.Abs(alpha) <= dualPivotTol {
-			continue
-		}
-		// xB[leaveRow] changes by -sigma*t*alpha for a step t >= 0:
-		// repairing an above-upper violation needs sigma*alpha > 0,
-		// below-lower needs sigma*alpha < 0.
-		var dir float64
-		if leaveToUpper {
-			switch st {
-			case atLower:
-				if alpha > dualPivotTol {
-					dir = 1
-				}
-			case atUpper:
-				if alpha < -dualPivotTol {
-					dir = -1
-				}
-			case nonbasicFree:
-				if alpha > 0 {
-					dir = 1
-				} else {
-					dir = -1
-				}
-			}
-		} else {
-			switch st {
-			case atLower:
-				if alpha < -dualPivotTol {
-					dir = 1
-				}
-			case atUpper:
-				if alpha > dualPivotTol {
-					dir = -1
-				}
-			case nonbasicFree:
-				if alpha > 0 {
-					dir = -1
-				} else {
-					dir = 1
-				}
-			}
-		}
-		if isZero(dir) {
-			continue
-		}
-		ratio := math.Abs(s.reducedCost(s.c, j)) / math.Abs(alpha)
-		if ratio < bestRatio-1e-10 ||
-			(ratio < bestRatio+1e-10 && math.Abs(alpha) > math.Abs(bestAlpha)) {
-			bestRatio, enter, sigma, bestAlpha = ratio, j, dir, alpha
+		if score := v * v / s.devex[r]; score > best {
+			best, leaveRow, toUpper, delta = score, r, up, v
 		}
 	}
-	return enter, sigma
+	return leaveRow, toUpper, delta
+}
+
+// updateDevex updates the dual Devex reference weights after a pivot
+// on leaveRow with pivot element alpha, from the entering column
+// w = B⁻¹A_q in hand (Koberstein 2005, §3.3): every β_i grows to at
+// least (w_i/α)²·β_r, and the leaving row's weight becomes
+// max(β_r/α², 1).
+func (s *solver) updateDevex(leaveRow int, alpha float64) {
+	br := s.devex[leaveRow]
+	scale := br / (alpha * alpha)
+	for i, wi := range s.w[:s.m] {
+		if v := wi * wi * scale; v > s.devex[i] {
+			s.devex[i] = v
+		}
+	}
+	s.devex[leaveRow] = math.Max(scale, 1)
+}
+
+// pivotRow forms the pivot row α_j = ρᵀA_j in s.alpha, one dot product
+// per nonbasic structural and slack column that is not fixed (a fixed
+// column never enters, so its reduced cost is never read), and lists
+// the columns that can enter (see dualDir) in s.cands in index order.
+// It returns their count.
+func (s *solver) pivotRow(toUpper bool) int {
+	nc := 0
+	for j := 0; j < s.artStart; j++ {
+		if s.stat[j] == basic || sameFloat(s.lo[j], s.hi[j]) {
+			continue
+		}
+		a := 0.0
+		for _, e := range s.cols[j] {
+			a += s.rho[e.row] * e.coef
+		}
+		s.alpha[j] = a
+		if !isZero(s.dualDir(j, toUpper)) {
+			s.cands[nc] = int32(j)
+			nc++
+		}
+	}
+	return nc
+}
+
+// dualDir returns the direction (+1 up, −1 down) in which nonbasic
+// column j moves to push the leaving row toward its violated bound, or
+// 0 when j cannot enter: it is basic or fixed, its pivot element is at
+// most dualPivotTol, or the sign is wrong for its resting bound. A step
+// t ≥ 0 changes x_B[r] by −σ·t·α_j, so an above-upper row needs
+// σ·α_j > 0 and a below-lower one σ·α_j < 0.
+func (s *solver) dualDir(j int, toUpper bool) float64 {
+	st, a := s.stat[j], s.alpha[j]
+	if st == basic || sameFloat(s.lo[j], s.hi[j]) || math.Abs(a) <= dualPivotTol {
+		return 0
+	}
+	if !toUpper {
+		a = -a
+	}
+	switch {
+	case st == nonbasicFree && a < 0, st == atUpper && a < 0:
+		return -1
+	case st == nonbasicFree, st == atLower && a > 0:
+		return 1
+	}
+	return 0
+}
+
+// dualRatio is the bound-flipping ratio test over the nc candidates in
+// s.cands, for a leaving row violated by delta. It
+// takes their breakpoints |d_j|/|α_j| in ratio order (near-ties within
+// 1e-10 go to the larger |α_j|, then to the lower index) and passes one
+// — flips its column to the other bound — only while the row stays
+// violated by more than tol after the column crosses its whole span.
+// The first breakpoint it cannot pass names the entering column, so a
+// flip never comes without a pivot, and the pricing pass that
+// collected the breakpoints is the only one. Passed columns flip in
+// place and their moves A_j·Δx_j sum into s.resid for one Ftran; the
+// dual step (updateReducedCosts) then turns their reduced costs to the
+// sign of their new bound. enter is -1 when no breakpoint is left:
+// even every flip together cannot repair the row, so the primal is
+// infeasible.
+func (s *solver) dualRatio(nc int, toUpper bool, delta float64) (enter int, sigma float64, flipped bool) {
+	cand := s.cands[:nc]
+	for len(cand) > 0 {
+		k, best, bestAlpha := -1, Inf, 0.0
+		for i, j := range cand {
+			a := math.Abs(s.alpha[j])
+			ratio := math.Abs(s.d[j]) / a
+			if ratio < best-1e-10 || (ratio < best+1e-10 && a > bestAlpha) {
+				k, best, bestAlpha = i, ratio, a
+			}
+		}
+		j := int(cand[k])
+		sigma = s.dualDir(j, toUpper)
+		span := s.hi[j] - s.lo[j] // +Inf unless boxed
+		if delta-bestAlpha*span <= s.tol {
+			return j, sigma, flipped
+		}
+		delta -= bestAlpha * span
+		if !flipped {
+			flipped = true
+			for r := range s.resid[:s.m] {
+				s.resid[r] = 0
+			}
+		}
+		s.flips++
+		if sigma > 0 {
+			s.stat[j], s.xN[j] = atUpper, s.hi[j]
+		} else {
+			s.stat[j], s.xN[j] = atLower, s.lo[j]
+		}
+		for _, e := range s.cols[j] {
+			s.resid[e.row] += e.coef * sigma * span
+		}
+		// Drop j, keeping the rest in index order for the tie-break.
+		cand = cand[:k+copy(cand[k:], cand[k+1:])]
+	}
+	return -1, 0, flipped
+}
+
+// updateReducedCosts takes the dual step θ over the pivot row,
+// d_j −= θ·α_j for the columns pivotRow priced: the ones nonbasic and
+// not fixed before the pivot (dualRatio's flips keep a column
+// nonbasic).
+func (s *solver) updateReducedCosts(theta float64) {
+	for j := 0; j < s.artStart; j++ {
+		if s.stat[j] != basic && !sameFloat(s.lo[j], s.hi[j]) {
+			s.d[j] -= theta * s.alpha[j]
+		}
+	}
 }

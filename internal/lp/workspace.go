@@ -112,6 +112,10 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	s.rho = growF64(s.rho, rows)
 	s.resid = growF64(s.resid, rows)
 	s.p1c = growF64(s.p1c, s.nTotal)
+	s.d = growF64(s.d, s.artStart)
+	s.alpha = growF64(s.alpha, s.artStart)
+	s.cands = growInt32(s.cands, s.artStart)
+	s.devex = growF64(s.devex, rows)
 	return s
 }
 
