@@ -4,16 +4,11 @@
 // Usage:
 //
 //	lint [-C dir] [-checks determinism,floatcmp,...] [-json] [-list]
-//	     [-timing] [-baseline findings.json] [-write-baseline findings.json]
+//	     [-timing]
 //
 // Exit status: 0 when clean, 1 when diagnostics were reported, 2 on a
 // loading or usage error. Findings can be silenced in source with
 // `//lint:ignore <check> <reason>` on or directly above the line.
-//
-// A baseline tolerates a recorded set of findings so new checks can be
-// adopted incrementally: -write-baseline captures the current findings
-// (and exits 0), -baseline reports and fails only on findings beyond
-// the recorded set.
 //
 // -timing prints each check's accumulated wall time to stderr, slowest
 // first, so a check that regresses the suite's latency is visible
@@ -45,8 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of text lines")
 	list := fs.Bool("list", false, "list the available checks and exit")
 	timing := fs.Bool("timing", false, "print per-check wall time to stderr, slowest first")
-	baselinePath := fs.String("baseline", "", "tolerate the findings recorded in this JSON file; fail only on new ones")
-	writeBaseline := fs.String("write-baseline", "", "record the current findings to this JSON file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -61,10 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", c.Name, c.Doc)
 		}
 		return 0
-	}
-	if *baselinePath != "" && *writeBaseline != "" {
-		fmt.Fprintln(stderr, "lint: -baseline and -write-baseline are mutually exclusive")
-		return 2
 	}
 	var names []string
 	if *checksFlag != "" {
@@ -85,38 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, ct := range timings {
 			fmt.Fprintf(stderr, "lint: timing %-14s %12v\n", ct.Name, ct.Elapsed)
 		}
-	}
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		err = analysis.WriteBaseline(f, analysis.NewBaseline(*root, diags))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "lint: recorded %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		base, err := analysis.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		diags = base.Filter(*root, diags)
 	}
 
 	if *jsonOut {

@@ -230,7 +230,7 @@ func run() (err error) {
 
 	if *serveMode {
 		return serveLoop(sess, cfg, serveSettings{
-			listen: *listen, kind: *planner, seed: *seed, nodes: *nodes, k: *k,
+			listen: *listen, kind: core.CanonicalKind(*planner), seed: *seed, nodes: *nodes, k: *k,
 			queue: *serveQueue, workers: *serveWorkers, batch: *serveBatch, dur: *serveFor,
 		})
 	}
@@ -293,17 +293,7 @@ func run() (err error) {
 		return finish(naivePlan, env, net, truth, *k, *describe, *dotFile,
 			*useSim, *lossProb, rng, reg, sess.Tracer(), root, lv)
 	default:
-		var pl core.Planner
-		switch *planner {
-		case "greedy":
-			pl, err = core.NewGreedy(cfg)
-		case "lp-lf":
-			pl, err = core.NewLPNoFilter(cfg)
-		case "lp+lf":
-			pl, err = core.NewLPFilter(cfg)
-		default:
-			return fmt.Errorf("unknown planner %q", *planner)
-		}
+		pl, err := core.New(*planner, cfg)
 		if err != nil {
 			return err
 		}

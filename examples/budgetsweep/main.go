@@ -70,15 +70,13 @@ func main() {
 	naiveCost := naive.CollectionCost(net, costs)
 	truth := workload.Draw(src, 10)
 
-	planners := []core.Planner{}
-	if g, err := core.NewGreedy(cfg); err == nil {
-		planners = append(planners, g)
-	}
-	if l, err := core.NewLPNoFilter(cfg); err == nil {
-		planners = append(planners, l)
-	}
-	if f, err := core.NewLPFilter(cfg); err == nil {
-		planners = append(planners, f)
+	var planners []core.Planner
+	for _, kind := range []string{core.KindGreedy, core.KindLPNoFilter, core.KindLPFilter} {
+		pl, err := core.New(kind, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		planners = append(planners, pl)
 	}
 
 	fmt.Printf("%-8s", "budget")

@@ -25,7 +25,7 @@ func TestParametricSolveAllocFree(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		sol, err := pl.param.solve(s.cfg, 60)
+		sol, err := pl.solve(s.cfg, 60)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"prospector/internal/lp"
 	"prospector/internal/network"
@@ -31,22 +32,16 @@ import (
 //
 // Each sample's x_ij and the rows that mention them (x_ij <= y and the
 // sample's bandwidth rows) form one block, which is what a window
-// slide retires or appends (see slideProgram).
+// slide retires or appends (see lpfilterProgram.slide).
 // LPFilter caches its LP across Plan calls (see paramLP) and is
 // therefore not safe for concurrent use; build one per goroutine.
 //
 //confine:goroutine
-type LPFilter struct {
-	cfg   Config
-	param paramLP
-	prog  lpfilterProgram
-}
+type LPFilter struct{ paramLP }
 
-// lpfilterProgram is the built LP+LF model plus what rounding and a
-// slide need.
+// lpfilterProgram is what LP+LF rounding and a slide need of its
+// model.
 type lpfilterProgram struct {
-	model     *lp.Model
-	budgetRow int
 	// ys and bs are each edge's variables, -1 for an edge never needed.
 	// A slide keeps the variables of an edge the window stops needing
 	// but fixes them at zero.
@@ -56,7 +51,6 @@ type lpfilterProgram struct {
 	caps []float64
 	// blocks[j] holds sample j's x variables.
 	blocks [][]lp.VarID
-	empty  bool
 }
 
 // NewLPFilter builds the planner.
@@ -64,48 +58,23 @@ func NewLPFilter(cfg Config) (*LPFilter, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &LPFilter{cfg: cfg}, nil
+	return &LPFilter{paramLP{cfg: cfg, name: "LP+LF", prog: &lpfilterProgram{}}}, nil
 }
 
-// Name implements Planner.
-func (p *LPFilter) Name() string { return "LP+LF" }
+func (p *LPFilter) clone() Planner { return &LPFilter{p.paramLP.clone()} }
 
-// Plan implements Planner.
-func (p *LPFilter) Plan(budget float64) (*plan.Plan, error) {
-	cfg := p.cfg
+// round rounds bandwidths to integers, restores structural feasibility
+// (no used edge under an unused one), then repairs the budget.
+func (prog *lpfilterProgram) round(cfg Config, x []float64, budget float64) (*plan.Plan, error) {
 	net := cfg.Net
 	n := net.Size()
-
-	if d, ok := p.param.slide(cfg); !ok {
-		p.prog = buildLPFilterProgram(cfg, budget)
-		if p.prog.empty {
-			p.param.installEmpty(cfg)
-		} else {
-			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-		}
-	} else if d.moved() {
-		if err := p.slideProgram(d, budget); err != nil {
-			return nil, err
-		}
-	}
-	prog := p.prog
-	if prog.empty {
-		return finishPlan(cfg, p.Name(), budget)(plan.NewFiltering(net, make([]int, n)))
-	}
-	sol, err := p.param.solve(cfg, budget)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: LP+LF solve ended %v", sol.Status)
-	}
-
-	// Round bandwidths to integers, restore structural feasibility
-	// (no used edge under an unused one), then repair the budget.
 	bw := make([]int, n)
+	if x == nil {
+		return plan.NewFiltering(net, bw)
+	}
 	for v := 1; v < n; v++ {
 		if prog.caps[v] > 0 {
-			bw[v] = int(math.Floor(sol.X[prog.bs[v]] + 0.5))
+			bw[v] = int(math.Floor(x[prog.bs[v]] + 0.5))
 			if bw[v] > int(prog.caps[v]) {
 				bw[v] = int(prog.caps[v])
 			}
@@ -116,12 +85,20 @@ func (p *LPFilter) Plan(budget float64) (*plan.Plan, error) {
 		repairBandwidth(cfg, bw, budget)
 		fillBandwidth(cfg, bw, budget, prog.caps)
 	}
-	return finishPlan(cfg, p.Name(), budget)(plan.NewFiltering(net, bw))
+	return plan.NewFiltering(net, bw)
 }
 
-// buildLPFilterProgram assembles the LP+LF model; only the budget
-// row's rhs depends on the budget, making the program parametric.
-func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
+func (prog *lpfilterProgram) clone() program {
+	blocks := make([][]lp.VarID, len(prog.blocks))
+	for j, b := range prog.blocks {
+		blocks[j] = slices.Clone(b)
+	}
+	return &lpfilterProgram{ys: slices.Clone(prog.ys), bs: slices.Clone(prog.bs),
+		caps: slices.Clone(prog.caps), blocks: blocks}
+}
+
+// build assembles the LP+LF model.
+func (prog *lpfilterProgram) build(cfg Config, budget float64) (*lp.Model, int, float64) {
 	net := cfg.Net
 	n := net.Size()
 	S := cfg.Samples.Len()
@@ -173,7 +150,8 @@ func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
 		}
 	}
 	if len(costTerms) == 0 {
-		return lpfilterProgram{empty: true}
+		*prog = lpfilterProgram{}
+		return nil, -1, 0
 	}
 	budgetRow := m.MustConstr(costTerms, lp.LE, budget)
 
@@ -204,7 +182,8 @@ func buildLPFilterProgram(cfg Config, budget float64) lpfilterProgram {
 		}
 	}
 
-	return lpfilterProgram{model: m, budgetRow: budgetRow, ys: ys, bs: bs, caps: caps, blocks: blocks}
+	*prog = lpfilterProgram{ys: ys, bs: bs, caps: caps, blocks: blocks}
+	return m, budgetRow, 0
 }
 
 // edgeCap is edge v's bandwidth cap: a top-k query never moves more
@@ -232,8 +211,8 @@ func addEdgeRows(m *lp.Model, cfg Config, ys, bs []lp.VarID, v int) {
 	}
 }
 
-// slideProgram moves the live program with the window (see paramLP)
-// in three steps, each keeping the point the last solve left:
+// slide moves the live program with the window in three steps, each
+// keeping the point the last solve left:
 //
 //  1. Retire: the leaving blocks' x and the variables of every edge the
 //     window no longer needs are fixed at zero, and a warm re-solve
@@ -247,19 +226,16 @@ func addEdgeRows(m *lp.Model, cfg Config, ys, bs []lp.VarID, v int) {
 //     the point stays feasible and the caller's warm re-solve finishes
 //     with primal pivots.
 //
-// A window whose samples rank no non-root node at all installs the
-// empty program instead.
-func (p *LPFilter) slideProgram(d windowSlide, budget float64) error {
-	cfg := p.cfg
+// A window whose samples rank no non-root node at all rebuilds into
+// the empty program instead.
+func (prog *lpfilterProgram) slide(c *paramLP, d windowSlide, budget float64) (bool, error) {
+	cfg := c.cfg
 	n := cfg.Net.Size()
 	needed, ok := neededEdges(cfg)
 	if !ok {
-		p.prog = lpfilterProgram{empty: true}
-		p.param.installEmpty(cfg)
-		return nil
+		return true, nil
 	}
-	prog := &p.prog
-	m := prog.model
+	m := c.model
 	ed := modelEdits{m: m}
 
 	var dead []lp.VarID
@@ -276,24 +252,23 @@ func (p *LPFilter) slideProgram(d windowSlide, budget float64) error {
 		}
 	}
 	if ed.err != nil {
-		return ed.err
+		return false, ed.err
 	}
-	if _, err := p.param.solve(cfg, budget); err != nil {
-		return err
+	if _, err := c.solve(cfg, budget); err != nil {
+		return false, err
 	}
 
 	if len(dead) > 0 {
 		varMap, rowMap, err := m.RemoveVars(dead)
 		if err != nil {
-			return err
+			return false, err
 		}
 		remapVars(prog.ys, varMap)
 		remapVars(prog.bs, varMap)
 		for _, b := range prog.blocks {
 			remapVars(b, varMap)
 		}
-		prog.budgetRow = rowMap[prog.budgetRow]
-		p.param.budgetRow = prog.budgetRow
+		c.budgetRow = rowMap[c.budgetRow]
 	}
 
 	caps := make([]float64, n)
@@ -307,8 +282,8 @@ func (p *LPFilter) slideProgram(d windowSlide, budget float64) error {
 		case prog.caps[v] > 0:
 		case prog.ys[v] < 0:
 			prog.ys[v], prog.bs[v] = addEdgeVars(m, cfg, v)
-			ed.term(prog.budgetRow, prog.ys[v], cfg.Costs.Msg[v])
-			ed.term(prog.budgetRow, prog.bs[v], cfg.Costs.Val[v])
+			ed.term(c.budgetRow, prog.ys[v], cfg.Costs.Msg[v])
+			ed.term(c.budgetRow, prog.bs[v], cfg.Costs.Val[v])
 			opened = append(opened, v)
 		default:
 			ed.bound(prog.ys[v], 0, 1)
@@ -316,7 +291,7 @@ func (p *LPFilter) slideProgram(d windowSlide, budget float64) error {
 		}
 	}
 	if ed.err != nil {
-		return ed.err
+		return false, ed.err
 	}
 	for _, v := range opened {
 		addEdgeRows(m, cfg, prog.ys, prog.bs, v)
@@ -329,7 +304,7 @@ func (p *LPFilter) slideProgram(d windowSlide, budget float64) error {
 	k, retired, added := 0, 0, 0
 	for j := 0; j < cfg.Samples.Len(); j++ {
 		if added < len(d.added) && d.added[added] == j {
-			blocks = append(blocks, p.appendBlock(j))
+			blocks = append(blocks, prog.appendBlock(cfg, m, j))
 			added++
 			continue
 		}
@@ -340,15 +315,13 @@ func (p *LPFilter) slideProgram(d windowSlide, budget float64) error {
 		k++
 	}
 	prog.blocks = blocks
-	p.param.noteWindow(cfg)
-	return nil
+	return false, nil
 }
 
-// appendBlock adds sample j's block: its x variables, their x <= y
-// rows, and its bandwidth row on every needed edge above them.
-func (p *LPFilter) appendBlock(j int) []lp.VarID {
-	cfg, prog := p.cfg, &p.prog
-	net, m := cfg.Net, prog.model
+// appendBlock adds sample j's block to m: its x variables, their
+// x <= y rows, and its bandwidth row on every needed edge above them.
+func (prog *lpfilterProgram) appendBlock(cfg Config, m *lp.Model, j int) []lp.VarID {
+	net := cfg.Net
 	var xs []lp.VarID
 	var nodes []network.NodeID
 	for _, i := range cfg.Samples.Ones(j) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"prospector/internal/lp"
@@ -32,17 +33,10 @@ import (
 // therefore not safe for concurrent use; build one per goroutine.
 //
 //confine:goroutine
-type LPNoFilter struct {
-	cfg   Config
-	param paramLP
-	prog  lplfProgram
-}
+type LPNoFilter struct{ paramLP }
 
-// lplfProgram is the built LP-LF model plus what rounding and a slide
-// need.
+// lplfProgram is what LP-LF rounding and a slide need of its model.
 type lplfProgram struct {
-	model     *lp.Model
-	budgetRow int
 	// xs and ys are each node's and each edge's variable, -1 for one
 	// never needed. A slide keeps the variables of a node that stops
 	// being a candidate, or an edge no candidate needs, but fixes them
@@ -50,7 +44,6 @@ type lplfProgram struct {
 	xs, ys []lp.VarID
 	cands  []network.NodeID
 	needed []bool // the edges above some candidate
-	empty  bool
 }
 
 // NewLPNoFilter builds the planner.
@@ -58,48 +51,19 @@ func NewLPNoFilter(cfg Config) (*LPNoFilter, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &LPNoFilter{cfg: cfg}, nil
+	return &LPNoFilter{paramLP{cfg: cfg, name: "LP-LF", prog: &lplfProgram{}}}, nil
 }
 
-// Name implements Planner.
-func (p *LPNoFilter) Name() string { return "LP-LF" }
+func (p *LPNoFilter) clone() Planner { return &LPNoFilter{p.paramLP.clone()} }
 
-// Plan implements Planner.
-func (p *LPNoFilter) Plan(budget float64) (*plan.Plan, error) {
-	cfg := p.cfg
-	net := cfg.Net
-	n := net.Size()
-
-	if d, ok := p.param.slide(cfg); !ok {
-		p.prog = buildLPNoFilterProgram(cfg, budget)
-		if p.prog.empty {
-			p.param.installEmpty(cfg)
-		} else {
-			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-		}
-	} else if d.moved() {
-		if err := p.slideProgram(budget); err != nil {
-			return nil, err
-		}
+// round rounds at 1/2 (the paper's scheme), then repairs the budget.
+func (prog *lplfProgram) round(cfg Config, x []float64, budget float64) (*plan.Plan, error) {
+	chosen := make([]bool, cfg.Net.Size())
+	if x == nil {
+		return plan.NewSelection(cfg.Net, chosen)
 	}
-	prog := p.prog
-	if prog.empty {
-		// No candidate ever ranked in the top k; the empty plan is
-		// optimal.
-		return finishPlan(cfg, p.Name(), budget)(plan.NewSelection(net, make([]bool, n)))
-	}
-	sol, err := p.param.solve(cfg, budget)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: LP-LF solve ended %v", sol.Status)
-	}
-
-	// Round at 1/2 (the paper's scheme), then repair the budget.
-	chosen := make([]bool, n)
 	for _, i := range prog.cands {
-		if sol.X[prog.xs[i]] >= 0.5 {
+		if x[prog.xs[i]] >= 0.5 {
 			chosen[i] = true
 		}
 	}
@@ -107,13 +71,16 @@ func (p *LPNoFilter) Plan(budget float64) (*plan.Plan, error) {
 		repairSelection(cfg, chosen, budget)
 		fillSelection(cfg, chosen, budget)
 	}
-	return finishPlan(cfg, p.Name(), budget)(plan.NewSelection(net, chosen))
+	return plan.NewSelection(cfg.Net, chosen)
 }
 
-// buildLPNoFilterProgram assembles the LP-LF model. Everything except
-// the budget row's rhs depends only on (network, costs, samples, k),
-// which is what makes the program parametric in the budget.
-func buildLPNoFilterProgram(cfg Config, budget float64) lplfProgram {
+func (prog *lplfProgram) clone() program {
+	return &lplfProgram{xs: slices.Clone(prog.xs), ys: slices.Clone(prog.ys),
+		cands: slices.Clone(prog.cands), needed: slices.Clone(prog.needed)}
+}
+
+// build assembles the LP-LF model.
+func (prog *lplfProgram) build(cfg Config, budget float64) (*lp.Model, int, float64) {
 	net := cfg.Net
 	n := net.Size()
 
@@ -157,10 +124,12 @@ func buildLPNoFilterProgram(cfg Config, budget float64) lplfProgram {
 		}
 	}
 	if len(costTerms) == 0 {
-		return lplfProgram{empty: true}
+		*prog = lplfProgram{}
+		return nil, -1, 0
 	}
 	row := m.MustConstr(costTerms, lp.LE, budget)
-	return lplfProgram{model: m, budgetRow: row, xs: xs, ys: ys, cands: cands, needed: edgeNeeded}
+	*prog = lplfProgram{xs: xs, ys: ys, cands: cands, needed: edgeNeeded}
+	return m, row, 0
 }
 
 // candidateObj is candidate i's objective: its column sum, plus a tiny
@@ -180,8 +149,8 @@ func pathValueCost(cfg Config, i network.NodeID) float64 {
 	return c
 }
 
-// slideProgram moves the live program with the window (see paramLP).
-// A slide changes the column sums, so:
+// slide moves the live program with the window. A slide changes the
+// column sums, so:
 //
 //  1. Retire: nodes that stopped being candidates and edges no
 //     candidate needs are fixed at zero (the tie-break epsilon can no
@@ -192,20 +161,17 @@ func pathValueCost(cfg Config, i network.NodeID) float64 {
 //     ones are added. All of these leave the point feasible, so the
 //     caller's warm re-solve finishes with primal pivots.
 //
-// A window whose samples rank no non-root node installs the empty
+// A window whose samples rank no non-root node rebuilds into the empty
 // program instead.
-func (p *LPNoFilter) slideProgram(budget float64) error {
-	cfg := p.cfg
+func (prog *lplfProgram) slide(c *paramLP, _ windowSlide, budget float64) (bool, error) {
+	cfg := c.cfg
 	net := cfg.Net
 	n := net.Size()
 	cands := candidateNodes(cfg)
 	if len(cands) == 0 {
-		p.prog = lplfProgram{empty: true}
-		p.param.installEmpty(cfg)
-		return nil
+		return true, nil
 	}
-	prog := &p.prog
-	m := prog.model
+	m := c.model
 	ed := modelEdits{m: m}
 	isCand := make([]bool, n)
 	for _, i := range cands {
@@ -226,10 +192,10 @@ func (p *LPNoFilter) slideProgram(budget float64) error {
 		}
 	}
 	if ed.err != nil {
-		return ed.err
+		return false, ed.err
 	}
-	if _, err := p.param.solve(cfg, budget); err != nil {
-		return err
+	if _, err := c.solve(cfg, budget); err != nil {
+		return false, err
 	}
 
 	var opened []int
@@ -238,7 +204,7 @@ func (p *LPNoFilter) slideProgram(budget float64) error {
 		case !needed[v] || prog.needed[v]:
 		case prog.ys[v] < 0:
 			prog.ys[v] = m.MustVar(0, 1, 0, fmt.Sprintf("y%d", v))
-			ed.term(prog.budgetRow, prog.ys[v], cfg.Costs.Msg[v])
+			ed.term(c.budgetRow, prog.ys[v], cfg.Costs.Msg[v])
 			opened = append(opened, v)
 		default:
 			ed.bound(prog.ys[v], 0, 1)
@@ -253,7 +219,7 @@ func (p *LPNoFilter) slideProgram(budget float64) error {
 		obj := candidateObj(cfg, i)
 		if prog.xs[i] < 0 {
 			prog.xs[i] = m.MustVar(0, 1, obj, fmt.Sprintf("x%d", i))
-			ed.term(prog.budgetRow, prog.xs[i], pathValueCost(cfg, i))
+			ed.term(c.budgetRow, prog.xs[i], pathValueCost(cfg, i))
 			m.MustConstr([]lp.Term{{Var: prog.xs[i], Coef: 1}, {Var: prog.ys[i], Coef: -1}}, lp.LE, 0)
 			continue
 		}
@@ -263,11 +229,10 @@ func (p *LPNoFilter) slideProgram(budget float64) error {
 		}
 	}
 	if ed.err != nil {
-		return ed.err
+		return false, ed.err
 	}
 	prog.cands, prog.needed = cands, needed
-	p.param.noteWindow(cfg)
-	return nil
+	return false, nil
 }
 
 // repairSelection drops chosen nodes — least column sum first, ties by

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"prospector/internal/lp"
+	"prospector/internal/plan"
 )
 
 // tieEps is the deterministic tie-break perturbation the LP builders
@@ -18,28 +22,56 @@ import (
 // which plans are genuinely optimal.
 const tieEps = 1e-5
 
-// paramLP is the cached parametric program behind an LP planner's
-// Plan(budget) calls. The figure sweeps hammer one planner with a
-// monotone budget axis over fixed (network, samples) state; the only
-// thing that changes between calls is the budget row's right-hand
-// side. So the planner builds its model once, keeps the solver
-// workspace and the optimal basis, and serves each successive budget
-// with an in-place SetRHS plus a warm re-solve — dual recovery pivots
-// instead of two cold simplex phases, and no model canonicalization
-// at all.
+// program is what one LP planner kind adds to the shared parametric
+// body (paramLP): how to build its model, how to follow a window
+// slide, and how to round an optimum to a plan. The live model, its
+// budget row and the fixed spend belong to the paramLP running the
+// program; a program keeps only its own maps from nodes and edges to
+// variables.
+type program interface {
+	// build assembles the model for cfg's window with the budget row's
+	// right-hand side at budget - fixed. Everything else depends only
+	// on (network, costs, samples, k), which is what makes the program
+	// parametric in the budget. A nil model is the empty program: no
+	// node below the root ranks in any sample, and the empty plan is
+	// optimal without an LP.
+	build(cfg Config, budget float64) (m *lp.Model, budgetRow int, fixed float64)
+	// slide moves c's live model with the window by d, re-solving warm
+	// on the way where the edits need it. rebuild asks for a fresh
+	// build instead.
+	slide(c *paramLP, d windowSlide, budget float64) (rebuild bool, err error)
+	// round turns the optimum x into a plan for budget, repaired and
+	// filled unless cfg.DisableRepair; a nil x (the empty program)
+	// rounds to the empty plan.
+	round(cfg Config, x []float64, budget float64) (*plan.Plan, error)
+	// clone deep-copies the program for a planner of its own.
+	clone() program
+}
+
+// paramLP is the one body of the LP planners (LP-LF, LP+LF, PROOF):
+// it owns the planner's program and serves Plan(budget) calls from it.
+// The figure sweeps hammer one planner with a monotone budget axis
+// over fixed (network, samples) state; the only thing that changes
+// between calls is the budget row's right-hand side. So the planner
+// builds its model once, keeps the solver workspace and the optimal
+// basis, and serves each successive budget with an in-place SetRHS
+// plus a warm re-solve — dual recovery pivots instead of two cold
+// simplex phases, and no model canonicalization at all.
 //
 // The cache is keyed on the identities of the window's samples
-// (sample.Set.ID). When the adaptive scheme slides the window, LP-LF
-// and LP+LF move the live program with it instead of rebuilding (see
-// slide): what left is fixed at zero and re-solved warm, then dropped
-// or kept inert, and what joined is appended and re-solved warm from
-// the carried-over basis. A window with no sample left in common, and
-// PROOF on any change, rebuild. A paramLP (and therefore any planner
-// holding one) is not safe for concurrent use; experiment trials each
-// build their own planners.
+// (sample.Set.ID). When the adaptive scheme slides the window, the
+// program follows it on the live model instead of rebuilding (see
+// program.slide); a window with no sample left in common, and PROOF on
+// any change, rebuild. A paramLP (and therefore any planner holding
+// one) is not safe for concurrent use; experiment trials each build
+// their own planners.
 //
 //confine:goroutine
 type paramLP struct {
+	cfg  Config
+	name string
+	prog program
+	// model is the live program, nil for the empty one.
 	model *lp.Model
 	// budgetRow is the retained index of the cost row, or -1 when the
 	// model has no budget row to update (degenerate all-zero costs).
@@ -54,10 +86,65 @@ type paramLP struct {
 	// oldest first.
 	ids   []uint64
 	built bool
-	empty bool // no candidates: Plan short-circuits without a model
 	// own enforces the //confine:goroutine contract dynamically under
 	// the prospector_debug build tag; zero-cost otherwise.
 	own owner
+}
+
+// Name implements Planner.
+func (c *paramLP) Name() string { return c.name }
+
+// Plan implements Planner: follow the window (slide the live program,
+// or build it afresh), re-solve for budget, and round the optimum.
+func (c *paramLP) Plan(budget float64) (*plan.Plan, error) {
+	cfg := c.cfg
+	d, ok := c.window()
+	if ok && d.moved() {
+		rebuild, err := c.prog.slide(c, d, budget)
+		if err != nil {
+			return nil, err
+		}
+		if ok = !rebuild; ok {
+			c.noteWindow()
+		}
+	}
+	if !ok {
+		c.install(c.prog.build(cfg, budget))
+	}
+	if c.model == nil {
+		return finishPlan(cfg, c.name, budget)(c.prog.round(cfg, nil, budget))
+	}
+	if c.ws == nil {
+		// One workspace per planner: its buffers survive rebuilds and
+		// re-grow at most once per shape.
+		c.ws = lp.NewWorkspace()
+	}
+	sol, err := c.solve(cfg, budget)
+	if err != nil {
+		return nil, err
+	}
+	if sol.Status != lp.Optimal {
+		return nil, fmt.Errorf("core: %s solve ended %v", c.name, sol.Status)
+	}
+	return finishPlan(cfg, c.name, budget)(c.prog.round(cfg, sol.X, budget))
+}
+
+// freeze builds the program ahead of the first budget, as a Snapshot
+// prototype. The budget row gets a placeholder right-hand side — every
+// solve re-points it at the request's budget first.
+func (c *paramLP) freeze() { c.install(c.prog.build(c.cfg, 0)) }
+
+// clone copies a built body for a planner of its own: the program and
+// the model are cloned (a Basis is pointer-keyed to its model, so
+// chains cannot cross), and there is neither a workspace nor a basis,
+// so the copy's first Plan opens its chain with a cold solve.
+func (c *paramLP) clone() paramLP {
+	cp := paramLP{cfg: c.cfg, name: c.name, prog: c.prog.clone(),
+		budgetRow: c.budgetRow, fixed: c.fixed, ids: slices.Clone(c.ids), built: c.built}
+	if c.model != nil {
+		cp.model = c.model.Clone()
+	}
+	return cp
 }
 
 // windowSlide is how cfg's sample window moved since the program was
@@ -68,16 +155,16 @@ type windowSlide struct {
 	added   []int
 }
 
-// slide compares the cached program's samples with cfg's window. ok
+// window compares the cached program's samples with the live window. ok
 // is false when the program must be rebuilt: none is built, it is the
 // empty program, or no sample is left in common. A window that did not
 // move returns ok with an empty slide.
-func (c *paramLP) slide(cfg Config) (d windowSlide, ok bool) {
+func (c *paramLP) window() (d windowSlide, ok bool) {
 	c.own.assert("parametric planner")
 	if !c.built {
 		return d, false
 	}
-	set := cfg.Samples
+	set := c.cfg.Samples
 	i, kept := 0, 0
 	for j := 0; j < set.Len(); j++ {
 		id := set.ID(j)
@@ -94,7 +181,7 @@ func (c *paramLP) slide(cfg Config) (d windowSlide, ok bool) {
 	for ; i < len(c.ids); i++ {
 		d.retired = append(d.retired, i)
 	}
-	return d, !d.moved() || (kept > 0 && !c.empty)
+	return d, !d.moved() || (kept > 0 && c.model != nil)
 }
 
 // moved reports whether the slide changed anything.
@@ -136,37 +223,24 @@ func remapVars(ids []lp.VarID, varMap []lp.VarID) {
 	}
 }
 
-// noteWindow records cfg's window as the one the program describes.
-func (c *paramLP) noteWindow(cfg Config) {
+// noteWindow records the live window as the one the program
+// describes.
+func (c *paramLP) noteWindow() {
 	c.ids = c.ids[:0]
-	for j := 0; j < cfg.Samples.Len(); j++ {
-		c.ids = append(c.ids, cfg.Samples.ID(j))
+	for j := 0; j < c.cfg.Samples.Len(); j++ {
+		c.ids = append(c.ids, c.cfg.Samples.ID(j))
 	}
 }
 
-// install caches a freshly built model. The workspace survives
-// rebuilds (its buffers re-grow at most once per shape); the basis
-// chain does not.
-func (c *paramLP) install(cfg Config, model *lp.Model, budgetRow int, fixed float64) {
+// install caches a freshly built model (nil for the empty program).
+// The basis chain does not survive a rebuild.
+func (c *paramLP) install(model *lp.Model, budgetRow int, fixed float64) {
 	c.model = model
 	c.budgetRow = budgetRow
 	c.fixed = fixed
-	if c.ws == nil {
-		c.ws = lp.NewWorkspace()
-	}
 	c.basis = nil
-	c.noteWindow(cfg)
+	c.noteWindow()
 	c.built = true
-	c.empty = false
-}
-
-// installEmpty caches the "no candidates" outcome, which needs no LP.
-func (c *paramLP) installEmpty(cfg Config) {
-	c.model = nil
-	c.basis = nil
-	c.noteWindow(cfg)
-	c.built = true
-	c.empty = true
 }
 
 // solve points the budget row at the new budget and re-solves: warm

@@ -83,11 +83,11 @@ func chainOf(t testing.TB, p Planner) *paramLP {
 	t.Helper()
 	switch p := p.(type) {
 	case *LPNoFilter:
-		return &p.param
+		return &p.paramLP
 	case *LPFilter:
-		return &p.param
+		return &p.paramLP
 	case *ProofPlanner:
-		return &p.param
+		return &p.paramLP
 	}
 	t.Fatalf("%T has no parametric program", p)
 	return nil
@@ -249,8 +249,8 @@ func TestParametricEmptyCandidates(t *testing.T) {
 		make  func(Config) (Planner, error)
 		empty func(Planner) bool
 	}{
-		{"LP-LF", newLPNoFilter, func(p Planner) bool { return p.(*LPNoFilter).prog.empty }},
-		{"LP+LF", newLPFilter, func(p Planner) bool { return p.(*LPFilter).prog.empty }},
+		{"LP-LF", newLPNoFilter, func(p Planner) bool { return p.(*LPNoFilter).model == nil }},
+		{"LP+LF", newLPFilter, func(p Planner) bool { return p.(*LPFilter).model == nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := makeScenario(t, 3, 12, 1, 5)
@@ -410,7 +410,7 @@ func TestChainBreakRestartsCold(t *testing.T) {
 	if _, err := twin.Plan(high); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := twin.param.solve(s.cfg, low)
+	warm, err := twin.solve(s.cfg, low)
 	if err != nil || !warm.Warm {
 		t.Fatalf("uncapped jump: %v, warm %v", err, warm.Warm)
 	}
@@ -432,7 +432,7 @@ func TestChainBreakRestartsCold(t *testing.T) {
 	capped := cfg
 	capped.LP.MaxIters = coldIters + 1
 	fallbacks := reg.Counter("lp.warm_fallbacks").Value()
-	sol, err := p.param.solve(capped, low)
+	sol, err := p.solve(capped, low)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestChainBreakRestartsCold(t *testing.T) {
 	if got := reg.Counter("lp.status.iteration-limit").Value(); got != 0 {
 		t.Errorf("lp.status.iteration-limit = %d: the warm failure leaked out of lp", got)
 	}
-	if err := lp.CheckOptimal(p.param.model, sol, 1e-6); err != nil {
+	if err := lp.CheckOptimal(p.model, sol, 1e-6); err != nil {
 		t.Fatalf("chain-break solution: %v", err)
 	}
 
@@ -492,7 +492,7 @@ func TestLongBudgetJumpsStayWarm(t *testing.T) {
 					}
 					continue
 				}
-				sol, err := p.param.solve(cfg, b)
+				sol, err := p.solve(cfg, b)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"prospector/internal/exec"
@@ -34,47 +35,37 @@ import (
 //
 // ProofPlanner caches its LP across Plan calls (see paramLP) and is
 // therefore not safe for concurrent use; build one per goroutine.
-type ProofPlanner struct {
-	cfg Config
+type ProofPlanner struct{ paramLP }
+
+// proofProgram is what PROOF rounding needs of its model.
+type proofProgram struct {
 	// strictC3 controls the c.3 linearization (default true). With it
 	// off, the LP matches the paper's text exactly but can claim
 	// provability the executed plan cannot deliver in the no-smaller-
 	// value corner case.
 	strictC3 bool
-	param    paramLP
-	prog     proofProgram
-}
-
-// proofProgram is the built PROOF model plus what rounding needs.
-type proofProgram struct {
-	model *lp.Model
-	// budgetRow is the cost row's retained index; fixed is the mandatory
-	// spend (every-edge messages + proof metadata) already subtracted
-	// from its rhs.
-	budgetRow int
-	fixed     float64
-	bs        []lp.VarID
+	bs       []lp.VarID
 }
 
 // NewProofPlanner builds the planner with the strict c.3 linearization.
 func NewProofPlanner(cfg Config) (*ProofPlanner, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &ProofPlanner{cfg: cfg, strictC3: true}, nil
+	return newProofPlanner(cfg, true)
 }
 
 // NewProofPlannerPaperC3 builds the variant that omits the c.3 rows,
 // exactly as the paper's text prescribes. Used by the ablation bench.
 func NewProofPlannerPaperC3(cfg Config) (*ProofPlanner, error) {
+	return newProofPlanner(cfg, false)
+}
+
+func newProofPlanner(cfg Config, strictC3 bool) (*ProofPlanner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &ProofPlanner{cfg: cfg, strictC3: false}, nil
+	return &ProofPlanner{paramLP{cfg: cfg, name: "Proof", prog: &proofProgram{strictC3: strictC3}}}, nil
 }
 
-// Name implements Planner.
-func (p *ProofPlanner) Name() string { return "Proof" }
+func (p *ProofPlanner) clone() Planner { return &ProofPlanner{p.paramLP.clone()} }
 
 // MinBudget returns the smallest budget any proof-carrying plan can
 // meet: one message with one value on every edge, plus the
@@ -91,35 +82,29 @@ func (p *ProofPlanner) MinBudget() float64 {
 	return total
 }
 
-// Plan implements Planner.
+// Plan implements Planner. A budget below MinBudget has no
+// proof-carrying plan.
 func (p *ProofPlanner) Plan(budget float64) (*plan.Plan, error) {
-	cfg := p.cfg
-	net := cfg.Net
-	n := net.Size()
 	if min := p.MinBudget(); budget < min {
 		return nil, fmt.Errorf("core: proof plans need at least %.2f mJ, budget is %.2f", min, budget)
 	}
+	return p.paramLP.Plan(budget)
+}
 
-	// PROOF rebuilds on any window change rather than sliding its
-	// program like LP-LF and LP+LF: its per-sample prover variables
-	// could move the same way, but no sliding-window path runs PROOF,
-	// so it keeps the simpler rebuild.
-	if d, ok := p.param.slide(cfg); !ok || d.moved() {
-		p.prog = buildProofProgram(cfg, p.strictC3, budget)
-		p.param.install(cfg, p.prog.model, p.prog.budgetRow, p.prog.fixed)
-	}
-	prog := p.prog
-	sol, err := p.param.solve(cfg, budget)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: PROOF solve ended %v", sol.Status)
-	}
+// slide rebuilds on any window change rather than moving the program
+// like LP-LF and LP+LF: its per-sample prover variables could move the
+// same way, but no sliding-window path runs PROOF, so it keeps the
+// simpler rebuild.
+func (prog *proofProgram) slide(*paramLP, windowSlide, float64) (bool, error) { return true, nil }
 
+// round rounds every edge's bandwidth into [1, subtree size], then
+// repairs the budget.
+func (prog *proofProgram) round(cfg Config, x []float64, budget float64) (*plan.Plan, error) {
+	net := cfg.Net
+	n := net.Size()
 	bw := make([]int, n)
 	for v := 1; v < n; v++ {
-		bw[v] = int(math.Floor(sol.X[prog.bs[v]] + 0.5))
+		bw[v] = int(math.Floor(x[prog.bs[v]] + 0.5))
 		if bw[v] < 1 {
 			bw[v] = 1
 		}
@@ -128,16 +113,19 @@ func (p *ProofPlanner) Plan(budget float64) (*plan.Plan, error) {
 		}
 	}
 	if !cfg.DisableRepair {
-		p.repair(bw, budget)
-		p.fill(bw, budget)
+		repairProof(cfg, bw, budget)
+		fillProof(cfg, bw, budget)
 	}
-	return finishPlan(cfg, p.Name(), budget)(plan.NewProof(net, bw))
+	return plan.NewProof(net, bw)
 }
 
-// buildProofProgram assembles the PROOF model via the lazy builder;
-// only the cost row's rhs depends on the budget.
-func buildProofProgram(cfg Config, strictC3 bool, budget float64) proofProgram {
-	b := newProofBuilder(cfg, strictC3)
+func (prog *proofProgram) clone() program {
+	return &proofProgram{strictC3: prog.strictC3, bs: slices.Clone(prog.bs)}
+}
+
+// build assembles the PROOF model via the lazy builder.
+func (prog *proofProgram) build(cfg Config, budget float64) (*lp.Model, int, float64) {
+	b := newProofBuilder(cfg, prog.strictC3)
 	for j := 0; j < cfg.Samples.Len(); j++ {
 		for _, i := range cfg.Samples.Ones(j) {
 			// Creating the root-level variable (objective weight 1)
@@ -147,7 +135,8 @@ func buildProofProgram(cfg Config, strictC3 bool, budget float64) proofProgram {
 	}
 	b.addBandwidthRows()
 	row, fixed := b.addCostRow(budget)
-	return proofProgram{model: b.m, budgetRow: row, fixed: fixed, bs: b.bs}
+	prog.bs = b.bs
+	return b.m, row, fixed
 }
 
 // ExpectedProven simulates the proof-carrying execution of a bandwidth
@@ -191,10 +180,10 @@ func proofCost(cfg Config, bw []int) float64 {
 	return total
 }
 
-// repair decrements bandwidths (never below 1) until the budget holds,
-// dropping the increment that loses the least expected proven count.
-func (p *ProofPlanner) repair(bw []int, budget float64) {
-	cfg := p.cfg
+// repairProof decrements bandwidths (never below 1) until the budget
+// holds, dropping the increment that loses the least expected proven
+// count.
+func repairProof(cfg Config, bw []int, budget float64) {
 	for proofCost(cfg, bw) > budget {
 		base := expectedProven(cfg, bw)
 		best := -1
@@ -217,10 +206,9 @@ func (p *ProofPlanner) repair(bw []int, budget float64) {
 	}
 }
 
-// fill spends leftover budget on the increment gaining the most
+// fillProof spends leftover budget on the increment gaining the most
 // expected proven count per joule.
-func (p *ProofPlanner) fill(bw []int, budget float64) {
-	cfg := p.cfg
+func fillProof(cfg Config, bw []int, budget float64) {
 	for {
 		cost := proofCost(cfg, bw)
 		base := expectedProven(cfg, bw)

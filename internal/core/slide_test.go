@@ -29,13 +29,15 @@ type slideStats struct {
 func edgeVars(p Planner) (ys []lp.VarID, needed []bool) {
 	switch p := p.(type) {
 	case *LPNoFilter:
-		return p.prog.ys, p.prog.needed
+		prog := p.prog.(*lplfProgram)
+		return prog.ys, prog.needed
 	case *LPFilter:
-		needed = make([]bool, len(p.prog.caps))
-		for v, c := range p.prog.caps {
+		prog := p.prog.(*lpfilterProgram)
+		needed = make([]bool, len(prog.caps))
+		for v, c := range prog.caps {
 			needed[v] = c > 0
 		}
-		return p.prog.ys, needed
+		return prog.ys, needed
 	}
 	return nil, nil
 }

@@ -2,10 +2,11 @@ package core
 
 import (
 	"fmt"
+	"strings"
 )
 
-// Snapshot kinds, matching the -planner CLI vocabulary for the
-// planners that can be pool-served.
+// Planner kinds: the -planner CLI vocabulary for the planners the
+// catalog builds and a Snapshot can serve.
 const (
 	KindGreedy     = "greedy"
 	KindLPNoFilter = "lp-lf"
@@ -13,15 +14,68 @@ const (
 	KindProof      = "proof"
 )
 
+// catalog is the one map from a planner kind to its constructor.
+var catalog = []struct {
+	kind  string
+	build func(Config) (servable, error)
+}{
+	{KindGreedy, func(cfg Config) (servable, error) { return NewGreedy(cfg) }},
+	{KindLPNoFilter, func(cfg Config) (servable, error) { return NewLPNoFilter(cfg) }},
+	{KindLPFilter, func(cfg Config) (servable, error) { return NewLPFilter(cfg) }},
+	{KindProof, func(cfg Config) (servable, error) { return NewProofPlanner(cfg) }},
+}
+
+// servable is a planner a Snapshot can freeze and stamp out: freeze
+// does the budget-independent work ahead of the first request, and
+// clone copies the frozen planner for a goroutine of its own.
+type servable interface {
+	Planner
+	freeze()
+	clone() Planner
+}
+
+// CanonicalKind spells a planner name the way the catalog does: in
+// lower case, with a space read as '+'. A URL query string decodes an
+// unescaped "lp+lf" to "lp lf", and no kind name holds a space; the
+// query language's "LP+LF" and the CLI's "lp+lf" are one kind.
+func CanonicalKind(name string) string {
+	return strings.ReplaceAll(strings.ToLower(name), " ", "+")
+}
+
+// New builds a planner of the named kind (see CanonicalKind).
+func New(kind string, cfg Config) (Planner, error) {
+	p, err := newServable(kind, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func newServable(kind string, cfg Config) (servable, error) {
+	kind = CanonicalKind(kind)
+	var kinds []string
+	for _, e := range catalog {
+		if e.kind == kind {
+			p, err := e.build(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return p, nil
+		}
+		kinds = append(kinds, e.kind)
+	}
+	return nil, fmt.Errorf("core: unknown planner kind %q (want one of %s)", kind, strings.Join(kinds, ", "))
+}
+
 // Snapshot is a frozen, shareable parametric-planning state: the
-// sample window deep-copied at a fixed generation, plus the planner's
-// parametric LP built once from it. It is the concurrency bridge
-// between the single-goroutine planners (//confine:goroutine, warm
-// basis chains keyed on sample generation) and a serving tier: the
-// snapshot itself is immutable and safe for concurrent use, and
-// NewPlanner stamps out independent planners — each with its own
-// model clone, lp.Workspace, and warm chain — that workers own
-// exclusively.
+// sample window deep-copied at a fixed generation, plus one prototype
+// planner whose parametric LP is built once from it. It is the
+// concurrency bridge between the single-goroutine planners
+// (//confine:goroutine, warm basis chains keyed on sample generation)
+// and a serving tier: the snapshot itself is immutable and safe for
+// concurrent use, and NewPlanner stamps out independent planners —
+// each with its own model clone, lp.Workspace, and warm chain — that
+// workers own exclusively.
 //
 // Freezing matters twice over. First, the live sample window keeps
 // sliding (Set.Add mutates in place, bumping Gen), which would
@@ -35,45 +89,31 @@ const (
 // Planners stamped from one snapshot share the frozen samples, the
 // network, and the costs — all read-only — but never LP state: the
 // model is cloned per planner (lp.Model.Clone; a Basis is
-// pointer-keyed to its model, so chains cannot cross), and the
-// workspace is fresh. Each planner pays one cold solve to open its
+// pointer-keyed to its model, so chains cannot cross), and each
+// planner gets its own workspace. Each planner pays one cold solve to open its
 // chain, then serves every subsequent budget warm.
 type Snapshot struct {
-	cfg  Config // cfg.Samples is the frozen clone, never mutated again
-	kind string
-	gen  uint64 // live window generation at freeze time
-	lplf lplfProgram
-	lpf  lpfilterProgram
-	prf  proofProgram
+	kind  string
+	gen   uint64 // live window generation at freeze time
+	k     int
+	proto servable // never planned with; only cloned
 }
 
 // NewSnapshot validates cfg, freezes its sample window, and builds the
 // planner kind's parametric program once. The returned snapshot no
 // longer references the live sample set; callers may keep mutating it.
-// The program's budget row is built with a placeholder right-hand side
-// — every planner solve re-points it at the request's budget first.
 func NewSnapshot(cfg Config, kind string) (*Snapshot, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Snapshot{kind: kind, gen: cfg.Samples.Gen()}
+	gen := cfg.Samples.Gen()
 	cfg.Samples = cfg.Samples.Clone()
-	s.cfg = cfg
-	switch kind {
-	case KindGreedy:
-		// Greedy recomputes from the (frozen) samples per call; there is
-		// no parametric program to prebuild.
-	case KindLPNoFilter:
-		s.lplf = buildLPNoFilterProgram(cfg, 0)
-	case KindLPFilter:
-		s.lpf = buildLPFilterProgram(cfg, 0)
-	case KindProof:
-		s.prf = buildProofProgram(cfg, true, 0)
-	default:
-		return nil, fmt.Errorf("core: unknown snapshot kind %q (want %s, %s, %s, or %s)",
-			kind, KindGreedy, KindLPNoFilter, KindLPFilter, KindProof)
+	proto, err := newServable(kind, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	proto.freeze()
+	return &Snapshot{kind: CanonicalKind(kind), gen: gen, k: cfg.K, proto: proto}, nil
 }
 
 // Kind returns the planner kind the snapshot serves.
@@ -85,54 +125,12 @@ func (s *Snapshot) Kind() string { return s.kind }
 func (s *Snapshot) Gen() uint64 { return s.gen }
 
 // K returns the rank bound the snapshot plans for.
-func (s *Snapshot) K() int { return s.cfg.K }
+func (s *Snapshot) K() int { return s.k }
 
 // NewPlanner stamps out an independent planner over the frozen state:
-// the prebuilt model is cloned and pre-installed into the planner's
-// parametric cache, so its first Plan call skips the program build and
-// goes straight to a chain-opening cold solve. Safe to call
-// concurrently; the returned planner is //confine:goroutine like any
-// other and must be owned by exactly one goroutine.
-func (s *Snapshot) NewPlanner() (Planner, error) {
-	cfg := s.cfg
-	switch s.kind {
-	case KindGreedy:
-		return NewGreedy(cfg)
-	case KindLPNoFilter:
-		p, err := NewLPNoFilter(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.prog = s.lplf
-		if s.lplf.empty {
-			p.param.installEmpty(cfg)
-		} else {
-			p.prog.model = s.lplf.model.Clone()
-			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-		}
-		return p, nil
-	case KindLPFilter:
-		p, err := NewLPFilter(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.prog = s.lpf
-		if s.lpf.empty {
-			p.param.installEmpty(cfg)
-		} else {
-			p.prog.model = s.lpf.model.Clone()
-			p.param.install(cfg, p.prog.model, p.prog.budgetRow, 0)
-		}
-		return p, nil
-	case KindProof:
-		p, err := NewProofPlanner(cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.prog = s.prf
-		p.prog.model = s.prf.model.Clone()
-		p.param.install(cfg, p.prog.model, p.prog.budgetRow, p.prog.fixed)
-		return p, nil
-	}
-	return nil, fmt.Errorf("core: unknown snapshot kind %q", s.kind)
-}
+// the prototype's prebuilt program is cloned, so the first Plan call
+// skips the program build and goes straight to a chain-opening cold
+// solve. Safe to call concurrently; the returned planner is
+// //confine:goroutine like any other and must be owned by exactly one
+// goroutine.
+func (s *Snapshot) NewPlanner() (Planner, error) { return s.proto.clone(), nil }

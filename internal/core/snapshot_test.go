@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,31 +11,60 @@ import (
 	"prospector/internal/workload"
 )
 
-// snapshotKindFor maps a diffCase to its snapshot kind.
-func snapshotKindFor(name string) string {
-	switch name {
-	case "LP-LF":
-		return KindLPNoFilter
-	case "LP+LF":
-		return KindLPFilter
-	case "Proof":
-		return KindProof
+// TestCatalog: every kind constructs and reports its name, the query
+// language's and a decoded query string's spellings resolve, and an
+// unknown kind's error lists the valid ones.
+func TestCatalog(t *testing.T) {
+	s := makeScenario(t, 7, 12, 3, 4)
+	names := map[string]string{KindGreedy: "Greedy", KindLPNoFilter: "LP-LF", KindLPFilter: "LP+LF", KindProof: "Proof"}
+	check := func(name, kind string) {
+		t.Helper()
+		p, err := New(name, s.cfg)
+		if err != nil {
+			t.Errorf("%q: %v", name, err)
+		} else if p.Name() != names[kind] {
+			t.Errorf("%q builds %s, want %s", name, p.Name(), names[kind])
+		}
 	}
-	panic("unknown diff case " + name)
+	for _, e := range catalog {
+		check(e.kind, e.kind)
+	}
+	for name, kind := range map[string]string{
+		"GREEDY": KindGreedy, "LP-LF": KindLPNoFilter, "LP+LF": KindLPFilter, "lp lf": KindLPFilter, "PROOF": KindProof,
+	} {
+		check(name, kind)
+	}
+	_, err := New("oracle", s.cfg)
+	if err == nil {
+		t.Fatal("unknown kind built a planner")
+	}
+	for _, e := range catalog {
+		if !strings.Contains(err.Error(), e.kind) {
+			t.Errorf("unknown-kind error %q does not list %s", err, e.kind)
+		}
+	}
 }
 
 // TestSnapshotPlannerMatchesCold: a planner stamped from a snapshot —
 // pre-installed program, cloned model, own warm chain — must emit
 // plans bitwise-identical to the cold reference (a fresh planner per
-// budget: rebuild + cold solve), for every kind, over its budget axis.
-// This is the snapshot-side analog of TestWarmDifferentialMatchesCold.
+// budget: rebuild + cold solve), for every catalog kind, over its
+// budget axis. This is the snapshot-side analog of
+// TestWarmDifferentialMatchesCold.
 func TestSnapshotPlannerMatchesCold(t *testing.T) {
-	for _, tc := range diffCases() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	probe := makeScenario(t, 17, 25, 5, 6)
+	for _, e := range catalog {
+		e := e
+		// Subtests carry the planner's name, as the other differential
+		// tests' do.
+		named, err := New(e.kind, probe.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(named.Name(), func(t *testing.T) {
 			t.Parallel()
 			s := makeScenario(t, 17, 25, 5, 6)
-			snap, err := NewSnapshot(s.cfg, snapshotKindFor(tc.name))
+			snap, err := NewSnapshot(s.cfg, e.kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,12 +72,20 @@ func TestSnapshotPlannerMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, budget := range tc.budgets(s.cfg) {
+			fresh := func(cfg Config) (Planner, error) { return New(e.kind, cfg) }
+			// Greedy has no differential case; LP-LF's axis suits it.
+			budgets := []float64{25, 40, 60, 90, 140, 220, 350}
+			for _, tc := range diffCases() {
+				if tc.name == warm.Name() {
+					budgets = tc.budgets(s.cfg)
+				}
+			}
+			for _, budget := range budgets {
 				wp, err := warm.Plan(budget)
 				if err != nil {
 					t.Fatalf("budget %.1f: snapshot planner: %v", budget, err)
 				}
-				if cp := freshPlan(t, tc.make, s.cfg, budget); !plansEqual(wp, cp) {
+				if cp := freshPlan(t, fresh, s.cfg, budget); !plansEqual(wp, cp) {
 					t.Fatalf("budget %.1f: snapshot plan %v != cold plan %v", budget, wp, cp)
 				}
 			}

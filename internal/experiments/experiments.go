@@ -118,6 +118,20 @@ type scenario struct {
 	truth [][]float64
 }
 
+// approxPlanners builds the approximate planners the figures compare
+// over cfg, in plotting order: Greedy, LP-LF, LP+LF.
+func approxPlanners(cfg core.Config) ([]core.Planner, error) {
+	var out []core.Planner
+	for _, kind := range []string{core.KindGreedy, core.KindLPNoFilter, core.KindLPFilter} {
+		pl, err := core.New(kind, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pl)
+	}
+	return out, nil
+}
+
 // gaussianScenario builds the synthetic-Gaussian setting of Figures 3
 // and 4.
 func gaussianScenario(nodes, k, nSamples, nEval int, stddev float64, rng *rand.Rand) (*scenario, error) {

@@ -94,20 +94,8 @@ func SpatialStudy(cfg SpatialStudyConfig) (*Result, error) {
 				return nil, err
 			}
 			budget := cfg.BudgetFrac * naive
-			planners := []core.Planner{}
-			if g, err := core.NewGreedy(s.cfg); err == nil {
-				planners = append(planners, g)
-			} else {
-				return nil, err
-			}
-			if l, err := core.NewLPNoFilter(s.cfg); err == nil {
-				planners = append(planners, l)
-			} else {
-				return nil, err
-			}
-			if f, err := core.NewLPFilter(s.cfg); err == nil {
-				planners = append(planners, f)
-			} else {
+			planners, err := approxPlanners(s.cfg)
+			if err != nil {
 				return nil, err
 			}
 			for _, pl := range planners {

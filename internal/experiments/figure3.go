@@ -99,27 +99,15 @@ func Figure3(cfg Figure3Config) (*Result, error) {
 			record(func() { aggs["Oracle"].add(frac, oCost/float64(len(s.truth)), 100*frac) })
 		}
 		// Approximate planners across the budget sweep.
-		planners := map[string]core.Planner{}
-		if g, err := core.NewGreedy(s.cfg); err == nil {
-			planners["Greedy"] = g
-		} else {
-			return err
-		}
-		if l, err := core.NewLPNoFilter(s.cfg); err == nil {
-			planners["LP-LF"] = l
-		} else {
-			return err
-		}
-		if f, err := core.NewLPFilter(s.cfg); err == nil {
-			planners["LP+LF"] = f
-		} else {
+		planners, err := approxPlanners(s.cfg)
+		if err != nil {
 			return err
 		}
 		// Planner-major: each planner walks the whole budget axis before
 		// the next starts, so its cached parametric LP serves the sweep
 		// as one warm basis chain (one cold solve per planner per trial).
-		for _, name := range []string{"Greedy", "LP-LF", "LP+LF"} {
-			pl := planners[name]
+		for _, pl := range planners {
+			name := pl.Name()
 			for _, frac := range cfg.BudgetFracs {
 				budget := frac * naive
 				p, err := pl.Plan(budget)

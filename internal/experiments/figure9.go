@@ -85,27 +85,15 @@ func Figure9(cfg Figure9Config) (*Result, error) {
 			return nil, err
 		}
 		naiveCost += naive
-		planners := map[string]core.Planner{}
-		if g, err := core.NewGreedy(s.cfg); err == nil {
-			planners["Greedy"] = g
-		} else {
-			return nil, err
-		}
-		if l, err := core.NewLPNoFilter(s.cfg); err == nil {
-			planners["LP-LF"] = l
-		} else {
-			return nil, err
-		}
-		if f, err := core.NewLPFilter(s.cfg); err == nil {
-			planners["LP+LF"] = f
-		} else {
+		planners, err := approxPlanners(s.cfg)
+		if err != nil {
 			return nil, err
 		}
 		trialGood := math.Inf(1)
 		// Planner-major (see figure3.go): one warm basis chain per
 		// planner per trial instead of interleaved cold solves.
-		for _, name := range []string{"Greedy", "LP-LF", "LP+LF"} {
-			pl := planners[name]
+		for _, pl := range planners {
+			name := pl.Name()
 			for _, frac := range cfg.BudgetFracs {
 				budget := frac * naive
 				p, err := pl.Plan(budget)

@@ -188,7 +188,7 @@ func (e *Engine) Run(q *Query, truth []float64) (*Answer, error) {
 			Plan:   p.String(),
 		}), nil
 	default:
-		pl, err := e.approxPlanner(q, cfg)
+		pl, err := core.New(string(q.Planner), cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -254,18 +254,6 @@ func (e *Engine) runAggregate(q *Query, truth []float64) (*Answer, error) {
 		Ledger: res.Ledger,
 		Plan:   plan,
 	}), nil
-}
-
-func (e *Engine) approxPlanner(q *Query, cfg core.Config) (core.Planner, error) {
-	switch q.Planner {
-	case PlannerGreedy:
-		return core.NewGreedy(cfg)
-	case PlannerLPNoLF:
-		return core.NewLPNoFilter(cfg)
-	case PlannerLPLF:
-		return core.NewLPFilter(cfg)
-	}
-	return nil, fmt.Errorf("query: unknown planner %q", q.Planner)
 }
 
 // buildSamples derives the query's Boolean matrix from the raw window

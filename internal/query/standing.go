@@ -32,9 +32,7 @@ func (e *Engine) Stand(q *Query, policy core.AdaptivePolicy, rng *rand.Rand) (*S
 	if q.Kind != TopK {
 		return nil, fmt.Errorf("query: only TOP-k queries can stand")
 	}
-	switch q.Planner {
-	case PlannerGreedy, PlannerLPNoLF, PlannerLPLF:
-	default:
+	if q.Planner == PlannerProof || q.Planner == PlannerExact {
 		return nil, fmt.Errorf("query: planner %s cannot stand; use Run for one-shot proof/exact queries", q.Planner)
 	}
 	if len(e.epochs) == 0 {
@@ -57,7 +55,7 @@ func (e *Engine) Stand(q *Query, policy core.AdaptivePolicy, rng *rand.Rand) (*S
 		}
 	}
 	cfg := core.Config{Net: e.net, Costs: e.costs, Samples: live, K: k, Obs: e.obs}
-	planner, err := standingPlanner(q, cfg)
+	planner, err := core.New(string(q.Planner), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -70,17 +68,6 @@ func (e *Engine) Stand(q *Query, policy core.AdaptivePolicy, rng *rand.Rand) (*S
 		return nil, err
 	}
 	return &Standing{engine: e, query: q, runner: runner, k: k}, nil
-}
-
-func standingPlanner(q *Query, cfg core.Config) (core.Planner, error) {
-	switch q.Planner {
-	case PlannerGreedy:
-		return core.NewGreedy(cfg)
-	case PlannerLPNoLF:
-		return core.NewLPNoFilter(cfg)
-	default:
-		return core.NewLPFilter(cfg)
-	}
 }
 
 // Step runs the standing query on one epoch of ground-truth readings

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"prospector/internal/core"
 	"prospector/internal/obs"
 	"prospector/internal/obs/telemetry"
 	"prospector/internal/regress"
@@ -25,8 +26,10 @@ import (
 //
 // /plan query parameters:
 //
-//	planner      planner kind (default the base key's); unknown kinds
-//	             are rejected by the provider with 400
+//	planner      planner kind (default the base key's), in any case;
+//	             an unescaped "lp+lf" arrives as "lp lf" and reads as
+//	             lp+lf (core.CanonicalKind); unknown kinds are
+//	             rejected by the provider with 400
 //	k            rank bound (default the base key's)
 //	budget       energy budget in mJ, required, finite and > 0
 //	deadline_ms  per-request deadline; 0 or absent means none, at
@@ -59,7 +62,7 @@ func Handler(s *Service, base Key) http.Handler {
 		q := r.URL.Query()
 		key := base
 		if p := q.Get("planner"); p != "" {
-			key.Planner = p
+			key.Planner = core.CanonicalKind(p)
 		}
 		if ks := q.Get("k"); ks != "" {
 			k, err := strconv.Atoi(ks)

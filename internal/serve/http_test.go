@@ -82,6 +82,25 @@ func TestHTTPPlanOK(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("planner override: status %d, body %s", status, body)
 	}
+
+	// An unescaped '+' decodes to a space; the service's own default
+	// kind must still resolve, and echo in the catalog's spelling.
+	for _, tc := range []struct{ query, echo string }{
+		{"lp+lf", core.KindLPFilter},
+		{"LP%2BLF", core.KindLPFilter},
+		{"greedy", core.KindGreedy},
+	} {
+		status, body, _ = get(t, srv.URL+"/plan?budget=120&planner="+tc.query)
+		if status != http.StatusOK {
+			t.Fatalf("planner=%s: status %d, body %s", tc.query, status, body)
+		}
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("bad JSON %q: %v", body, err)
+		}
+		if doc.Planner != tc.echo {
+			t.Fatalf("planner=%s echoed %q, want %q", tc.query, doc.Planner, tc.echo)
+		}
+	}
 }
 
 func TestHTTPPlanBadRequests(t *testing.T) {
