@@ -54,6 +54,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -112,43 +113,58 @@ func (lv *liveObs) epoch(e int) error {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "prospector:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
-	var (
-		nodes      = flag.Int("nodes", 60, "network size including the root")
-		k          = flag.Int("k", 10, "top-k rank bound")
-		nSamples   = flag.Int("samples", 15, "past samples used for planning")
-		budgetFrac = flag.Float64("budget-frac", 0.3, "energy budget as a fraction of NAIVE-k's cost")
-		planner    = flag.String("planner", "lp+lf", "greedy, lp-lf, lp+lf, proof, exact, or naive (the NAIVE-k baseline)")
-		seed       = flag.Int64("seed", 1, "deterministic seed")
-		epochs     = flag.Int("epochs", 10, "evaluation epochs")
-		describe   = flag.Bool("describe", false, "print the per-node plan table")
-		dotFile    = flag.String("dot", "", "write the network+plan as Graphviz DOT to this file")
-		useSim     = flag.Bool("sim", false, "execute through the discrete-event mote simulator")
-		lossProb   = flag.Float64("loss", 0, "uniform per-link loss probability for -sim")
-		metrics    = flag.String("metrics", "", "write the /metrics exposition here at exit ('-' for stdout)")
-		traceOut   = flag.String("trace", "", "stream JSON-lines trace events to this file ('-' for stdout)")
-		listen     = flag.String("listen", "", "serve live /metrics and the telemetry surfaces at this address for the run's lifetime")
-		pprofArg   = flag.String("pprof", "", "serve net/http/pprof at ADDR (contains ':') or write cpu/heap profiles into DIR")
-		manifest   = flag.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
-		flight     = flag.String("flight", "", "dump the last retained trace records here when a live telemetry rule breaches")
-		flightRls  = flag.String("flight-rules", "", "JSON rules (regress grammar) judged against live windowed series")
-		hold       = flag.Duration("hold", 0, "keep the -listen endpoints up this long after the run completes")
+// usageError is a command line that parses but asks for something
+// meaningless; main exits 2 on it, as the flag package does on a
+// malformed one.
+type usageError struct{ error }
 
-		serveMode    = flag.Bool("serve", false, "run as a long-lived plan service on -listen instead of a one-shot run")
-		serveFor     = flag.Duration("serve-for", 0, "shut the plan service down after this long (0: until SIGINT/SIGTERM)")
-		serveQueue   = flag.Int("serve-queue", 64, "plan service admission bound: max queued requests before shedding")
-		serveWorkers = flag.Int("serve-workers", 1, "plan service workers (warm chains) per planner key")
-		serveBatch   = flag.Int("serve-batch", 16, "max requests one worker dispatch serves as a single sorted sweep")
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("prospector", flag.ExitOnError)
+	var (
+		nodes      = fs.Int("nodes", 60, "network size including the root")
+		k          = fs.Int("k", 10, "top-k rank bound")
+		nSamples   = fs.Int("samples", 15, "past samples used for planning")
+		budgetFrac = fs.Float64("budget-frac", 0.3, "energy budget as a fraction of NAIVE-k's cost")
+		planner    = fs.String("planner", "lp+lf", "greedy, lp-lf, lp+lf, proof, exact, or naive (the NAIVE-k baseline)")
+		seed       = fs.Int64("seed", 1, "deterministic seed")
+		epochs     = fs.Int("epochs", 10, "evaluation epochs")
+		describe   = fs.Bool("describe", false, "print the per-node plan table")
+		dotFile    = fs.String("dot", "", "write the network+plan as Graphviz DOT to this file")
+		useSim     = fs.Bool("sim", false, "execute through the discrete-event mote simulator")
+		lossProb   = fs.Float64("loss", 0, "uniform per-link loss probability in [0, 1] for -sim")
+		metrics    = fs.String("metrics", "", "write the /metrics exposition here at exit ('-' for stdout)")
+		traceOut   = fs.String("trace", "", "stream JSON-lines trace events to this file ('-' for stdout)")
+		listen     = fs.String("listen", "", "serve live /metrics and the telemetry surfaces at this address for the run's lifetime")
+		pprofArg   = fs.String("pprof", "", "serve net/http/pprof at ADDR (contains ':') or write cpu/heap profiles into DIR")
+		manifest   = fs.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
+		flight     = fs.String("flight", "", "dump the last retained trace records here when a live telemetry rule breaches")
+		flightRls  = fs.String("flight-rules", "", "JSON rules (regress grammar) judged against live windowed series")
+		hold       = fs.Duration("hold", 0, "keep the -listen endpoints up this long after the run completes")
+
+		serveMode    = fs.Bool("serve", false, "run as a long-lived plan service on -listen instead of a one-shot run")
+		serveFor     = fs.Duration("serve-for", 0, "shut the plan service down after this long (0: until SIGINT/SIGTERM)")
+		serveQueue   = fs.Int("serve-queue", 64, "plan service admission bound: max queued requests before shedding")
+		serveWorkers = fs.Int("serve-workers", 1, "plan service workers (warm chains) per planner key")
+		serveBatch   = fs.Int("serve-batch", 16, "max requests one worker dispatch serves as a single sorted sweep")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *serveMode && *listen == "" {
-		return fmt.Errorf("-serve requires -listen")
+		return usageError{fmt.Errorf("-serve requires -listen")}
+	}
+	// Written so NaN fails too: a NaN loss would otherwise run lossless.
+	if !(*lossProb >= 0 && *lossProb <= 1) {
+		return usageError{fmt.Errorf("-loss %v is not a probability in [0, 1]", *lossProb)}
 	}
 	sf := telemetry.Flags{
 		Metrics: *metrics, Trace: *traceOut, Pprof: *pprofArg, Manifest: *manifest,

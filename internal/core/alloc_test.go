@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"prospector/internal/network"
 )
 
 // TestParametricSolveAllocFree pins the runtime half of paramLP.solve's
@@ -33,5 +35,60 @@ func TestParametricSolveAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm parametric solve allocated %v times per call, want 0", allocs)
+	}
+}
+
+// coverageDeltaScenario is a 200-node network with a 20-sample window,
+// a rounded LP+LF bandwidth assignment and its filled pool table.
+func coverageDeltaScenario(tb testing.TB) (Config, []int, *poolTable) {
+	s := makeScenario(tb, 9, 200, 20, 20)
+	pl, err := NewLPFilter(s.cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := pl.Plan(400)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tab := &poolTable{}
+	tab.fill(s.cfg, p.Bandwidth)
+	return s.cfg, p.Bandwidth, tab
+}
+
+// TestCoverageDeltaAllocFree pins the runtime half of poolTable.moved's
+// //alloc:none claim: scoring every ±1 step of a filled table
+// allocates nothing.
+func TestCoverageDeltaAllocFree(t *testing.T) {
+	cfg, bw, tab := coverageDeltaScenario(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		for v := 1; v < cfg.Net.Size(); v++ {
+			tab.moved(cfg.Net, bw, network.NodeID(v), true)
+			if bw[v] > 0 {
+				tab.moved(cfg.Net, bw, network.NodeID(v), false)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("scoring every step allocated %v times, want 0", allocs)
+	}
+}
+
+// coverageDeltaSink keeps the benchmarked scores live.
+var coverageDeltaSink int
+
+// BenchmarkCoverageDelta scores every ±1 step of one rounding table;
+// its allocs/op must stay 0 (the CI bench smoke enforces this with
+// -benchmem).
+func BenchmarkCoverageDelta(b *testing.B) {
+	cfg, bw, tab := coverageDeltaScenario(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := 1; v < cfg.Net.Size(); v++ {
+			coverageDeltaSink += tab.moved(cfg.Net, bw, network.NodeID(v), true)
+			if bw[v] > 0 {
+				coverageDeltaSink += tab.moved(cfg.Net, bw, network.NodeID(v), false)
+			}
+		}
 	}
 }

@@ -129,33 +129,90 @@ func selectionObjective(cfg Config, chosen []bool) int {
 
 // bandwidthCoverage returns the total number of top-k sample values a
 // Filtering plan's bandwidth assignment delivers to the root, summed
-// over all samples. Computed bottom-up per sample: a node forwards the
-// top of its pool, and within its own subtree the sample's top-k values
-// outrank everything else, so the count reaching the parent is
-// min(bandwidth, own-hit + children's counts).
+// over all samples.
 func bandwidthCoverage(cfg Config, bandwidth []int) int {
-	net := cfg.Net
-	counts := make([]int, net.Size())
+	pool := make([]int, cfg.Net.Size())
 	total := 0
 	for j := 0; j < cfg.Samples.Len(); j++ {
-		net.PostorderWalk(func(v network.NodeID) {
-			n := 0
-			if cfg.Samples.IsOne(j, int(v)) {
-				n = 1
-			}
-			for _, c := range net.Children(v) {
-				n += counts[c]
-			}
-			if v != network.Root {
-				if b := bandwidth[v]; n > b {
-					n = b
-				}
-			}
-			counts[v] = n
-		})
-		total += counts[network.Root]
+		poolWalk(cfg, bandwidth, j, pool)
+		total += pool[network.Root]
 	}
 	return total
+}
+
+// poolWalk sets pool[v] to the number of sample j's top-k values in
+// node v's pool before v's cap, bottom-up. A node forwards the top of
+// its pool, and within its own subtree the sample's top-k values
+// outrank everything else, so a child c forwards
+// min(pool[c], bandwidth[c]) of them. The root is uncapped: pool[Root]
+// is the sample's coverage.
+func poolWalk(cfg Config, bandwidth []int, j int, pool []int) {
+	net := cfg.Net
+	net.PostorderWalk(func(v network.NodeID) {
+		n := 0
+		if cfg.Samples.IsOne(j, int(v)) {
+			n = 1
+		}
+		for _, c := range net.Children(v) {
+			n += min(pool[c], bandwidth[c])
+		}
+		pool[v] = n
+	})
+}
+
+// poolTable holds poolWalk's counts for every sample of one bandwidth
+// assignment, so the rounding can score a ±1 step at an edge from the
+// path above it instead of re-walking the tree for every sample.
+type poolTable struct {
+	pool []int // sample j's counts are pool[j*n : (j+1)*n] for n nodes
+}
+
+// fill recomputes the table for bandwidth.
+func (t *poolTable) fill(cfg Config, bandwidth []int) {
+	n := cfg.Net.Size()
+	if need := cfg.Samples.Len() * n; cap(t.pool) < need {
+		t.pool = make([]int, need)
+	} else {
+		t.pool = t.pool[:need]
+	}
+	for j := 0; j < cfg.Samples.Len(); j++ {
+		poolWalk(cfg, bandwidth, j, t.pool[j*n:(j+1)*n])
+	}
+}
+
+// moved returns how many samples' coverage changes when bandwidth[v]
+// (v not the root) moves by one, up if raise, down otherwise; the
+// table must have been filled for bandwidth. Raising lets one more of
+// sample j's values past v when pool[v] > bandwidth[v], and that
+// value reaches the root when every capped ancestor a forwarded its
+// whole pool and has room to spare, pool[a] < bandwidth[a]. Lowering
+// is the mirror: pool[v] >= bandwidth[v] at v, and pool[a] <=
+// bandwidth[a] on the path, so the lost value was not replaced above.
+//
+//alloc:none
+func (t *poolTable) moved(net *network.Network, bandwidth []int, v network.NodeID, raise bool) int {
+	s := 0
+	if raise {
+		s = 1
+	}
+	n, count := net.Size(), 0
+	for row := 0; row < len(t.pool); row += n {
+		u := t.pool[row : row+n]
+		if u[v] < bandwidth[v]+s {
+			continue
+		}
+		reaches := true
+		for a := net.Parent(v); a != network.Root; a = net.Parent(a) {
+			if u[a] > bandwidth[a]-s {
+				reaches = false
+				break
+			}
+		}
+		if reaches {
+			count++
+		}
+	}
+	return count
 }
 
 // bandwidthCost returns the collection cost of a Filtering bandwidth

@@ -492,6 +492,56 @@ func minInt(a, b int) int {
 
 var _ = math.Abs // keep math import for future tolerance checks
 
+// TestPoolTableMovedMatchesWalks is the path-delta property the
+// rounding relies on: for random networks, samples and bandwidths, the
+// table's count for a ±1 step at any node equals the difference of two
+// full bandwidthCoverage walks, in both directions.
+func TestPoolTableMovedMatchesWalks(t *testing.T) {
+	nonzero := 0
+	for trial := 0; trial < 30; trial++ {
+		s := makeScenario(t, int64(40+trial), 15+3*trial, 2+trial%9, 3+trial%6)
+		net := s.cfg.Net
+		r := rand.New(rand.NewSource(int64(trial)))
+		bw := make([]int, net.Size())
+		for v := 1; v < net.Size(); v++ {
+			bw[v] = r.Intn(3)
+		}
+		if trial%2 == 0 {
+			enforceMonotone(net, bw)
+		}
+		var tab poolTable
+		tab.fill(s.cfg, bw)
+		base := bandwidthCoverage(s.cfg, bw)
+		for v := 1; v < net.Size(); v++ {
+			bw[v]++
+			gain := bandwidthCoverage(s.cfg, bw) - base
+			bw[v]--
+			if got := tab.moved(net, bw, network.NodeID(v), true); got != gain {
+				t.Fatalf("trial %d node %d: raise moves %d samples, walks say %d", trial, v, got, gain)
+			}
+			if gain != 0 {
+				nonzero++
+			}
+			if bw[v] == 0 {
+				continue
+			}
+			bw[v]--
+			loss := base - bandwidthCoverage(s.cfg, bw)
+			bw[v]++
+			if got := tab.moved(net, bw, network.NodeID(v), false); got != loss {
+				t.Fatalf("trial %d node %d: lower moves %d samples, walks say %d", trial, v, got, loss)
+			}
+			if loss != 0 {
+				nonzero++
+			}
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("no step moved any sample: the property was never exercised")
+	}
+	t.Logf("%d steps moved coverage", nonzero)
+}
+
 func TestBandwidthCoverageMonotone(t *testing.T) {
 	// Property: adding bandwidth anywhere never reduces top-k coverage.
 	s := makeScenario(t, 25, 30, 6, 8)

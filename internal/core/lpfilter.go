@@ -82,8 +82,9 @@ func (prog *lpfilterProgram) round(cfg Config, x []float64, budget float64) (*pl
 	}
 	enforceMonotone(net, bw)
 	if !cfg.DisableRepair {
-		repairBandwidth(cfg, bw, budget)
-		fillBandwidth(cfg, bw, budget, prog.caps)
+		var tab poolTable
+		repairBandwidth(cfg, &tab, bw, budget)
+		fillBandwidth(cfg, &tab, bw, budget, prog.caps)
 	}
 	return plan.NewFiltering(net, bw)
 }
@@ -365,11 +366,11 @@ func enforceMonotone(net *network.Network, bw []int) {
 
 // repairBandwidth decrements bandwidths until the plan fits the
 // budget, each time choosing the decrement that sacrifices the least
-// sample coverage (ties: the most expensive edge).
-func repairBandwidth(cfg Config, bw []int, budget float64) {
+// sample coverage (ties: the most expensive edge). tab is scratch.
+func repairBandwidth(cfg Config, tab *poolTable, bw []int, budget float64) {
 	net := cfg.Net
 	for bandwidthCost(cfg, bw) > budget {
-		base := bandwidthCoverage(cfg, bw)
+		tab.fill(cfg, bw)
 		best := network.NodeID(-1)
 		bestLoss, bestSave := 0, 0.0
 		for v := 1; v < net.Size(); v++ {
@@ -381,13 +382,11 @@ func repairBandwidth(cfg Config, bw []int, budget float64) {
 			if bw[v] == 1 && hasUsedChild(net, bw, network.NodeID(v)) {
 				continue
 			}
-			bw[v]--
-			loss := base - bandwidthCoverage(cfg, bw)
+			loss := tab.moved(net, bw, network.NodeID(v), false)
 			save := cfg.Costs.ValueCost(network.NodeID(v), 1)
-			if bw[v] == 0 {
+			if bw[v] == 1 {
 				save += cfg.Costs.Msg[v]
 			}
-			bw[v]++
 			if best < 0 || loss < bestLoss || (loss == bestLoss && save > bestSave) {
 				best, bestLoss, bestSave = network.NodeID(v), loss, save
 			}
@@ -409,12 +408,13 @@ func hasUsedChild(net *network.Network, bw []int, v network.NodeID) bool {
 }
 
 // fillBandwidth spends leftover budget on the bandwidth increment (or
-// edge opening) that gains the most sample coverage per joule.
-func fillBandwidth(cfg Config, bw []int, budget float64, caps []float64) {
+// edge opening) that gains the most sample coverage per joule. tab is
+// scratch.
+func fillBandwidth(cfg Config, tab *poolTable, bw []int, budget float64, caps []float64) {
 	net := cfg.Net
 	for {
 		cost := bandwidthCost(cfg, bw)
-		base := bandwidthCoverage(cfg, bw)
+		tab.fill(cfg, bw)
 		best := network.NodeID(-1)
 		bestScore := 0.0
 		for v := 1; v < net.Size(); v++ {
@@ -432,9 +432,7 @@ func fillBandwidth(cfg Config, bw []int, budget float64, caps []float64) {
 			if cost+extra > budget {
 				continue
 			}
-			bw[v]++
-			gain := bandwidthCoverage(cfg, bw) - base
-			bw[v]--
+			gain := tab.moved(net, bw, network.NodeID(v), true)
 			if gain <= 0 {
 				continue
 			}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies a node in a network. The root always has ID 0.
@@ -39,6 +40,15 @@ type Network struct {
 	subSize  []int      // len(desc[i])
 	order    []NodeID   // preorder walk from the root
 	height   int
+	// within caches the last range's interference graph (see Within).
+	within atomic.Pointer[withinGraph]
+}
+
+// withinGraph is the interference graph of one range in compressed
+// sparse row form: node i's neighbours are adj[off[i]:off[i+1]].
+type withinGraph struct {
+	r        float64
+	off, adj []int32
 }
 
 // New assembles a Network from an explicit parent vector. parent[0]
@@ -243,6 +253,56 @@ func (net *Network) MaxFanout() int {
 func (net *Network) String() string {
 	return fmt.Sprintf("network{nodes=%d height=%d leaves=%d maxFanout=%d}",
 		net.Size(), net.Height(), len(net.Leaves()), net.MaxFanout())
+}
+
+// Within returns the graph of nodes within distance r of each other,
+// in compressed sparse row form: node i's neighbours — every j != i
+// with Pos(i).Dist(Pos(j)) <= r — are adj[off[i]:off[i+1]], in
+// ascending order. The deployment never moves, so the graph is built
+// once per range and cached (the most recent range only); the caller
+// must not modify the result.
+func (net *Network) Within(r float64) (off, adj []int32) {
+	if g := net.within.Load(); g != nil && g.r == r {
+		return g.off, g.adj
+	}
+	g := net.buildWithin(r)
+	net.within.Store(g)
+	return g.off, g.adj
+}
+
+// buildWithin scans every unordered pair once to count degrees, then
+// again to fill the exact-sized adjacency. Dist is symmetric bit for
+// bit (Hypot takes absolute values), so one evaluation decides both
+// directions; filling row by row in ascending i keeps every list
+// ascending.
+func (net *Network) buildWithin(r float64) *withinGraph {
+	n := net.Size()
+	near := func(i, j int) bool { return net.pos[i].Dist(net.pos[j]) <= r }
+	off := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if near(i, j) {
+				off[i+1]++
+				off[j+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	adj := make([]int32, off[n])
+	next := append([]int32(nil), off[:n]...)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if near(i, j) {
+				adj[next[i]] = int32(j)
+				next[i]++
+				adj[next[j]] = int32(i)
+				next[j]++
+			}
+		}
+	}
+	return &withinGraph{r: r, off: off, adj: adj}
 }
 
 // SortedByDepth returns all node IDs ordered by increasing depth,

@@ -1,8 +1,10 @@
 package network
 
 import (
+	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -270,4 +272,117 @@ func TestAccessors(t *testing.T) {
 			t.Errorf("String() = %q", s)
 		}
 	}
+}
+
+// bruteWithin is the all-pairs scan Within replaces, in [][]NodeID form.
+func bruteWithin(net *Network, r float64) [][]NodeID {
+	out := make([][]NodeID, net.Size())
+	for i := 0; i < net.Size(); i++ {
+		for j := 0; j < net.Size(); j++ {
+			if i != j && net.Pos(NodeID(i)).Dist(net.Pos(NodeID(j))) <= r {
+				out[i] = append(out[i], NodeID(j))
+			}
+		}
+	}
+	return out
+}
+
+// checkWithin compares one Within result with the brute-force scan,
+// neighbour for neighbour and in order.
+func checkWithin(t *testing.T, net *Network, r float64, off, adj []int32) {
+	t.Helper()
+	want := bruteWithin(net, r)
+	if len(off) != net.Size()+1 || int(off[net.Size()]) != len(adj) || len(adj) != cap(adj) {
+		t.Fatalf("r=%v: %d offsets, last %d, adjacency len %d cap %d", r, len(off), off[len(off)-1], len(adj), cap(adj))
+	}
+	for i := range want {
+		got := adj[off[i]:off[i+1]]
+		if len(got) != len(want[i]) {
+			t.Fatalf("r=%v node %d: %d neighbours, want %d", r, i, len(got), len(want[i]))
+		}
+		for x := range got {
+			if NodeID(got[x]) != want[i][x] {
+				t.Fatalf("r=%v node %d: neighbours %v, want %v", r, i, got, want[i])
+			}
+		}
+	}
+}
+
+func TestWithinMatchesBruteForce(t *testing.T) {
+	net, err := Build(DefaultBuildConfig(120), rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []float64{0, 3, 10, 22.5, 60, 200} {
+		off, adj := net.Within(r)
+		checkWithin(t, net, r, off, adj)
+	}
+	// Nodes 1 and 2 sit exactly 5 m apart (a 3-4-5 triangle): the range
+	// is inclusive, so they are neighbours at 5 and not a hair below.
+	pair, err := New([]NodeID{0, 0, 1}, []Point{{0, 0}, {10, 10}, {13, 14}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []float64{5, math.Nextafter(5, 0)} {
+		off, adj := pair.Within(r)
+		checkWithin(t, pair, r, off, adj)
+		if linked := off[2]-off[1] == 1; linked != (r == 5) {
+			t.Errorf("r=%v: nodes 5 m apart linked=%v", r, linked)
+		}
+	}
+}
+
+// TestWithinAlternatingRanges switches the one-entry cache between two
+// ranges: every call must answer for its own range, never the other's.
+func TestWithinAlternatingRanges(t *testing.T) {
+	net, err := Build(DefaultBuildConfig(80), rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		r := []float64{10, 30}[i%2]
+		off, adj := net.Within(r)
+		checkWithin(t, net, r, off, adj)
+	}
+	// A repeated range is served from the cache: the same arrays.
+	off1, _ := net.Within(30)
+	off2, _ := net.Within(30)
+	if &off1[0] != &off2[0] {
+		t.Error("a repeated range rebuilt the graph")
+	}
+}
+
+// TestWithinConcurrent has several goroutines race for one network's
+// cache over two ranges; run it under -race.
+func TestWithinConcurrent(t *testing.T) {
+	net, err := Build(DefaultBuildConfig(60), rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[float64][][]NodeID{10: bruteWithin(net, 10), 25: bruteWithin(net, 25)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				r := []float64{10, 25}[(g+i)%2]
+				off, adj := net.Within(r)
+				for v, nbs := range want[r] {
+					got := adj[off[v]:off[v+1]]
+					if len(got) != len(nbs) {
+						t.Errorf("r=%v node %d: %d neighbours, want %d", r, v, len(got), len(nbs))
+						return
+					}
+					for x, nb := range nbs {
+						if NodeID(got[x]) != nb {
+							t.Errorf("r=%v node %d: neighbours %v, want %v", r, v, got, nbs)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

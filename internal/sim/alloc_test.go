@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"prospector/internal/network"
 	"prospector/internal/obs"
 	"prospector/internal/plan"
 )
@@ -61,5 +62,37 @@ func BenchmarkSimDrain(b *testing.B) {
 		s.reset()
 		s.seedTriggers()
 		s.drain()
+	}
+}
+
+// TestRunAllocsIndependentOfRange pins the interference graph's cost
+// model: the network builds it once per range, so a full Run with
+// contention on allocates exactly what the same run with contention
+// off does, and no more at a wider range.
+func TestRunAllocsIndependentOfRange(t *testing.T) {
+	net, err := network.Build(network.DefaultBuildConfig(200), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := randValues(rand.New(rand.NewSource(2)), net.Size())
+	p, err := plan.NewFiltering(net, randBandwidth(rand.New(rand.NewSource(3)), net, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(r float64) float64 {
+		cfg := DefaultConfig(net)
+		cfg.InterferenceRange = r
+		cfg.Rng = rand.New(rand.NewSource(4))
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(cfg, p, vals); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	off := allocs(0)
+	for _, r := range []float64{10, 25} {
+		if on := allocs(r); on != off {
+			t.Errorf("Run allocates %v times at InterferenceRange %v, %v with contention off", on, r, off)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"prospector/internal/network"
 	"prospector/internal/obs"
 	"prospector/internal/plan"
@@ -16,23 +14,8 @@ import (
 // lossless medium the energy equals plan.InstallCost exactly (a
 // property the tests enforce).
 func RunInstall(cfg Config, p *plan.Plan) (*Result, error) {
-	if cfg.Net == nil {
-		return nil, fmt.Errorf("sim: config needs a network")
-	}
-	if err := cfg.Model.Validate(); err != nil {
+	if err := cfg.validate(p); err != nil {
 		return nil, err
-	}
-	if err := p.Validate(cfg.Net); err != nil {
-		return nil, err
-	}
-	if cfg.ByteRate <= 0 {
-		return nil, fmt.Errorf("sim: ByteRate must be positive")
-	}
-	if (cfg.LossProb != nil || cfg.InterferenceRange > 0) && cfg.Rng == nil {
-		return nil, fmt.Errorf("sim: loss or contention requires an Rng")
-	}
-	if cfg.LossProb != nil && len(cfg.LossProb) != cfg.Net.Size() {
-		return nil, fmt.Errorf("sim: %d loss probabilities for %d nodes", len(cfg.LossProb), cfg.Net.Size())
 	}
 	s := newSim(cfg, p, make([]float64, cfg.Net.Size()))
 	inst := &installer{sim: s}

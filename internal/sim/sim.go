@@ -16,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -199,9 +200,11 @@ type sim struct {
 	childProv []int
 	attempts  []int
 
-	// Medium state: the time each node's neighborhood frees up.
-	busyUntil []float64
-	neighbors [][]network.NodeID
+	// Medium state: the time each node's neighborhood frees up, and
+	// the network's cached interference graph (node v's neighbours are
+	// nbAdj[nbOff[v]:nbOff[v+1]]; both nil without contention).
+	busyUntil    []float64
+	nbOff, nbAdj []int32
 
 	slot float64
 	// subHeight[v]: height of the subtree rooted at v.
@@ -217,33 +220,56 @@ type sim struct {
 // Run simulates one collection phase of the plan over the epoch's
 // ground-truth readings.
 func Run(cfg Config, p *plan.Plan, values []float64) (*Result, error) {
-	if cfg.Net == nil {
-		return nil, fmt.Errorf("sim: config needs a network")
-	}
-	if err := cfg.Model.Validate(); err != nil {
+	if err := cfg.validate(p); err != nil {
 		return nil, err
 	}
 	if len(values) != cfg.Net.Size() {
 		return nil, fmt.Errorf("sim: %d readings for %d nodes", len(values), cfg.Net.Size())
 	}
-	if err := p.Validate(cfg.Net); err != nil {
-		return nil, err
-	}
 	if p.Kind == plan.Selection {
 		return nil, fmt.Errorf("sim: selection plans are executed analytically; simulate Filtering or Proof plans")
-	}
-	if cfg.ByteRate <= 0 {
-		return nil, fmt.Errorf("sim: ByteRate must be positive")
-	}
-	if (cfg.LossProb != nil || cfg.InterferenceRange > 0) && cfg.Rng == nil {
-		return nil, fmt.Errorf("sim: loss or contention requires an Rng")
-	}
-	if cfg.LossProb != nil && len(cfg.LossProb) != cfg.Net.Size() {
-		return nil, fmt.Errorf("sim: %d loss probabilities for %d nodes", len(cfg.LossProb), cfg.Net.Size())
 	}
 	s := newSim(cfg, p, values)
 	s.run()
 	return s.res, nil
+}
+
+// validate checks what both phases need of a config and a plan. The
+// comparisons are written so NaN fails them.
+func (cfg Config) validate(p *plan.Plan) error {
+	if cfg.Net == nil {
+		return fmt.Errorf("sim: config needs a network")
+	}
+	if err := cfg.Model.Validate(); err != nil {
+		return err
+	}
+	if err := p.Validate(cfg.Net); err != nil {
+		return err
+	}
+	if !(cfg.ByteRate > 0) || math.IsInf(cfg.ByteRate, 1) {
+		return fmt.Errorf("sim: ByteRate must be positive and finite, got %v", cfg.ByteRate)
+	}
+	if !(cfg.InterferenceRange >= 0) {
+		return fmt.Errorf("sim: InterferenceRange must be non-negative, got %v", cfg.InterferenceRange)
+	}
+	if !(cfg.SlotSeconds >= 0) {
+		return fmt.Errorf("sim: SlotSeconds must be non-negative, got %v", cfg.SlotSeconds)
+	}
+	if cfg.MaxRetries < 0 {
+		return fmt.Errorf("sim: MaxRetries must be non-negative, got %d", cfg.MaxRetries)
+	}
+	if (cfg.LossProb != nil || cfg.InterferenceRange > 0) && cfg.Rng == nil {
+		return fmt.Errorf("sim: loss or contention requires an Rng")
+	}
+	if cfg.LossProb != nil && len(cfg.LossProb) != cfg.Net.Size() {
+		return fmt.Errorf("sim: %d loss probabilities for %d nodes", len(cfg.LossProb), cfg.Net.Size())
+	}
+	for v, q := range cfg.LossProb {
+		if !(q >= 0 && q <= 1) {
+			return fmt.Errorf("sim: LossProb[%d] = %v is not a probability", v, q)
+		}
+	}
+	return nil
 }
 
 func newSim(cfg Config, p *plan.Plan, values []float64) *sim {
@@ -313,14 +339,7 @@ func newSim(cfg Config, p *plan.Plan, values []float64) *sim {
 		s.slot = 2.5 * maxBytes / cfg.ByteRate * float64(1+cfg.MaxRetries)
 	}
 	if cfg.InterferenceRange > 0 {
-		s.neighbors = make([][]network.NodeID, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j && net.Pos(network.NodeID(i)).Dist(net.Pos(network.NodeID(j))) <= cfg.InterferenceRange {
-					s.neighbors[i] = append(s.neighbors[i], network.NodeID(j))
-				}
-			}
-		}
+		s.nbOff, s.nbAdj = net.Within(cfg.InterferenceRange)
 	}
 	return s
 }
@@ -615,11 +634,11 @@ func (s *sim) occupyMedium(v network.NodeID, dur float64) {
 	}
 }
 
-func (s *sim) neighborsOf(v network.NodeID) []network.NodeID {
-	if s.neighbors == nil {
+func (s *sim) neighborsOf(v network.NodeID) []int32 {
+	if s.nbOff == nil {
 		return nil
 	}
-	return s.neighbors[v]
+	return s.nbAdj[s.nbOff[v]:s.nbOff[v+1]]
 }
 
 // provenPrefix mirrors the proof conditions of internal/exec over the

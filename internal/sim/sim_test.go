@@ -345,6 +345,66 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidate feeds Run and RunInstall one malformed field per
+// row. Each must fail before simulating: NaN compares false both ways,
+// so a check written as "x < 0" alone would let it through.
+func TestConfigValidate(t *testing.T) {
+	net := network.Line(3)
+	p, err := plan.NewFiltering(net, []int{0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"nil network", func(c *Config) { c.Net = nil }},
+		{"zero ByteRate", func(c *Config) { c.ByteRate = 0 }},
+		{"negative ByteRate", func(c *Config) { c.ByteRate = -2400 }},
+		{"NaN ByteRate", func(c *Config) { c.ByteRate = nan }},
+		{"infinite ByteRate", func(c *Config) { c.ByteRate = inf }},
+		{"negative InterferenceRange", func(c *Config) { c.InterferenceRange = -1 }},
+		{"NaN InterferenceRange", func(c *Config) { c.InterferenceRange = nan }},
+		{"negative SlotSeconds", func(c *Config) { c.SlotSeconds = -0.5 }},
+		{"NaN SlotSeconds", func(c *Config) { c.SlotSeconds = nan }},
+		{"negative MaxRetries", func(c *Config) { c.MaxRetries = -3 }},
+		{"NaN LossProb", func(c *Config) { c.LossProb = []float64{0, nan, 0} }},
+		{"negative LossProb", func(c *Config) { c.LossProb = []float64{0, -0.1, 0} }},
+		{"LossProb above 1", func(c *Config) { c.LossProb = []float64{0, 2, 0} }},
+		{"short LossProb", func(c *Config) { c.LossProb = []float64{0, 0.5} }},
+		{"loss without an Rng", func(c *Config) { c.LossProb = []float64{0, 0.5, 0}; c.Rng = nil }},
+		{"contention without an Rng", func(c *Config) { c.InterferenceRange = 10; c.Rng = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(net)
+			cfg.Rng = rand.New(rand.NewSource(1))
+			tc.edit(&cfg)
+			if res, err := Run(cfg, p, []float64{1, 2, 3}); err == nil {
+				t.Errorf("Run accepted it: latency %v, %d values", res.Latency, len(res.Returned))
+			}
+			if _, err := RunInstall(cfg, p); err == nil {
+				t.Error("RunInstall accepted it")
+			}
+		})
+	}
+	// The boundaries stay legal: certain loss, no retries, an explicit
+	// slot and contention on.
+	cfg := DefaultConfig(net)
+	cfg.Rng = rand.New(rand.NewSource(1))
+	cfg.LossProb = []float64{0, 1, 0}
+	cfg.MaxRetries = 0
+	cfg.SlotSeconds = 0.5
+	cfg.InterferenceRange = 10
+	if _, err := Run(cfg, p, []float64{1, 2, 3}); err != nil {
+		t.Errorf("Run rejected a legal config: %v", err)
+	}
+	if _, err := RunInstall(cfg, p); err != nil {
+		t.Errorf("RunInstall rejected a legal config: %v", err)
+	}
+}
+
 func TestEstimateLossProbs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	net := randTree(rng, 25)
