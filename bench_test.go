@@ -322,53 +322,6 @@ func BenchmarkWarmResolveSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkSimplexPricing ablates the entering rule (Dantzig vs Bland)
-// on a representative LP+LF program.
-func BenchmarkSimplexPricing(b *testing.B) {
-	for _, pr := range []struct {
-		name string
-		p    lp.Pricing
-	}{{"Dantzig", lp.Dantzig}, {"Bland", lp.Bland}} {
-		b.Run(pr.name, func(b *testing.B) {
-			s := benchGaussian(b, 13, 36, 8, 8)
-			s.cfg.LP = lp.Options{Pricing: pr.p, MaxIters: 2_000_000}
-			pl, err := core.NewLPFilter(s.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			naive, err := core.NaiveKPlan(s.cfg.Net, 10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			budget := 0.3 * naive.CollectionCost(s.cfg.Net, s.cfg.Costs)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pl.Plan(budget); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGreedyVariants ablates the paper's colsum priority against
-// the cost-aware extension.
-func BenchmarkGreedyVariants(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		mk   func(core.Config) (core.Planner, error)
-	}{
-		{"Paper", func(c core.Config) (core.Planner, error) { return core.NewGreedy(c) }},
-		{"CostAware", func(c core.Config) (core.Planner, error) { return core.NewGreedyCostAware(c) }},
-		{"KnapsackDP", func(c core.Config) (core.Planner, error) { return core.NewKnapsack(c) }},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			benchPlanner(b, v.mk, 80, 12, 15, 0.3)
-		})
-	}
-}
-
 // BenchmarkProofStrictC3 ablates the strict c.3 linearization against
 // the paper's omit-the-row formulation.
 func BenchmarkProofStrictC3(b *testing.B) {
@@ -476,18 +429,6 @@ func BenchmarkExecProofAndMopUp(b *testing.B) {
 	}
 }
 
-func BenchmarkNaiveOne(b *testing.B) {
-	s := benchGaussian(b, 18, 60, 10, 5)
-	vals := s.cfg.Samples.Values(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.NaiveOne(s.env, vals, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSampleAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(19))
 	set := sample.MustNewSet(200, 20, 50)
@@ -573,45 +514,6 @@ func BenchmarkMPSRoundTrip(b *testing.B) {
 		if _, err := lp.ReadMPS(&buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMopUpVariants compares the broadcast mop-up against the
-// per-child tailored refinement the paper sketches and dismisses as
-// bringing "only marginal benefits". The bench reports phase-2 energy
-// per protocol alongside runtime.
-func BenchmarkMopUpVariants(b *testing.B) {
-	for _, v := range []struct {
-		name     string
-		tailored bool
-	}{{"Broadcast", false}, {"Tailored", true}} {
-		b.Run(v.name, func(b *testing.B) {
-			s := benchGaussian(b, 24, 50, 10, 6)
-			pp, err := core.NewProofPlanner(s.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := pp.Plan(pp.MinBudget() * 1.1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			vals := s.cfg.Samples.Values(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			energyTotal := 0.0
-			for i := 0; i < b.N; i++ {
-				res, err := exec.Run(s.env, p, vals)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mop, err := res.State.MopUpWith(10, exec.MopUpOptions{Tailored: v.tailored})
-				if err != nil {
-					b.Fatal(err)
-				}
-				energyTotal += mop.Ledger.Total()
-			}
-			b.ReportMetric(energyTotal/float64(b.N), "mJ-phase2/op")
-		})
 	}
 }
 

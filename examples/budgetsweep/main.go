@@ -107,7 +107,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("\nexact baselines: NAIVE-%d %.1f mJ", k, naiveCost)
-	res, err := exec.NaiveOne(env, truth[0], k)
+	res, err := exec.NaiveBatch(env, truth[0], k, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

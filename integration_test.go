@@ -63,7 +63,7 @@ func TestExactAgreesWithNaiveBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n1Res, err := exec.NaiveOne(env, truth, k)
+		n1Res, err := exec.NaiveBatch(env, truth, k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ import (
 // function name, keyed by import-path suffix so fixture twins use the
 // same table.
 var budgetEntryPoints = map[string][]string{
-	"internal/exec": {"chargeEmpty", "chargeMsg", "chargeReply", "chargeRequest", "chargeTrigger", "chargeValue"},
+	"internal/exec": {"chargeMsg", "chargeReply", "chargeRequest", "chargeTrigger", "chargeValue"},
 	"internal/sim":  {"chargeDelivery", "chargeInstall", "chargeLoss", "chargeTrigger"},
 }
 

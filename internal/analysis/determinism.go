@@ -8,13 +8,15 @@ import (
 
 // deterministicPkgs are the package-path suffixes whose behavior must
 // be replayable: the planners, the executor, the simulator, the LP
-// solver, and the trace toolchain (same trace bytes in, same analysis
-// out). Clocks and RNGs reach them by injection only.
+// solver, the experiment drivers (same seed, same figure), and the
+// trace toolchain (same trace bytes in, same analysis out). Clocks and
+// RNGs reach them by injection only.
 var deterministicPkgs = []string{
 	"/internal/sim",
 	"/internal/exec",
 	"/internal/core",
 	"/internal/lp",
+	"/internal/experiments",
 	"/internal/serve",
 	"/internal/traceanalysis",
 	"/internal/ledger",

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"prospector/internal/energy"
@@ -595,118 +594,6 @@ func TestSelectionObjectiveAdditive(t *testing.T) {
 	}
 }
 
-func TestKnapsackRespectsBudgetAndCompetes(t *testing.T) {
-	s := makeScenario(t, 29, 40, 8, 12)
-	kp, err := NewKnapsack(s.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGreedy(s.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knWins, gWins := 0, 0
-	for _, budget := range []float64{25, 60, 120} {
-		p, err := kp.Plan(budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cost := selectionCost(s.cfg, p.Chosen); cost > budget+1e-9 {
-			t.Errorf("budget %g: knapsack plan costs %g", budget, cost)
-		}
-		gp, err := g.Plan(budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kv := selectionObjective(s.cfg, p.Chosen)
-		gv := selectionObjective(s.cfg, gp.Chosen)
-		if kv > gv {
-			knWins++
-		} else if gv > kv {
-			gWins++
-		}
-	}
-	// The DP should at least hold its own against the paper's greedy.
-	if gWins == 3 {
-		t.Error("knapsack lost to greedy at every budget")
-	}
-}
-
-func TestKnapsackExactOnStar(t *testing.T) {
-	// On a star there is no path sharing: the DP should find the
-	// optimal integral selection (verified against brute force).
-	const n = 12
-	net := network.Star(n)
-	rng := rand.New(rand.NewSource(30))
-	set := sample.MustNewSet(n, 3, 0)
-	for e := 0; e < 9; e++ {
-		v := make([]float64, n)
-		for i := 1; i < n; i++ {
-			v[i] = rng.NormFloat64() * float64(i) // heavier tails at high IDs
-		}
-		if err := set.Add(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	costs := plan.NewCosts(net, energy.DefaultModel())
-	cfg := Config{Net: net, Costs: costs, Samples: set, K: 3}
-	kp, err := NewKnapsack(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	itemCost := costs.Msg[1] + costs.Val[1] // identical for all star edges
-	budget := 4.5 * itemCost                // room for exactly 4 items
-	p, err := kp.Plan(budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := selectionObjective(cfg, p.Chosen)
-	// Brute force: best 4 column sums.
-	sums := set.ColumnSums()
-	best := sums[0]
-	order := append([]int(nil), sums[1:]...)
-	sort.Sort(sort.Reverse(sort.IntSlice(order)))
-	for i := 0; i < 4 && i < len(order); i++ {
-		best += order[i]
-	}
-	if got != best {
-		t.Errorf("knapsack objective %d, optimum %d", got, best)
-	}
-}
-
-func TestGreedyCostAware(t *testing.T) {
-	s := makeScenario(t, 31, 35, 7, 10)
-	ca, err := NewGreedyCostAware(s.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ca.Name() != "GreedyCostAware" {
-		t.Errorf("Name = %q", ca.Name())
-	}
-	plain, err := NewGreedy(s.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, budget := range []float64{30, 80} {
-		pc, err := ca.Plan(budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cost := selectionCost(s.cfg, pc.Chosen); cost > budget+1e-9 {
-			t.Errorf("budget %g: cost-aware plan costs %g", budget, cost)
-		}
-		pp, err := plain.Plan(budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The cost-aware variant should not be catastrophically worse
-		// on its shared objective.
-		if selectionObjective(s.cfg, pc.Chosen)*2 < selectionObjective(s.cfg, pp.Chosen) {
-			t.Errorf("budget %g: cost-aware objective collapsed", budget)
-		}
-	}
-}
-
 func TestPlannerNames(t *testing.T) {
 	s := makeScenario(t, 32, 20, 4, 5)
 	mk := []struct {
@@ -716,7 +603,6 @@ func TestPlannerNames(t *testing.T) {
 		{"Greedy", func() (Planner, error) { return NewGreedy(s.cfg) }},
 		{"LP-LF", func() (Planner, error) { return NewLPNoFilter(s.cfg) }},
 		{"LP+LF", func() (Planner, error) { return NewLPFilter(s.cfg) }},
-		{"Knapsack", func() (Planner, error) { return NewKnapsack(s.cfg) }},
 	}
 	for _, m := range mk {
 		p, err := m.p()

@@ -16,10 +16,6 @@ import (
 // earlier picks.
 type Greedy struct {
 	cfg Config
-	// costAware switches the priority from the plain column sum to the
-	// column sum per marginal joule, an extension ablated in the
-	// benchmarks (not part of the paper's GREEDY).
-	costAware bool
 }
 
 // NewGreedy builds the paper's PROSPECTOR GREEDY.
@@ -30,21 +26,8 @@ func NewGreedy(cfg Config) (*Greedy, error) {
 	return &Greedy{cfg: cfg}, nil
 }
 
-// NewGreedyCostAware builds the cost-per-benefit variant.
-func NewGreedyCostAware(cfg Config) (*Greedy, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Greedy{cfg: cfg, costAware: true}, nil
-}
-
 // Name implements Planner.
-func (g *Greedy) Name() string {
-	if g.costAware {
-		return "GreedyCostAware"
-	}
-	return "Greedy"
-}
+func (g *Greedy) Name() string { return "Greedy" }
 
 // Greedy recomputes from the samples per call; there is no program to
 // freeze, and a copy shares nothing it writes.
@@ -71,33 +54,6 @@ func (g *Greedy) Plan(budget float64) (*plan.Plan, error) {
 			extra += cfg.Costs.ValueCost(e, 1)
 		})
 		return extra
-	}
-
-	if g.costAware {
-		// Re-rank every round: marginal costs fall as edges open.
-		remaining := candidateNodes(cfg)
-		for len(remaining) > 0 {
-			bestIdx := -1
-			bestScore := 0.0
-			for idx, i := range remaining {
-				mc := marginal(i)
-				if cost+mc > budget {
-					continue
-				}
-				score := float64(cfg.Samples.ColumnSum(int(i))) / mc
-				if bestIdx == -1 || score > bestScore {
-					bestIdx, bestScore = idx, score
-				}
-			}
-			if bestIdx == -1 {
-				break
-			}
-			i := remaining[bestIdx]
-			cost += marginal(i)
-			commit(cfg.Net, i, chosen, usedEdge)
-			remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
-		}
-		return finishPlan(cfg, g.Name(), budget)(plan.NewSelection(cfg.Net, chosen))
 	}
 
 	// The paper's rule: fixed priority order by column sum; add each

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"io"
+	"math/rand"
 	"testing"
 
 	"prospector/internal/energy"
@@ -11,9 +12,10 @@ import (
 )
 
 // TestChargeAllocFree pins the runtime half of the //alloc:none claims
-// on chargeMsg, chargeTrigger, and execObs.request: with metrics and
-// tracing enabled, the per-message accounting path performs zero heap
-// allocations once the trace scratch has warmed.
+// on chargeMsg (with its failure-model reroute), chargeTrigger, and
+// execObs.request: with metrics and tracing enabled, the per-message
+// accounting path performs zero heap allocations once the trace
+// scratch has warmed.
 func TestChargeAllocFree(t *testing.T) {
 	parent := []network.NodeID{0, 0, 0, 1, 1, 2}
 	net, err := network.New(parent, nil)
@@ -30,6 +32,11 @@ func TestChargeAllocFree(t *testing.T) {
 		Costs: plan.NewCosts(net, energy.DefaultModel()),
 		Obs:   obs.NewRegistry(),
 		Trace: obs.NewTracer(io.Discard),
+		Failures: &FailureModel{
+			Prob:          []float64{0, 0.5, 0.5, 0.5, 0.5, 0.5},
+			RerouteFactor: 0.5,
+			Rng:           rand.New(rand.NewSource(1)),
+		},
 	}
 	env = env.instrumented()
 	var led energy.Ledger

@@ -24,22 +24,6 @@ type MopUpResult struct {
 // remain unproven and recursively retrieves, from each subtree, the top
 // candidates within the still-uncertain value range (Section 4.3).
 func (st *ProofState) MopUp(k int) (*MopUpResult, error) {
-	return st.MopUpWith(k, MopUpOptions{})
-}
-
-// MopUpOptions tunes the second phase.
-type MopUpOptions struct {
-	// Tailored switches from one broadcast request per node to
-	// per-child unicast requests with individually tightened upper
-	// bounds (anything new from child c ranks strictly below the
-	// smallest value c already delivered). This is the refinement the
-	// paper sketches and then sets aside as bringing "only marginal
-	// benefits"; the ablation bench measures that claim.
-	Tailored bool
-}
-
-// MopUpWith is MopUp with explicit options.
-func (st *ProofState) MopUpWith(k int, opts MopUpOptions) (*MopUpResult, error) {
 	if st == nil {
 		return nil, fmt.Errorf("exec: MopUp needs the state of a proof-phase run")
 	}
@@ -47,7 +31,7 @@ func (st *ProofState) MopUpWith(k int, opts MopUpOptions) (*MopUpResult, error) 
 		return nil, fmt.Errorf("exec: MopUp needs k >= 1, got %d", k)
 	}
 	res := &MopUpResult{}
-	m := &mopper{st: st, res: res, opts: opts}
+	m := &mopper{st: st, res: res}
 	st.env.em.begin(obs.F("plan", "mopup"), obs.F("k", k))
 	ans := m.answer(network.Root, k, nil, nil)
 	if len(ans) > k {
@@ -60,9 +44,8 @@ func (st *ProofState) MopUpWith(k int, opts MopUpOptions) (*MopUpResult, error) 
 
 // mopper carries the mutable recursion state of one mop-up.
 type mopper struct {
-	st   *ProofState
-	res  *MopUpResult
-	opts MopUpOptions
+	st  *ProofState
+	res *MopUpResult
 }
 
 // between reports whether x lies strictly inside the open rank interval
@@ -144,30 +127,10 @@ func (m *mopper) answer(v network.NodeID, t int, lo, hi *ValueAt) []ValueAt {
 			}
 		}
 		if zoneOpen(lo2, hi2) {
-			if !m.opts.Tailored {
-				m.broadcast(v)
-			}
+			m.chargeRequest(v)
 			for _, c := range net.Children(v) {
 				if len(st.sent[c]) == net.SubtreeSize(c) {
 					continue // child already fully visible at v
-				}
-				if m.opts.Tailored {
-					// Every subtree-c value outranking c's smallest
-					// proven value is proven and already delivered, so
-					// c can only contribute fresh values below that
-					// cap; skip the child when that zone is empty.
-					// (Narrowing the request range itself backfires:
-					// c then fills its quota with deeper values the
-					// broadcast protocol never needed.)
-					cap := hi2
-					if p := st.provenCnt[c]; p > 0 {
-						last := st.sent[c][p-1]
-						cap = minRank(hi2, &last)
-					}
-					if !zoneOpen(lo2, cap) {
-						continue // nothing new from c can matter
-					}
-					m.unicastRequest(c)
 				}
 				resp := m.answer(c, need, lo2, hi2)
 				m.respond(c, resp, v)
@@ -212,38 +175,25 @@ func zoneOpen(lo, hi *ValueAt) bool {
 	return hi.Outranks(*lo)
 }
 
-// chargeRequest debits one mop-up request (broadcast or tailored
-// unicast) of the given cost, aimed at v.
-func (m *mopper) chargeRequest(v network.NodeID, cost float64) {
+// chargeRequest debits one mop-up request broadcast from v to its
+// children.
+func (m *mopper) chargeRequest(v network.NodeID) {
+	cost := m.st.env.Costs.Model().Request()
 	m.res.Ledger.Requests += cost
 	m.res.Ledger.Messages++
 	m.st.env.em.request(v, cost)
 	m.res.Queried = true
 }
 
-// chargeReply debits a mop-up response carrying n fresh values on the
-// edge above c.
-func (m *mopper) chargeReply(c network.NodeID, n int, cost float64) {
+// chargeReply debits a mop-up response unicast carrying n fresh values
+// on the edge above c.
+func (m *mopper) chargeReply(c network.NodeID, n int) {
+	env := m.st.env
+	cost := env.reroute(c, env.Costs.Msg[c]+env.Costs.ValueCost(c, n))
 	m.res.Ledger.Requests += cost
 	m.res.Ledger.Messages++
 	m.res.Ledger.Values += n
-	m.st.env.em.msg(c, n, n*m.st.env.Costs.Model().BytesPerValue, cost)
-}
-
-// broadcast charges one request broadcast from v to its children.
-func (m *mopper) broadcast(v network.NodeID) {
-	m.chargeRequest(v, m.st.env.Costs.Model().Request())
-}
-
-// unicastRequest charges one per-child tailored request on the edge
-// above child c.
-func (m *mopper) unicastRequest(c network.NodeID) {
-	env := m.st.env
-	cost := env.Costs.Msg[c] + env.Costs.Model().PerByte*float64(env.Costs.Model().BytesPerRequest)
-	if f := env.Failures; f != nil && f.Prob != nil && f.Rng.Float64() < f.Prob[c] {
-		cost *= 1 + f.RerouteFactor
-	}
-	m.chargeRequest(c, cost)
+	env.em.msg(c, n, n*env.Costs.Model().BytesPerValue, cost)
 }
 
 // respond merges a child's response into the parent's knowledge and
@@ -261,12 +211,7 @@ func (m *mopper) respond(c network.NodeID, resp []ValueAt, parent network.NodeID
 			fresh = append(fresh, x)
 		}
 	}
-	env := st.env
-	cost := env.Costs.Msg[c] + env.Costs.ValueCost(c, len(fresh))
-	if f := env.Failures; f != nil && f.Prob != nil && f.Rng.Float64() < f.Prob[c] {
-		cost *= 1 + f.RerouteFactor
-	}
-	m.chargeReply(c, len(fresh), cost)
+	m.chargeReply(c, len(fresh))
 	if len(fresh) > 0 {
 		merged := append(st.retrieved[parent], fresh...)
 		SortDesc(merged)

@@ -1,9 +1,10 @@
 // Package exec simulates query-plan execution over a sensor network:
 // the bottom-up collection phase (with or without local filtering),
 // proof-carrying collection, the exact mop-up protocol, and the
-// NAIVE-k / NAIVE-1 baselines. Execution is deterministic given the
-// ground-truth readings (and the failure model's RNG, when present) and
-// charges every message to an energy ledger.
+// request-driven naive baselines (NaiveBatch; batch 1 is NAIVE-1).
+// Execution is deterministic given the ground-truth readings (and the
+// failure model's RNG, when present) and charges every message to an
+// energy ledger.
 package exec
 
 import (
@@ -135,14 +136,26 @@ func (e Env) chargeMsg(led *energy.Ledger, v network.NodeID, nValues, extraBytes
 	m := e.Costs.Model()
 	// Per-edge Msg/Val costs come from the (possibly failure-inflated)
 	// cost table; extra bytes are charged at the base rate.
-	c := e.Costs.Msg[v] + e.Costs.Val[v]*float64(nValues) + m.PerByte*float64(extraBytes)
-	if f := e.Failures; f != nil && f.Prob != nil && f.Rng.Float64() < f.Prob[v] {
-		c *= 1 + f.RerouteFactor
-	}
+	c := e.reroute(v, e.Costs.Msg[v]+e.Costs.Val[v]*float64(nValues)+m.PerByte*float64(extraBytes))
 	led.Collection += c
 	led.Messages++
 	led.Values += nValues
 	e.em.msg(v, nValues, nValues*m.BytesPerValue+extraBytes, c)
+}
+
+// reroute applies the failure model to one unicast of the given cost
+// on the edge above v: with probability Failures.Prob[v] the message
+// fails and the reliable protocol reroutes it at 1+RerouteFactor times
+// the cost. Every unicast charge passes through here exactly once, so
+// a seeded model draws one number per message, in message order.
+// Broadcasts (triggers, mop-up requests) are not rerouted.
+//
+//alloc:none
+func (e Env) reroute(v network.NodeID, cost float64) float64 {
+	if f := e.Failures; f != nil && f.Prob != nil && f.Rng.Float64() < f.Prob[v] {
+		cost *= 1 + f.RerouteFactor
+	}
+	return cost
 }
 
 // chargeTrigger debits the broadcast trigger that starts a collection

@@ -330,6 +330,8 @@ func TestMopUpCostDropsWithProvenCount(t *testing.T) {
 }
 
 func TestNaiveOneExactAndExpensive(t *testing.T) {
+	// NAIVE-1 is NaiveBatch at batch 1: exact, and never cheaper in
+	// messages than pulling k values per request.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		n := 4 + rng.Intn(40)
@@ -337,7 +339,7 @@ func TestNaiveOneExactAndExpensive(t *testing.T) {
 		vals := randValues(rng, n)
 		k := 1 + rng.Intn(minInt(n, 8))
 		env := testEnv(net)
-		res, err := NaiveOne(env, vals, k)
+		res, err := NaiveBatch(env, vals, k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,17 +352,27 @@ func TestNaiveOneExactAndExpensive(t *testing.T) {
 				t.Fatalf("trial %d: NAIVE-1 wrong at rank %d", trial, i)
 			}
 		}
+		wide, err := NaiveBatch(env, vals, k, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ledger.Messages < wide.Ledger.Messages {
+			t.Errorf("trial %d: NAIVE-1 sent %d messages, fewer than batch %d's %d",
+				trial, res.Ledger.Messages, k, wide.Ledger.Messages)
+		}
 	}
 }
 
-func TestNaiveOneMessageCountGrowsWithK(t *testing.T) {
+func TestNaiveBatchMessageCountGrowsWithK(t *testing.T) {
+	// NAIVE-1 (batch 1) pays a request and a reply per value pulled up
+	// an edge, so every extra answer costs messages.
 	rng := rand.New(rand.NewSource(12))
 	net := randTree(rng, 40)
 	vals := randValues(rng, 40)
 	env := testEnv(net)
 	prev := 0
 	for _, k := range []int{1, 5, 10, 20} {
-		res, err := NaiveOne(env, vals, k)
+		res, err := NaiveBatch(env, vals, k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,34 +384,53 @@ func TestNaiveOneMessageCountGrowsWithK(t *testing.T) {
 }
 
 func TestFailureModelInflatesCost(t *testing.T) {
+	// With every edge failing, every unicast is rerouted at 1.5x its
+	// cost; the trigger broadcast is not a unicast and stays as it is.
 	net := network.Line(6)
 	vals := []float64{0, 1, 2, 3, 4, 5}
-	bw := []int{0, 3, 3, 3, 2, 1}
-	p, err := plan.NewFiltering(net, bw)
+	p, err := plan.NewFiltering(net, []int{0, 3, 3, 3, 2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Run(testEnv(net), p, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob := make([]float64, 6)
-	for i := range prob {
-		prob[i] = 1 // every message fails
-	}
-	env := testEnv(net)
-	env.Failures = &FailureModel{Prob: prob, RerouteFactor: 0.5, Rng: rand.New(rand.NewSource(1))}
-	faulty, err := Run(env, p, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := clean.Ledger.Collection * 1.5
-	if math.Abs(faulty.Ledger.Collection-want) > 1e-9 {
-		t.Errorf("faulty cost %g, want %g", faulty.Ledger.Collection, want)
-	}
-	// Results are unaffected (reliable protocol).
-	if len(faulty.Returned) != len(clean.Returned) {
-		t.Error("failures changed the result")
+	for _, tc := range []struct {
+		name string
+		run  func(Env) (*Result, error)
+	}{
+		{"Run", func(env Env) (*Result, error) { return Run(env, p, vals) }},
+		{"NaiveBatch1", func(env Env) (*Result, error) { return NaiveBatch(env, vals, 3, 1) }},
+		{"NaiveBatch4", func(env Env) (*Result, error) { return NaiveBatch(env, vals, 3, 4) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clean, err := tc.run(testEnv(net))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prob := make([]float64, net.Size())
+			for i := range prob {
+				prob[i] = 1
+			}
+			env := testEnv(net)
+			env.Failures = &FailureModel{Prob: prob, RerouteFactor: 0.5, Rng: rand.New(rand.NewSource(1))}
+			faulty, err := tc.run(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if faulty.Ledger.Trigger != clean.Ledger.Trigger {
+				t.Errorf("trigger %g, clean %g", faulty.Ledger.Trigger, clean.Ledger.Trigger)
+			}
+			got := faulty.Ledger.Total() - faulty.Ledger.Trigger
+			want := 1.5 * (clean.Ledger.Total() - clean.Ledger.Trigger)
+			if math.Abs(got-want) > 1e-9 {
+				t.Errorf("unicast cost %g, want 1.5 x %g = %g", got, want/1.5, want)
+			}
+			if faulty.Ledger.Messages != clean.Ledger.Messages {
+				t.Errorf("%d messages, clean %d", faulty.Ledger.Messages, clean.Ledger.Messages)
+			}
+			// Results are unaffected (reliable protocol).
+			if len(faulty.Returned) != len(clean.Returned) {
+				t.Error("failures changed the result")
+			}
+		})
 	}
 }
 
@@ -424,62 +455,11 @@ func minInt(a, b int) int {
 	return b
 }
 
-func TestMopUpTailoredExactness(t *testing.T) {
-	// The per-child tailored variant must stay exact and never fetch
-	// more values than the broadcast protocol.
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 60; trial++ {
-		n := 4 + rng.Intn(50)
-		net := randTree(rng, n)
-		vals := randValues(rng, n)
-		k := 1 + rng.Intn(minInt(n, 10))
-		bw := make([]int, n)
-		for v := 1; v < n; v++ {
-			bw[v] = 1 + rng.Intn(3)
-			if s := net.SubtreeSize(network.NodeID(v)); bw[v] > s {
-				bw[v] = s
-			}
-		}
-		p, err := plan.NewProof(net, bw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run1, err := Run(testEnv(net), p, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run2, err := Run(testEnv(net), p, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := run1.State.MopUp(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tail, err := run2.State.MopUpWith(k, MopUpOptions{Tailored: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := TrueTopK(vals, k)
-		for i := range truth {
-			if tail.Answer[i].Node != truth[i].Node {
-				t.Fatalf("trial %d: tailored answer wrong at rank %d", trial, i)
-			}
-			if plain.Answer[i].Node != tail.Answer[i].Node {
-				t.Fatalf("trial %d: variants disagree at rank %d", trial, i)
-			}
-		}
-		if tail.Ledger.Values > plain.Ledger.Values {
-			t.Errorf("trial %d: tailored fetched %d values, broadcast %d",
-				trial, tail.Ledger.Values, plain.Ledger.Values)
-		}
-	}
-}
-
 func TestNaiveBatchExactAndInterpolates(t *testing.T) {
+	// Batch 1 is NAIVE-1; every batch must return the exact top k.
 	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 15; trial++ {
-		n := 6 + rng.Intn(40)
+	for trial := 0; trial < 35; trial++ {
+		n := 4 + rng.Intn(40)
 		net := randTree(rng, n)
 		vals := randValues(rng, n)
 		k := 1 + rng.Intn(minInt(n, 8))
@@ -505,19 +485,6 @@ func TestNaiveBatchExactAndInterpolates(t *testing.T) {
 					trial, batch, res.Ledger.Messages, prevMsgs)
 			}
 			prevMsgs = res.Ledger.Messages
-		}
-		// batch=1 must match NAIVE-1's result and message count.
-		b1, err := NaiveBatch(env, vals, k, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n1, err := NaiveOne(env, vals, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b1.Ledger.Messages != n1.Ledger.Messages {
-			t.Errorf("trial %d: batch=1 used %d messages, NAIVE-1 %d",
-				trial, b1.Ledger.Messages, n1.Ledger.Messages)
 		}
 	}
 }

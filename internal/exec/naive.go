@@ -8,131 +8,18 @@ import (
 	"prospector/internal/obs"
 )
 
-// NaiveOne simulates the NAIVE-1 exact algorithm of Section 2: a
-// pipelined distributed heap in which every node hands its parent one
-// value per request. Each request and each returned value is a separate
-// message, so NAIVE-1 minimizes values transmitted at the price of a
-// prohibitive per-message overhead.
-//
-// It returns the exact top k along with the energy ledger of the run.
-func NaiveOne(env Env, values []float64, k int) (*Result, error) {
-	if len(values) != env.Net.Size() {
-		return nil, fmt.Errorf("exec: %d readings for %d nodes", len(values), env.Net.Size())
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("exec: NaiveOne needs k >= 1, got %d", k)
-	}
-	env = env.instrumented()
-	s := &naiveOne{
-		env:     env,
-		values:  values,
-		ownUsed: make([]bool, env.Net.Size()),
-		pending: make(map[network.NodeID]*ValueAt, env.Net.Size()),
-		done:    make(map[network.NodeID]bool, env.Net.Size()),
-	}
-	res := &Result{}
-	env.em.begin(obs.F("plan", "naive1"), obs.F("k", k))
-	for i := 0; i < k; i++ {
-		v, ok := s.next(network.Root, &res.Ledger)
-		if !ok {
-			break // fewer than k nodes in the network
-		}
-		res.Returned = append(res.Returned, v)
-	}
-	env.em.finish(&res.Ledger)
-	return res, nil
-}
-
-type naiveOne struct {
-	env     Env
-	values  []float64
-	ownUsed []bool
-	// pending[c] holds a value fetched from child c, not yet consumed.
-	pending map[network.NodeID]*ValueAt
-	// done[c] marks children whose subtrees are exhausted.
-	done map[network.NodeID]bool
-}
-
-// next pops the largest remaining value of v's subtree, fetching one
-// value from each child whose heap slot is empty first.
-func (s *naiveOne) next(v network.NodeID, led *energy.Ledger) (ValueAt, bool) {
-	net := s.env.Net
-	for _, c := range net.Children(v) {
-		if s.done[c] || s.pending[c] != nil {
-			continue
-		}
-		// Request one value from c (a small unicast down the edge).
-		s.chargeRequest(c, led)
-		val, ok := s.next(c, led)
-		// The reply comes back up the same edge; an "exhausted" reply
-		// carries no value but is still a message.
-		if ok {
-			s.chargeValue(c, led)
-			v := val
-			s.pending[c] = &v
-		} else {
-			s.chargeEmpty(c, led)
-			s.done[c] = true
-		}
-	}
-	// Pop the best among v's own (unconsumed) reading and the heap.
-	var best *ValueAt
-	var bestChild network.NodeID = -1
-	if !s.ownUsed[v] {
-		best = &ValueAt{Node: v, Val: s.values[v]}
-	}
-	for _, c := range net.Children(v) {
-		if p := s.pending[c]; p != nil && (best == nil || p.Outranks(*best)) {
-			best = p
-			bestChild = c
-		}
-	}
-	if best == nil {
-		return ValueAt{}, false
-	}
-	if bestChild >= 0 {
-		s.pending[bestChild] = nil
-	} else {
-		s.ownUsed[v] = true
-	}
-	return *best, true
-}
-
-func (s *naiveOne) chargeRequest(edge network.NodeID, led *energy.Ledger) {
-	c := s.inflate(edge, s.env.Costs.Model().Request())
-	led.Requests += c
-	led.Messages++
-	s.env.em.request(edge, c)
-}
-
-func (s *naiveOne) chargeValue(edge network.NodeID, led *energy.Ledger) {
-	c := s.inflate(edge, s.env.Costs.Msg[edge]+s.env.Costs.ValueCost(edge, 1))
-	led.Collection += c
-	led.Messages++
-	led.Values++
-	s.env.em.msg(edge, 1, s.env.Costs.Model().BytesPerValue, c)
-}
-
-func (s *naiveOne) chargeEmpty(edge network.NodeID, led *energy.Ledger) {
-	c := s.inflate(edge, s.env.Costs.Msg[edge])
-	led.Collection += c
-	led.Messages++
-	s.env.em.msg(edge, 0, 0, c)
-}
-
-func (s *naiveOne) inflate(edge network.NodeID, cost float64) float64 {
-	if f := s.env.Failures; f != nil && f.Prob != nil && f.Rng.Float64() < f.Prob[edge] {
-		cost *= 1 + f.RerouteFactor
-	}
-	return cost
-}
-
 // NaiveBatch generalizes the paper's two naive exact algorithms into
 // one family: each request asks a child for its next `batch` values at
-// once. batch=1 is exactly NAIVE-1 (minimum values moved, maximum
-// messages); batch>=k approaches NAIVE-k's single-pass behaviour
-// (minimum messages, wasted values). Sweeping batch quantifies the
+// once, and every request and every reply is a separate unicast.
+//
+// batch=1 is NAIVE-1 of Section 2, a pipelined distributed heap in
+// which every node hands its parent one value per request: minimum
+// values moved, at the price of a prohibitive per-message overhead.
+// batch>=k approaches NAIVE-k's single-pass behaviour (minimum
+// messages, wasted values). Sweeping batch quantifies the
 // message-count/value-count tradeoff Section 2 describes.
+//
+// It returns the exact top k along with the energy ledger of the run.
 func NaiveBatch(env Env, values []float64, k, batch int) (*Result, error) {
 	if len(values) != env.Net.Size() {
 		return nil, fmt.Errorf("exec: %d readings for %d nodes", len(values), env.Net.Size())
@@ -174,7 +61,7 @@ type naiveBatch struct {
 
 // chargeRequest debits one batch request unicast down the edge above c.
 func (s *naiveBatch) chargeRequest(c network.NodeID, led *energy.Ledger) {
-	cost := s.env.Costs.Model().Request()
+	cost := s.env.reroute(c, s.env.Costs.Model().Request())
 	led.Requests += cost
 	led.Messages++
 	s.env.em.request(c, cost)
@@ -183,7 +70,7 @@ func (s *naiveBatch) chargeRequest(c network.NodeID, led *energy.Ledger) {
 // chargeReply debits the reply message carrying a batch of values back
 // up the edge above c (an empty reply is still a message).
 func (s *naiveBatch) chargeReply(c network.NodeID, vals []ValueAt, led *energy.Ledger) {
-	cost := s.env.Costs.Msg[c] + s.env.Costs.ValueCost(c, len(vals))
+	cost := s.env.reroute(c, s.env.Costs.Msg[c]+s.env.Costs.ValueCost(c, len(vals)))
 	led.Collection += cost
 	led.Messages++
 	led.Values += len(vals)

@@ -25,15 +25,15 @@ import (
 // total at finish), so the telemetry collector's windowed quantiles
 // over it read as live energy-per-epoch percentiles.
 //
-// With Env.Trace set, each entry point (Run, NaiveOne, NaiveBatch,
-// MopUp) wraps its work in an "exec.epoch" span on a deterministic
-// step clock (one tick per message), carrying energy/message totals at
-// End. Inside it, every data message emits an "exec.msg" event with
-// its per-node energy shares (tx_mj to the sender, rx_mj to the
-// parent), every trigger rebroadcast an "exec.trigger" event with the
-// rebroadcasting node's energy, and every request an "exec.request"
-// event — enough for tracetool attribute to rebuild the per-node
-// energy gauges exactly.
+// With Env.Trace set, each entry point (Run, NaiveBatch, MopUp) wraps
+// its work in an "exec.epoch" span on a deterministic step clock (one
+// tick per message), carrying energy/message totals at End. Inside
+// it, every data message emits an "exec.msg" event with its per-node
+// energy shares (tx_mj to the sender, rx_mj to the parent), every
+// trigger rebroadcast an "exec.trigger" event with the rebroadcasting
+// node's energy, and every request an "exec.request" event — enough
+// for tracetool attribute to rebuild the per-node energy gauges
+// exactly.
 
 // execObs holds pre-resolved metric handles so the per-message hot
 // path performs no registry lookups. A nil *execObs (observability

@@ -201,14 +201,26 @@ func (a *aggregate) add(x, cost, acc float64) {
 	e[1] = append(e[1], acc)
 }
 
+// xs returns the sweep values recorded so far, ascending: the point
+// builders walk them in this order so no map order reaches a figure.
+func (a *aggregate) xs() []float64 {
+	xs := make([]float64, 0, len(a.byX))
+	for x := range a.byX {
+		xs = append(xs, x)
+	}
+	sort.Float64s(xs)
+	return xs
+}
+
 // costAccuracyPoints returns points (mean cost, mean accuracy), sorted
 // by cost — the layout of the paper's cost-vs-accuracy figures.
 func (a *aggregate) costAccuracyPoints() []Point {
 	var pts []Point
-	for _, e := range a.byX {
+	for _, x := range a.xs() {
+		e := a.byX[x]
 		pts = append(pts, Point{X: stats.Mean(e[0]), Y: stats.Mean(e[1])})
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+	sort.SliceStable(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
 	return pts
 }
 
@@ -216,20 +228,18 @@ func (a *aggregate) costAccuracyPoints() []Point {
 // variable itself (variance, zone count, sample count...).
 func (a *aggregate) xValuePoints() []Point {
 	var pts []Point
-	for x, e := range a.byX {
-		pts = append(pts, Point{X: x, Y: stats.Mean(e[1])})
+	for _, x := range a.xs() {
+		pts = append(pts, Point{X: x, Y: stats.Mean(a.byX[x][1])})
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
 	return pts
 }
 
 // xCostPoints returns points (x, mean cost).
 func (a *aggregate) xCostPoints() []Point {
 	var pts []Point
-	for x, e := range a.byX {
-		pts = append(pts, Point{X: x, Y: stats.Mean(e[0])})
+	for _, x := range a.xs() {
+		pts = append(pts, Point{X: x, Y: stats.Mean(a.byX[x][0])})
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
 	return pts
 }
 

@@ -334,6 +334,30 @@ func TestLossyMediumStudyShape(t *testing.T) {
 	}
 }
 
+func TestLossyMediumStudyDeterministic(t *testing.T) {
+	// Both plans draw their losses from one simulator RNG, so the
+	// figure is only replayable if they always run in the same order.
+	cfg := LossyMediumConfig{
+		Nodes: 20, K: 4, Samples: 6, Eval: 3, Trials: 2, Seed: 109,
+		BudgetFrac: 0.4, LossProbs: []float64{0, 0.25, 0.45},
+	}
+	var first string
+	for run := 0; run < 30; run++ {
+		res, err := LossyMediumStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Render()
+		if run == 0 {
+			first = got
+			continue
+		}
+		if got != first {
+			t.Fatalf("run %d renders differently from run 0:\n%s\nvs\n%s", run, got, first)
+		}
+	}
+}
+
 func TestNaiveTradeoffStudyShape(t *testing.T) {
 	cfg := NaiveTradeoffConfig{
 		Nodes: 25, K: 5, Eval: 3, Trials: 1, Seed: 110,

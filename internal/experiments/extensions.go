@@ -193,10 +193,15 @@ func LossyMediumStudy(cfg LossyMediumConfig) (*Result, error) {
 				simCfg.LossProb = probs
 				simCfg.Rng = rand.New(rand.NewSource(cfg.Seed + int64(trial) + int64(loss*1000)))
 			}
-			for name, p := range map[string]*plan.Plan{"LP+LF": lfPlan, "Naive-k": nkPlan} {
+			// Both plans draw from simCfg.Rng, so they run in a fixed
+			// order: each one's losses depend on what the other drew.
+			for _, run := range []struct {
+				name string
+				p    *plan.Plan
+			}{{"LP+LF", lfPlan}, {"Naive-k", nkPlan}} {
 				cost, acc := 0.0, 0.0
 				for _, vals := range s.truth {
-					res, err := sim.Run(simCfg, p, vals)
+					res, err := sim.Run(simCfg, run.p, vals)
 					if err != nil {
 						return nil, err
 					}
@@ -204,8 +209,8 @@ func LossyMediumStudy(cfg LossyMediumConfig) (*Result, error) {
 					acc += exec.Accuracy(res.Returned, vals, cfg.K)
 				}
 				n := float64(len(s.truth))
-				accAgg[name].add(loss, cost/n, 100*acc/n)
-				costAgg[name].add(loss, cost/n, 0)
+				accAgg[run.name].add(loss, cost/n, 100*acc/n)
+				costAgg[run.name].add(loss, cost/n, 0)
 			}
 		}
 	}

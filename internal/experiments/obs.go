@@ -63,6 +63,7 @@ func newScenario(cfg core.Config, env exec.Env, truth [][]float64) *scenario {
 	env.Trace = tr
 	env.Span = sp
 	if r != nil && cfg.LP.Now == nil {
+		//lint:ignore determinism the clock only times solves for lp.solve_seconds; no plan or figure reads it
 		cfg.LP.Now = time.Now
 	}
 	return &scenario{cfg: cfg, env: env, truth: truth}

@@ -33,18 +33,6 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
-// Pricing selects the entering-variable rule.
-type Pricing int
-
-// Pricing rules.
-const (
-	// Dantzig picks the most negative reduced cost. Fast in practice;
-	// the solver falls back to Bland automatically when it stalls.
-	Dantzig Pricing = iota
-	// Bland picks the first eligible variable; finite but slower.
-	Bland
-)
-
 // Options tunes the solver. The zero value gives sensible defaults.
 type Options struct {
 	// MaxIters bounds total pivots across both phases; 0 means
@@ -55,8 +43,6 @@ type Options struct {
 	MaxIters int
 	// Tol is the feasibility/optimality tolerance; 0 means 1e-7.
 	Tol float64
-	// Pricing selects the entering rule; default Dantzig.
-	Pricing Pricing
 	// RefactorEvery overrides the pivot budget between explicit basis
 	// refactorizations; 0 keeps the size-based default. Mainly for
 	// tests and numerically hostile models.
@@ -355,12 +341,18 @@ func (s *solver) ftran(j int) {
 	s.f.ftranCol(s.cols[j], s.w)
 }
 
+// stallLimit is the number of consecutive degenerate pivots after
+// which pricing switches from the most negative reduced cost (Dantzig)
+// to the first eligible column (Bland), which cannot cycle. It is a
+// variable only so in-package tests can set it to 0 and price every
+// pivot by Bland.
+var stallLimit = 400
+
 // iterate runs simplex pivots under the given cost vector until
 // optimality (returns Optimal), unboundedness, or the iteration limit.
 // phase1 restricts pricing to keep artificial columns from re-entering.
 func (s *solver) iterate(cost []float64, phase1 bool) Status {
 	stall := 0
-	const stallLimit = 400 // degenerate pivots before forcing Bland
 	// fresh reports that s.y holds the duals of the current basis: a
 	// bound flip changes no dual, so only pivots and refactorizations
 	// owe a Btran.
@@ -373,8 +365,7 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 			s.computeDuals(cost)
 			fresh = true
 		}
-		useBland := s.opts.Pricing == Bland || stall >= stallLimit
-		enter, sigma := s.price(cost, useBland)
+		enter, sigma := s.price(cost, stall >= stallLimit)
 		if enter < 0 {
 			return Optimal
 		}

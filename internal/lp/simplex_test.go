@@ -154,23 +154,38 @@ func TestSolveDegenerate(t *testing.T) {
 }
 
 func TestSolveBlandMatchesDantzig(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		m := randomFeasibleModel(rng, 6, 8)
-		d, err := m.Solve(Options{Pricing: Dantzig})
-		if err != nil {
-			t.Fatalf("dantzig: %v", err)
+	// The solver prices by Dantzig and falls back to Bland only after
+	// stallLimit degenerate pivots; a limit of 0 runs Bland throughout.
+	solveAll := func(limit int) []*Solution {
+		defer func(old int) { stallLimit = old }(stallLimit)
+		stallLimit = limit
+		rng := rand.New(rand.NewSource(7))
+		var out []*Solution
+		for trial := 0; trial < 30; trial++ {
+			sol, err := randomFeasibleModel(rng, 6, 8).Solve(Options{})
+			if err != nil {
+				t.Fatalf("stall limit %d, trial %d: %v", limit, trial, err)
+			}
+			out = append(out, sol)
 		}
-		b, err := m.Solve(Options{Pricing: Bland})
-		if err != nil {
-			t.Fatalf("bland: %v", err)
-		}
+		return out
+	}
+	dantzig, bland := solveAll(stallLimit), solveAll(0)
+	pivotsDiffer := false
+	for trial, d := range dantzig {
+		b := bland[trial]
 		if d.Status != Optimal || b.Status != Optimal {
-			t.Fatalf("trial %d: status %v vs %v", trial, d.Status, b.Status)
+			t.Fatalf("trial %d: status %v (dantzig) vs %v (bland)", trial, d.Status, b.Status)
 		}
 		if math.Abs(d.Objective-b.Objective) > 1e-6*(1+math.Abs(d.Objective)) {
 			t.Errorf("trial %d: objective %g (dantzig) vs %g (bland)", trial, d.Objective, b.Objective)
 		}
+		pivotsDiffer = pivotsDiffer || d.Iterations != b.Iterations
+	}
+	// Guard against the threshold silently not reaching pricing: the
+	// two rules should take different pivot paths on some model.
+	if !pivotsDiffer {
+		t.Error("stall limit 0 changed no pivot count; Bland pricing never ran")
 	}
 }
 

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -52,7 +53,8 @@ type Query struct {
 	Samples   int // requested sample-window size; 0 = engine default
 }
 
-// String renders the query back in canonical form.
+// String renders the query back in canonical form: Parse(q.String())
+// returns a query equal to q.
 func (q *Query) String() string {
 	var b strings.Builder
 	b.WriteString("SELECT ")
@@ -62,17 +64,20 @@ func (q *Query) String() string {
 	case Aggregate:
 		fmt.Fprintf(&b, "%s(value)", q.Agg)
 	default:
-		fmt.Fprintf(&b, "* WHERE value > %g", q.Threshold)
+		b.WriteString("*")
 	}
 	b.WriteString(" FROM sensors")
-	if q.Kind == Aggregate {
+	switch q.Kind {
+	case Aggregate:
 		return b.String() // aggregates take no planner/budget clauses
+	case Selection:
+		fmt.Fprintf(&b, " WHERE value > %s", decimal(q.Threshold))
 	}
 	if !q.Budget.IsZero() {
 		if q.Budget.MJ > 0 {
-			fmt.Fprintf(&b, " BUDGET %gmJ", q.Budget.MJ)
+			fmt.Fprintf(&b, " BUDGET %smJ", decimal(q.Budget.MJ))
 		} else {
-			fmt.Fprintf(&b, " BUDGET %g%%", q.Budget.Frac*100)
+			fmt.Fprintf(&b, " BUDGET %s%%", decimal(q.Budget.Frac*100))
 		}
 	}
 	fmt.Fprintf(&b, " USING %s", q.Planner)
@@ -82,12 +87,16 @@ func (q *Query) String() string {
 	return b.String()
 }
 
+// decimal formats x as the shortest plain decimal that reads back as
+// x. The lexer takes no exponents, so %g's "1e+06" would not re-parse.
+func decimal(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
+
 // Parse parses a query string. The grammar (keywords are
 // case-insensitive):
 //
 //	query    := SELECT target FROM ident clause*
 //	target   := TOP number
-//	          | '*' [WHERE VALUE '>' number]
+//	          | '*'                           (needs a WHERE clause)
 //	          | agg '(' VALUE ')'             (no clauses allowed after)
 //	agg      := MAX | MIN | SUM | COUNT | AVG | MEDIAN
 //	clause   := BUDGET number ('%' | MJ)?    (default: mJ)
