@@ -32,7 +32,7 @@ import (
 //
 // Each sample's x_ij and the rows that mention them (x_ij <= y and the
 // sample's bandwidth rows) form one block, which is what a window
-// slide retires or appends (see lpfilterProgram.slide).
+// slide drops or appends (see lpfilterProgram.slide).
 // LPFilter caches its LP across Plan calls (see paramLP) and is
 // therefore not safe for concurrent use; build one per goroutine.
 //
@@ -51,6 +51,8 @@ type lpfilterProgram struct {
 	caps []float64
 	// blocks[j] holds sample j's x variables.
 	blocks [][]lp.VarID
+	// tab is the rounding's scratch, kept across Plan calls.
+	tab poolTable
 }
 
 // NewLPFilter builds the planner.
@@ -82,9 +84,8 @@ func (prog *lpfilterProgram) round(cfg Config, x []float64, budget float64) (*pl
 	}
 	enforceMonotone(net, bw)
 	if !cfg.DisableRepair {
-		var tab poolTable
-		repairBandwidth(cfg, &tab, bw, budget)
-		fillBandwidth(cfg, &tab, bw, budget, prog.caps)
+		repairBandwidth(cfg, &prog.tab, bw, budget)
+		fillBandwidth(cfg, &prog.tab, bw, budget, prog.caps)
 	}
 	return plan.NewFiltering(net, bw)
 }
@@ -183,7 +184,7 @@ func (prog *lpfilterProgram) build(cfg Config, budget float64) (*lp.Model, int, 
 		}
 	}
 
-	*prog = lpfilterProgram{ys: ys, bs: bs, caps: caps, blocks: blocks}
+	*prog = lpfilterProgram{ys: ys, bs: bs, caps: caps, blocks: blocks, tab: prog.tab}
 	return m, budgetRow, 0
 }
 
@@ -212,24 +213,26 @@ func addEdgeRows(m *lp.Model, cfg Config, ys, bs []lp.VarID, v int) {
 	}
 }
 
-// slide moves the live program with the window in three steps, each
-// keeping the point the last solve left:
+// slide edits the live program to follow the window, keeping the
+// point the last solve left wherever the edits allow:
 //
-//  1. Retire: the leaving blocks' x and the variables of every edge the
-//     window no longer needs are fixed at zero, and a warm re-solve
-//     (dual pivots, as after a budget move) takes the point there.
-//  2. Drop: the retired blocks leave the model with their rows. With
-//     their x at zero each such row had reduced to -y <= 0 or
-//     -b <= 0, which the bounds imply, so the point stays a vertex and
-//     the carried-over basis keeps it.
+//  1. Fix: the variables of every edge the window no longer needs are
+//     fixed at zero. Where the last point used such an edge, it is now
+//     primal infeasible.
+//  2. Drop: the leaving blocks leave the model with their rows, their
+//     x still at the values the last solve gave them. No surviving
+//     row mentions a dropped x, so the point the survivors keep still
+//     satisfies every row; the carried-over basis crosses over the
+//     interior columns it can no longer hold (see lp.Basis).
 //  3. Append: newly needed edges are opened (created, or unfixed) and
 //     the joining samples' blocks added. Every new x rests at zero, so
-//     the point stays feasible and the caller's warm re-solve finishes
-//     with primal pivots.
+//     the point stays feasible, and its reduced cost makes the basis
+//     dual infeasible.
 //
-// A window whose samples rank no non-root node at all rebuilds into
-// the empty program instead.
-func (prog *lpfilterProgram) slide(c *paramLP, d windowSlide, budget float64) (bool, error) {
+// The Plan call's one warm solve then recovers from both
+// infeasibilities at once. A window whose samples rank no non-root
+// node at all rebuilds into the empty program instead.
+func (prog *lpfilterProgram) slide(c *paramLP, d windowSlide) (bool, error) {
 	cfg := c.cfg
 	n := cfg.Net.Size()
 	needed, ok := neededEdges(cfg)
@@ -239,13 +242,6 @@ func (prog *lpfilterProgram) slide(c *paramLP, d windowSlide, budget float64) (b
 	m := c.model
 	ed := modelEdits{m: m}
 
-	var dead []lp.VarID
-	for _, k := range d.retired {
-		for _, x := range prog.blocks[k] {
-			ed.bound(x, 0, 0)
-			dead = append(dead, x)
-		}
-	}
 	for v := 1; v < n; v++ {
 		if prog.caps[v] > 0 && !needed[v] {
 			ed.bound(prog.ys[v], 0, 0)
@@ -255,10 +251,10 @@ func (prog *lpfilterProgram) slide(c *paramLP, d windowSlide, budget float64) (b
 	if ed.err != nil {
 		return false, ed.err
 	}
-	if _, err := c.solve(cfg, budget); err != nil {
-		return false, err
+	var dead []lp.VarID
+	for _, k := range d.retired {
+		dead = append(dead, prog.blocks[k]...)
 	}
-
 	if len(dead) > 0 {
 		varMap, rowMap, err := m.RemoveVars(dead)
 		if err != nil {

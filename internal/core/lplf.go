@@ -149,21 +149,18 @@ func pathValueCost(cfg Config, i network.NodeID) float64 {
 	return c
 }
 
-// slide moves the live program with the window. A slide changes the
-// column sums, so:
-//
-//  1. Retire: nodes that stopped being candidates and edges no
-//     candidate needs are fixed at zero (the tie-break epsilon can no
-//     longer pull them in), and a warm re-solve (dual pivots) takes the
-//     point there.
-//  2. Re-price and append: every candidate gets its new column sum
-//     (SetObjCoef), returning nodes and edges are unfixed, and new
-//     ones are added. All of these leave the point feasible, so the
-//     caller's warm re-solve finishes with primal pivots.
+// slide edits the live program to follow the window. A slide changes
+// the column sums, so nodes that stopped being candidates and edges no
+// candidate needs are fixed at zero (the tie-break epsilon can no
+// longer pull them in), every candidate gets its new column sum
+// (SetObjCoef), returning nodes and edges are unfixed, and new ones
+// are added. The fixes can leave the last point primal infeasible and
+// the re-pricing dual infeasible; the Plan call's warm solve recovers
+// from both at once.
 //
 // A window whose samples rank no non-root node rebuilds into the empty
 // program instead.
-func (prog *lplfProgram) slide(c *paramLP, _ windowSlide, budget float64) (bool, error) {
+func (prog *lplfProgram) slide(c *paramLP, _ windowSlide) (bool, error) {
 	cfg := c.cfg
 	net := cfg.Net
 	n := net.Size()
@@ -190,12 +187,6 @@ func (prog *lplfProgram) slide(c *paramLP, _ windowSlide, budget float64) (bool,
 		if prog.needed[v] && !needed[v] {
 			ed.bound(prog.ys[v], 0, 0)
 		}
-	}
-	if ed.err != nil {
-		return false, ed.err
-	}
-	if _, err := c.solve(cfg, budget); err != nil {
-		return false, err
 	}
 
 	var opened []int

@@ -23,11 +23,11 @@ import (
 const tieEps = 1e-5
 
 // program is what one LP planner kind adds to the shared parametric
-// body (paramLP): how to build its model, how to follow a window
-// slide, and how to round an optimum to a plan. The live model, its
-// budget row and the fixed spend belong to the paramLP running the
-// program; a program keeps only its own maps from nodes and edges to
-// variables.
+// body (paramLP): how to build its model, how to edit it when the
+// window slides, and how to round an optimum to a plan. The live
+// model, its budget row and the fixed spend belong to the paramLP
+// running the program; a program keeps only its own maps from nodes
+// and edges to variables.
 type program interface {
 	// build assembles the model for cfg's window with the budget row's
 	// right-hand side at budget - fixed. Everything else depends only
@@ -36,10 +36,11 @@ type program interface {
 	// node below the root ranks in any sample, and the empty plan is
 	// optimal without an LP.
 	build(cfg Config, budget float64) (m *lp.Model, budgetRow int, fixed float64)
-	// slide moves c's live model with the window by d, re-solving warm
-	// on the way where the edits need it. rebuild asks for a fresh
-	// build instead.
-	slide(c *paramLP, d windowSlide, budget float64) (rebuild bool, err error)
+	// slide edits c's live model to follow the window's move d, and
+	// solves nothing: the one warm solve of the Plan call that follows
+	// carries the basis over the edits. rebuild asks for a fresh build
+	// instead.
+	slide(c *paramLP, d windowSlide) (rebuild bool, err error)
 	// round turns the optimum x into a plan for budget, repaired and
 	// filled unless cfg.DisableRepair; a nil x (the empty program)
 	// rounds to the empty plan.
@@ -100,7 +101,7 @@ func (c *paramLP) Plan(budget float64) (*plan.Plan, error) {
 	cfg := c.cfg
 	d, ok := c.window()
 	if ok && d.moved() {
-		rebuild, err := c.prog.slide(c, d, budget)
+		rebuild, err := c.prog.slide(c, d)
 		if err != nil {
 			return nil, err
 		}

@@ -95,7 +95,7 @@ func (p *ProofPlanner) Plan(budget float64) (*plan.Plan, error) {
 // like LP-LF and LP+LF: its per-sample prover variables could move the
 // same way, but no sliding-window path runs PROOF, so it keeps the
 // simpler rebuild.
-func (prog *proofProgram) slide(*paramLP, windowSlide, float64) (bool, error) { return true, nil }
+func (prog *proofProgram) slide(*paramLP, windowSlide) (bool, error) { return true, nil }
 
 // round rounds every edge's bandwidth into [1, subtree size], then
 // repairs the budget.

@@ -171,3 +171,60 @@ func TestSlideMatchesFreshPlanner(t *testing.T) {
 		})
 	}
 }
+
+// TestSlideSolvesOnce pins the cost of a slide on an LP+LF chain shaped
+// like the window_replan benchmark (60 nodes, k = 10, a window of 15
+// samples, a fixed budget of 0.3 x NAIVE-k, one new sample per plan):
+// the slide only edits the model, so each plan runs exactly one LP
+// solve, and that solve stays warm.
+func TestSlideSolvesOnce(t *testing.T) {
+	const nodes, k, window, slides = 60, 10, 15, 300
+	rng := rand.New(rand.NewSource(5))
+	net, err := network.Build(network.DefaultBuildConfig(nodes), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := workload.NewGaussianField(workload.DefaultGaussianConfig(nodes), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := sample.MustNewSet(nodes, k, window)
+	if err := set.AddAll(workload.Draw(src, window)); err != nil {
+		t.Fatal(err)
+	}
+	costs := plan.NewCosts(net, energy.DefaultModel())
+	naive, err := NaiveKPlan(net, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 0.3 * naive.CollectionCost(net, costs)
+	reg := obs.NewRegistry()
+	p, err := NewLPFilter(Config{Net: net, Costs: costs, Samples: set, K: k, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Plan(budget); err != nil {
+		t.Fatal(err)
+	}
+	solves, colds := reg.Counter("lp.solves"), reg.Counter("lp.cold_solves")
+	fallbacks := reg.Counter("lp.warm_fallbacks")
+	if solves.Value() != 1 || colds.Value() != 1 {
+		t.Fatalf("first plan: %d solves, %d cold; want 1, 1", solves.Value(), colds.Value())
+	}
+	for step := 1; step <= slides; step++ {
+		if err := set.Add(src.Next()); err != nil {
+			t.Fatal(err)
+		}
+		before := solves.Value()
+		if _, err := p.Plan(budget); err != nil {
+			t.Fatalf("slide %d: %v", step, err)
+		}
+		if n := solves.Value() - before; n != 1 {
+			t.Fatalf("slide %d ran %d LP solves, want 1", step, n)
+		}
+	}
+	if colds.Value() != 1 || fallbacks.Value() != 0 {
+		t.Errorf("%d slides: %d cold solves after the first, %d warm fallbacks; want 0, 0",
+			slides, colds.Value()-1, fallbacks.Value())
+	}
+}

@@ -6,14 +6,16 @@ import "math"
 // the prepared solver (see Basis). Surviving columns and rows are
 // matched by their stable keys, which ascend in index order on both
 // sides, so one merge walk maps the captured layout onto the current
-// one. The captured point is kept where it can be: surviving
-// structurals keep their captured values (the nonbasic ones at the
-// bound nearest it), each basic slack, and each new row's slack, takes
-// the residual that point leaves its row, and when there are more
-// basic candidates than rows those strictly inside their bounds are
-// kept first. Returns false when no nonsingular basis could be
-// assembled. Its scratch is allocated per call: it runs once per
-// structural edit, not on a warm chain's steady state.
+// one. The captured point is kept: surviving structurals keep their
+// captured values (the nonbasic ones at the bound nearest it), each
+// basic slack, and each new row's slack, takes the residual that point
+// leaves its row, and when there are more basic candidates than rows
+// those strictly inside their bounds are kept first. A removed column
+// takes its rows with it (see Model.RemoveVars), so the point stays
+// feasible for the rows that survive. An interior column the basis
+// cannot hold is not rested, which would move the point, but crossed
+// over (see crossover). Returns false when no nonsingular basis could
+// be assembled. Its scratch lives in the Workspace.
 func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 	// Captured layout: structurals, one slack per inequality row, one
 	// artificial per row.
@@ -27,12 +29,15 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 	if len(b.stat) != art0+m0 || len(b.basis) != m0 || len(b.x) != nS0 {
 		return false
 	}
-	mp := make([]int, art0+m0) // captured column -> current, -1 once removed
+	sc := &ws.carry
+	sc.mp = growInt(sc.mp, art0+m0)
+	mp := sc.mp
 	for c := range mp {
 		mp[c] = -1
 	}
-	rowSlack := make([]int, s.m) // current row -> its slack, -1 for an equality
-	var newRows []int
+	sc.rowSlack = growInt(sc.rowSlack, s.m)
+	rowSlack := sc.rowSlack
+	sc.newRows, sc.cross = sc.newRows[:0], sc.cross[:0]
 
 	// Every column starts where a cold start would rest it; the merge
 	// walks below overwrite the survivors.
@@ -69,7 +74,7 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			}
 		}
 		if i == m0 || b.rowIDs[i] != id {
-			newRows = append(newRows, r)
+			sc.newRows = append(sc.newRows, r) //alloc:amortized grows to the most rows one edit adds, then is reused
 			continue
 		}
 		mp[art0+i] = s.artStart + r
@@ -95,7 +100,7 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			s.stat[mp[c]] = basic
 		}
 	}
-	for _, r := range newRows {
+	for _, r := range sc.newRows {
 		if u := rowSlack[r]; u >= 0 {
 			s.stat[u] = basic
 		}
@@ -129,7 +134,7 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 				continue
 			}
 			if n == s.m {
-				s.rest(j, s.xN[j])
+				s.park(sc, j)
 				continue
 			}
 			s.basis[n] = j
@@ -147,7 +152,74 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 	}
 	s.refactors++
 	s.recomputeBasics()
+	if len(sc.cross) > 0 {
+		s.crossover(sc.cross)
+		// A crossover pivot rests its leaving column at a bound even
+		// when that column sat outside its bounds (a bound edit moved
+		// them), which the incremental update does not see: recompute
+		// x_B from the nonbasic values before the start is classified.
+		s.recomputeBasics()
+	}
 	return true
+}
+
+// carryScratch is adoptEdited's per-edit scratch, kept in the
+// Workspace so a chain of structural edits reuses it.
+type carryScratch struct {
+	mp       []int // captured column -> current, -1 once removed
+	rowSlack []int // current row -> its slack, -1 for an equality
+	newRows  []int // rows with no captured counterpart
+	back     []int // interior columns the LU dropped (repairCarried)
+	cross    []int // interior columns left nonbasic, for crossover
+}
+
+// park makes column j nonbasic: at the bound nearest its value when it
+// sits at (or beyond) one, and otherwise where it is, queued for
+// crossover.
+func (s *solver) park(sc *carryScratch, j int) {
+	if !s.interior(j) {
+		s.rest(j, s.xN[j])
+		return
+	}
+	s.stat[j] = atLower // nonbasic at its interior value until crossover
+	//alloc:amortized grows to the most columns one edit parks, then is reused
+	sc.cross = append(sc.cross, j)
+}
+
+// crossover moves each listed column from its interior value to the
+// bound rest would choose, keeping the point feasible: a primal ratio
+// test over the basic rows either lets it reach that bound, where it
+// rests, or names the basic column that blocks it first, which leaves
+// at its own bound as the listed column pivots in (a step along an
+// edge of the feasible set, as a simplex pivot takes). Requires x_B
+// for the basis with the listed columns at their interior values.
+func (s *solver) crossover(cols []int) {
+	for _, j := range cols {
+		// rest names the bound and the status j takes there; j stays
+		// at v until the step below moves it.
+		v := s.xN[j]
+		s.rest(j, v)
+		target := s.xN[j]
+		sigma, span := 1.0, target-v
+		if span < 0 {
+			sigma, span = -1, -span
+		}
+		s.xN[j] = v
+		s.ftran(j)
+		t, r := s.rowLimit(sigma, span)
+		if r < 0 {
+			s.xN[j] = target
+			for i := range s.xB[:s.m] {
+				s.xB[i] -= sigma * span * s.w[i]
+			}
+			continue
+		}
+		leaveStat := atUpper
+		if sigma*s.w[r] > 0 {
+			leaveStat = atLower
+		}
+		s.pivot(j, sigma, t, r, leaveStat)
+	}
 }
 
 // repairCarried makes the assembled basis nonsingular: the sparse LU
@@ -157,18 +229,23 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 // a bound, which the unit columns, nonbasic until now, also do. An
 // interior column the LU dropped (the peel can pivot an at-bound column
 // first) is brought back by a basis exchange against a position that
-// holds a column at a bound, which exists because a vertex's interior
-// columns are independent; the factor absorbs each exchange as an eta.
+// holds a column at a bound; the factor absorbs each exchange as an
+// eta. Such a position exists while the interior columns are
+// independent, as a vertex's are. Removed rows can make them dependent
+// (two columns may have differed only there), and an interior column
+// with no position left is parked for crossover.
 func (s *solver) repairCarried(ws *Workspace, rowSlack []int) bool {
 	pos, rows, ok := ws.f.deficiency(s.basis[:s.m], s.cols)
 	if !ok || len(pos) != len(rows) {
 		return false
 	}
-	var back []int
+	sc := &ws.carry
+	sc.back = sc.back[:0]
 	for k, p := range pos {
 		if j := s.basis[p]; j >= 0 {
 			if s.interior(j) {
-				back = append(back, j)
+				//alloc:amortized grows to the most columns one repair drops, then is reused
+				sc.back = append(sc.back, j)
 				s.stat[j] = atLower // nonbasic until it is brought back
 			} else {
 				s.rest(j, s.xN[j])
@@ -183,7 +260,7 @@ func (s *solver) repairCarried(ws *Workspace, rowSlack []int) bool {
 	if !ws.f.refactorize(s.basis[:s.m], s.cols) {
 		return false
 	}
-	for _, j := range back {
+	for _, j := range sc.back {
 		s.ftran(j)
 		p, best := -1, dualPivotTol
 		for r := 0; r < s.m; r++ {
@@ -192,7 +269,7 @@ func (s *solver) repairCarried(ws *Workspace, rowSlack []int) bool {
 			}
 		}
 		if p < 0 {
-			s.rest(j, s.xN[j])
+			s.park(sc, j)
 			continue
 		}
 		leave := s.basis[p]

@@ -8,11 +8,11 @@ package lp
 // sharing a backing array.
 //
 // Constraint term slices are shared between the original and the
-// clone. They are read-only after construction — SetRHS rewrites the
-// row's rhs field (copied per clone), AddTerm and RemoveVars build new
-// term slices, never edit old ones — which is what
-// makes cloning a built parametric program cheap enough to do once
-// per pool worker (see core.Snapshot).
+// clone, which is what makes cloning a built parametric program cheap
+// enough to do once per pool worker (see core.Snapshot). Shared slices
+// are never edited: SetRHS rewrites the row's rhs field (copied per
+// clone), AddTerm builds a new term slice, and RemoveVars renumbers
+// terms in place only in a model whose slices no clone shares.
 //
 // The clone keeps the original's StructVersion, but a Basis captured
 // from a solve of one model is never warm-startable on another:
@@ -38,5 +38,6 @@ func (m *Model) Clone() *Model {
 	copy(c.hi, m.hi)
 	copy(c.names, m.names)
 	copy(c.rows, m.rows)
+	m.termsShared, c.termsShared = true, true
 	return c
 }

@@ -89,6 +89,38 @@ func TestCloneIsIndependent(t *testing.T) {
 	if got := c.RHS(row); got != 9 {
 		t.Fatalf("original SetRHS leaked into clone: rhs %g", got)
 	}
+
+	// RemoveVars renumbers the surviving rows' terms; on either side
+	// it must leave the other side's rows as they were.
+	for _, side := range []string{"original", "clone"} {
+		a := NewModel()
+		a.Maximize()
+		u := a.MustVar(0, 1, 1, "u")
+		v := a.MustVar(0, 4, 1, "v")
+		w := a.MustVar(0, 4, 2, "w")
+		a.MustConstr([]Term{{Var: u, Coef: 1}, {Var: v, Coef: 1}}, LE, 1)
+		a.MustConstr([]Term{{Var: v, Coef: 1}, {Var: w, Coef: 2}}, LE, 6)
+		b := a.Clone()
+		edited, kept := a, b
+		if side == "clone" {
+			edited, kept = b, a
+		}
+		want, err := kept.Solve(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := edited.RemoveVars([]VarID{u}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := kept.Solve(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != want.Status || math.Abs(got.Objective-want.Objective) > 1e-9 {
+			t.Fatalf("RemoveVars on the %s changed the other side's optimum: %v %g, was %v %g",
+				side, got.Status, got.Objective, want.Status, want.Objective)
+		}
+	}
 }
 
 // TestCloneBasisDoesNotTransfer: a Basis captured on the original is

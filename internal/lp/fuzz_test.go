@@ -143,42 +143,61 @@ func checkWarmEdits(t *testing.T, data []byte) {
 		if len(edits) == 0 {
 			return
 		}
-		nv, nr := m.NumVars(), m.NumConstrs()
-		switch op := next() % 7; {
-		case op == 0 && nr > 0:
-			_ = m.SetRHS(next()%nr, half())
-		case op == 1 && nv > 0:
-			_ = m.SetObjCoef(VarID(next()%nv), float64(next()%9-4))
-		case op == 2 && nv > 0:
-			lo := float64(next()%5 - 2)
-			_ = m.SetVarBound(VarID(next()%nv), lo, lo+float64(next()%4))
-		case op == 3:
-			lo := float64(next()%5 - 2)
-			v := m.MustVar(lo, lo+float64(next()%5), float64(next()%9-4), "")
-			for r := 0; r < nr; r++ {
-				if c := next()%7 - 3; c != 0 {
-					_ = m.AddTerm(r, v, float64(c)/2)
-				}
-			}
-		case op == 4 && nv > 0:
-			var terms []Term
-			for v := 0; v < nv; v++ {
-				if c := next()%7 - 3; c != 0 {
-					terms = append(terms, Term{Var: VarID(v), Coef: float64(c) / 2})
-				}
-			}
-			_ = m.AddConstr(terms, Sense(next()%3), half())
-		case op == 5 && nv > 0:
-			// The planners' retire-then-drop: fix at zero, then remove.
-			v := VarID(next() % nv)
-			if next()%2 == 0 {
-				_ = m.SetVarBound(v, 0, 0)
-			}
-			if _, _, err := m.RemoveVars([]VarID{v}); err != nil {
+		// An op byte of 7 to 13 makes the edit its value mod 7 names
+		// and batches the next edit with it: no solve in between, so
+		// one warm solve meets both, as after a planner's slide.
+		for batch := true; batch && len(edits) > 0; {
+			op := next()
+			batch = op/7 == 1
+			if err := warmEdit(m, op%7, next, half); err != nil {
 				t.Fatal(err)
 			}
-		case op == 6 && nv > 0 && nr > 0:
-			_ = m.AddTerm(next()%nr, VarID(next()%nv), float64(next()%7-3)/2)
 		}
 	}
+}
+
+// warmEdit applies one FuzzWarmEdits edit, op in [0, 7), drawing its
+// operands from next. Only a failing RemoveVars, which the harness
+// never provokes, is an error; the other mutators' rejections of
+// decoded operands are part of the fuzzed surface.
+func warmEdit(m *Model, op int, next func() int, half func() float64) error {
+	nv, nr := m.NumVars(), m.NumConstrs()
+	switch {
+	case op == 0 && nr > 0:
+		_ = m.SetRHS(next()%nr, half())
+	case op == 1 && nv > 0:
+		_ = m.SetObjCoef(VarID(next()%nv), float64(next()%9-4))
+	case op == 2 && nv > 0:
+		lo := float64(next()%5 - 2)
+		_ = m.SetVarBound(VarID(next()%nv), lo, lo+float64(next()%4))
+	case op == 3:
+		lo := float64(next()%5 - 2)
+		v := m.MustVar(lo, lo+float64(next()%5), float64(next()%9-4), "")
+		for r := 0; r < nr; r++ {
+			if c := next()%7 - 3; c != 0 {
+				_ = m.AddTerm(r, v, float64(c)/2)
+			}
+		}
+	case op == 4 && nv > 0:
+		var terms []Term
+		for v := 0; v < nv; v++ {
+			if c := next()%7 - 3; c != 0 {
+				terms = append(terms, Term{Var: VarID(v), Coef: float64(c) / 2})
+			}
+		}
+		_ = m.AddConstr(terms, Sense(next()%3), half())
+	case op == 5 && nv > 0:
+		// A block drop, of a column fixed at zero first or of a live
+		// one.
+		v := VarID(next() % nv)
+		if next()%2 == 0 {
+			_ = m.SetVarBound(v, 0, 0)
+		}
+		if _, _, err := m.RemoveVars([]VarID{v}); err != nil {
+			return err
+		}
+	case op == 6 && nv > 0 && nr > 0:
+		_ = m.AddTerm(next()%nr, VarID(next()%nv), float64(next()%7-3)/2)
+	}
+	return nil
 }

@@ -74,6 +74,10 @@ type Model struct {
 	colKey  []uint64
 	rowIDs  []rowID
 	nextKey uint64
+	// termsShared is set once Clone has handed this model's row term
+	// slices to another model (see Clone): RemoveVars then builds new
+	// ones instead of renumbering them in place.
+	termsShared bool
 }
 
 type row struct {
@@ -294,10 +298,11 @@ func (m *Model) AddTerm(i int, v VarID, coef float64) error {
 // references one of them. The surviving variables and rows keep their
 // order and are renumbered densely; varMap[old] and rowMap[old] give
 // each old VarID and row index its new value, or -1 when it was
-// removed. A Basis captured before the removal carries over to the
-// smaller model (see Basis); dropping a row is the caller's decision,
-// so the removed variables are usually fixed at zero first, which
-// reduces each of their rows to a constraint the remaining ones imply.
+// removed. No surviving row mentions a removed variable, so a point
+// that satisfied every row still satisfies the survivors, whatever
+// values the removed variables had; a Basis captured before the
+// removal carries over to the smaller model and keeps that point (see
+// Basis).
 func (m *Model) RemoveVars(vars []VarID) (varMap []VarID, rowMap []int, err error) {
 	varMap = make([]VarID, len(m.obj))
 	for _, v := range vars {
@@ -334,8 +339,10 @@ rows:
 				continue rows
 			}
 		}
-		// Term slices may be shared with clones: build new ones.
-		terms := make([]Term, len(r.terms))
+		terms := r.terms
+		if m.termsShared {
+			terms = make([]Term, len(r.terms))
+		}
 		for q, t := range r.terms {
 			terms[q] = Term{Var: varMap[t.Var], Coef: t.Coef}
 		}
@@ -346,6 +353,8 @@ rows:
 	}
 	clear(m.rows[k:])
 	m.rows, m.rowIDs = m.rows[:k], ids
+	// Every surviving row now has a term slice of its own.
+	m.termsShared = false
 	m.structVersion++
 	return varMap, rowMap, nil
 }

@@ -453,12 +453,24 @@ func (s *solver) price(cost []float64, bland bool) (enter int, sigma float64) {
 // move is a pure bound flip, and ok=false when the step is unbounded.
 func (s *solver) ratioTest(enter int, sigma float64) (t float64, leaveRow int, flip bool, ok bool) {
 	t = Inf
-	leaveRow = -1
 	// Entering variable's own range limits the step.
 	if !math.IsInf(s.hi[enter], 1) && s.lo[enter] > math.Inf(-1) {
 		t = s.hi[enter] - s.lo[enter]
-		flip = true
 	}
+	t, leaveRow = s.rowLimit(sigma, t)
+	if math.IsInf(t, 1) {
+		return 0, -1, false, false
+	}
+	return t, leaveRow, leaveRow < 0, true
+}
+
+// rowLimit is the primal ratio test over the basic rows for the column
+// in s.w moving in direction sigma by at most t: it returns the step
+// and the row whose basic value reaches a bound first, or t and -1
+// when none does within it. A basic value already past the bound it
+// moves toward blocks at a zero step.
+func (s *solver) rowLimit(sigma, t float64) (float64, int) {
+	leaveRow := -1
 	for r := 0; r < s.m; r++ {
 		wr := sigma * s.w[r]
 		if math.Abs(wr) <= 1e-11 {
@@ -487,13 +499,9 @@ func (s *solver) ratioTest(enter int, sigma float64) (t float64, leaveRow int, f
 			math.Abs(s.w[r]) > math.Abs(s.w[leaveRow])) {
 			t = lim
 			leaveRow = r
-			flip = false
 		}
 	}
-	if math.IsInf(t, 1) {
-		return 0, -1, false, false
-	}
-	return t, leaveRow, flip, true
+	return t, leaveRow
 }
 
 // applyBoundFlip moves the entering variable across its range without a

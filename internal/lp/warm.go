@@ -7,15 +7,19 @@ import "math"
 // The in-place mutators (SetRHS, SetObjCoef, SetVarBound) leave it
 // exactly valid. It also survives structural edits (AddVar, AddConstr,
 // AddTerm, RemoveVars): the next warm solve carries it over by the
-// stable identities of the surviving variables and rows. New variables
-// rest nonbasic at their bound nearest zero and new rows start with
-// their slack (or, for an equality, their artificial) basic; when more
-// survivors are basic than there are rows, those resting at a bound are
-// demoted first, and a carried-over basis the sparse LU finds singular
-// has its dependent columns replaced by unit columns of the rows left
-// uncovered (see repairCarried). A basis that cannot be repaired, or
-// one captured from another Model, degrades to a cold solve; it never
-// corrupts a result.
+// stable identities of the surviving variables and rows, keeping the
+// captured point. New variables rest nonbasic at their bound nearest
+// zero and new rows start with their slack (or, for an equality, their
+// artificial) basic; when more survivors are basic than there are
+// rows, those resting at a bound are demoted first, and a carried-over
+// basis the sparse LU finds singular has its dependent columns
+// replaced by unit columns of the rows left uncovered (see
+// repairCarried). A column strictly inside its bounds that the basis
+// cannot hold is crossed over to a bound by a primal ratio-test step
+// (see crossover), so removing variables whatever their values, even
+// basic ones, leaves the start as feasible as the captured point was.
+// A basis that cannot be repaired, or one captured from another Model,
+// degrades to a cold solve; it never corrupts a result.
 //
 //confine:goroutine
 type Basis struct {
@@ -64,13 +68,18 @@ func (k solveKind) String() string {
 	return "cold"
 }
 
-// warmRun attempts to solve from the snapshot basis, falling back to a
-// cold run (with a fresh iteration budget) when the snapshot belongs to
-// another model, cannot be carried over a structural edit, is
-// numerically unusable, exhausts the iteration budget, or classifies
-// the model as infeasible or unbounded — the cold run is the arbiter
-// for every non-optimal outcome, so a warm chain can never misreport
-// feasibility and callers never see a warm-only failure.
+// warmRun attempts to solve from the snapshot basis and classifies
+// the start: a primal feasible one takes primal pivots, a dual
+// feasible one dual pivots and then a primal polish, and one that is
+// neither has its dual infeasibilities shifted into the costs for the
+// dual pivots (see shiftCosts), then primal pivots under the true
+// costs. It falls back to a cold run (with a fresh iteration budget)
+// when the snapshot belongs to another model, cannot be carried over a
+// structural edit, is numerically unusable, exhausts the iteration
+// budget, or classifies the model as infeasible or unbounded — the
+// cold run is the arbiter for every non-optimal outcome, so a warm
+// chain can never misreport feasibility and callers never see a
+// warm-only failure.
 //
 //alloc:none
 func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) {
@@ -80,7 +89,6 @@ func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) 
 	case b.structVersion == m.structVersion:
 		adopted = len(b.basis) == s.m && len(b.stat) == s.nTotal && s.adoptBasis(b, ws)
 	default:
-		//alloc:amortized the carry-over allocates its scratch once per structural edit; a chain without edits never reaches it
 		adopted = s.adoptEdited(m, b, ws)
 	}
 	if !adopted {
@@ -102,10 +110,18 @@ func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) 
 			st = s.iterate(s.c, false)
 		}
 	default:
-		// Both primal and dual infeasible (obj and RHS both moved):
-		// recovery has no anchor; restart cold.
-		s.iters = 0
-		return s.run(), solveWarmFallback
+		// Both primal and dual infeasible (an objective edit or an
+		// improving new column, together with an RHS or bound move):
+		// shifting each dual-infeasible column's cost by its reduced
+		// cost makes the basis dual feasible, dual pivots restore
+		// primal feasibility under the shifted costs, and primal
+		// pivots finish under the true ones.
+		s.shiftCosts()
+		st = s.dualIterate()
+		s.loadCosts(m)
+		if st == Optimal {
+			st = s.iterate(s.c, false)
+		}
 	}
 	if st == Optimal {
 		return st, solveWarm
@@ -214,27 +230,42 @@ func (s *solver) computeReducedCosts() {
 func (s *solver) dualFeasible() bool {
 	s.computeReducedCosts()
 	for j := 0; j < s.artStart; j++ {
-		st := s.stat[j]
-		if st == basic || sameFloat(s.lo[j], s.hi[j]) {
-			continue
-		}
-		d := s.d[j]
-		switch st {
-		case atLower:
-			if d < -s.tol {
-				return false
-			}
-		case atUpper:
-			if d > s.tol {
-				return false
-			}
-		case nonbasicFree:
-			if math.Abs(d) > s.tol {
-				return false
-			}
+		if s.dualInfeasible(j) {
+			return false
 		}
 	}
 	return true
+}
+
+// dualInfeasible reports whether column j is nonbasic, not fixed, and
+// has a reduced cost s.d[j] of the wrong sign for its resting bound.
+func (s *solver) dualInfeasible(j int) bool {
+	st := s.stat[j]
+	if st == basic || sameFloat(s.lo[j], s.hi[j]) {
+		return false
+	}
+	switch d := s.d[j]; st {
+	case atLower:
+		return d < -s.tol
+	case atUpper:
+		return d > s.tol
+	default: // nonbasicFree
+		return math.Abs(d) > s.tol
+	}
+}
+
+// shiftCosts zeroes the reduced cost of every dual-infeasible column
+// by moving its cost by that amount, which leaves the duals, and every
+// other reduced cost, as they are. It reads and updates the reduced
+// costs dualFeasible left in s.d; the caller restores the costs with
+// loadCosts.
+func (s *solver) shiftCosts() {
+	for j := 0; j < s.artStart; j++ {
+		if s.dualInfeasible(j) {
+			s.c[j] -= s.d[j]
+			s.d[j] = 0
+		}
+	}
 }
 
 // dualPivotTol is the minimum |alpha| accepted as a dual pivot element.

@@ -524,30 +524,13 @@ func TestWarmMixedMutations(t *testing.T) {
 	}
 }
 
-// TestWarmCarriesOverSlide walks a basis through the slide the sliding
-// planners make: fix a block of columns at zero and re-solve, remove
-// them with their rows, append a new block with terms in a surviving
-// row, and re-solve. Both re-solves must stay warm and match a cold
-// solve, and RemoveVars must renumber the survivors densely.
+// TestWarmCarriesOverSlide walks a basis through a slide one edit at a
+// time: fix a block of columns at zero and re-solve, remove them with
+// their rows and re-solve, append a new block with terms in a
+// surviving row and re-solve. Every re-solve must stay warm and match
+// a cold solve, and RemoveVars must renumber the survivors densely.
 func TestWarmCarriesOverSlide(t *testing.T) {
-	// maximize sum x subject to x_i <= y, sum x_i <= b per block,
-	// y + b <= budget.
-	m := NewModel()
-	m.Maximize()
-	y := m.MustVar(0, 1, 0, "y")
-	b := m.MustVar(0, 3, -0.01, "b")
-	budget := m.MustConstr([]Term{{y, 1}, {b, 1}}, LE, 2.5)
-	block := func(n int) []VarID {
-		xs := make([]VarID, n)
-		terms := []Term{{b, -1}}
-		for i := range xs {
-			xs[i] = m.MustVar(0, 1, 1, "")
-			m.MustConstr([]Term{{xs[i], 1}, {y, -1}}, LE, 0)
-			terms = append(terms, Term{xs[i], 1})
-		}
-		m.MustConstr(terms, LE, 0)
-		return xs
-	}
+	m, y, b, budget, block := slideModel()
 	old := block(3)
 	block(2)
 	ws := NewWorkspace()
@@ -630,4 +613,115 @@ func TestStructuralEditValidation(t *testing.T) {
 	if _, _, err := m.RemoveVars([]VarID{x + 1}); err == nil {
 		t.Error("RemoveVars accepted an unknown variable")
 	}
+}
+
+// slideModel is the sliding planners' program in miniature: maximize
+// sum x subject to x_i <= y and sum x_i <= b per block, y + b <=
+// budget. It returns the model, y, b and the budget row; block appends
+// a block of n columns.
+func slideModel() (m *Model, y, b VarID, budget int, block func(n int) []VarID) {
+	m = NewModel()
+	m.Maximize()
+	y = m.MustVar(0, 1, 0, "y")
+	b = m.MustVar(0, 3, -0.01, "b")
+	budget = m.MustConstr([]Term{{y, 1}, {b, 1}}, LE, 2.5)
+	block = func(n int) []VarID {
+		xs := make([]VarID, n)
+		terms := []Term{{b, -1}}
+		for i := range xs {
+			xs[i] = m.MustVar(0, 1, 1, "")
+			m.MustConstr([]Term{{xs[i], 1}, {y, -1}}, LE, 0)
+			terms = append(terms, Term{xs[i], 1})
+		}
+		m.MustConstr(terms, LE, 0)
+		return xs
+	}
+	return m, y, b, budget, block
+}
+
+// warmMatchesCold re-solves m warm from basis and requires the one
+// solve to stay warm, match a cold solve's objective within 1e-9 and
+// carry a KKT certificate at 1e-9.
+func warmMatchesCold(t *testing.T, m *Model, ws *Workspace, basis *Basis) *Solution {
+	t.Helper()
+	warm, err := m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: basis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := m.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Warm || warm.Status != Optimal {
+		t.Fatalf("warm %v, status %v", warm.Warm, warm.Status)
+	}
+	if math.Abs(warm.Objective-cold.Objective) > 1e-9 {
+		t.Errorf("warm objective %.12g, cold %.12g", warm.Objective, cold.Objective)
+	}
+	if err := CheckOptimal(m, warm, 1e-9); err != nil {
+		t.Error(err)
+	}
+	return warm
+}
+
+// TestWarmDropsLiveBlock drops a block whose columns are basic and
+// strictly inside their bounds, with no solve to retire it first, and
+// appends a new block: the one warm solve that follows must carry the
+// basis over both edits. With the block gone only the budget row is
+// left, and y and b, both interior, cannot both stay basic in it.
+func TestWarmDropsLiveBlock(t *testing.T) {
+	m, _, _, _, block := slideModel()
+	old := block(3)
+	ws := NewWorkspace()
+	sol, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("cold: %v / %v", err, sol.Status)
+	}
+	live := 0
+	for _, x := range old {
+		if v := sol.X[x]; sol.Basis.stat[x] == basic && v > 1e-6 && v < 1-1e-6 {
+			live++
+		}
+	}
+	if live == 0 {
+		t.Fatalf("no leaving column is basic and interior: x = %v", sol.X[old[0]:old[len(old)-1]+1])
+	}
+	if _, _, err := m.RemoveVars(old); err != nil {
+		t.Fatal(err)
+	}
+	block(4)
+	// The carried-over start keeps the point feasible: the column that
+	// cannot stay basic is crossed over, not rested at a bound.
+	probe := NewWorkspace()
+	s := probe.prepare(m, Options{})
+	if !s.adoptEdited(m, sol.Basis, probe) {
+		t.Fatal("basis not carried over")
+	}
+	if v := s.primalInfeasibility(); v > s.tol {
+		t.Errorf("carried-over start is primal infeasible by %g", v)
+	}
+	warmMatchesCold(t, m, ws, sol.Basis)
+}
+
+// TestWarmBothInfeasibleStaysWarm raises the budget row's right-hand
+// side, which pushes the basic y past its upper bound, and appends an
+// improving column in the same step, so the carried basis starts both
+// primal and dual infeasible: the solve must recover warm.
+func TestWarmBothInfeasibleStaysWarm(t *testing.T) {
+	m, _, _, budget, block := slideModel()
+	block(3)
+	block(2)
+	ws := NewWorkspace()
+	sol, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("cold: %v / %v", err, sol.Status)
+	}
+	if err := m.SetRHS(budget, 5); err != nil {
+		t.Fatal(err)
+	}
+	z := m.MustVar(0, 1, 2, "z")
+	if err := m.AddTerm(budget, z, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	warmMatchesCold(t, m, ws, sol.Basis)
 }

@@ -30,6 +30,9 @@ type Workspace struct {
 	arena      []centry
 	colLen     []int32
 
+	// carry is the scratch of a basis carried over structural edits.
+	carry carryScratch
+
 	// Reusable outputs.
 	sol      Solution
 	x, duals []float64
@@ -85,19 +88,15 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	s.lo = growF64(s.lo, s.nTotal)
 	s.hi = growF64(s.hi, s.nTotal)
 	s.b = growF64(s.b, rows)
-	sign := 1.0
-	if m.maximize {
-		sign = -1
-	}
+	s.loadCosts(m)
 	for j := 0; j < s.nStruct; j++ {
-		s.c[j] = sign * m.obj[j]
 		s.lo[j], s.hi[j] = m.lo[j], m.hi[j]
 	}
 	for j := s.nStruct; j < s.artStart; j++ {
-		s.c[j], s.lo[j], s.hi[j] = 0, 0, Inf // slacks
+		s.lo[j], s.hi[j] = 0, Inf // slacks
 	}
 	for j := s.artStart; j < s.nTotal; j++ {
-		s.c[j], s.lo[j], s.hi[j] = 0, 0, 0 // artificials, opened by phase 1
+		s.lo[j], s.hi[j] = 0, 0 // artificials, opened by phase 1
 	}
 	for r, rw := range m.rows {
 		s.b[r] = rw.rhs
@@ -117,6 +116,22 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	s.cands = growInt32(s.cands, s.artStart)
 	s.devex = growF64(s.devex, rows)
 	return s
+}
+
+// loadCosts sets the phase-2 costs from m: the objective, negated for
+// a maximization, on the structurals and zero on slacks and
+// artificials.
+func (s *solver) loadCosts(m *Model) {
+	sign := 1.0
+	if m.maximize {
+		sign = -1
+	}
+	for j := 0; j < s.nStruct; j++ {
+		s.c[j] = sign * m.obj[j]
+	}
+	for j := s.nStruct; j < s.nTotal; j++ {
+		s.c[j] = 0
+	}
 }
 
 // buildCols materializes the sparse column store for m into the flat
