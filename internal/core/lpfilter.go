@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -121,7 +120,7 @@ func (prog *lpfilterProgram) build(cfg Config, budget float64) (*lp.Model, int, 
 			if i == int(network.Root) {
 				continue
 			}
-			id := m.MustVar(0, 1, 1, fmt.Sprintf("x_%d_%d", j, i))
+			id := m.MustVarIndexed(0, 1, 1, "x_", j, i)
 			xvars[j] = append(xvars[j], entry{i: network.NodeID(i), v: id})
 			blocks[j] = append(blocks[j], id)
 		}
@@ -196,11 +195,11 @@ func edgeCap(cfg Config, v int) float64 {
 
 // addEdgeVars adds edge v's usage y_v and bandwidth b_v.
 func addEdgeVars(m *lp.Model, cfg Config, v int) (y, b lp.VarID) {
-	y = m.MustVar(0, 1, 0, fmt.Sprintf("y%d", v))
+	y = m.MustVarIndexed(0, 1, 0, "y", v)
 	// Tiny index-distinct bandwidth penalty so the rounded plan is
 	// the same from every optimal pivot path (see tieEps).
 	obj := -tieEps * (1 + float64(v)/float64(cfg.Net.Size()))
-	b = m.MustVar(0, edgeCap(cfg, v), obj, fmt.Sprintf("b%d", v))
+	b = m.MustVarIndexed(0, edgeCap(cfg, v), obj, "b", v)
 	return y, b
 }
 
@@ -325,7 +324,7 @@ func (prog *lpfilterProgram) appendBlock(cfg Config, m *lp.Model, j int) []lp.Va
 		if i == int(network.Root) {
 			continue
 		}
-		x := m.MustVar(0, 1, 1, fmt.Sprintf("x_%d_%d", j, i))
+		x := m.MustVarIndexed(0, 1, 1, "x_", j, i)
 		m.MustConstr([]lp.Term{{Var: x, Coef: 1}, {Var: prog.ys[i], Coef: -1}}, lp.LE, 0)
 		xs = append(xs, x)
 		nodes = append(nodes, network.NodeID(i))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -94,7 +93,7 @@ func (prog *lplfProgram) build(cfg Config, budget float64) (*lp.Model, int, floa
 	}
 	cands := candidateNodes(cfg)
 	for _, i := range cands {
-		xs[i] = m.MustVar(0, 1, candidateObj(cfg, i), fmt.Sprintf("x%d", i))
+		xs[i] = m.MustVarIndexed(0, 1, candidateObj(cfg, i), "x", int(i))
 	}
 	// Edges that can carry a candidate's value.
 	edgeNeeded, _ := neededEdges(cfg)
@@ -104,7 +103,7 @@ func (prog *lplfProgram) build(cfg Config, budget float64) (*lp.Model, int, floa
 	}
 	for v := 1; v < n; v++ {
 		if edgeNeeded[v] {
-			ys[v] = m.MustVar(0, 1, 0, fmt.Sprintf("y%d", v))
+			ys[v] = m.MustVarIndexed(0, 1, 0, "y", v)
 		}
 	}
 
@@ -194,7 +193,7 @@ func (prog *lplfProgram) slide(c *paramLP, _ windowSlide) (bool, error) {
 		switch {
 		case !needed[v] || prog.needed[v]:
 		case prog.ys[v] < 0:
-			prog.ys[v] = m.MustVar(0, 1, 0, fmt.Sprintf("y%d", v))
+			prog.ys[v] = m.MustVarIndexed(0, 1, 0, "y", v)
 			ed.term(c.budgetRow, prog.ys[v], cfg.Costs.Msg[v])
 			opened = append(opened, v)
 		default:
@@ -209,7 +208,7 @@ func (prog *lplfProgram) slide(c *paramLP, _ windowSlide) (bool, error) {
 	for _, i := range cands {
 		obj := candidateObj(cfg, i)
 		if prog.xs[i] < 0 {
-			prog.xs[i] = m.MustVar(0, 1, obj, fmt.Sprintf("x%d", i))
+			prog.xs[i] = m.MustVarIndexed(0, 1, obj, "x", int(i))
 			ed.term(c.budgetRow, prog.xs[i], pathValueCost(cfg, i))
 			m.MustConstr([]lp.Term{{Var: prog.xs[i], Coef: 1}, {Var: prog.ys[i], Coef: -1}}, lp.LE, 0)
 			continue

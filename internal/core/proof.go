@@ -273,7 +273,7 @@ func newProofBuilder(cfg Config, strictC3 bool) *proofBuilder {
 		// Tiny index-distinct bandwidth penalty: among equally-proving
 		// allocations, pick the unique minimal one (see tieEps).
 		obj := -tieEps * (1 + float64(v)/float64(n))
-		b.bs[v] = b.m.MustVar(1, cap, obj, fmt.Sprintf("b%d", v))
+		b.bs[v] = b.m.MustVarIndexed(1, cap, obj, "b", v)
 	}
 	return b
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"prospector/internal/energy"
@@ -172,13 +173,20 @@ func TestSlideMatchesFreshPlanner(t *testing.T) {
 	}
 }
 
-// TestSlideSolvesOnce pins the cost of a slide on an LP+LF chain shaped
-// like the window_replan benchmark (60 nodes, k = 10, a window of 15
-// samples, a fixed budget of 0.3 x NAIVE-k, one new sample per plan):
-// the slide only edits the model, so each plan runs exactly one LP
-// solve, and that solve stays warm.
-func TestSlideSolvesOnce(t *testing.T) {
-	const nodes, k, window, slides = 60, 10, 15, 300
+// slideChain is an LP+LF chain shaped like the window_replan benchmark
+// (60 nodes, k = 10, a window of 15 samples, a fixed budget of 0.3 x
+// NAIVE-k) after its first, cold plan: each slide adds one sample.
+type slideChain struct {
+	p      Planner
+	set    *sample.Set
+	src    workload.Source
+	budget float64
+	reg    *obs.Registry
+}
+
+func newSlideChain(t *testing.T) *slideChain {
+	t.Helper()
+	const nodes, k, window = 60, 10, 15
 	rng := rand.New(rand.NewSource(5))
 	net, err := network.Build(network.DefaultBuildConfig(nodes), rng)
 	if err != nil {
@@ -197,28 +205,42 @@ func TestSlideSolvesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := 0.3 * naive.CollectionCost(net, costs)
-	reg := obs.NewRegistry()
-	p, err := NewLPFilter(Config{Net: net, Costs: costs, Samples: set, K: k, Obs: reg})
+	c := &slideChain{set: set, src: src, budget: 0.3 * naive.CollectionCost(net, costs), reg: obs.NewRegistry()}
+	c.p, err = NewLPFilter(Config{Net: net, Costs: costs, Samples: set, K: k, Obs: c.reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Plan(budget); err != nil {
+	if _, err := c.p.Plan(c.budget); err != nil {
 		t.Fatal(err)
 	}
-	solves, colds := reg.Counter("lp.solves"), reg.Counter("lp.cold_solves")
-	fallbacks := reg.Counter("lp.warm_fallbacks")
+	return c
+}
+
+// slide adds the next sample and plans.
+func (c *slideChain) slide(t *testing.T, step int) {
+	t.Helper()
+	if err := c.set.Add(c.src.Next()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.p.Plan(c.budget); err != nil {
+		t.Fatalf("slide %d: %v", step, err)
+	}
+}
+
+// TestSlideSolvesOnce pins the cost of a slide on the slideChain: the
+// slide only edits the model, so each plan runs exactly one LP solve,
+// and that solve stays warm.
+func TestSlideSolvesOnce(t *testing.T) {
+	const slides = 300
+	c := newSlideChain(t)
+	solves, colds := c.reg.Counter("lp.solves"), c.reg.Counter("lp.cold_solves")
+	fallbacks := c.reg.Counter("lp.warm_fallbacks")
 	if solves.Value() != 1 || colds.Value() != 1 {
 		t.Fatalf("first plan: %d solves, %d cold; want 1, 1", solves.Value(), colds.Value())
 	}
 	for step := 1; step <= slides; step++ {
-		if err := set.Add(src.Next()); err != nil {
-			t.Fatal(err)
-		}
 		before := solves.Value()
-		if _, err := p.Plan(budget); err != nil {
-			t.Fatalf("slide %d: %v", step, err)
-		}
+		c.slide(t, step)
 		if n := solves.Value() - before; n != 1 {
 			t.Fatalf("slide %d ran %d LP solves, want 1", step, n)
 		}
@@ -226,5 +248,34 @@ func TestSlideSolvesOnce(t *testing.T) {
 	if colds.Value() != 1 || fallbacks.Value() != 0 {
 		t.Errorf("%d slides: %d cold solves after the first, %d warm fallbacks; want 0, 0",
 			slides, colds.Value()-1, fallbacks.Value())
+	}
+}
+
+// TestSlideAllocBytes bounds what the planner allocates per slide on
+// the slideChain, the sample set's own appends excluded: the model
+// edits, the warm solve and the rounding together stay under 8 KB.
+func TestSlideAllocBytes(t *testing.T) {
+	const warmup, slides, limit = 50, 200, 8 << 10
+	c := newSlideChain(t)
+	for step := 1; step <= warmup; step++ {
+		c.slide(t, step)
+	}
+	var before, after runtime.MemStats
+	var planned uint64
+	for step := 1; step <= slides; step++ {
+		if err := c.set.Add(c.src.Next()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		if _, err := c.p.Plan(c.budget); err != nil {
+			t.Fatalf("slide %d: %v", step, err)
+		}
+		runtime.ReadMemStats(&after)
+		planned += after.TotalAlloc - before.TotalAlloc
+	}
+	if per := planned / slides; per >= limit {
+		t.Errorf("the planner allocates %d B per slide, want < %d", per, limit)
+	} else {
+		t.Logf("%d B per slide", per)
 	}
 }

@@ -14,8 +14,11 @@ import "math"
 // takes its rows with it (see Model.RemoveVars), so the point stays
 // feasible for the rows that survive. An interior column the basis
 // cannot hold is not rested, which would move the point, but crossed
-// over (see crossover). Returns false when no nonsingular basis could
-// be assembled. Its scratch lives in the Workspace.
+// over (see crossover). The assembled basis is factored once, by a
+// rank-revealing factorization that replaces the columns it cannot
+// pivot (see factorize and replaceDependent), so the carry fails only
+// when the snapshot's own sizes disagree, and returns false then. Its
+// scratch lives in the Workspace.
 func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 	// Captured layout: structurals, one slack per inequality row, one
 	// artificial per row.
@@ -30,12 +33,12 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 		return false
 	}
 	sc := &ws.carry
-	sc.mp = growInt(sc.mp, art0+m0)
+	sc.mp = grow(sc.mp, art0+m0)
 	mp := sc.mp
 	for c := range mp {
 		mp[c] = -1
 	}
-	sc.rowSlack = growInt(sc.rowSlack, s.m)
+	sc.rowSlack = grow(sc.rowSlack, s.m)
 	rowSlack := sc.rowSlack
 	sc.newRows, sc.cross = sc.newRows[:0], sc.cross[:0]
 
@@ -53,7 +56,7 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			j++
 		}
 		if j < s.nStruct && m.colKey[j] == key {
-			mp[c] = j
+			mp[c] = int32(j)
 			j++
 		}
 	}
@@ -64,7 +67,7 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			rowSlack[r] = slack
 			slack++
 		}
-		s.cols[s.artStart+r][0].coef = 1
+		s.cols.unit(s.artStart + r).coef = 1
 	}
 	i, slack0 := 0, nS0 // captured row, and its slack column
 	for r, id := range m.rowIDs {
@@ -77,10 +80,10 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			sc.newRows = append(sc.newRows, r) //alloc:amortized grows to the most rows one edit adds, then is reused
 			continue
 		}
-		mp[art0+i] = s.artStart + r
-		s.cols[s.artStart+r][0].coef = float64(b.artSign[i])
+		mp[art0+i] = int32(s.artStart + r)
+		s.cols.unit(s.artStart + r).coef = float64(b.artSign[i])
 		if !id.eq() {
-			mp[slack0] = rowSlack[r]
+			mp[slack0] = int32(rowSlack[r])
 			slack0++
 		}
 		i++
@@ -110,7 +113,7 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			if s.stat[j] == basic {
 				s.xN[j] = v
 			} else {
-				s.rest(j, v)
+				s.rest(int(j), v)
 			}
 		}
 	}
@@ -123,7 +126,7 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			for _, t := range rw.terms {
 				v -= t.Coef * s.xN[t.Var]
 			}
-			s.xN[u] = v * s.cols[u][0].coef
+			s.xN[u] = v * s.cols.unit(u).coef
 		}
 	}
 
@@ -141,16 +144,27 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			n++
 		}
 	}
-	full := n == s.m
-	for ; n < s.m; n++ {
-		s.basis[n] = -1
+	for p := n; p < s.m; p++ {
+		s.basis[p] = -1
 	}
-	if !full || !ws.f.refactorize(s.basis[:s.m], s.cols) {
-		if !s.repairCarried(ws, rowSlack) {
-			return false
+	// One rank-revealing factorization: a position left empty, or
+	// holding a column dependent on the others (removed rows can make
+	// two columns equal), gets the unit column of a row left uncovered.
+	unit := rowSlack
+	for r, u := range unit {
+		if u < 0 {
+			unit[r] = s.artStart + r
 		}
 	}
+	pos, rows, ok := ws.f.factorize(s.basis[:s.m], s.cols, unit)
+	if !ok {
+		return false
+	}
+	sc.empty, sc.replaced = s.m-n, len(pos)
 	s.refactors++
+	if len(pos) > 0 {
+		s.replaceDependent(ws, pos, rows, unit)
+	}
 	s.recomputeBasics()
 	if len(sc.cross) > 0 {
 		s.crossover(sc.cross)
@@ -166,11 +180,14 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 // carryScratch is adoptEdited's per-edit scratch, kept in the
 // Workspace so a chain of structural edits reuses it.
 type carryScratch struct {
-	mp       []int // captured column -> current, -1 once removed
-	rowSlack []int // current row -> its slack, -1 for an equality
-	newRows  []int // rows with no captured counterpart
-	back     []int // interior columns the LU dropped (repairCarried)
-	cross    []int // interior columns left nonbasic, for crossover
+	mp       []int32 // captured column -> current, -1 once removed
+	rowSlack []int   // current row -> its slack, -1 for an equality; then its unit column
+	newRows  []int   // rows with no captured counterpart
+	back     []int   // interior columns the LU dropped (replaceDependent)
+	cross    []int   // interior columns left nonbasic, for crossover
+	// What the last carry's factorization met: positions left empty,
+	// and positions it replaced (the empty ones included).
+	empty, replaced int
 }
 
 // park makes column j nonbasic: at the bound nearest its value when it
@@ -222,43 +239,32 @@ func (s *solver) crossover(cols []int) {
 	}
 }
 
-// repairCarried makes the assembled basis nonsingular: the sparse LU
-// names the columns it could not pivot, and each is replaced by a unit
-// column (the slack, or for an equality the artificial) of a row no
-// pivot covered. The point is kept when every column replaced sits at
-// a bound, which the unit columns, nonbasic until now, also do. An
-// interior column the LU dropped (the peel can pivot an at-bound column
-// first) is brought back by a basis exchange against a position that
-// holds a column at a bound; the factor absorbs each exchange as an
-// eta. Such a position exists while the interior columns are
-// independent, as a vertex's are. Removed rows can make them dependent
-// (two columns may have differed only there), and an interior column
-// with no position left is parked for crossover.
-func (s *solver) repairCarried(ws *Workspace, rowSlack []int) bool {
-	pos, rows, ok := ws.f.deficiency(s.basis[:s.m], s.cols)
-	if !ok || len(pos) != len(rows) {
-		return false
-	}
+// replaceDependent makes the basis what factorize factored: each
+// position it names gets the unit column of its uncovered row, basic.
+// The point is kept when every column replaced sits at a bound, which
+// the unit columns, nonbasic until now, also do. An interior column
+// replaced (the peel can pivot an at-bound column first) is brought
+// back by a basis exchange against a position that holds a column at
+// a bound; the factor absorbs each exchange as an eta. Such a position
+// exists while the interior columns are independent, as a vertex's
+// are. Removed rows can make them dependent (two columns may have
+// differed only there), and an interior column with no position left
+// is parked for crossover.
+func (s *solver) replaceDependent(ws *Workspace, pos, rows []int32, unit []int) {
 	sc := &ws.carry
 	sc.back = sc.back[:0]
 	for k, p := range pos {
 		if j := s.basis[p]; j >= 0 {
 			if s.interior(j) {
-				//alloc:amortized grows to the most columns one repair drops, then is reused
+				//alloc:amortized grows to the most columns one carry replaces, then is reused
 				sc.back = append(sc.back, j)
 				s.stat[j] = atLower // nonbasic until it is brought back
 			} else {
 				s.rest(j, s.xN[j])
 			}
 		}
-		u := rowSlack[rows[k]]
-		if u < 0 {
-			u = s.artStart + int(rows[k])
-		}
+		u := unit[rows[k]]
 		s.basis[p], s.stat[u] = u, basic
-	}
-	if !ws.f.refactorize(s.basis[:s.m], s.cols) {
-		return false
 	}
 	for _, j := range sc.back {
 		s.ftran(j)
@@ -277,7 +283,6 @@ func (s *solver) repairCarried(ws *Workspace, rowSlack []int) bool {
 		s.basis[p], s.stat[j] = j, basic
 		ws.f.appendEta(s.w, p)
 	}
-	return true
 }
 
 // interior reports whether column j's value lies strictly inside its

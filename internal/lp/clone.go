@@ -3,9 +3,9 @@ package lp
 // Clone returns an independently mutable copy of the model. The
 // in-place mutators (SetRHS, SetObjCoef, SetVarBound) and structural
 // edits (AddVar, AddConstr, AddTerm, RemoveVars) on either side never
-// affect the other: the objective, bound, name, and row slices are
-// copied with exact capacity, so even an append reallocates instead of
-// sharing a backing array.
+// affect the other: the objective, bound, name, identity and row
+// slices are copied with exact capacity, so even an append reallocates
+// instead of sharing a backing array.
 //
 // Constraint term slices are shared between the original and the
 // clone, which is what makes cloning a built parametric program cheap
@@ -23,20 +23,20 @@ func (m *Model) Clone() *Model {
 		obj:           make([]float64, len(m.obj)),
 		lo:            make([]float64, len(m.lo)),
 		hi:            make([]float64, len(m.hi)),
-		names:         make([]string, len(m.names)),
+		names:         make([]varName, len(m.names)),
 		rows:          make([]row, len(m.rows)),
 		maximize:      m.maximize,
 		structVersion: m.structVersion,
-		// No edit changes an identity in place, so the clone shares
-		// them; the clipped capacity makes its appends reallocate.
-		colKey:  m.colKey[:len(m.colKey):len(m.colKey)],
-		rowIDs:  m.rowIDs[:len(m.rowIDs):len(m.rowIDs)],
-		nextKey: m.nextKey,
+		colKey:        make([]uint64, len(m.colKey)),
+		rowIDs:        make([]rowID, len(m.rowIDs)),
+		nextKey:       m.nextKey,
 	}
 	copy(c.obj, m.obj)
 	copy(c.lo, m.lo)
 	copy(c.hi, m.hi)
 	copy(c.names, m.names)
+	copy(c.colKey, m.colKey)
+	copy(c.rowIDs, m.rowIDs)
 	copy(c.rows, m.rows)
 	m.termsShared, c.termsShared = true, true
 	return c

@@ -113,7 +113,7 @@ func TestDualKeptReducedCostsMatchFresh(t *testing.T) {
 			s.maxIt = s.iters + 1
 			st = s.dualIterate()
 			kept := slices.Clone(s.d[:s.artStart])
-			s.computeReducedCosts()
+			s.computeReducedCosts(s.c)
 			for j := 0; j < s.artStart; j++ {
 				if s.stat[j] == basic || sameFloat(s.lo[j], s.hi[j]) {
 					continue
@@ -129,5 +129,85 @@ func TestDualKeptReducedCostsMatchFresh(t *testing.T) {
 	}
 	if steps < 100 || flips == 0 {
 		t.Errorf("%d dual steps with %d bound flips: the recovery went unexercised", steps, flips)
+	}
+}
+
+// TestPrimalKeptReducedCostsMatchFresh is the primal twin of
+// TestDualKeptReducedCostsMatchFresh: the primal simplex keeps its
+// reduced costs across pivots too (d_j −= θ·α_j over a pivot row
+// formed row-wise), recomputing them only at a refactorization or to
+// confirm an optimum. Random boxed models are solved cold, their
+// objectives perturbed so the optimal basis stays primal feasible but
+// stops being optimal, and the primal recovery stepped one iteration
+// at a time; after every step each nonbasic, unfixed column's kept
+// reduced cost must match a fresh one.
+func TestPrimalKeptReducedCostsMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pivots := 0
+	for trial := 0; trial < 40; trial++ {
+		m := NewModel()
+		vars := make([]VarID, 30)
+		for i := range vars {
+			vars[i] = m.MustVar(0, 1+3*rng.Float64(), rng.NormFloat64(), "v")
+		}
+		for r := 0; r < 25; r++ {
+			var terms []Term
+			for _, v := range vars {
+				if rng.Float64() < 0.3 {
+					terms = append(terms, Term{v, rng.NormFloat64()})
+				}
+			}
+			if len(terms) == 0 {
+				terms = append(terms, Term{vars[r], 1})
+			}
+			sense := LE
+			if rng.Intn(4) == 0 {
+				sense = GE
+			}
+			m.MustConstr(terms, sense, 3*rng.Float64()-0.5)
+		}
+		ws := NewWorkspace()
+		sol, err := m.Solve(Options{Workspace: ws, KeepBasis: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Optimal {
+			continue
+		}
+		for _, v := range vars {
+			if rng.Float64() < 0.5 {
+				if err := m.SetObjCoef(v, rng.NormFloat64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		s := ws.prepare(m, Options{})
+		if !s.adoptBasis(sol.Basis, ws) {
+			t.Fatalf("trial %d: basis not adopted", trial)
+		}
+		if s.primalInfeasibility() > s.tol {
+			continue
+		}
+		s.computeReducedCosts(s.c)
+		for st := IterationLimit; st == IterationLimit; {
+			before := s.pivotsTotal
+			s.maxIt = s.iters + 1
+			st = s.primal(s.c, false)
+			kept := slices.Clone(s.d[:s.artStart])
+			s.computeReducedCosts(s.c)
+			for j := 0; j < s.artStart; j++ {
+				if s.stat[j] == basic || sameFloat(s.lo[j], s.hi[j]) {
+					continue
+				}
+				if diff := math.Abs(kept[j] - s.d[j]); diff > 1e-9*(1+math.Abs(s.d[j])) {
+					t.Fatalf("trial %d, iteration %d: column %d keeps reduced cost %g, fresh %g",
+						trial, s.iters, j, kept[j], s.d[j])
+				}
+			}
+			pivots += s.pivotsTotal - before
+		}
+	}
+	if pivots < 100 {
+		t.Errorf("%d primal pivots: the recovery went unexercised", pivots)
 	}
 }

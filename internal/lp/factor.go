@@ -8,7 +8,7 @@ import "math"
 //
 //	B^-1 = E_k · ... · E_1 · B0^-1,   P·B0·Q = L·U
 //
-// refactorize peels B0's column singletons (slack and artificial unit
+// factorize peels B0's column singletons (slack and artificial unit
 // columns, and structurals touching one remaining row) into the upper
 // triangle, then its row singletons into the lower one, and LU-factors
 // only the remaining bump densely with partial pivoting. LP bases are
@@ -24,9 +24,16 @@ import "math"
 // solves without allocating.
 type factor struct {
 	m int
-	// lu holds B0's factors; refactorize builds into spare and swaps,
+	// lu holds B0's factors; factorize builds into spare and swaps,
 	// so a singular basis leaves lu untouched.
 	lu, spare luFactors
+	// lu's U again by columns, for the scatter form of Ftran: column k
+	// holds the entries of earlier pivots at basis position
+	// lu.pivCol[k], as (the pivot's constraint row ucRow, ucVal) in
+	// [ucOff[k], ucOff[k+1]).
+	ucOff []int32
+	ucRow []int32
+	ucVal []float64
 	// Eta file: eta e pivots on row etaRow[e] with pivot value
 	// etaPiv[e]; its off-pivot nonzeros are etaIdx/etaVal in
 	// [etaOff[e], etaOff[e+1]).
@@ -38,6 +45,8 @@ type factor struct {
 	// pivotsSince counts pivots since the last refactorization (drift
 	// control, carried across warm solves sharing this factor).
 	pivotsSince int
+	// peels counts the factorizations begun, failed ones included.
+	peels int
 	// work is the length-m vector the triangular solves run in.
 	work []float64
 	sc   luScratch
@@ -64,7 +73,7 @@ type luFactors struct {
 	lVal   []float64
 }
 
-// luScratch is refactorize's working storage: B0 by rows, the active
+// luScratch is factorize's working storage: B0 by rows, the active
 // counts and pivot positions of the peel, and the dense bump.
 type luScratch struct {
 	rowOff, rowIdx []int32
@@ -74,6 +83,7 @@ type luScratch struct {
 	stack          []int32
 	bumpRow        []int32 // bump row t's constraint row
 	bumpCol        []int32 // bump column t's basis position
+	bumpIdx        []int32 // pivot t's bump column
 	bumpOf         []int32 // constraint row -> bump row
 	bump           []float64
 }
@@ -134,9 +144,11 @@ func (f *factor) applyEtas(v []float64) {
 }
 
 // solve sets out = B0^-1 c: c is indexed by constraint row and is
-// consumed, out by basis position. L runs forward by columns, skipping
-// zero multiplicands; U runs backward by rows.
-func (lu *luFactors) solve(c, out []float64) {
+// consumed, out by basis position. L runs forward by columns and U
+// backward by columns, each skipping zero multiplicands, so a sparse
+// solve costs little more than a pass over the pivots.
+func (f *factor) solve(c, out []float64) {
+	lu := &f.lu
 	for e, r := range lu.lRow {
 		t := c[r]
 		if isZero(t) {
@@ -147,11 +159,16 @@ func (lu *luFactors) solve(c, out []float64) {
 		}
 	}
 	for k := len(lu.pivRow) - 1; k >= 0; k-- {
-		s := c[lu.pivRow[k]]
-		for u := lu.uOff[k]; u < lu.uOff[k+1]; u++ {
-			s -= lu.uVal[u] * out[lu.uIdx[u]]
+		t := c[lu.pivRow[k]]
+		if isZero(t) {
+			out[lu.pivCol[k]] = 0
+			continue
 		}
-		out[lu.pivCol[k]] = s / lu.pivVal[k]
+		t /= lu.pivVal[k]
+		out[lu.pivCol[k]] = t
+		for u := f.ucOff[k]; u < f.ucOff[k+1]; u++ {
+			c[f.ucRow[u]] -= f.ucVal[u] * t
+		}
 	}
 }
 
@@ -180,7 +197,8 @@ func (lu *luFactors) solveT(y, work []float64) {
 	}
 }
 
-// ftranCol computes out = B^-1 A_j from the sparse column store.
+// ftranCol computes out = B^-1 A_j for column col of the sparse
+// column store.
 //
 //alloc:none
 func (f *factor) ftranCol(col []centry, out []float64) {
@@ -191,7 +209,7 @@ func (f *factor) ftranCol(col []centry, out []float64) {
 	for _, e := range col {
 		c[e.row] = e.coef
 	}
-	f.lu.solve(c, out)
+	f.solve(c, out)
 	f.applyEtas(out)
 }
 
@@ -201,7 +219,7 @@ func (f *factor) ftranCol(col []centry, out []float64) {
 func (f *factor) ftranDense(v []float64) {
 	c := f.work[:f.m]
 	copy(c, v)
-	f.lu.solve(c, v)
+	f.solve(c, v)
 	f.applyEtas(v)
 }
 
@@ -221,149 +239,77 @@ func (f *factor) btran(y []float64) {
 	f.lu.solveT(y, f.work[:f.m])
 }
 
-// refactorize rebuilds the LU factors from the given basis columns,
-// wiping the eta file and accumulated floating-point drift. Column
-// singletons are pivoted first (each leaves the rest of the matrix
-// untouched and adds one row to U), then row singletons (each adds one
-// column to L), and what neither peel reaches is factored densely with
-// partial pivoting. Returns false (leaving the factor untouched) when
-// the basis matrix is numerically singular.
+// refactorize rebuilds the LU factors of the basis whose position p
+// holds column basis[p] of cs, wiping the eta file and accumulated
+// floating-point drift. Returns false (leaving the factor untouched)
+// when the basis matrix is numerically singular.
 //
 //alloc:none
-func (f *factor) refactorize(basis []int, cols [][]centry) bool {
-	k, ok := f.peel(basis, cols)
-	if !ok || !f.factorBump(basis, cols, k) {
-		return false
-	}
-	f.lu, f.spare = f.spare, f.lu
-	f.m = len(basis)
-	f.work = growF64(f.work, f.m)
-	f.clearEtas()
-	f.pivotsSince = 0
-	return true
+func (f *factor) refactorize(basis []int, cs *colStore) bool {
+	_, _, ok := f.factorize(basis, cs, nil)
+	return ok
 }
 
-// deficiency explains why a basis is singular: it runs refactorize's
-// elimination but skips, instead of failing on, each column left with
-// no usable pivot, and returns those columns' basis positions together
-// with the constraint rows no pivot covered (as many as there are
-// skipped columns). A position holding -1 counts as an empty column.
-// Putting a unit column of each uncovered row in place of the skipped
-// columns makes the basis nonsingular. ok is false when a singleton
-// peel meets a tiny pivot. The live factors are left untouched; the
-// returned slices alias scratch valid until the next refactorization.
-func (f *factor) deficiency(basis []int, cols [][]centry) (pos, rows []int32, ok bool) {
-	k, ok := f.peel(basis, cols)
+// factorize is refactorize made rank-revealing. Column singletons are
+// pivoted first (each leaves the rest of the matrix untouched and adds
+// one row to U), then row singletons (each adds one column to L), and
+// what neither peel reaches is factored densely with partial pivoting,
+// column by column. With unit nil a column left with no usable pivot
+// fails the factorization, as refactorize promises. Otherwise such a
+// column, and a position holding -1 (an empty column), is replaced in
+// the same pass by the unit column unit[r] of a row r no pivot covered
+// (its slack, or for an equality its artificial). A unit column of an
+// uncovered row has no entry in any pivoted row, so it needs no L or U
+// fill and goes in as a trailing pivot, once the peel's U entries at
+// the replaced positions are dropped. It returns the replaced basis
+// positions and the uncovered rows given to them, pos[k] getting
+// unit[rows[k]]; the factors describe the basis with those
+// replacements made, so the caller must make them too. Both slices
+// alias scratch valid until the next factorization. ok is false only
+// in strict mode.
+//
+//alloc:none
+func (f *factor) factorize(basis []int, cs *colStore, unit []int) (pos, rows []int32, ok bool) {
+	f.peels++
+	k, ok := f.peel(basis, cs, unit == nil)
 	if !ok {
 		return nil, nil, false
 	}
-	sc := &f.sc
-	m := len(basis)
-	nb := m - k
-	sc.bumpRow = growInt32(sc.bumpRow, nb)
-	sc.bumpCol = growInt32(sc.bumpCol, nb)
-	sc.bumpOf = growInt32(sc.bumpOf, m)
-	// Columns the peel left without an active entry are skipped
-	// outright, and rows without one are uncovered outright (packed at
-	// the back of bumpRow); only the rest is eliminated densely, as a
-	// rectangle no larger than refactorize's bump.
-	pos = sc.stack[:0]
-	nc := 0
-	for p := 0; p < m; p++ {
-		switch {
-		case sc.colPos[p] >= 0:
-		case sc.colCnt[p] == 0:
-			pos = append(pos, int32(p)) //alloc:amortized the length-m stack carved by peel holds at most one entry per bump column
-		default:
-			sc.bumpCol[nc] = int32(p)
-			nc++
-		}
+	if pos, rows, ok = f.factorBump(basis, cs, unit, k); !ok {
+		return nil, nil, false
 	}
-	nr, back := 0, nb
-	for i := 0; i < m; i++ {
-		switch {
-		case sc.rowPos[i] >= 0:
-		case sc.rowCnt[i] == 0:
-			back--
-			sc.bumpRow[back] = int32(i)
-		default:
-			sc.bumpRow[nr], sc.bumpOf[i] = int32(i), int32(nr)
-			nr++
-		}
-	}
-	a := growF64(sc.bump, nr*nc)
-	sc.bump = a
-	for i := range a {
-		a[i] = 0
-	}
-	for c, p := range sc.bumpCol[:nc] {
-		for _, e := range basisCol(cols, basis[p]) {
-			if sc.rowPos[e.row] < 0 {
-				a[int(sc.bumpOf[e.row])*nc+c] = e.coef
-			}
-		}
-	}
-	rank := 0
-	for c := 0; c < nc; c++ {
-		piv := rank
-		for r := rank + 1; r < nr; r++ {
-			if math.Abs(a[r*nc+c]) > math.Abs(a[piv*nc+c]) {
-				piv = r
-			}
-		}
-		if rank == nr || tinyPivot(a[piv*nc+c], basisCol(cols, basis[sc.bumpCol[c]])) {
-			pos = append(pos, sc.bumpCol[c]) //alloc:amortized the length-m stack carved by peel holds at most one entry per bump column
-			continue
-		}
-		if piv != rank {
-			for j := 0; j < nc; j++ {
-				a[piv*nc+j], a[rank*nc+j] = a[rank*nc+j], a[piv*nc+j]
-			}
-			sc.bumpRow[piv], sc.bumpRow[rank] = sc.bumpRow[rank], sc.bumpRow[piv]
-		}
-		d := a[rank*nc+c]
-		for r := rank + 1; r < nr; r++ {
-			if l := a[r*nc+c] / d; !isZero(l) {
-				for j := c + 1; j < nc; j++ {
-					a[r*nc+j] -= l * a[rank*nc+j]
-				}
-			}
-		}
-		rank++
-	}
-	return pos, sc.bumpRow[rank:nb], true
-}
-
-// basisCol returns the column at a basis position; -1 (a position
-// deficiency is asked to fill) is an empty column.
-func basisCol(cols [][]centry, bj int) []centry {
-	if bj < 0 {
-		return nil
-	}
-	return cols[bj]
+	f.lu, f.spare = f.spare, f.lu
+	f.columnsU(f.sc.colPos)
+	f.m = len(basis)
+	f.work = grow(f.work, f.m)
+	f.clearEtas()
+	f.pivotsSince = 0
+	return pos, rows, true
 }
 
 // peel starts a factorization into f.spare: it lays B0 out by rows
 // and pivots its column singletons, then its row singletons, and
-// returns how many pivots it made. ok is false on a tiny pivot.
-func (f *factor) peel(basis []int, cols [][]centry) (k int, ok bool) {
+// returns how many pivots it made. A singleton whose entry is too
+// small a pivot fails the peel when strict and is otherwise left to
+// the bump.
+func (f *factor) peel(basis []int, cs *colStore, strict bool) (k int, ok bool) {
 	m := len(basis)
 	sc := &f.sc
 	lu := &f.spare
 	lu.reset(m)
 
 	// B0 by rows, with active counts.
-	sc.rowOff = growInt32(sc.rowOff, m+1)
-	sc.rowCnt = growInt32(sc.rowCnt, m)
-	sc.colCnt = growInt32(sc.colCnt, m)
-	sc.rowPos = growInt32(sc.rowPos, m)
-	sc.colPos = growInt32(sc.colPos, m)
+	sc.rowOff = grow(sc.rowOff, m+1)
+	sc.rowCnt = grow(sc.rowCnt, m)
+	sc.colCnt = grow(sc.colCnt, m)
+	sc.rowPos = grow(sc.rowPos, m)
+	sc.colPos = grow(sc.colPos, m)
 	for i := 0; i < m; i++ {
 		sc.rowCnt[i], sc.rowPos[i], sc.colPos[i] = 0, -1, -1
 	}
 	nnz := 0
 	for p, bj := range basis {
-		col := basisCol(cols, bj)
+		col := cs.basisCol(bj)
 		sc.colCnt[p] = int32(len(col))
 		nnz += len(col)
 		for _, e := range col {
@@ -374,13 +320,13 @@ func (f *factor) peel(basis []int, cols [][]centry) (k int, ok bool) {
 	for i := 0; i < m; i++ {
 		sc.rowOff[i+1] = sc.rowOff[i] + sc.rowCnt[i]
 	}
-	sc.rowIdx = growInt32(sc.rowIdx, nnz)
-	sc.rowVal = growF64(sc.rowVal, nnz)
-	sc.stack = growInt32(sc.stack, m)
+	sc.rowIdx = grow(sc.rowIdx, nnz)
+	sc.rowVal = grow(sc.rowVal, nnz)
+	sc.stack = grow(sc.stack, m)
 	fill := sc.stack
 	copy(fill, sc.rowOff[:m])
 	for p, bj := range basis {
-		for _, e := range basisCol(cols, bj) {
+		for _, e := range cs.basisCol(bj) {
 			sc.rowIdx[fill[e.row]] = int32(p)
 			sc.rowVal[fill[e.row]] = e.coef
 			fill[e.row]++
@@ -403,14 +349,17 @@ func (f *factor) peel(basis []int, cols [][]centry) (k int, ok bool) {
 			continue // its active row went to another column: a zero column the bump rejects
 		}
 		row, v := -1, 0.0
-		for _, e := range basisCol(cols, basis[p]) {
+		for _, e := range cs.basisCol(basis[p]) {
 			if sc.rowPos[e.row] < 0 {
 				row, v = e.row, e.coef
 				break
 			}
 		}
-		if tinyPivot(v, basisCol(cols, basis[p])) {
-			return 0, false
+		if tinyPivot(v, cs.colScale(basis[p])) {
+			if strict {
+				return 0, false
+			}
+			continue
 		}
 		sc.rowPos[row], sc.colPos[p] = kk, kk
 		lu.pushPivot(int32(row), p, v)
@@ -450,14 +399,17 @@ func (f *factor) peel(basis []int, cols [][]centry) (k int, ok bool) {
 				break
 			}
 		}
-		if tinyPivot(v, basisCol(cols, basis[p])) {
-			return 0, false
+		if tinyPivot(v, cs.colScale(basis[p])) {
+			if strict {
+				return 0, false
+			}
+			continue
 		}
 		sc.rowPos[row], sc.colPos[p] = kk, kk
 		lu.pushPivot(row, p, v)
 		lu.endU()
 		lu.beginL(row)
-		for _, e := range basisCol(cols, basis[p]) {
+		for _, e := range cs.basisCol(basis[p]) {
 			if sc.rowPos[e.row] >= 0 {
 				continue
 			}
@@ -474,118 +426,209 @@ func (f *factor) peel(basis []int, cols [][]centry) (k int, ok bool) {
 	return int(kk), true
 }
 
-// pivotTol is the smallest pivot refactorize accepts, relative to the
-// largest entry of the pivot's basis column; below it the basis is
-// treated as singular.
+// pivotTol is the smallest pivot a factorization accepts, relative to
+// the largest entry of the pivot's basis column; below it the column
+// counts as dependent on the ones already pivoted.
 const pivotTol = 1e-11
 
-// tinyPivot reports whether v is too small a pivot for column col.
-func tinyPivot(v float64, col []centry) bool {
-	scale := 0.0
-	for _, e := range col {
-		scale = math.Max(scale, math.Abs(e.coef))
-	}
+// tinyPivot reports whether v is too small a pivot for a column whose
+// largest |coefficient| is scale.
+func tinyPivot(v, scale float64) bool {
 	return math.Abs(v) <= pivotTol*scale
 }
 
-// factorBump LU-factors the rows and columns the peel left active
-// (pivots k..m-1) densely with partial pivoting and appends the
-// factors to f.spare. Returns false when the bump is singular.
-func (f *factor) factorBump(basis []int, cols [][]centry, k int) bool {
+// factorBump factors the rows and columns the peel left active
+// (pivots k..m-1) and appends the factors to f.spare (see factorize).
+// Columns the peel left without an active entry, and rows likewise,
+// are set aside outright; the rest is eliminated densely, column by
+// column with partial pivoting, as a rectangle whose pivot-less
+// columns are skipped. L multipliers are stored in place below each
+// pivot, and the U row of a pivot keeps only the columns pivoted after
+// it.
+func (f *factor) factorBump(basis []int, cs *colStore, unit []int, k int) (pos, rows []int32, ok bool) {
 	sc := &f.sc
 	lu := &f.spare
 	m := len(basis)
 	nb := m - k
 	if nb == 0 {
-		return true
+		return nil, nil, true
 	}
-	sc.bumpRow = growInt32(sc.bumpRow, nb)
-	sc.bumpCol = growInt32(sc.bumpCol, nb)
-	sc.bumpOf = growInt32(sc.bumpOf, m)
-	t := 0
-	for i := 0; i < m; i++ {
-		if sc.rowPos[i] < 0 {
-			sc.bumpRow[t], sc.bumpOf[i] = int32(i), int32(t)
-			t++
-		}
-	}
-	t = 0
+	sc.bumpRow = grow(sc.bumpRow, nb)
+	sc.bumpCol = grow(sc.bumpCol, nb)
+	sc.bumpIdx = grow(sc.bumpIdx, nb)
+	sc.bumpOf = grow(sc.bumpOf, m)
+	pos = sc.stack[:0]
+	nc := 0
 	for p := 0; p < m; p++ {
-		if sc.colPos[p] < 0 {
-			sc.bumpCol[t] = int32(p)
-			t++
+		switch {
+		case sc.colPos[p] >= 0:
+		case sc.colCnt[p] == 0:
+			if unit == nil {
+				return nil, nil, false
+			}
+			pos = append(pos, int32(p)) //alloc:amortized the length-m stack carved by peel holds at most one entry per bump column
+		default:
+			sc.bumpCol[nc] = int32(p)
+			nc++
 		}
 	}
-	a := growF64(sc.bump, nb*nb)
+	nr, back := 0, nb
+	for i := 0; i < m; i++ {
+		switch {
+		case sc.rowPos[i] >= 0:
+		case sc.rowCnt[i] == 0:
+			if unit == nil {
+				return nil, nil, false
+			}
+			back--
+			sc.bumpRow[back] = int32(i)
+		default:
+			sc.bumpRow[nr], sc.bumpOf[i] = int32(i), int32(nr)
+			nr++
+		}
+	}
+	a := grow(sc.bump, nr*nc)
 	sc.bump = a
 	for i := range a {
 		a[i] = 0
 	}
-	for c, p := range sc.bumpCol[:nb] {
-		for _, e := range basisCol(cols, basis[p]) {
+	for c, p := range sc.bumpCol[:nc] {
+		for _, e := range cs.basisCol(basis[p]) {
 			if sc.rowPos[e.row] < 0 {
-				a[int(sc.bumpOf[e.row])*nb+c] = e.coef
+				a[int(sc.bumpOf[e.row])*nc+c] = e.coef
 			}
 		}
 	}
-	for c := 0; c < nb; c++ {
-		piv := c
-		for r := c + 1; r < nb; r++ {
-			if math.Abs(a[r*nb+c]) > math.Abs(a[piv*nb+c]) {
+	// Pivot t sits in bump row t and rectangle column bumpIdx[t].
+	rank := 0
+	for c := 0; c < nc; c++ {
+		piv := rank
+		for r := rank + 1; r < nr; r++ {
+			if math.Abs(a[r*nc+c]) > math.Abs(a[piv*nc+c]) {
 				piv = r
 			}
 		}
-		if tinyPivot(a[piv*nb+c], basisCol(cols, basis[sc.bumpCol[c]])) {
-			return false
-		}
-		if piv != c {
-			for j := 0; j < nb; j++ {
-				a[piv*nb+j], a[c*nb+j] = a[c*nb+j], a[piv*nb+j]
+		if rank == nr || tinyPivot(a[piv*nc+c], cs.colScale(basis[sc.bumpCol[c]])) {
+			if unit == nil {
+				return nil, nil, false
 			}
-			sc.bumpRow[piv], sc.bumpRow[c] = sc.bumpRow[c], sc.bumpRow[piv]
+			pos = append(pos, sc.bumpCol[c]) //alloc:amortized the length-m stack carved by peel holds at most one entry per bump column
+			continue
 		}
-		d := a[c*nb+c]
-		for r := c + 1; r < nb; r++ {
-			l := a[r*nb+c] / d
-			a[r*nb+c] = l
+		if piv != rank {
+			for j := 0; j < nc; j++ {
+				a[piv*nc+j], a[rank*nc+j] = a[rank*nc+j], a[piv*nc+j]
+			}
+			sc.bumpRow[piv], sc.bumpRow[rank] = sc.bumpRow[rank], sc.bumpRow[piv]
+		}
+		d := a[rank*nc+c]
+		for r := rank + 1; r < nr; r++ {
+			l := a[r*nc+c] / d
+			a[r*nc+c] = l
 			if isZero(l) {
 				continue
 			}
-			for j := c + 1; j < nb; j++ {
-				a[r*nb+j] -= l * a[c*nb+j]
+			for j := c + 1; j < nc; j++ {
+				a[r*nc+j] -= l * a[rank*nc+j]
 			}
 		}
+		sc.bumpIdx[rank] = int32(c)
+		rank++
 	}
-	for c := 0; c < nb; c++ {
-		lu.pushPivot(sc.bumpRow[c], sc.bumpCol[c], a[c*nb+c])
-		for j := c + 1; j < nb; j++ {
-			if v := a[c*nb+j]; !isZero(v) {
-				lu.pushU(sc.bumpCol[j], v)
+	if len(pos) > 0 {
+		lu.dropU(k, pos, sc.colPos)
+	}
+	for t := 0; t < rank; t++ {
+		c := int(sc.bumpIdx[t])
+		lu.pushPivot(sc.bumpRow[t], sc.bumpCol[c], a[t*nc+c])
+		for _, c2 := range sc.bumpIdx[t+1 : rank] {
+			if v := a[t*nc+int(c2)]; !isZero(v) {
+				lu.pushU(sc.bumpCol[c2], v)
 			}
 		}
 		lu.endU()
-		lu.beginL(sc.bumpRow[c])
-		for r := c + 1; r < nb; r++ {
-			if l := a[r*nb+c]; !isZero(l) {
+		lu.beginL(sc.bumpRow[t])
+		for r := t + 1; r < nr; r++ {
+			if l := a[r*nc+c]; !isZero(l) {
 				lu.pushL(int(sc.bumpRow[r]), l)
 			}
 		}
 		lu.endL()
 	}
-	return true
+	rows = sc.bumpRow[rank:nb]
+	for q, p := range pos {
+		lu.pushPivot(rows[q], p, cs.unit(unit[rows[q]]).coef)
+		lu.endU()
+	}
+	return pos, rows, true
+}
+
+// dropU removes the entries at the given basis positions from the U
+// rows of the first k pivots. mark holds one value of at least -1 per
+// basis position; the listed ones are overwritten with -2.
+func (lu *luFactors) dropU(k int, pos []int32, mark []int32) {
+	for _, p := range pos {
+		mark[p] = -2
+	}
+	w := int32(0)
+	for t := 0; t < k; t++ {
+		q0, q1 := lu.uOff[t], lu.uOff[t+1]
+		lu.uOff[t] = w
+		for q := q0; q < q1; q++ {
+			if mark[lu.uIdx[q]] != -2 {
+				lu.uIdx[w], lu.uVal[w] = lu.uIdx[q], lu.uVal[q]
+				w++
+			}
+		}
+	}
+	lu.uOff[k] = w
+	lu.uIdx, lu.uVal = lu.uIdx[:w], lu.uVal[:w]
+}
+
+// columnsU copies the live factors' U by columns (see ucOff). at
+// (one entry per basis position) is clobbered.
+func (f *factor) columnsU(at []int32) {
+	lu := &f.lu
+	n := len(lu.pivRow)
+	for k, p := range lu.pivCol {
+		at[p] = int32(k)
+	}
+	f.ucOff = grow(f.ucOff, n+1)
+	for k := range f.ucOff {
+		f.ucOff[k] = 0
+	}
+	for _, p := range lu.uIdx {
+		f.ucOff[at[p]+1]++
+	}
+	for k := 0; k < n; k++ {
+		f.ucOff[k+1] += f.ucOff[k]
+	}
+	f.ucRow = grow(f.ucRow, len(lu.uIdx))
+	f.ucVal = grow(f.ucVal, len(lu.uIdx))
+	// Fill with ucOff[k] as column k's cursor, then shift the cursors,
+	// each left at the next column's start, back into offsets.
+	for t := 0; t < n; t++ {
+		for u := lu.uOff[t]; u < lu.uOff[t+1]; u++ {
+			k := at[lu.uIdx[u]]
+			f.ucRow[f.ucOff[k]], f.ucVal[f.ucOff[k]] = lu.pivRow[t], lu.uVal[u]
+			f.ucOff[k]++
+		}
+	}
+	copy(f.ucOff[1:], f.ucOff[:n])
+	f.ucOff[0] = 0
 }
 
 // reset empties the factors for a basis of m rows, keeping storage.
 func (lu *luFactors) reset(m int) {
-	lu.pivRow = growInt32(lu.pivRow, m)[:0]
-	lu.pivCol = growInt32(lu.pivCol, m)[:0]
-	lu.pivVal = growF64(lu.pivVal, m)[:0]
-	lu.uOff = growInt32(lu.uOff, m+1)[:1]
+	lu.pivRow = grow(lu.pivRow, m)[:0]
+	lu.pivCol = grow(lu.pivCol, m)[:0]
+	lu.pivVal = grow(lu.pivVal, m)[:0]
+	lu.uOff = grow(lu.uOff, m+1)[:1]
 	lu.uOff[0] = 0
 	lu.uIdx = lu.uIdx[:0]
 	lu.uVal = lu.uVal[:0]
 	lu.lRow = lu.lRow[:0]
-	lu.lOff = growInt32(lu.lOff, 1)[:1]
+	lu.lOff = grow(lu.lOff, 1)[:1]
 	lu.lOff[0] = 0
 	lu.lIdx = lu.lIdx[:0]
 	lu.lVal = lu.lVal[:0]
@@ -637,44 +680,25 @@ func (lu *luFactors) endL() {
 	lu.lOff = append(lu.lOff, n)
 }
 
-// growF64 returns a slice of length n, reusing buf's storage when it
-// is large enough and zeroing nothing.
-func growF64(buf []float64, n int) []float64 {
+// grow returns a slice of length n, reusing buf's storage when it is
+// large enough and zeroing nothing. A regrown array gets some headroom
+// (see headroom).
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	//alloc:amortized buffers grow to the high-water mark and are retained by the workspace
-	return make([]float64, n)
+	//alloc:amortized buffers grow to the high-water mark and are retained by their owner
+	return make([]T, n, headroom(cap(buf), n))
 }
 
-func growInt(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
+// headroom is the capacity a buffer that must hold n elements is
+// allocated with, given its old capacity: exactly n the first time,
+// and a sixteenth more when it regrows, so a size that creeps up from
+// solve to solve (a sliding window's model) reallocates once in a
+// while rather than at every new high-water mark.
+func headroom(old, n int) int {
+	if old == 0 {
+		return n
 	}
-	//alloc:amortized buffers grow to the high-water mark and are retained by the workspace
-	return make([]int, n)
-}
-
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	//alloc:amortized buffers grow to the high-water mark and are retained by the workspace
-	return make([]int32, n)
-}
-
-func growVstat(buf []vstat, n int) []vstat {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	//alloc:amortized buffers grow to the high-water mark and are retained by the workspace
-	return make([]vstat, n)
-}
-
-func growInt8(buf []int8, n int) []int8 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	//alloc:amortized buffers grow to the high-water mark and are retained by the workspace
-	return make([]int8, n)
+	return n + n/16 + 16
 }

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -94,6 +95,20 @@ func randomBasis(rng *rand.Rand, m int) (basis []int, cols [][]centry) {
 	return basis, cols
 }
 
+// storeOf lays cols out as a column store, with every column's
+// largest |coefficient| as its scale.
+func storeOf(cols [][]centry) *colStore {
+	cs := &colStore{off: make([]int32, 1, len(cols)+1), scale: make([]float64, len(cols))}
+	for j, col := range cols {
+		for _, e := range col {
+			cs.scale[j] = math.Max(cs.scale[j], math.Abs(e.coef))
+		}
+		cs.ent = append(cs.ent, col...)
+		cs.off = append(cs.off, int32(len(cs.ent)))
+	}
+	return cs
+}
+
 func denseOf(col []centry, m int) []float64 {
 	v := make([]float64, m)
 	for _, e := range col {
@@ -173,7 +188,7 @@ func TestFactorMatchesDenseOracle(t *testing.T) {
 		if _, ok := denseInverse(basis, cols); !ok {
 			continue
 		}
-		if !f.refactorize(basis, cols) {
+		if !f.refactorize(basis, storeOf(cols)) {
 			t.Fatalf("trial %d: refactorize rejected a nonsingular basis", trial)
 		}
 		checkAgainstOracle(t, "trial", f, basis, cols, rng)
@@ -214,7 +229,7 @@ func TestFactorRejectsSingular(t *testing.T) {
 			continue
 		}
 		f := &factor{}
-		if !f.refactorize(basis, cols) {
+		if !f.refactorize(basis, storeOf(cols)) {
 			t.Fatalf("trial %d: refactorize rejected a nonsingular basis", trial)
 		}
 		bad := append([]int(nil), basis...)
@@ -257,9 +272,106 @@ func TestFactorRejectsSingular(t *testing.T) {
 			badCols = append(badCols, base, twice)
 			bad[p], bad[q] = len(badCols)-2, len(badCols)-1
 		}
-		if f.refactorize(bad, badCols) {
+		if f.refactorize(bad, storeOf(badCols)) {
 			t.Fatalf("trial %d (%s): refactorize accepted a singular basis", trial, kind)
 		}
 		checkAgainstOracle(t, kind+": previous factors", f, basis, cols, rng)
+	}
+}
+
+// TestRevealingFactorRepairs checks the rank-revealing factorization
+// on random bases made singular three ways: empty positions,
+// duplicated columns, and a column that is a combination of two
+// others. It must succeed, put in each replaced position the unit
+// column of a distinct row, replace every empty position, leave a
+// nonsingular basis whose Ftran and Btran match the dense oracle, and
+// on a nonsingular basis replace nothing and build exactly the factors
+// of the strict refactorize.
+func TestRevealingFactorRepairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	repaired := 0
+	for trial := 0; trial < 300; trial++ {
+		m := 2 + rng.Intn(30)
+		basis, cols := randomBasis(rng, m)
+		if _, ok := denseInverse(basis, cols); !ok {
+			continue
+		}
+		// Each row's unit column, as a slack or artificial would be.
+		unit := make([]int, m)
+		for r := range unit {
+			cols = append(cols, []centry{{row: r, coef: float64(1 - 2*rng.Intn(2))}})
+			unit[r] = len(cols) - 1
+		}
+		strict, revealing := &factor{}, &factor{}
+		if !strict.refactorize(basis, storeOf(cols)) {
+			t.Fatalf("trial %d: refactorize rejected a nonsingular basis", trial)
+		}
+		pos, _, ok := revealing.factorize(basis, storeOf(cols), unit)
+		if !ok || len(pos) > 0 {
+			t.Fatalf("trial %d: a nonsingular basis: ok %v, %d positions replaced", trial, ok, len(pos))
+		}
+		if !reflect.DeepEqual(strict.lu, revealing.lu) {
+			t.Fatalf("trial %d: the rank-revealing factors differ from refactorize's", trial)
+		}
+
+		bad := append([]int(nil), basis...)
+		empty := map[int]bool{}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			p, q := rng.Intn(m), rng.Intn(m)
+			switch rng.Intn(3) {
+			case 0:
+				bad[p] = -1
+			case 1:
+				if p != q && bad[q] >= 0 {
+					bad[p] = bad[q]
+				}
+			default:
+				if p != q && bad[p] >= 0 && bad[q] >= 0 {
+					a, b := denseOf(cols[bad[p]], m), denseOf(cols[bad[q]], m)
+					var mix []centry
+					for r := range a {
+						if v := 2*a[r] - 0.5*b[r]; !isZero(v) {
+							mix = append(mix, centry{row: r, coef: v})
+						}
+					}
+					if len(mix) > 0 {
+						cols = append(cols, mix)
+						r := rng.Intn(m)
+						for r == p {
+							r = rng.Intn(m)
+						}
+						bad[r] = len(cols) - 1
+					}
+				}
+			}
+		}
+		for p, bj := range bad {
+			if bj < 0 {
+				empty[p] = true
+			}
+		}
+		pos, rows, ok := revealing.factorize(bad, storeOf(cols), unit)
+		if !ok || len(pos) != len(rows) {
+			t.Fatalf("trial %d: ok %v, %d positions for %d rows", trial, ok, len(pos), len(rows))
+		}
+		seen := map[int32]bool{}
+		for k, p := range pos {
+			if seen[rows[k]] {
+				t.Fatalf("trial %d: row %d given to two positions", trial, rows[k])
+			}
+			seen[rows[k]] = true
+			delete(empty, int(p))
+			bad[p] = unit[rows[k]]
+		}
+		if len(empty) > 0 {
+			t.Fatalf("trial %d: empty positions %v left unreplaced", trial, empty)
+		}
+		if len(pos) > 0 {
+			repaired++
+		}
+		checkAgainstOracle(t, "repaired", revealing, bad, cols, rng)
+	}
+	if repaired < 100 {
+		t.Errorf("only %d repaired bases: the repair went unexercised", repaired)
 	}
 }

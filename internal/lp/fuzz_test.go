@@ -91,29 +91,10 @@ func FuzzWarmEdits(f *testing.F) {
 }
 
 func checkWarmEdits(t *testing.T, data []byte) {
-	if len(data) < 2 {
-		return
-	}
-	split := 2 + int(data[0])%(len(data)-1)
-	m := fuzzModel(data[1:split])
+	m, edits := warmChain(data)
 	if m == nil {
 		return
 	}
-	// A bounded edit script keeps each run short, so the fuzzer's
-	// input minimization stays cheap.
-	edits := data[split:]
-	if len(edits) > 64 {
-		edits = edits[:64]
-	}
-	next := func() int {
-		if len(edits) == 0 {
-			return 0
-		}
-		b := edits[0]
-		edits = edits[1:]
-		return int(b)
-	}
-	half := func() float64 { return float64(next()%17-8) / 2 }
 	ws := NewWorkspace()
 	var basis *Basis
 	for step := 0; ; step++ {
@@ -140,20 +121,64 @@ func checkWarmEdits(t *testing.T, data []byte) {
 			}
 			basis = warm.Basis
 		}
-		if len(edits) == 0 {
+		if more, err := edits.step(m); err != nil {
+			t.Fatal(err)
+		} else if !more {
 			return
 		}
-		// An op byte of 7 to 13 makes the edit its value mod 7 names
-		// and batches the next edit with it: no solve in between, so
-		// one warm solve meets both, as after a planner's slide.
-		for batch := true; batch && len(edits) > 0; {
-			op := next()
-			batch = op/7 == 1
-			if err := warmEdit(m, op%7, next, half); err != nil {
-				t.Fatal(err)
-			}
+	}
+}
+
+// warmChain decodes a FuzzWarmEdits input: data[0] places the split
+// between a base model (see fuzzModel) and the edit script that
+// follows it. m is nil when the base model does not decode.
+func warmChain(data []byte) (m *Model, edits *editScript) {
+	if len(data) < 2 {
+		return nil, nil
+	}
+	split := 2 + int(data[0])%(len(data)-1)
+	if m = fuzzModel(data[1:split]); m == nil {
+		return nil, nil
+	}
+	// A bounded edit script keeps each run short, so the fuzzer's
+	// input minimization stays cheap.
+	script := data[split:]
+	if len(script) > 64 {
+		script = script[:64]
+	}
+	return m, &editScript{data: script}
+}
+
+// editScript is the edit bytes of a FuzzWarmEdits input.
+type editScript struct{ data []byte }
+
+func (e *editScript) next() int {
+	if len(e.data) == 0 {
+		return 0
+	}
+	b := e.data[0]
+	e.data = e.data[1:]
+	return int(b)
+}
+
+func (e *editScript) half() float64 { return float64(e.next()%17-8) / 2 }
+
+// step applies the script's next batch of edits to m and reports
+// whether there was one. An op byte of 7 to 13 makes the edit its
+// value mod 7 names and batches the next edit with it: no solve in
+// between, so one warm solve meets both, as after a planner's slide.
+func (e *editScript) step(m *Model) (bool, error) {
+	if len(e.data) == 0 {
+		return false, nil
+	}
+	for batch := true; batch && len(e.data) > 0; {
+		op := e.next()
+		batch = op/7 == 1
+		if err := warmEdit(m, op%7, e.next, e.half); err != nil {
+			return false, err
 		}
 	}
+	return true, nil
 }
 
 // warmEdit applies one FuzzWarmEdits edit, op in [0, 7), drawing its

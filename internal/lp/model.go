@@ -15,6 +15,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // VarID names a variable within a Model.
@@ -57,7 +58,7 @@ var Inf = math.Inf(1)
 type Model struct {
 	obj      []float64
 	lo, hi   []float64
-	names    []string
+	names    []varName
 	rows     []row
 	maximize bool
 	// structVersion counts structural edits (AddVar, AddConstr,
@@ -68,9 +69,7 @@ type Model struct {
 	structVersion uint64
 	// colKey and rowIDs hold stable identities drawn from nextKey,
 	// ascending in index order, that survive the renumbering RemoveVars
-	// does. No edit changes an element of either in place (appends
-	// extend, removals reallocate), so a Basis can keep the slices it
-	// was captured against.
+	// does (it compacts both in place; a Basis keeps copies).
 	colKey  []uint64
 	rowIDs  []rowID
 	nextKey uint64
@@ -78,6 +77,33 @@ type Model struct {
 	// slices to another model (see Clone): RemoveVars then builds new
 	// ones instead of renumbering them in place.
 	termsShared bool
+	// Edit scratch: termPos[v] is 1 + the position of variable v in the
+	// row AddConstr is merging (0 when absent, the state between calls,
+	// also beyond its length up to its capacity); varMap and rowMap
+	// back RemoveVars' results.
+	termPos []int32
+	varMap  []VarID
+	rowMap  []int
+}
+
+// varName is a variable's diagnostic name, kept unformatted until it
+// is read: text, then its non-negative indices in decimal joined by
+// "_" (text "x_" with indices 3 and 7 reads x_3_7, text "y" with 4
+// reads y4). An unused index slot holds -1.
+type varName struct {
+	text string
+	idx  [2]int32
+}
+
+func (v varName) String() string {
+	if v.idx[0] < 0 {
+		return v.text
+	}
+	b := strconv.AppendInt(append(make([]byte, 0, len(v.text)+24), v.text...), int64(v.idx[0]), 10)
+	if v.idx[1] >= 0 {
+		b = strconv.AppendInt(append(b, '_'), int64(v.idx[1]), 10)
+	}
+	return string(b)
 }
 
 type row struct {
@@ -113,6 +139,33 @@ func (m *Model) Maximize() { m.maximize = true }
 // coefficient. Use lp.Inf / -lp.Inf for unbounded sides. name is kept
 // for diagnostics only and may be empty.
 func (m *Model) AddVar(lo, hi, obj float64, name string) (VarID, error) {
+	return m.addVar(lo, hi, obj, varName{text: name, idx: [2]int32{-1, -1}})
+}
+
+// MustVarIndexed is MustVar for a variable named prefix followed by
+// one or two non-negative indices joined by "_": ("x_", 3, 7) names
+// x_3_7 and ("y", 4) names y4. The name is formatted only when it is
+// read, so a model built or edited in a loop pays no formatting per
+// variable.
+func (m *Model) MustVarIndexed(lo, hi, obj float64, prefix string, idx ...int) VarID {
+	name := varName{text: prefix, idx: [2]int32{-1, -1}}
+	if len(idx) == 0 || len(idx) > len(name.idx) {
+		panic(fmt.Sprintf("lp: variable %q with %d indices", prefix, len(idx)))
+	}
+	for k, i := range idx {
+		if i < 0 || i > math.MaxInt32 {
+			panic(fmt.Sprintf("lp: variable %q with index %d", prefix, i))
+		}
+		name.idx[k] = int32(i)
+	}
+	id, err := m.addVar(lo, hi, obj, name)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+func (m *Model) addVar(lo, hi, obj float64, name varName) (VarID, error) {
 	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsNaN(obj) {
 		return -1, fmt.Errorf("lp: NaN in variable %q", name)
 	}
@@ -148,8 +201,6 @@ func (m *Model) AddConstr(terms []Term, sense Sense, rhs float64) error {
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return fmt.Errorf("lp: constraint rhs %g", rhs)
 	}
-	merged := make(map[VarID]float64, len(terms))
-	order := make([]VarID, 0, len(terms))
 	for _, t := range terms {
 		if t.Var < 0 || int(t.Var) >= len(m.obj) {
 			return fmt.Errorf("lp: constraint references unknown variable %d", t.Var)
@@ -157,17 +208,28 @@ func (m *Model) AddConstr(terms []Term, sense Sense, rhs float64) error {
 		if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
 			return fmt.Errorf("lp: constraint coefficient %g on variable %d", t.Coef, t.Var)
 		}
-		if _, seen := merged[t.Var]; !seen {
-			order = append(order, t.Var)
-		}
-		merged[t.Var] += t.Coef
 	}
-	clean := make([]Term, 0, len(order))
-	for _, v := range order {
-		if !isZero(merged[v]) {
-			clean = append(clean, Term{Var: v, Coef: merged[v]})
+	// Sum the terms of each variable in first-appearance order, then
+	// drop the ones that cancelled.
+	m.termPos = grow(m.termPos, len(m.obj))
+	clean := make([]Term, 0, len(terms))
+	for _, t := range terms {
+		if p := m.termPos[t.Var]; p > 0 {
+			clean[p-1].Coef += t.Coef
+			continue
+		}
+		clean = append(clean, t)
+		m.termPos[t.Var] = int32(len(clean))
+	}
+	n := 0
+	for _, t := range clean {
+		m.termPos[t.Var] = 0
+		if !isZero(t.Coef) {
+			clean[n] = t
+			n++
 		}
 	}
+	clean = clean[:n]
 	if len(clean) == 0 {
 		// All coefficients cancelled: the row is 0 sense rhs. Either
 		// trivially true or trivially false.
@@ -298,23 +360,24 @@ func (m *Model) AddTerm(i int, v VarID, coef float64) error {
 // references one of them. The surviving variables and rows keep their
 // order and are renumbered densely; varMap[old] and rowMap[old] give
 // each old VarID and row index its new value, or -1 when it was
-// removed. No surviving row mentions a removed variable, so a point
+// removed. Both maps are the model's scratch, overwritten by its next
+// RemoveVars. No surviving row mentions a removed variable, so a point
 // that satisfied every row still satisfies the survivors, whatever
 // values the removed variables had; a Basis captured before the
 // removal carries over to the smaller model and keeps that point (see
 // Basis).
 func (m *Model) RemoveVars(vars []VarID) (varMap []VarID, rowMap []int, err error) {
-	varMap = make([]VarID, len(m.obj))
 	for _, v := range vars {
 		if v < 0 || int(v) >= len(m.obj) {
 			return nil, nil, fmt.Errorf("lp: RemoveVars unknown variable %d", v)
 		}
+	}
+	m.varMap = grow(m.varMap, len(m.obj))
+	varMap = m.varMap
+	clear(varMap)
+	for _, v := range vars {
 		varMap[v] = -1
 	}
-	// The per-variable slices compact in place; the identity slices are
-	// rebuilt (a Basis may still hold the old ones) with their old
-	// capacity, so the appends of a later slide fit.
-	keys := make([]uint64, 0, cap(m.colKey))
 	n := 0
 	for j := range m.obj {
 		if varMap[j] < 0 {
@@ -322,14 +385,14 @@ func (m *Model) RemoveVars(vars []VarID) (varMap []VarID, rowMap []int, err erro
 		}
 		varMap[j] = VarID(n)
 		m.obj[n], m.lo[n], m.hi[n], m.names[n] = m.obj[j], m.lo[j], m.hi[j], m.names[j]
-		keys = append(keys, m.colKey[j])
+		m.colKey[n] = m.colKey[j]
 		n++
 	}
 	clear(m.names[n:])
-	m.obj, m.lo, m.hi, m.names, m.colKey = m.obj[:n], m.lo[:n], m.hi[:n], m.names[:n], keys
+	m.obj, m.lo, m.hi, m.names, m.colKey = m.obj[:n], m.lo[:n], m.hi[:n], m.names[:n], m.colKey[:n]
 
-	rowMap = make([]int, len(m.rows))
-	ids := make([]rowID, 0, cap(m.rowIDs))
+	m.rowMap = grow(m.rowMap, len(m.rows))
+	rowMap = m.rowMap
 	k := 0
 rows:
 	for i, r := range m.rows {
@@ -348,11 +411,11 @@ rows:
 		}
 		r.terms = terms
 		m.rows[k], rowMap[i] = r, k
-		ids = append(ids, m.rowIDs[i])
+		m.rowIDs[k] = m.rowIDs[i]
 		k++
 	}
 	clear(m.rows[k:])
-	m.rows, m.rowIDs = m.rows[:k], ids
+	m.rows, m.rowIDs = m.rows[:k], m.rowIDs[:k]
 	// Every surviving row now has a term slice of its own.
 	m.termsShared = false
 	m.structVersion++
@@ -371,7 +434,7 @@ func (m *Model) NumVars() int { return len(m.obj) }
 func (m *Model) NumConstrs() int { return len(m.rows) }
 
 // Name returns the diagnostic name of a variable.
-func (m *Model) Name(v VarID) string { return m.names[v] }
+func (m *Model) Name(v VarID) string { return m.names[v].String() }
 
 // Bounds returns the bounds of a variable.
 func (m *Model) Bounds(v VarID) (lo, hi float64) { return m.lo[v], m.hi[v] }

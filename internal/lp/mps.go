@@ -327,7 +327,7 @@ func WriteMPS(w io.Writer, m *Model, name string) error {
 	names := make([]string, m.NumVars())
 	seen := make(map[string]bool, m.NumVars())
 	for j := range names {
-		name := sanitize(m.names[j])
+		name := sanitize(m.names[j].String())
 		if name == "" || seen[name] {
 			name = fmt.Sprintf("x%d", j)
 		}

@@ -142,7 +142,9 @@ const (
 type solver struct {
 	m, nStruct, nSlack int
 	nTotal             int // structural + slack + artificial
-	cols               [][]centry
+	cols               *colStore
+	rows               []row     // the model's rows: A by rows, structurals only
+	slackOf            []int32   // row r's slack column, -1 for an equality
 	c                  []float64 // phase-2 costs
 	lo, hi             []float64
 	b                  []float64
@@ -154,18 +156,24 @@ type solver struct {
 	xN    []float64 // current value of every column (authoritative for nonbasic)
 	y     []float64 // duals scratch
 	w     []float64 // entering column in basis coordinates
-	rho   []float64 // dual simplex: row r of B^-1
+	rho   []float64 // row r of B^-1, the pivot row's multipliers
 	resid []float64 // recomputeBasics right-hand side scratch; dual flips' A·Δx
-	p1c   []float64 // phase-1 cost vector
 
-	// Dual simplex state (see dualIterate). d holds the reduced costs
-	// of the nonbasic columns, kept across dual pivots. alpha holds the
-	// pivot row ρᵀA_j of the nonbasic columns that are not fixed, and
-	// cands lists the ones among them that can enter. devex holds the
-	// dual Devex reference weights, one per row.
+	// Pricing state. d holds the reduced costs of the nonbasic
+	// structural and slack columns, kept across primal and dual pivots;
+	// dKept reports an incremental update since their last full
+	// computation. gain holds what primal pricing ranks them by (see
+	// gainOf), kept with d inside the primal loop. alpha holds a pivot
+	// row ρᵀA_j. For the dual simplex (see dualIterate) cands lists the
+	// columns that can enter; for the primal (see primalRow) the columns
+	// the row reaches, which inRow marks while it is formed. devex holds
+	// the dual Devex reference weights, one per row.
 	d     []float64
+	dKept bool
+	gain  []float64
 	alpha []float64
 	cands []int32
+	inRow []bool
 	devex []float64
 
 	tol      float64
@@ -184,6 +192,41 @@ type solver struct {
 type centry struct {
 	row  int
 	coef float64
+}
+
+// colStore is the sparse column store: column j's entries are
+// ent[off[j]:off[j+1]], structural columns first, then one ±1
+// singleton per slack, then one per artificial. scale[j] is structural
+// column j's largest |coefficient|, which the factorization measures
+// pivots against (see colScale).
+type colStore struct {
+	off   []int32
+	ent   []centry
+	scale []float64
+}
+
+func (cs *colStore) col(j int) []centry { return cs.ent[cs.off[j]:cs.off[j+1]] }
+
+// unit returns the one entry of slack or artificial column j.
+func (cs *colStore) unit(j int) *centry { return &cs.ent[cs.off[j]] }
+
+// colScale returns column j's largest |coefficient|: scale[j] for the
+// structural columns scale covers, and 1 for the slack and artificial
+// unit columns numbered after them.
+func (cs *colStore) colScale(j int) float64 {
+	if j < len(cs.scale) {
+		return cs.scale[j]
+	}
+	return 1
+}
+
+// basisCol returns the column at a basis position; -1 (a position
+// factorize is asked to fill) is an empty column.
+func (cs *colStore) basisCol(bj int) []centry {
+	if bj < 0 {
+		return nil
+	}
+	return cs.col(bj)
 }
 
 // Solve optimizes the model. The model may be reused, mutated in place
@@ -205,7 +248,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	if opts.Warm != nil {
 		st, kind = s.warmRun(m, opts.Warm, ws)
 	} else {
-		st = s.run()
+		st = s.run(m)
 	}
 	sol := ws.takeSolution(m, s, st)
 	sol.Warm = kind == solveWarm
@@ -222,9 +265,11 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 }
 
 // run executes phase 1 then phase 2 and returns the final status.
+// Phase 1 runs under its own costs in s.c, and m's are loaded back
+// after it.
 //
 //alloc:none
-func (s *solver) run() Status {
+func (s *solver) run(m *Model) Status {
 	// Initial nonbasic point: every structural/slack column at its
 	// finite bound nearest zero; free columns at zero.
 	for j := 0; j < s.nStruct+s.nSlack; j++ {
@@ -245,7 +290,7 @@ func (s *solver) run() Status {
 	copy(resid, s.b)
 	for j := 0; j < s.nStruct+s.nSlack; j++ {
 		if !isZero(s.xN[j]) {
-			for _, e := range s.cols[j] {
+			for _, e := range s.cols.col(j) {
 				resid[e.row] -= e.coef * s.xN[j]
 			}
 		}
@@ -255,7 +300,7 @@ func (s *solver) run() Status {
 		s.basis[r] = -1
 	}
 	for j := s.nStruct; j < art; j++ {
-		e := s.cols[j][0]
+		e := s.cols.unit(j)
 		if v := resid[e.row] / e.coef; v >= 0 {
 			s.basis[e.row] = j
 			s.stat[j] = basic
@@ -263,18 +308,14 @@ func (s *solver) run() Status {
 		}
 	}
 	needPhase1 := false
-	for i := range s.p1c {
-		s.p1c[i] = 0
-	}
 	for r := 0; r < s.m; r++ {
 		j := art + r
-		s.p1c[j] = 1
 		// The column arena persists across solves, so the sign must be
 		// written both ways, not just flipped when negative.
 		if resid[r] < 0 {
-			s.cols[j][0].coef = -1
+			s.cols.unit(j).coef = -1
 		} else {
-			s.cols[j][0].coef = 1
+			s.cols.unit(j).coef = 1
 		}
 		if s.basis[r] >= 0 {
 			s.stat[j], s.xN[j] = atLower, 0
@@ -293,7 +334,15 @@ func (s *solver) run() Status {
 	}
 
 	if needPhase1 {
-		st := s.iterate(s.p1c, true)
+		// Phase-1 costs: one on each artificial, zero elsewhere.
+		for j := range s.c[:s.nTotal] {
+			s.c[j] = 0
+			if j >= art {
+				s.c[j] = 1
+			}
+		}
+		st := s.iterate(s.c, true)
+		s.loadCosts(m)
 		if st == IterationLimit {
 			return IterationLimit
 		}
@@ -330,7 +379,7 @@ func (s *solver) computeDuals(cost []float64) {
 // reducedCost returns c_j - y . A_j.
 func (s *solver) reducedCost(cost []float64, j int) float64 {
 	d := cost[j]
-	for _, e := range s.cols[j] {
+	for _, e := range s.cols.col(j) {
 		d -= s.y[e.row] * e.coef
 	}
 	return d
@@ -338,7 +387,7 @@ func (s *solver) reducedCost(cost []float64, j int) float64 {
 
 // ftran computes w = B^-1 A_j.
 func (s *solver) ftran(j int) {
-	s.f.ftranCol(s.cols[j], s.w)
+	s.f.ftranCol(s.cols.col(j), s.w)
 }
 
 // stallLimit is the number of consecutive degenerate pivots after
@@ -348,24 +397,37 @@ func (s *solver) ftran(j int) {
 // pivot by Bland.
 var stallLimit = 400
 
-// iterate runs simplex pivots under the given cost vector until
-// optimality (returns Optimal), unboundedness, or the iteration limit.
-// phase1 restricts pricing to keep artificial columns from re-entering.
+// iterate runs primal simplex pivots under the given cost vector from
+// freshly computed reduced costs (see primal).
 func (s *solver) iterate(cost []float64, phase1 bool) Status {
+	s.computeReducedCosts(cost)
+	return s.primal(cost, phase1)
+}
+
+// primal runs simplex pivots under the given cost vector until
+// optimality (returns Optimal), unboundedness, or the iteration limit,
+// starting from the reduced costs in s.d. It keeps them across pivots
+// (see updatePrimalCosts) and recomputes them in full only after a
+// refactorization, or to confirm an optimum they show once they have
+// been updated since. In phase 1 an unbounded ray is numeric trouble,
+// answered by Bland's rule, rather than a verdict.
+func (s *solver) primal(cost []float64, phase1 bool) Status {
+	s.gainAll()
 	stall := 0
-	// fresh reports that s.y holds the duals of the current basis: a
-	// bound flip changes no dual, so only pivots and refactorizations
-	// owe a Btran.
-	fresh := false
 	for {
 		if s.iters >= s.maxIt {
 			return IterationLimit
 		}
-		if s.maybeRefactor() || !fresh {
-			s.computeDuals(cost)
-			fresh = true
+		if s.maybeRefactor() {
+			s.computeReducedCosts(cost)
+			s.gainAll()
 		}
-		enter, sigma := s.price(cost, stall >= stallLimit)
+		enter, sigma := s.price(stall >= stallLimit)
+		if enter < 0 && s.dKept {
+			s.computeReducedCosts(cost)
+			s.gainAll()
+			enter, sigma = s.price(stall >= stallLimit)
+		}
 		if enter < 0 {
 			return Optimal
 		}
@@ -388,8 +450,11 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 			stall = 0
 		}
 		if flip {
+			// A bound flip changes no reduced cost, only the side
+			// the column rests on.
 			s.flips++
 			s.applyBoundFlip(enter, sigma, t)
+			s.gain[enter] = s.gainOf(enter)
 			continue
 		}
 		if t <= s.tol {
@@ -401,51 +466,130 @@ func (s *solver) iterate(cost []float64, phase1 bool) Status {
 		if sigma*s.w[leaveRow] > 0 {
 			leaveStat = atLower
 		}
+		s.updatePrimalCosts(enter, leaveRow)
+		leave := s.basis[leaveRow]
 		s.pivot(enter, sigma, t, leaveRow, leaveStat)
-		fresh = false
+		s.gain[enter] = 0
+		if leave < s.artStart {
+			s.gain[leave] = s.gainOf(leave)
+		}
 	}
 }
 
 // price chooses the entering column and its direction sigma (+1 to
-// increase, -1 to decrease). Returns enter = -1 at optimality.
-func (s *solver) price(cost []float64, bland bool) (enter int, sigma float64) {
+// increase, -1 to decrease): the largest gain, the lowest index on
+// ties (Dantzig), or under bland the lowest index with any. Returns
+// enter = -1 at optimality.
+func (s *solver) price(bland bool) (enter int, sigma float64) {
 	enter = -1
 	best := s.tol
-	for j := 0; j < s.nTotal; j++ {
-		st := s.stat[j]
-		if st == basic || sameFloat(s.lo[j], s.hi[j]) {
-			continue
-		}
-		if j >= s.artStart {
-			// Artificials never re-enter the basis.
-			continue
-		}
-		d := s.reducedCost(cost, j)
-		var improving bool
-		var dir float64
-		switch st {
-		case atLower:
-			improving, dir = d < -s.tol, 1
-		case atUpper:
-			improving, dir = d > s.tol, -1
-		case nonbasicFree:
-			if d < -s.tol {
-				improving, dir = true, 1
-			} else if d > s.tol {
-				improving, dir = true, -1
+	for j, g := range s.gain[:s.artStart] {
+		if g > best {
+			enter, best = j, g
+			if bland {
+				break
 			}
 		}
-		if !improving {
+	}
+	if enter < 0 {
+		return -1, 0
+	}
+	if st := s.stat[enter]; st == atUpper || (st == nonbasicFree && s.d[enter] > 0) {
+		return enter, -1
+	}
+	return enter, 1
+}
+
+// gainOf is what pricing ranks structural or slack column j by: |d_j|
+// when its reduced cost improves the objective, for the bound it rests
+// on, by more than tol; 0 when it does not, and for a basic or fixed
+// column.
+func (s *solver) gainOf(j int) float64 {
+	var g float64
+	switch d := s.d[j]; s.stat[j] {
+	case atLower:
+		g = -d
+	case atUpper:
+		g = d
+	case nonbasicFree:
+		g = math.Abs(d)
+	default:
+		return 0
+	}
+	if g <= s.tol || sameFloat(s.lo[j], s.hi[j]) {
+		return 0
+	}
+	return g
+}
+
+// gainAll sets every structural and slack column's gain from s.d.
+func (s *solver) gainAll() {
+	for j := range s.gain[:s.artStart] {
+		s.gain[j] = s.gainOf(j)
+	}
+}
+
+// updatePrimalCosts keeps s.d across the pivot of column enter into
+// leaveRow, before the factor takes it: with ρ = e_rᵀB⁻¹ (one Btran)
+// and the pivot row α_j = ρᵀA_j (see primalRow), d_j −= θ·α_j for
+// θ = d_q/α_q, and the leaving column's reduced cost becomes −θ. The
+// columns the row reaches get their gains again; the caller sets the
+// entering and leaving columns' once the pivot has moved them.
+func (s *solver) updatePrimalCosts(enter, leaveRow int) {
+	rho := s.rho[:s.m]
+	for i := range rho {
+		rho[i] = 0
+	}
+	rho[leaveRow] = 1
+	s.f.btran(rho)
+	theta := s.d[enter] / s.w[leaveRow]
+	for _, j := range s.cands[:s.primalRow()] {
+		s.d[j] -= theta * s.alpha[j]
+		s.gain[j] = s.gainOf(int(j))
+		s.inRow[j] = false
+	}
+	if leave := s.basis[leaveRow]; leave < s.artStart {
+		s.d[leave] = -theta
+	}
+	s.dKept = true
+}
+
+// primalRow forms the pivot row α_j = ρᵀA_j of the nonbasic structural
+// and slack columns row-wise, over ρ's nonzeros only: each row i with
+// ρ_i ≠ 0 adds ρ_i times its terms, and its slack's coefficient. It
+// lists the columns reached in s.cands, marks them in s.inRow for the
+// caller to clear, and returns their count.
+func (s *solver) primalRow() int {
+	nc := 0
+	for i, ri := range s.rho[:s.m] {
+		if isZero(ri) {
 			continue
 		}
-		if bland {
-			return j, dir
+		for _, t := range s.rows[i].terms {
+			nc = s.addToRow(int(t.Var), ri*t.Coef, nc)
 		}
-		if mag := math.Abs(d); mag > best {
-			best, enter, sigma = mag, j, dir
+		if u := s.slackOf[i]; u >= 0 {
+			nc = s.addToRow(int(u), ri*s.cols.unit(int(u)).coef, nc)
 		}
 	}
-	return enter, sigma
+	return nc
+}
+
+// addToRow adds v to nonbasic column j's pivot-row entry, listing j in
+// s.cands (of which nc are in use) on its first contribution, and
+// returns the new count.
+func (s *solver) addToRow(j int, v float64, nc int) int {
+	if s.stat[j] == basic {
+		return nc
+	}
+	if !s.inRow[j] {
+		s.inRow[j] = true
+		s.alpha[j] = 0
+		s.cands[nc] = int32(j)
+		nc++
+	}
+	s.alpha[j] += v
+	return nc
 }
 
 // ratioTest finds how far the entering variable can move. It returns
@@ -610,7 +754,7 @@ func (s *solver) recomputeBasics() {
 		if s.stat[j] == basic || isZero(s.xN[j]) {
 			continue
 		}
-		for _, e := range s.cols[j] {
+		for _, e := range s.cols.col(j) {
 			resid[e.row] -= e.coef * s.xN[j]
 		}
 	}

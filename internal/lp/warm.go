@@ -11,15 +11,15 @@ import "math"
 // captured point. New variables rest nonbasic at their bound nearest
 // zero and new rows start with their slack (or, for an equality, their
 // artificial) basic; when more survivors are basic than there are
-// rows, those resting at a bound are demoted first, and a carried-over
-// basis the sparse LU finds singular has its dependent columns
-// replaced by unit columns of the rows left uncovered (see
-// repairCarried). A column strictly inside its bounds that the basis
-// cannot hold is crossed over to a bound by a primal ratio-test step
-// (see crossover), so removing variables whatever their values, even
-// basic ones, leaves the start as feasible as the captured point was.
-// A basis that cannot be repaired, or one captured from another Model,
-// degrades to a cold solve; it never corrupts a result.
+// rows, those resting at a bound are demoted first, and the one
+// factorization of a carried-over basis replaces its dependent columns
+// with unit columns of the rows left uncovered (see factorize and
+// replaceDependent). A column strictly inside its bounds that the
+// basis cannot hold is crossed over to a bound by a primal ratio-test
+// step (see crossover), so removing variables whatever their values,
+// even basic ones, leaves the start as feasible as the captured point
+// was. A basis captured from another Model degrades to a cold solve;
+// it never corrupts a result.
 //
 //confine:goroutine
 type Basis struct {
@@ -32,9 +32,9 @@ type Basis struct {
 	// bound nearest their captured value, and the basic columns strictly
 	// inside their bounds stay basic ahead of those at a bound.
 	x []float64
-	// colKey and rowIDs are the model's slices at capture (never
-	// edited in place, see Model): they give the captured column layout
-	// and the identities the carry-over matches against.
+	// colKey and rowIDs copy the model's identities at capture: they
+	// give the captured column layout and the identities the carry-over
+	// matches against.
 	colKey []uint64
 	rowIDs []rowID
 	// artSign records the direction each artificial column had when the
@@ -92,7 +92,7 @@ func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) 
 		adopted = s.adoptEdited(m, b, ws)
 	}
 	if !adopted {
-		return s.run(), solveWarmFallback
+		return s.run(m), solveWarmFallback
 	}
 	var st Status
 	switch {
@@ -107,7 +107,7 @@ func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) 
 		// polishes any tolerance drift.
 		st = s.dualIterate()
 		if st == Optimal {
-			st = s.iterate(s.c, false)
+			st = s.primal(s.c, false)
 		}
 	default:
 		// Both primal and dual infeasible (an objective edit or an
@@ -130,7 +130,7 @@ func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) 
 	// snapshot, and an IterationLimit a recovery cut short by a caller's
 	// MaxIters; settle both with a cold run before reporting.
 	s.iters = 0
-	return s.run(), solveWarmFallback
+	return s.run(m), solveWarmFallback
 }
 
 // adoptBasis installs the snapshot into the prepared solver: statuses,
@@ -142,7 +142,7 @@ func (s *solver) adoptBasis(b *Basis, ws *Workspace) bool {
 	copy(s.basis[:s.m], b.basis)
 	copy(s.stat[:s.nTotal], b.stat)
 	for r := 0; r < s.m; r++ {
-		s.cols[s.artStart+r][0].coef = float64(b.artSign[r])
+		s.cols.unit(s.artStart + r).coef = float64(b.artSign[r])
 	}
 	s.restNonbasics()
 	// An unbroken chain's factor already represents this basis.
@@ -212,15 +212,17 @@ func (s *solver) primalInfeasibility() float64 {
 	return worst
 }
 
-// computeReducedCosts sets d_j = c_j − yᵀA_j for every nonbasic
-// structural and slack column from a fresh Btran of the basic costs.
-func (s *solver) computeReducedCosts() {
-	s.computeDuals(s.c)
+// computeReducedCosts sets d_j = c_j − yᵀA_j under the given costs for
+// every nonbasic structural and slack column from a fresh Btran of the
+// basic costs.
+func (s *solver) computeReducedCosts(cost []float64) {
+	s.computeDuals(cost)
 	for j := 0; j < s.artStart; j++ {
 		if s.stat[j] != basic {
-			s.d[j] = s.reducedCost(s.c, j)
+			s.d[j] = s.reducedCost(cost, j)
 		}
 	}
+	s.dKept = false
 }
 
 // dualFeasible reports whether every nonbasic reduced cost is
@@ -228,7 +230,7 @@ func (s *solver) computeReducedCosts() {
 // simplex recovery. It leaves the reduced costs in s.d, where
 // dualIterate keeps them.
 func (s *solver) dualFeasible() bool {
-	s.computeReducedCosts()
+	s.computeReducedCosts(s.c)
 	for j := 0; j < s.artStart; j++ {
 		if s.dualInfeasible(j) {
 			return false
@@ -302,7 +304,7 @@ func (s *solver) dualIterate() Status {
 			return IterationLimit
 		}
 		if s.maybeRefactor() {
-			s.computeReducedCosts()
+			s.computeReducedCosts(s.c)
 		}
 		leaveRow, leaveToUpper, delta := s.dualLeaving()
 		if leaveRow < 0 {
@@ -424,7 +426,7 @@ func (s *solver) pivotRow(toUpper bool) int {
 			continue
 		}
 		a := 0.0
-		for _, e := range s.cols[j] {
+		for _, e := range s.cols.col(j) {
 			a += s.rho[e.row] * e.coef
 		}
 		s.alpha[j] = a
@@ -503,7 +505,7 @@ func (s *solver) dualRatio(nc int, toUpper bool, delta float64) (enter int, sigm
 		} else {
 			s.stat[j], s.xN[j] = atLower, s.lo[j]
 		}
-		for _, e := range s.cols[j] {
+		for _, e := range s.cols.col(j) {
 			s.resid[e.row] += e.coef * sigma * span
 		}
 		// Drop j, keeping the rest in index order for the tie-break.
@@ -522,4 +524,5 @@ func (s *solver) updateReducedCosts(theta float64) {
 			s.d[j] -= theta * s.alpha[j]
 		}
 	}
+	s.dKept = true
 }

@@ -725,3 +725,59 @@ func TestWarmBothInfeasibleStaysWarm(t *testing.T) {
 	}
 	warmMatchesCold(t, m, ws, sol.Basis)
 }
+
+// TestCarryPeelsOnce checks that carrying a basis over structural
+// edits factors it once, whatever the edits did to it: random warm
+// chains (decoded as FuzzWarmEdits decodes them) are probed before
+// every warm solve that follows a structural edit, and each carry must
+// run exactly one peel. The chains must reach both repairs the
+// rank-revealing factorization makes: a basis with every position
+// filled but singular, and one with positions left empty.
+func TestCarryPeelsOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var carries, singular, empty int
+	for trial := 0; trial < 3000; trial++ {
+		data := make([]byte, 24+rng.Intn(60))
+		rng.Read(data)
+		m, edits := warmChain(data)
+		if m == nil {
+			continue
+		}
+		ws := NewWorkspace()
+		var basis *Basis
+		for {
+			if basis != nil && basis.structVersion != m.structVersion {
+				probe := NewWorkspace()
+				s := probe.prepare(m, Options{})
+				if s.adoptEdited(m, basis, probe) {
+					if n := probe.f.peels; n != 1 {
+						t.Fatalf("trial %d: the carry ran %d peels", trial, n)
+					}
+					carries++
+					sc := &probe.carry
+					if sc.empty > 0 {
+						empty++
+					} else if sc.replaced > 0 {
+						singular++
+					}
+				}
+			}
+			sol, err := m.Solve(Options{Workspace: ws, KeepBasis: true, Warm: basis})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status == Optimal {
+				basis = sol.Basis
+			}
+			if more, err := edits.step(m); err != nil {
+				t.Fatal(err)
+			} else if !more {
+				break
+			}
+		}
+	}
+	t.Logf("%d carries: %d full but singular, %d with empty positions", carries, singular, empty)
+	if singular == 0 || empty == 0 {
+		t.Errorf("%d carries: %d full but singular, %d with empty positions; want both kinds", carries, singular, empty)
+	}
+}

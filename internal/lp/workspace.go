@@ -1,5 +1,7 @@
 package lp
 
+import "math"
+
 // Workspace owns every piece of per-solve state the solver needs: the
 // solver shell, the basis factorization, the sparse column store, and
 // the Solution backing arrays. Passing one Workspace through
@@ -22,13 +24,14 @@ type Workspace struct {
 	s solver
 	f factor
 
-	// Column-store cache: cols/arena materialize colModel's rows at
-	// structural version colVersion.
+	// Column-store cache: cols materializes colModel's rows at
+	// structural version colVersion, and slackOf[r] is row r's slack
+	// column (-1 for an equality). The model's own rows serve as the
+	// row-wise copy.
 	colModel   *Model
 	colVersion uint64
-	cols       [][]centry
-	arena      []centry
-	colLen     []int32
+	cols       colStore
+	slackOf    []int32
 
 	// carry is the scratch of a basis carried over structural edits.
 	carry carryScratch
@@ -82,12 +85,12 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	if ws.colModel != m || ws.colVersion != m.structVersion {
 		ws.buildCols(m, rows)
 	}
-	s.cols = ws.cols
+	s.cols, s.slackOf, s.rows = &ws.cols, ws.slackOf, m.rows
 
-	s.c = growF64(s.c, s.nTotal)
-	s.lo = growF64(s.lo, s.nTotal)
-	s.hi = growF64(s.hi, s.nTotal)
-	s.b = growF64(s.b, rows)
+	s.c = grow(s.c, s.nTotal)
+	s.lo = grow(s.lo, s.nTotal)
+	s.hi = grow(s.hi, s.nTotal)
+	s.b = grow(s.b, rows)
 	s.loadCosts(m)
 	for j := 0; j < s.nStruct; j++ {
 		s.lo[j], s.hi[j] = m.lo[j], m.hi[j]
@@ -102,19 +105,20 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 		s.b[r] = rw.rhs
 	}
 
-	s.stat = growVstat(s.stat, s.nTotal)
-	s.basis = growInt(s.basis, rows)
-	s.xB = growF64(s.xB, rows)
-	s.xN = growF64(s.xN, s.nTotal)
-	s.y = growF64(s.y, rows)
-	s.w = growF64(s.w, rows)
-	s.rho = growF64(s.rho, rows)
-	s.resid = growF64(s.resid, rows)
-	s.p1c = growF64(s.p1c, s.nTotal)
-	s.d = growF64(s.d, s.artStart)
-	s.alpha = growF64(s.alpha, s.artStart)
-	s.cands = growInt32(s.cands, s.artStart)
-	s.devex = growF64(s.devex, rows)
+	s.stat = grow(s.stat, s.nTotal)
+	s.basis = grow(s.basis, rows)
+	s.xB = grow(s.xB, rows)
+	s.xN = grow(s.xN, s.nTotal)
+	s.y = grow(s.y, rows)
+	s.w = grow(s.w, rows)
+	s.rho = grow(s.rho, rows)
+	s.resid = grow(s.resid, rows)
+	s.d = grow(s.d, s.artStart)
+	s.gain = grow(s.gain, s.artStart)
+	s.alpha = grow(s.alpha, s.artStart)
+	s.cands = grow(s.cands, s.artStart)
+	s.inRow = grow(s.inRow, s.artStart)
+	s.devex = grow(s.devex, rows)
 	return s
 }
 
@@ -134,10 +138,11 @@ func (s *solver) loadCosts(m *Model) {
 	}
 }
 
-// buildCols materializes the sparse column store for m into the flat
-// arena: structural columns first, then one singleton per slack, then
-// one singleton per artificial (sign patched by each cold run).
+// buildCols materializes the sparse column store for m: structural
+// columns first, then one singleton per slack, then one singleton per
+// artificial (sign patched by each cold run).
 func (ws *Workspace) buildCols(m *Model, rows int) {
+	cs := &ws.cols
 	nStruct := m.NumVars()
 	nSlack, terms := 0, 0
 	for _, r := range m.rows {
@@ -148,65 +153,62 @@ func (ws *Workspace) buildCols(m *Model, rows int) {
 	}
 	nTotal := nStruct + nSlack + rows
 	need := terms + nSlack + rows
-	if cap(ws.arena) >= need {
-		ws.arena = ws.arena[:need]
-	} else {
-		//alloc:amortized arena grows to the structural high-water mark, then is reused
-		ws.arena = make([]centry, need)
-	}
-	if cap(ws.cols) >= nTotal {
-		ws.cols = ws.cols[:nTotal]
-	} else {
-		//alloc:amortized column headers grow to the structural high-water mark, then are reused
-		ws.cols = make([][]centry, nTotal)
-	}
-	if cap(ws.colLen) >= nStruct {
-		ws.colLen = ws.colLen[:nStruct]
-	} else {
-		//alloc:amortized per-column counts grow to the structural high-water mark, then are reused
-		ws.colLen = make([]int32, nStruct)
-	}
-	for j := range ws.colLen {
-		ws.colLen[j] = 0
+	cs.ent = grow(cs.ent, need)
+	cs.off = grow(cs.off, nTotal+1)
+	cs.scale = grow(cs.scale, nStruct)
+	ws.slackOf = grow(ws.slackOf, rows)
+	// Structural columns: count each column's entries into off[j+1],
+	// take prefix sums, fill with off[j] as column j's cursor, then
+	// shift the cursors, each left at the next column's start, back.
+	for j := range cs.off[:nStruct+1] {
+		cs.off[j] = 0
 	}
 	for _, rw := range m.rows {
 		for _, t := range rw.terms {
-			ws.colLen[t.Var]++
+			cs.off[t.Var+1]++
 		}
 	}
-	off := 0
 	for j := 0; j < nStruct; j++ {
-		n := int(ws.colLen[j])
-		ws.cols[j] = ws.arena[off : off : off+n]
-		off += n
+		cs.off[j+1] += cs.off[j]
 	}
 	for r, rw := range m.rows {
 		for _, t := range rw.terms {
-			//alloc:amortized appends fill the capacity pre-carved from the arena above; they can never grow
-			ws.cols[t.Var] = append(ws.cols[t.Var], centry{row: r, coef: t.Coef})
+			cs.ent[cs.off[t.Var]] = centry{row: r, coef: t.Coef}
+			cs.off[t.Var]++
 		}
 	}
+	copy(cs.off[1:nStruct+1], cs.off[:nStruct])
+	cs.off[0] = 0
+	for j := 0; j < nStruct; j++ {
+		scale := 0.0
+		for _, e := range cs.col(j) {
+			scale = math.Max(scale, math.Abs(e.coef))
+		}
+		cs.scale[j] = scale
+	}
 	// Slack columns: row + slack == rhs for LE (slack in [0, inf)),
-	// row - slack == rhs for GE.
+	// row - slack == rhs for GE. Then the artificials.
+	off := terms
 	slack := nStruct
 	for r, rw := range m.rows {
+		ws.slackOf[r] = -1
 		if rw.sense == EQ {
 			continue
 		}
+		ws.slackOf[r] = int32(slack)
 		coef := 1.0
 		if rw.sense == GE {
 			coef = -1
 		}
-		ws.arena[off] = centry{row: r, coef: coef}
-		ws.cols[slack] = ws.arena[off : off+1 : off+1]
+		cs.ent[off] = centry{row: r, coef: coef}
 		off++
 		slack++
+		cs.off[slack] = int32(off)
 	}
-	art := nStruct + nSlack
 	for r := 0; r < rows; r++ {
-		ws.arena[off] = centry{row: r, coef: 1}
-		ws.cols[art+r] = ws.arena[off : off+1 : off+1]
+		cs.ent[off] = centry{row: r, coef: 1}
 		off++
+		cs.off[slack+r+1] = int32(off)
 	}
 	ws.colModel = m
 	ws.colVersion = m.structVersion
@@ -218,8 +220,8 @@ func (ws *Workspace) buildCols(m *Model, rows int) {
 //
 //alloc:none
 func (ws *Workspace) takeSolution(m *Model, s *solver, st Status) *Solution {
-	ws.x = growF64(ws.x, s.nStruct)
-	ws.duals = growF64(ws.duals, s.m)
+	ws.x = grow(ws.x, s.nStruct)
+	ws.duals = grow(ws.duals, s.m)
 	sol := &ws.sol
 	*sol = Solution{
 		Status:           st,
@@ -269,16 +271,19 @@ func (ws *Workspace) captureBasis(m *Model, s *solver) *Basis {
 	b := &ws.basisOut
 	b.model = m
 	b.structVersion = m.structVersion
-	b.colKey, b.rowIDs = m.colKey, m.rowIDs
-	b.basis = growInt(b.basis, s.m)
+	b.colKey = grow(b.colKey, len(m.colKey))
+	copy(b.colKey, m.colKey)
+	b.rowIDs = grow(b.rowIDs, len(m.rowIDs))
+	copy(b.rowIDs, m.rowIDs)
+	b.basis = grow(b.basis, s.m)
 	copy(b.basis, s.basis[:s.m])
-	b.x = growF64(b.x, s.nStruct)
+	b.x = grow(b.x, s.nStruct)
 	copy(b.x, ws.x[:s.nStruct])
-	b.stat = growVstat(b.stat, s.nTotal)
+	b.stat = grow(b.stat, s.nTotal)
 	copy(b.stat, s.stat[:s.nTotal])
-	b.artSign = growInt8(b.artSign, s.m)
+	b.artSign = grow(b.artSign, s.m)
 	for r := 0; r < s.m; r++ {
-		if s.cols[s.artStart+r][0].coef < 0 {
+		if s.cols.unit(s.artStart+r).coef < 0 {
 			b.artSign[r] = -1
 		} else {
 			b.artSign[r] = 1
