@@ -89,6 +89,17 @@ func (prog *lpfilterProgram) round(cfg Config, x []float64, budget float64) (*pl
 	return plan.NewFiltering(net, bw)
 }
 
+// support is the bandwidths of the edges the window needs, the
+// variables round reads.
+func (prog *lpfilterProgram) support(dst []lp.VarID) []lp.VarID {
+	for v, c := range prog.caps {
+		if c > 0 {
+			dst = append(dst, prog.bs[v])
+		}
+	}
+	return dst
+}
+
 func (prog *lpfilterProgram) clone() program {
 	blocks := make([][]lp.VarID, len(prog.blocks))
 	for j, b := range prog.blocks {

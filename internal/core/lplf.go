@@ -73,6 +73,14 @@ func (prog *lplfProgram) round(cfg Config, x []float64, budget float64) (*plan.P
 	return plan.NewSelection(cfg.Net, chosen)
 }
 
+// support is the candidates' x, the variables round reads.
+func (prog *lplfProgram) support(dst []lp.VarID) []lp.VarID {
+	for _, i := range prog.cands {
+		dst = append(dst, prog.xs[i])
+	}
+	return dst
+}
+
 func (prog *lplfProgram) clone() program {
 	return &lplfProgram{xs: slices.Clone(prog.xs), ys: slices.Clone(prog.ys),
 		cands: slices.Clone(prog.cands), needed: slices.Clone(prog.needed)}

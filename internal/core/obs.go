@@ -11,6 +11,10 @@ import (
 //	core.<planner>.plan_size           gauge, participants of the last plan
 //	core.<planner>.bandwidth_total     gauge, total bandwidth of the last plan
 //	core.<planner>.budget_utilization  gauge, collection cost / budget
+//	core.frontier_hits                 counter, LP plans interpolated on a
+//	                                   budget frontier piece, no solve
+//	core.frontier_pieces               gauge, pieces on the frontier of the
+//	                                   LP planner that last ranged a solve
 //
 // <planner> is the Planner's Name() (Greedy, LP-LF, LP+LF, Proof, ...).
 // Config.Obs is additionally injected into the LP solve path, so the
@@ -24,8 +28,8 @@ import (
 // Config.Trace (or a parent Config.Span) set, each produced plan also
 // emits one flat zero-length "core.plan" span — planning is untimed by
 // design (deterministic, no wall clock) — carrying the planner name and
-// plan shape.
-func finishPlan(cfg Config, name string, budget float64) func(*plan.Plan, error) (*plan.Plan, error) {
+// plan shape, plus any extra fields (the LP planners' frontier=hit|miss).
+func finishPlan(cfg Config, name string, budget float64, extra ...obs.Field) func(*plan.Plan, error) (*plan.Plan, error) {
 	return func(p *plan.Plan, err error) (*plan.Plan, error) {
 		if err != nil {
 			return p, err
@@ -45,6 +49,7 @@ func finishPlan(cfg Config, name string, budget float64) func(*plan.Plan, error)
 				obs.F("participants", p.Participants()),
 				obs.F("bandwidth_total", p.TotalBandwidth()),
 			}
+			fields = append(fields, extra...)
 			if cfg.Span != nil {
 				cfg.Span.Span("core.plan", 0, 0, fields...)
 			} else {

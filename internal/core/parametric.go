@@ -43,8 +43,11 @@ type program interface {
 	slide(c *paramLP, d windowSlide) (rebuild bool, err error)
 	// round turns the optimum x into a plan for budget, repaired and
 	// filled unless cfg.DisableRepair; a nil x (the empty program)
-	// rounds to the empty plan.
+	// rounds to the empty plan. It reads x only at support's variables.
 	round(cfg Config, x []float64, budget float64) (*plan.Plan, error)
+	// support appends to dst the variables round reads, which are all
+	// a budget frontier piece keeps of x.
+	support(dst []lp.VarID) []lp.VarID
 	// clone deep-copies the program for a planner of its own.
 	clone() program
 }
@@ -55,9 +58,19 @@ type program interface {
 // over fixed (network, samples) state; the only thing that changes
 // between calls is the budget row's right-hand side. So the planner
 // builds its model once, keeps the solver workspace and the optimal
-// basis, and serves each successive budget with an in-place SetRHS
-// plus a warm re-solve — dual recovery pivots instead of two cold
-// simplex phases, and no model canonicalization at all.
+// basis, and serves each budget in one of two ways:
+//
+//   - a budget inside a piece of the planner's budget frontier (see
+//     frontier) is interpolated from that piece, with no solve;
+//   - any other budget gets an in-place SetRHS plus a warm re-solve
+//     (dual recovery pivots instead of two cold simplex phases, and no
+//     model canonicalization at all), and when the model was not
+//     edited since the previous solve, that solve's basis is ranged
+//     into a new frontier piece.
+//
+// Either way the rounding is the same. The frontier describes one
+// model, so a slide or a rebuild clears it; a sliding window that
+// plans one budget per window therefore never ranges.
 //
 // The cache is keyed on the identities of the window's samples
 // (sample.Set.ID). When the adaptive scheme slides the window, the
@@ -87,6 +100,10 @@ type paramLP struct {
 	// oldest first.
 	ids   []uint64
 	built bool
+	// edited reports a model edit (a slide or a build) since the last
+	// solve; a solve that follows one ranges nothing.
+	edited bool
+	front  frontier
 	// own enforces the //confine:goroutine contract dynamically under
 	// the prospector_debug build tag; zero-cost otherwise.
 	own owner
@@ -96,11 +113,13 @@ type paramLP struct {
 func (c *paramLP) Name() string { return c.name }
 
 // Plan implements Planner: follow the window (slide the live program,
-// or build it afresh), re-solve for budget, and round the optimum.
+// or build it afresh), find the optimum for budget on the frontier or
+// re-solve for it, and round the optimum.
 func (c *paramLP) Plan(budget float64) (*plan.Plan, error) {
 	cfg := c.cfg
 	d, ok := c.window()
 	if ok && d.moved() {
+		c.forget()
 		rebuild, err := c.prog.slide(c, d)
 		if err != nil {
 			return nil, err
@@ -115,11 +134,18 @@ func (c *paramLP) Plan(budget float64) (*plan.Plan, error) {
 	if c.model == nil {
 		return finishPlan(cfg, c.name, budget)(c.prog.round(cfg, nil, budget))
 	}
+	if x, hit := c.front.lookup(budget - c.fixed); hit {
+		if r := cfg.Obs; r != nil {
+			r.Counter("core.frontier_hits").Inc()
+		}
+		return finishPlan(cfg, c.name, budget, frontierHit)(c.prog.round(cfg, x, budget))
+	}
 	if c.ws == nil {
 		// One workspace per planner: its buffers survive rebuilds and
 		// re-grow at most once per shape.
 		c.ws = lp.NewWorkspace()
 	}
+	edited := c.edited
 	sol, err := c.solve(cfg, budget)
 	if err != nil {
 		return nil, err
@@ -127,7 +153,19 @@ func (c *paramLP) Plan(budget float64) (*plan.Plan, error) {
 	if sol.Status != lp.Optimal {
 		return nil, fmt.Errorf("core: %s solve ended %v", c.name, sol.Status)
 	}
-	return finishPlan(cfg, c.name, budget)(c.prog.round(cfg, sol.X, budget))
+	if !edited {
+		c.front.remember(c)
+		if r := cfg.Obs; r != nil {
+			r.Gauge("core.frontier_pieces").Set(float64(len(c.front.pieces)))
+		}
+	}
+	return finishPlan(cfg, c.name, budget, frontierMiss)(c.prog.round(cfg, sol.X, budget))
+}
+
+// forget clears the frontier ahead of a model edit.
+func (c *paramLP) forget() {
+	c.front.clear()
+	c.edited = true
 }
 
 // freeze builds the program ahead of the first budget, as a Snapshot
@@ -137,11 +175,12 @@ func (c *paramLP) freeze() { c.install(c.prog.build(c.cfg, 0)) }
 
 // clone copies a built body for a planner of its own: the program and
 // the model are cloned (a Basis is pointer-keyed to its model, so
-// chains cannot cross), and there is neither a workspace nor a basis,
-// so the copy's first Plan opens its chain with a cold solve.
+// chains cannot cross), and there is neither a workspace, a basis nor
+// a frontier, so the copy's first Plan opens its chain with a cold
+// solve.
 func (c *paramLP) clone() paramLP {
 	cp := paramLP{cfg: c.cfg, name: c.name, prog: c.prog.clone(),
-		budgetRow: c.budgetRow, fixed: c.fixed, ids: slices.Clone(c.ids), built: c.built}
+		budgetRow: c.budgetRow, fixed: c.fixed, ids: slices.Clone(c.ids), built: c.built, edited: true}
 	if c.model != nil {
 		cp.model = c.model.Clone()
 	}
@@ -234,8 +273,9 @@ func (c *paramLP) noteWindow() {
 }
 
 // install caches a freshly built model (nil for the empty program).
-// The basis chain does not survive a rebuild.
+// Neither the basis chain nor the frontier survives a rebuild.
 func (c *paramLP) install(model *lp.Model, budgetRow int, fixed float64) {
+	c.forget()
 	c.model = model
 	c.budgetRow = budgetRow
 	c.fixed = fixed
@@ -275,5 +315,6 @@ func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 		return nil, err
 	}
 	c.basis = sol.Basis
+	c.edited = false
 	return sol, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -93,13 +94,24 @@ func chainOf(t testing.TB, p Planner) *paramLP {
 	return nil
 }
 
-// certifyChain checks the KKT certificate of the chain's solution at
-// budget. It re-solves from the chain's own basis, which must be
-// optimal already (zero pivots), so the certified point is the one the
-// last Plan rounded.
-func certifyChain(t testing.TB, p Planner, cfg Config, budget float64) {
+// certifyChain checks the optimum the chain's last Plan rounded at
+// budget. When that Plan solved, it KKT-certifies the solve: a
+// re-solve from the chain's own basis must be a warm no-op, so the
+// certified point is the one the Plan rounded. When it was a frontier
+// hit, no solve ran, and the interpolated support must match a cold
+// solve's within 1e-9.
+func certifyChain(t testing.TB, p Planner, newPlanner func(Config) (Planner, error), cfg Config, budget float64, hit bool) {
 	t.Helper()
 	c := chainOf(t, p)
+	if hit {
+		vars, x := coldSupport(t, newPlanner, cfg, budget)
+		for k, v := range c.front.vars {
+			if d := math.Abs(c.front.x[v] - x[vars[k]]); d > 1e-9 {
+				t.Fatalf("budget %g: interpolated support[%d] = %.17g, cold %.17g", budget, k, c.front.x[v], x[vars[k]])
+			}
+		}
+		return
+	}
 	sol, err := c.solve(cfg, budget)
 	if err != nil {
 		t.Fatalf("budget %g: chain re-solve: %v", budget, err)
@@ -112,12 +124,49 @@ func certifyChain(t testing.TB, p Planner, cfg Config, budget float64) {
 	}
 }
 
+// coldSupport cold-solves a fresh build of newPlanner's program at
+// budget, with no workspace and no basis, and returns the program's
+// support and the optimum.
+func coldSupport(t testing.TB, newPlanner func(Config) (Planner, error), cfg Config, budget float64) ([]lp.VarID, []float64) {
+	t.Helper()
+	cfg.Obs, cfg.Trace, cfg.Span = nil, nil, nil
+	p, err := newPlanner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := chainOf(t, p)
+	c.install(c.prog.build(cfg, budget))
+	sol, err := c.model.Solve(lp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != lp.Optimal {
+		t.Fatalf("budget %g: cold solve ended %v", budget, sol.Status)
+	}
+	return c.prog.support(nil), sol.X
+}
+
+// planHit plans budget on p and reports whether the plan was a
+// frontier hit, read from the core.frontier_hits counter of reg, the
+// registry p's Config carries.
+func planHit(t testing.TB, p Planner, reg *obs.Registry, budget float64) (*plan.Plan, bool) {
+	t.Helper()
+	hits := reg.Counter("core.frontier_hits").Value()
+	pl, err := p.Plan(budget)
+	if err != nil {
+		t.Fatalf("budget %g: %v", budget, err)
+	}
+	return pl, reg.Counter("core.frontier_hits").Value() > hits
+}
+
 // TestWarmDifferentialMatchesCold is the acceptance test for the
 // parametric pipeline: a single planner serving a whole budget sweep
-// through its warm basis chain must emit bitwise-identical plans to a
-// fresh planner per budget (rebuild plus cold solve), for all three LP
-// planners, across seeds and a randomized budget order, and every
-// chain solution must carry a KKT certificate.
+// through its warm basis chain and its frontier must emit
+// bitwise-identical plans to a fresh planner per budget (rebuild plus
+// cold solve), for all three LP planners, across seeds and a
+// randomized budget order; every chain solution must carry a KKT
+// certificate, and every frontier hit must interpolate a cold
+// solve's optimum.
 func TestWarmDifferentialMatchesCold(t *testing.T) {
 	for _, tc := range diffCases() {
 		tc := tc
@@ -130,7 +179,9 @@ func TestWarmDifferentialMatchesCold(t *testing.T) {
 				}
 				s := makeScenario(t, seed, nodes, k, nSamples)
 
+				reg := obs.NewRegistry()
 				warmCfg := s.cfg
+				warmCfg.Obs = reg
 				warm, err := tc.make(warmCfg)
 				if err != nil {
 					t.Fatal(err)
@@ -147,11 +198,8 @@ func TestWarmDifferentialMatchesCold(t *testing.T) {
 				})
 
 				for _, budget := range budgets {
-					wp, err := warm.Plan(budget)
-					if err != nil {
-						t.Fatalf("seed %d budget %g: warm: %v", seed, budget, err)
-					}
-					certifyChain(t, warm, warmCfg, budget)
+					wp, hit := planHit(t, warm, reg, budget)
+					certifyChain(t, warm, tc.make, warmCfg, budget, hit)
 					if cp := freshPlan(t, tc.make, s.cfg, budget); !plansEqual(wp, cp) {
 						t.Errorf("seed %d budget %g: warm plan %v != cold plan %v",
 							seed, budget, wp, cp)
@@ -163,8 +211,9 @@ func TestWarmDifferentialMatchesCold(t *testing.T) {
 }
 
 // TestWarmChainIsActuallyWarm pins that a budget sweep through one
-// planner hits the warm path: exactly one cold solve (the first call)
-// and warm re-solves for the rest, visible through the lp.* counters.
+// planner stays off the cold path: exactly one cold solve (the first
+// call), and every other budget either a warm re-solve or a frontier
+// hit, visible through the lp.* and core.frontier_hits counters.
 func TestWarmChainIsActuallyWarm(t *testing.T) {
 	s := makeScenario(t, 17, 40, 8, 10)
 	reg := obs.NewRegistry()
@@ -182,11 +231,12 @@ func TestWarmChainIsActuallyWarm(t *testing.T) {
 	}
 	colds := reg.Counter("lp.cold_solves").Value()
 	warms := reg.Counter("lp.warm_resolves").Value()
+	hits := reg.Counter("core.frontier_hits").Value()
 	if colds != 1 {
 		t.Errorf("cold solves = %d, want exactly 1 (the chain opener)", colds)
 	}
-	if want := int64(len(budgets) - 1); warms != want {
-		t.Errorf("warm re-solves = %d, want %d", warms, want)
+	if want := int64(len(budgets) - 1); warms+hits != want {
+		t.Errorf("warm re-solves %d + frontier hits %d = %d, want %d", warms, hits, warms+hits, want)
 	}
 	// The derived warm-hit rate must agree with the raw counters: with
 	// no fallbacks, warm / (warm + cold) of this sweep.
@@ -368,8 +418,13 @@ func TestChainBreakRestartsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := naiveCost(t, cfg)
-		for _, b := range []float64{0.05 * full, 0.8 * full, 0.05 * full} {
-			if _, err := p.Plan(b); err != nil {
+		if _, err := p.Plan(0.05 * full); err != nil {
+			t.Fatal(err)
+		}
+		// The jumps solve through the chain directly: a Plan could
+		// serve a budget from the frontier instead.
+		for _, b := range []float64{0.8 * full, 0.05 * full} {
+			if _, err := p.solve(cfg, b); err != nil {
 				t.Fatalf("budget %g: %v", b, err)
 			}
 		}

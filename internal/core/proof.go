@@ -119,6 +119,11 @@ func (prog *proofProgram) round(cfg Config, x []float64, budget float64) (*plan.
 	return plan.NewProof(net, bw)
 }
 
+// support is every edge's bandwidth, the variables round reads.
+func (prog *proofProgram) support(dst []lp.VarID) []lp.VarID {
+	return append(dst, prog.bs[1:]...)
+}
+
 func (prog *proofProgram) clone() program {
 	return &proofProgram{strictC3: prog.strictC3, bs: slices.Clone(prog.bs)}
 }

@@ -229,7 +229,8 @@ func (c *slideChain) slide(t *testing.T, step int) {
 
 // TestSlideSolvesOnce pins the cost of a slide on the slideChain: the
 // slide only edits the model, so each plan runs exactly one LP solve,
-// and that solve stays warm.
+// and that solve stays warm. Every solve follows a slide, so none is
+// ranged: the planner ends with no budget frontier piece and no hit.
 func TestSlideSolvesOnce(t *testing.T) {
 	const slides = 300
 	c := newSlideChain(t)
@@ -248,6 +249,12 @@ func TestSlideSolvesOnce(t *testing.T) {
 	if colds.Value() != 1 || fallbacks.Value() != 0 {
 		t.Errorf("%d slides: %d cold solves after the first, %d warm fallbacks; want 0, 0",
 			slides, colds.Value()-1, fallbacks.Value())
+	}
+	if n := len(chainOf(t, c.p).front.pieces); n != 0 {
+		t.Errorf("%d frontier pieces after %d slides, want 0", n, slides)
+	}
+	if hits := c.reg.Counter("core.frontier_hits").Value(); hits != 0 {
+		t.Errorf("%d frontier hits over %d slides, want 0", hits, slides)
 	}
 }
 

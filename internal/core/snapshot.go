@@ -90,8 +90,9 @@ func newServable(kind string, cfg Config) (servable, error) {
 // network, and the costs — all read-only — but never LP state: the
 // model is cloned per planner (lp.Model.Clone; a Basis is
 // pointer-keyed to its model, so chains cannot cross), and each
-// planner gets its own workspace. Each planner pays one cold solve to open its
-// chain, then serves every subsequent budget warm.
+// planner gets its own workspace and budget frontier. Each planner pays one
+// cold solve to open its chain, then serves every later budget warm or,
+// inside a frontier piece, with no solve at all.
 type Snapshot struct {
 	kind  string
 	gen   uint64 // live window generation at freeze time

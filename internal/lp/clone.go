@@ -14,6 +14,10 @@ package lp
 // clone), AddTerm builds a new term slice, and RemoveVars renumbers
 // terms in place only in a model whose slices no clone shares.
 //
+// Clone only reads the original, apart from marking its term slices
+// shared, which is atomic: clones of one model may be taken from many
+// goroutines at once, as long as none of them edits or solves it.
+//
 // The clone keeps the original's StructVersion, but a Basis captured
 // from a solve of one model is never warm-startable on another:
 // Basis validity is checked by model pointer identity, so each clone
@@ -38,6 +42,7 @@ func (m *Model) Clone() *Model {
 	copy(c.colKey, m.colKey)
 	copy(c.rowIDs, m.rowIDs)
 	copy(c.rows, m.rows)
-	m.termsShared, c.termsShared = true, true
+	m.termsShared.Store(true)
+	c.termsShared.Store(true)
 	return c
 }

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"prospector/internal/obs"
@@ -152,5 +153,41 @@ func TestCloneBasisDoesNotTransfer(t *testing.T) {
 	}
 	if got := reg.Counter("lp.cold_solves").Value(); got != 1 {
 		t.Fatalf("expected exactly 1 cold solve for the clone, got %d", got)
+	}
+}
+
+// TestCloneConcurrent takes clones of one model from several
+// goroutines at once, as serve workers stamping planners from one
+// snapshot do; under -race it fails if Clone writes to the source
+// without synchronization. Every clone must then solve like the source.
+func TestCloneConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	m := randomFeasibleModel(rng, 12, 8)
+	want, err := m.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clones := make([]*Model, 8)
+	var wg sync.WaitGroup
+	for i := range clones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			clones[i] = m.Clone()
+		}()
+	}
+	wg.Wait()
+	for i, c := range clones {
+		if _, _, err := c.RemoveVars([]VarID{0}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Solve(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Status != want.Status || math.Abs(got.Objective-want.Objective) > 1e-9 {
+			t.Fatalf("clone %d: RemoveVars changed the source's optimum: %v %g, was %v %g",
+				i, got.Status, got.Objective, want.Status, want.Objective)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -85,7 +86,9 @@ func FuzzColdSolve(f *testing.F) {
 // by steps of SetRHS, SetObjCoef, SetVarBound, AddVar (with terms in
 // existing rows), AddConstr, AddTerm and RemoveVars. After every step
 // the warm re-solve must agree with a cold-direct solve in status and
-// objective, and every optimum must carry a KKT certificate.
+// objective, every optimum must carry a KKT certificate, and ranging
+// one row's right-hand side around each warm optimum must pass
+// checkRangeRHS.
 func FuzzWarmEdits(f *testing.F) {
 	f.Fuzz(checkWarmEdits)
 }
@@ -118,6 +121,12 @@ func checkWarmEdits(t *testing.T, data []byte) {
 			}
 			if err := CheckOptimal(m, cold, 1e-6); err != nil {
 				t.Fatalf("step %d: cold: %v", step, err)
+			}
+			if nr := m.NumConstrs(); nr > 0 {
+				// These models' optima are rarely unique, so the range
+				// is checked by feasibility and objective, not by X.
+				checkRangeRHS(t, fmt.Sprintf("step %d", step), m, ws, step%nr,
+					[]float64{0, 0.25, 0.5, 1}, rangeOracle{tol: 1e-6})
 			}
 			basis = warm.Basis
 		}

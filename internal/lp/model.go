@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync/atomic"
 )
 
 // VarID names a variable within a Model.
@@ -75,8 +76,10 @@ type Model struct {
 	nextKey uint64
 	// termsShared is set once Clone has handed this model's row term
 	// slices to another model (see Clone): RemoveVars then builds new
-	// ones instead of renumbering them in place.
-	termsShared bool
+	// ones instead of renumbering them in place. It is atomic because
+	// Clone sets it on the source, and clones of one model may be
+	// taken concurrently.
+	termsShared atomic.Bool
 	// Edit scratch: termPos[v] is 1 + the position of variable v in the
 	// row AddConstr is merging (0 when absent, the state between calls,
 	// also beyond its length up to its capacity); varMap and rowMap
@@ -403,7 +406,7 @@ rows:
 			}
 		}
 		terms := r.terms
-		if m.termsShared {
+		if m.termsShared.Load() {
 			terms = make([]Term, len(r.terms))
 		}
 		for q, t := range r.terms {
@@ -417,7 +420,7 @@ rows:
 	clear(m.rows[k:])
 	m.rows, m.rowIDs = m.rows[:k], m.rowIDs[:k]
 	// Every surviving row now has a term slice of its own.
-	m.termsShared = false
+	m.termsShared.Store(false)
 	m.structVersion++
 	return varMap, rowMap, nil
 }

@@ -255,7 +255,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	if opts.KeepBasis && st == Optimal {
 		sol.Basis = ws.captureBasis(m, s)
 	}
-	ws.noteSolved(m)
+	ws.noteSolved(m, st)
 	var elapsed time.Duration
 	if opts.Now != nil {
 		elapsed = opts.Now().Sub(start)

@@ -44,11 +44,16 @@ type Workspace struct {
 	// seq numbers solves through this Workspace; lastSeq/lastModel/
 	// lastVersion identify the solve whose final basis the factor
 	// currently represents, letting a chained warm solve skip the
-	// refactorization entirely.
+	// refactorization entirely. lastOptimal reports that solve ended
+	// Optimal, which RangeRHS needs.
 	seq         uint64
 	lastSeq     uint64
 	lastModel   *Model
 	lastVersion uint64
+	lastOptimal bool
+
+	// rangeDx is RangeRHS's scratch: the slope of every structural.
+	rangeDx []float64
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use
@@ -295,11 +300,13 @@ func (ws *Workspace) captureBasis(m *Model, s *solver) *Basis {
 }
 
 // noteSolved records which solve the factor's state corresponds to, so
-// the next warm solve through this workspace can reuse it.
+// the next warm solve through this workspace can reuse it, and whether
+// it ended Optimal.
 //
 //alloc:none
-func (ws *Workspace) noteSolved(m *Model) {
+func (ws *Workspace) noteSolved(m *Model, st Status) {
 	ws.lastSeq = ws.seq
 	ws.lastModel = m
 	ws.lastVersion = m.structVersion
+	ws.lastOptimal = st == Optimal
 }

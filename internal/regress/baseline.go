@@ -88,7 +88,7 @@ func (b *Baseline) Validate() error {
 			if r.Min == nil || r.Max == nil {
 				return fmt.Errorf("%s: quantile-band needs min and max (record the baseline to fill them)", where)
 			}
-			if math.IsNaN(*r.Min) || math.IsNaN(*r.Max) || *r.Min > *r.Max {
+			if math.IsNaN(*r.Min) || math.IsNaN(*r.Max) || math.IsInf(*r.Min, 0) || math.IsInf(*r.Max, 0) || *r.Min > *r.Max {
 				return fmt.Errorf("%s: band [%g, %g] must be ordered and finite", where, *r.Min, *r.Max)
 			}
 		}

@@ -120,6 +120,10 @@ func TestValidateMalformed(t *testing.T) {
 			b.Rules[0].Kind = "quantile-band"
 			b.Rules[0].Min, b.Rules[0].Max = fp(3), fp(1)
 		}, "ordered"},
+		{"band unbounded", func(b *Baseline) {
+			b.Rules[0].Kind = "quantile-band"
+			b.Rules[0].Min, b.Rules[0].Max = fp(math.Inf(-1)), fp(math.Inf(1))
+		}, "finite"},
 	}
 	if err := valid().Validate(); err != nil {
 		t.Fatalf("control baseline invalid: %v", err)

@@ -38,7 +38,8 @@ import (
 // Status mapping: 200 a plan; 400 bad parameters or an unknown
 // (planner, k); 429 the deadline passed before a worker dispatched
 // the request; 503 the queue is full or the service is shutting down
-// (with Retry-After: 1).
+// (with Retry-After: 1); 500 the planner panicked on this request
+// (ErrPlannerFault; the worker re-stamps its planner).
 
 // maxDeadlineMS is the longest deadline_ms a time.Duration holds
 // (~292 years); larger values would overflow it.
@@ -98,6 +99,8 @@ func Handler(s *Service, base Key) http.Handler {
 				http.Error(w, err.Error(), http.StatusServiceUnavailable)
 			case errors.Is(err, ErrDeadline):
 				http.Error(w, err.Error(), http.StatusTooManyRequests)
+			case errors.Is(err, ErrPlannerFault):
+				http.Error(w, err.Error(), http.StatusInternalServerError)
 			default:
 				// Provider rejections (unknown planner kind, wrong k) and
 				// planner-level errors (e.g. a budget below PROOF's
@@ -155,7 +158,8 @@ func Endpoints(s *Service, base Key, c *telemetry.Collector) []obs.Endpoint {
 // set, judged against the live windowed series (regress grammar, see
 // telemetry.Monitor): dump the flight ring when the queue pins at its
 // admission cap, when any request sheds, or when dispatch latency p99
-// leaves the interactive envelope.
+// leaves the interactive envelope, or when a planner panics and its
+// worker restarts.
 func DefaultFlightRules(queueDepth int) []regress.Rule {
 	if queueDepth <= 0 {
 		queueDepth = 64
@@ -167,5 +171,7 @@ func DefaultFlightRules(queueDepth int) []regress.Rule {
 			Note: "any shed (full queue, missed deadline, closed) dumps the flight ring"},
 		{Series: "serve.plan_ms.p99", Kind: "abs<=", Value: 0, Tolerance: 250,
 			Note: "p99 solve latency above 250ms: warm chains are breaking or requests stopped coalescing"},
+		{Series: "serve.worker_restarts.delta", Kind: "exact", Value: 0,
+			Note: "a planner panicked: its request got a 500 and its worker re-stamped the planner"},
 	}
 }

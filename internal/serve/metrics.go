@@ -6,8 +6,8 @@ import (
 
 // The serve.* metric family, published through the service registry
 // alongside the planners' core.* and the solver's lp.* families (the
-// acceptance signal lp.warm_hit_rate stays ≥0.9 while the pool serves
-// warm chains):
+// pool serves ≥0.9 of its plans from warm re-solves, lp.warm_resolves,
+// or with no solve at all, core.frontier_hits):
 //
 //	serve.requests        counter, submissions (before admission)
 //	serve.coalesced       counter, requests answered by another
@@ -17,6 +17,8 @@ import (
 //	serve.shed.closed     counter, rejections after Close
 //	serve.shed_total      counter, all sheds (the flight-rule series)
 //	serve.key_errors      counter, provider/stamping failures
+//	serve.worker_restarts counter, planners discarded and re-stamped
+//	                      after a panic inside Plan
 //	serve.queue_depth     gauge, pending requests across all keys
 //	serve.keys            gauge, open pool keys
 //	serve.workers         gauge, live pool workers
@@ -27,6 +29,7 @@ type metrics struct {
 	requests  *obs.Counter
 	coalesced *obs.Counter
 	keyErrors *obs.Counter
+	restarts  *obs.Counter
 
 	shedFull     *obs.Counter
 	shedDeadline *obs.Counter
@@ -54,6 +57,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		requests:     reg.Counter("serve.requests"),
 		coalesced:    reg.Counter("serve.coalesced"),
 		keyErrors:    reg.Counter("serve.key_errors"),
+		restarts:     reg.Counter("serve.worker_restarts"),
 		shedFull:     reg.Counter("serve.shed.full"),
 		shedDeadline: reg.Counter("serve.shed.deadline"),
 		shedClosed:   reg.Counter("serve.shed.closed"),

@@ -7,12 +7,16 @@
 // — the identity of one frozen planning state (core.Snapshot). Per
 // key, the service keeps a budget-sorted pending queue and a fixed
 // pool of warm-chain workers, each owning a planner stamped from the
-// shared snapshot (own model clone, own lp.Workspace, own basis
-// chain). A worker dispatch takes the lowest-budget prefix of the
-// queue as one batch: ascending budgets keep the dual-simplex
-// recovery short, and requests for bitwise-identical budgets coalesce
-// into a single solve whose plan (immutable, see internal/plan) is
-// shared across all their responses. Admission control is a bounded
+// shared snapshot (own model clone, own lp.Workspace, own basis chain
+// and own budget frontier). A worker dispatch takes the lowest-budget
+// prefix of the queue as one batch, and requests for
+// bitwise-identical budgets coalesce into one plan (immutable, see
+// internal/plan) shared across all their responses. Most budgets land
+// on a piece of the planner's frontier and cost no solve at all, so
+// the ascending order matters only on a frontier miss, whose warm
+// dual-simplex recovery it keeps short. A panic inside a planner
+// answers its one request with ErrPlannerFault, and the worker
+// re-stamps its planner from the key's snapshot and keeps serving. Admission control is a bounded
 // total queue depth — submissions beyond it shed immediately with
 // ErrQueueFull — plus a per-request deadline judged at dispatch time.
 //
@@ -93,6 +97,10 @@ var (
 	ErrQueueFull = errors.New("serve: queue full")
 	// ErrDeadline sheds requests whose deadline passed before dispatch.
 	ErrDeadline = errors.New("serve: deadline exceeded before dispatch")
+	// ErrPlannerFault answers a request whose planner panicked. Only
+	// that request fails: the worker re-stamps its planner from the
+	// key's source and keeps serving.
+	ErrPlannerFault = errors.New("serve: planner fault")
 )
 
 // request is one pending plan query.
@@ -258,20 +266,30 @@ func (s *Service) openKey(key Key) (*keyState, error) {
 		// worker whole; nothing here touches it again. The `go` statement
 		// is the happens-before edge.
 		//confine:transfer worker takes sole ownership of its freshly stamped planner; the spawning goroutine drops every reference
-		go s.worker(ks, pl)
+		go s.worker(ks, &poolWorker{src: src, pl: pl})
 	}
 	s.mu.Unlock()
 	return ks, nil
 }
 
+// poolWorker is what one worker goroutine owns: its planner, the
+// key's source to re-stamp it from after a fault, and the memo of its
+// last coalescing run.
+type poolWorker struct {
+	src PlannerSource
+	// pl is nil after a fault whose re-stamp failed; the next request
+	// tries again.
+	pl   core.Planner
+	memo sweepMemo
+}
+
 // worker serves one key: wait for pending requests, take the sorted
 // prefix as a batch, serve it outside the lock, repeat. On Close it
 // drains the remaining queue, then exits; Close joins via wg.
-func (s *Service) worker(ks *keyState, pl core.Planner) {
+func (s *Service) worker(ks *keyState, w *poolWorker) {
 	defer s.wg.Done()
 	defer s.m.workers.Add(-1)
 	batch := make([]*request, 0, s.opts.BatchMax)
-	var memo sweepMemo
 	for {
 		s.mu.Lock()
 		for len(ks.queue) == 0 && !s.closed {
@@ -310,7 +328,7 @@ func (s *Service) worker(ks *keyState, pl core.Planner) {
 		s.pending -= n
 		s.m.queueDepth.Set(float64(s.pending))
 		s.mu.Unlock()
-		s.serveBatch(pl, batch, &memo)
+		s.serveBatch(w, batch)
 	}
 }
 
@@ -333,13 +351,14 @@ type sweepMemo struct {
 	have   bool
 }
 
-// serveBatch answers one ascending-budget batch on this worker's warm
-// chain. Equal budgets coalesce — one solve, one immutable plan,
-// shared across every waiting response — and the run carries across
-// batch boundaries through memo. A planner error answers only the
-// request that caused it and invalidates the memo, so a bad budget
-// never poisons its neighbors.
-func (s *Service) serveBatch(pl core.Planner, batch []*request, memo *sweepMemo) {
+// serveBatch answers one ascending-budget batch on this worker's
+// planner. Equal budgets coalesce — one plan, immutable, shared across
+// every waiting response — and the run carries across batch
+// boundaries through the worker's memo. A planner error, or a planner
+// panic (see plan), answers only the request that caused it and
+// invalidates the memo, so a bad budget never poisons its neighbors.
+func (s *Service) serveBatch(w *poolWorker, batch []*request) {
+	memo := &w.memo
 	now := s.opts.Now()
 	s.m.batchSize.Observe(float64(len(batch)))
 	for _, r := range batch {
@@ -355,7 +374,7 @@ func (s *Service) serveBatch(pl core.Planner, batch []*request, memo *sweepMemo)
 			continue
 		}
 		t0 := s.opts.Now()
-		p, err := pl.Plan(r.budget)
+		p, err := s.plan(w, r.budget)
 		s.m.planMS.Observe(float64(s.opts.Now().Sub(t0).Microseconds()) / 1000)
 		if err != nil {
 			memo.have = false
@@ -365,6 +384,34 @@ func (s *Service) serveBatch(pl core.Planner, batch []*request, memo *sweepMemo)
 		memo.plan, memo.budget, memo.have = p, r.budget, true
 		r.done <- response{plan: p}
 	}
+}
+
+// plan asks the worker's planner for budget and contains a panic in
+// it: the request gets ErrPlannerFault (so serveBatch drops the memo),
+// and the planner, which the panic may have left half-edited, is
+// dropped with its frontier and warm chain. The worker counts a
+// restart and re-stamps its planner from the key's immutable source; a
+// re-stamp that fails is retried at the next request, which meanwhile
+// fails with ErrPlannerFault too.
+func (s *Service) plan(w *poolWorker, budget float64) (p *plan.Plan, err error) {
+	if w.pl == nil {
+		pl, err := w.src.NewPlanner()
+		if err != nil {
+			return nil, fmt.Errorf("%w: re-stamping the planner: %v", ErrPlannerFault, err)
+		}
+		w.pl = pl
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			s.m.restarts.Inc()
+			w.pl = nil
+			if pl, serr := w.src.NewPlanner(); serr == nil {
+				w.pl = pl
+			}
+			p, err = nil, fmt.Errorf("%w: %v", ErrPlannerFault, v)
+		}
+	}()
+	return w.pl.Plan(budget)
 }
 
 // Ready reports whether the service is accepting work without

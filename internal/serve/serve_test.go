@@ -469,12 +469,13 @@ func TestServeCoalescedShuffledMatchesCold(t *testing.T) {
 		}
 	}
 	// The pool's chains must actually be warm: one cold solve per
-	// worker, everything else warm.
+	// worker, everything else a warm re-solve or a frontier hit.
 	if colds := reg.Counter("lp.cold_solves").Value(); colds < 1 {
 		t.Fatal("no cold solve recorded; the pool never opened a chain")
 	}
-	if warms := reg.Counter("lp.warm_resolves").Value(); warms == 0 {
-		t.Fatal("no warm resolves recorded; the pool is not serving from warm chains")
+	warms, hits := reg.Counter("lp.warm_resolves").Value(), reg.Counter("core.frontier_hits").Value()
+	if warms+hits == 0 {
+		t.Fatal("no warm resolves or frontier hits recorded; the pool is not serving from warm chains")
 	}
 }
 
@@ -490,7 +491,7 @@ func TestServeDefaultFlightRules(t *testing.T) {
 	for _, r := range rules {
 		names[r.Series] = true
 	}
-	for _, want := range []string{"serve.queue_depth", "serve.shed_total.delta", "serve.plan_ms.p99"} {
+	for _, want := range []string{"serve.queue_depth", "serve.shed_total.delta", "serve.plan_ms.p99", "serve.worker_restarts.delta"} {
 		if !names[want] {
 			t.Fatalf("default rules missing series %s", want)
 		}
