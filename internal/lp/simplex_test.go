@@ -136,6 +136,51 @@ func TestSolveNegativeLowerBounds(t *testing.T) {
 	}
 }
 
+func TestSolveFixedAndFreeColumns(t *testing.T) {
+	// min c + 3b s.t. a + b + c >= 2, a - c <= 5, a in [0.5, 3], b
+	// fixed at 1, c free: c >= max(1-a, a-5) is least at a = 3, so the
+	// free column goes negative to c = -2, objective 1.
+	m := NewModel()
+	a := m.MustVar(0.5, 3, 0, "a")
+	b := m.MustVar(1, 1, 3, "b")
+	c := m.MustVar(-Inf, Inf, 1, "c")
+	m.MustConstr([]Term{{a, 1}, {b, 1}, {c, 1}}, GE, 2)
+	m.MustConstr([]Term{{a, 1}, {c, -1}}, LE, 5)
+	sol := solveOrFail(t, m, Options{})
+	if math.Abs(sol.X[a]-3) > 1e-7 || math.Abs(sol.X[b]-1) > 1e-7 || math.Abs(sol.X[c]-(-2)) > 1e-7 {
+		t.Errorf("solution (%g, %g, %g), want (3, 1, -2)", sol.X[a], sol.X[b], sol.X[c])
+	}
+	if math.Abs(sol.Objective-1) > 1e-7 {
+		t.Errorf("objective = %g, want 1", sol.Objective)
+	}
+}
+
+func TestSolveRangedRow(t *testing.T) {
+	// x + 2y over 6 <= x + y <= 10 (one row bounded on both sides, as
+	// a GE and an LE row on the same terms), x, y in [0, 8]: minimizing
+	// binds the lower side at (6, 0), maximizing the upper at (2, 8).
+	for _, tc := range []struct {
+		max        bool
+		x, y, want float64
+	}{{false, 6, 0, 6}, {true, 2, 8, 18}} {
+		m := NewModel()
+		if tc.max {
+			m.Maximize()
+		}
+		x := m.MustVar(0, 8, 1, "x")
+		y := m.MustVar(0, 8, 2, "y")
+		m.MustConstr([]Term{{x, 1}, {y, 1}}, GE, 6)
+		m.MustConstr([]Term{{x, 1}, {y, 1}}, LE, 10)
+		sol := solveOrFail(t, m, Options{})
+		if math.Abs(sol.X[x]-tc.x) > 1e-7 || math.Abs(sol.X[y]-tc.y) > 1e-7 {
+			t.Errorf("max=%v: solution (%g, %g), want (%g, %g)", tc.max, sol.X[x], sol.X[y], tc.x, tc.y)
+		}
+		if math.Abs(sol.Objective-tc.want) > 1e-7 {
+			t.Errorf("max=%v: objective = %g, want %g", tc.max, sol.Objective, tc.want)
+		}
+	}
+}
+
 func TestSolveDegenerate(t *testing.T) {
 	// A degenerate problem that cycles under naive Dantzig pricing
 	// without anti-cycling (Beale's example).

@@ -89,6 +89,20 @@ func TestParseUnknownParentDemotesToRoot(t *testing.T) {
 	}
 }
 
+func TestParseRejectsSelfParentedSpan(t *testing.T) {
+	// Each would make the span its own child: counted by SpanCount,
+	// unreachable from Roots.
+	for name, doc := range map[string]string{
+		"begin":       `{"seq":1,"begin":"x","id":1,"parent":1,"t":0}` + "\n" + `{"seq":2,"end":1,"t":1}`,
+		"span":        `{"seq":1,"span":"x","id":3,"parent":3,"start":0,"end":1}`,
+		"begin no id": `{"seq":1,"begin":"x","t":0}`,
+	} {
+		if _, err := traceanalysis.Parse(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: parse accepted a span that is its own parent", name)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
 		"reordered seq": `{"seq":2,"ev":"a","t":0}

@@ -122,8 +122,16 @@ func Build(recs []Record) (*Trace, error) {
 		lastSeq = rec.Seq
 		switch rec.Kind {
 		case KindBegin, KindSpan:
-			if t.spans[rec.ID] != nil {
+			// A span may not be its own parent, and parent 0 marks a
+			// root, so no span may take ID 0: either would register the
+			// span under itself, out of reach from Roots.
+			switch {
+			case t.spans[rec.ID] != nil:
 				return nil, fmt.Errorf("traceanalysis: duplicate span id %d (seq %d)", rec.ID, rec.Seq)
+			case rec.ID == 0:
+				return nil, fmt.Errorf("traceanalysis: span without an id (seq %d)", rec.Seq)
+			case rec.Parent == rec.ID:
+				return nil, fmt.Errorf("traceanalysis: span id %d is its own parent (seq %d)", rec.ID, rec.Seq)
 			}
 			s := &Span{
 				ID:     rec.ID,

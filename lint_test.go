@@ -1,7 +1,7 @@
-// Lint gate: running the analyzer suite inside `go test ./...` makes
-// tier-1 the enforcement point — a determinism, obsnilsafe, floatcmp,
-// errchecklite, or suppress finding anywhere in the tree fails the
-// build, not just `make lint`.
+// Lint gate: running the whole analyzer suite (analysis.Suite, the
+// twelve checks `go run ./cmd/lint -list` describes) inside `go test
+// ./...` makes tier-1 the enforcement point — a finding anywhere in the
+// tree fails the build, not just `make lint`.
 package prospector
 
 import (
