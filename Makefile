@@ -26,18 +26,17 @@ race:
 	go test -race ./...
 
 # Project analyzer suite (internal/analysis): determinism, obsnilsafe,
-# floatcmp, errchecklite, unitcheck, planfreeze, budgetflow, confine,
-# lockcheck, goleak, alloccheck, suppress. `go run ./cmd/lint -list`
-# describes each; also enforced by lint_test.go inside `go test ./...`.
+# floatcmp, errchecklite, unitcheck, planfreeze, budgetflow, goleak,
+# suppress. `go run ./cmd/lint -list` describes each; also enforced by
+# lint_test.go inside `go test ./...`.
 lint:
 	go run ./cmd/lint
 
-# Runtime half of the //alloc:none contracts: every AllocsPerRun test
-# pairing a static zero-alloc claim with measured behavior.
+# The zero-allocation hot paths: every AllocsPerRun test that pins a
+# steady-state path at 0 allocations per call.
 alloc:
-	go test -run 'AllocFree|ZeroAlloc' -count=1 -v ./internal/obs/ ./internal/obs/telemetry/ ./internal/lp/ ./internal/sim/ ./internal/exec/ ./internal/core/
+	go test -run 'AllocFree|ZeroAlloc' -count=1 -v ./internal/obs/ ./internal/obs/telemetry/ ./internal/lp/ ./internal/sim/ ./internal/exec/ ./internal/core/ ./internal/serve/
 
 bench:
 	go test -run xxx -bench 'ObsOverhead|SolveObs|ObsRegistry|SpanEmit|Manifest' -benchtime 0.3s ./internal/exec/ ./internal/lp/ ./internal/obs/ ./internal/ledger/
 	go test -run xxx -bench 'TelemetryTick|FlightAppend' -benchmem -benchtime 0.3s ./internal/obs/telemetry/
-	go test -run xxx -bench 'BenchmarkConfine|BenchmarkLockcheck|BenchmarkAlloccheck' -benchtime 0.3s .

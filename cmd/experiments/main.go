@@ -70,6 +70,11 @@ func run() (err error) {
 	flightRls := flag.String("flight-rules", "", "JSON rules (regress grammar) judged against live windowed series")
 	hold := flag.Duration("hold", 0, "keep the -listen endpoints up this long after the sweep completes")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	order := []string{"3", "4", "5", "7", "8", "9", "samplesize", "installcost", "spatial", "lossymedium", "naivetradeoff"}
 	selected := order
 	if strings.ToLower(*fig) != "all" {

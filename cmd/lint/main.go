@@ -3,18 +3,12 @@
 //
 // Usage:
 //
-//	lint [-C dir] [-checks determinism,floatcmp,...] [-json] [-list]
-//	     [-timing]
+//	lint [-C dir] [-checks determinism,floatcmp,...] [-list]
 //
 // Exit status: 0 when clean, 1 when diagnostics were reported, 2 on a
-// loading or usage error. Findings can be silenced in source with
+// loading or usage error (a positional argument included: the module
+// root is -C). Findings can be silenced in source with
 // `//lint:ignore <check> <reason>` on or directly above the line.
-//
-// -timing prints each check's accumulated wall time to stderr, slowest
-// first, so a check that regresses the suite's latency is visible
-// without a profiler. Lazily built shared state (call graph, the
-// interprocedural worlds) is attributed to whichever check touches it
-// first.
 package main
 
 import (
@@ -37,10 +31,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	root := fs.String("C", ".", "module root to analyze (directory containing go.mod)")
 	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of text lines")
 	list := fs.Bool("list", false, "list the available checks and exit")
-	timing := fs.Bool("timing", false, "print per-check wall time to stderr, slowest first")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "lint: unexpected argument %q (the module root is -C)\n", fs.Arg(0))
+		fs.Usage()
 		return 2
 	}
 
@@ -69,19 +66,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	diags, timings := analysis.RunWorkersTimed(pkgs, checks, 0)
-	if *timing {
-		for _, ct := range timings {
-			fmt.Fprintf(stderr, "lint: timing %-14s %12v\n", ct.Name, ct.Elapsed)
-		}
-	}
-
-	if *jsonOut {
-		err = analysis.WriteJSON(stdout, diags)
-	} else {
-		err = analysis.WriteText(stdout, diags)
-	}
-	if err != nil {
+	diags := analysis.Run(pkgs, checks)
+	if err := analysis.WriteText(stdout, diags); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}

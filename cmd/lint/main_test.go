@@ -27,52 +27,9 @@ func Add(a, b int) int { return a + b }
 	return dir
 }
 
-// TestTimingFlag pins the -timing contract: one "lint: timing" line
-// per selected check on stderr, stdout untouched, exit status still
-// driven by the findings alone.
-func TestTimingFlag(t *testing.T) {
-	dir := writeTinyModule(t)
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", dir, "-timing", "-checks", "floatcmp,determinism"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("run = %d, want 0; stderr: %s", code, stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("clean run wrote to stdout: %q", stdout.String())
-	}
-	var timingLines int
-	for _, line := range strings.Split(strings.TrimRight(stderr.String(), "\n"), "\n") {
-		if line == "" {
-			continue
-		}
-		if !strings.HasPrefix(line, "lint: timing ") {
-			t.Errorf("unexpected stderr line %q", line)
-			continue
-		}
-		timingLines++
-	}
-	if timingLines != 2 {
-		t.Errorf("got %d timing lines, want 2 (one per selected check); stderr: %s", timingLines, stderr.String())
-	}
-	for _, name := range []string{"floatcmp", "determinism"} {
-		if !strings.Contains(stderr.String(), "lint: timing "+name) {
-			t.Errorf("no timing line for %s; stderr: %s", name, stderr.String())
-		}
-	}
-
-	// Without the flag the same run keeps stderr silent.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-C", dir, "-checks", "floatcmp,determinism"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run without -timing = %d, want 0", code)
-	}
-	if stderr.Len() != 0 {
-		t.Errorf("run without -timing wrote to stderr: %q", stderr.String())
-	}
-}
-
 // TestExitCodes pins the CLI contract run() inherited from main:
-// 0 clean, 2 on usage errors.
+// 0 clean, 2 on usage errors — a positional argument among them, which
+// would otherwise lint the -C module and exit 0 as if it had been read.
 func TestExitCodes(t *testing.T) {
 	dir := writeTinyModule(t)
 	var stdout, stderr bytes.Buffer
@@ -82,10 +39,16 @@ func TestExitCodes(t *testing.T) {
 	if code := run([]string{"-bogusflag"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown flag: run = %d, want 2", code)
 	}
+	stderr.Reset()
+	if code := run([]string{"-C", dir, "/no/such/dir"}, &stdout, &stderr); code != 2 {
+		t.Errorf("positional argument: run = %d, want 2", code)
+	} else if !strings.Contains(stderr.String(), `unexpected argument "/no/such/dir"`) {
+		t.Errorf("positional argument: stderr lacks the argument:\n%s", stderr.String())
+	}
 	stdout.Reset()
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Errorf("-list: run = %d, want 0", code)
-	} else if !strings.Contains(stdout.String(), "alloccheck") {
-		t.Errorf("-list output lacks alloccheck:\n%s", stdout.String())
+	} else if got := strings.Count(stdout.String(), "\n"); got != 9 {
+		t.Errorf("-list printed %d checks, want 9:\n%s", got, stdout.String())
 	}
 }

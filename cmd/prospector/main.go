@@ -159,6 +159,10 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return usageError{fmt.Errorf("unexpected argument %q", fs.Arg(0))}
+	}
 	if *serveMode && *listen == "" {
 		return usageError{fmt.Errorf("-serve requires -listen")}
 	}

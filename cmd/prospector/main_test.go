@@ -22,3 +22,11 @@ func TestLossFlagValidated(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionalArgumentRejected pins that a stray argument is a usage
+// error instead of being ignored by a run that then exits 0.
+func TestPositionalArgumentRejected(t *testing.T) {
+	if err := run([]string{"-epochs", "1", "stray"}); !errors.As(err, new(usageError)) {
+		t.Errorf("stray argument: got %v, want a usage error", err)
+	}
+}

@@ -45,6 +45,11 @@ func run() (err error) {
 		manifest = flag.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "query: unexpected argument %q (a query goes in -q or on stdin)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	sess, err := telemetry.Start("query", telemetry.Flags{Manifest: *manifest})
 	if err != nil {
 		return err

@@ -28,9 +28,9 @@ import (
 
 // Diagnostic is one finding, anchored to a source position.
 type Diagnostic struct {
-	Check    string         `json:"check"`
-	Position token.Position `json:"position"`
-	Message  string         `json:"message"`
+	Check    string
+	Position token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -93,7 +92,7 @@ func TestFixturesGolden(t *testing.T) {
 	pkgs := fixtures(t)
 	wants := collectWants(t)
 	for _, name := range []string{"determinism", "obsnilsafe", "floatcmp", "errchecklite",
-		"unitcheck", "planfreeze", "budgetflow", "confine", "lockcheck", "goleak", "alloccheck"} {
+		"unitcheck", "planfreeze", "budgetflow", "goleak"} {
 		present := false
 		for k := range wants {
 			if k.check == name {
@@ -244,24 +243,6 @@ func TestWriters(t *testing.T) {
 	}
 	if got, want := text.String(), "x.go:3:9: [floatcmp] floating-point == comparison\n"; got != want {
 		t.Errorf("WriteText = %q, want %q", got, want)
-	}
-	var js bytes.Buffer
-	if err := WriteJSON(&js, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(js.String()) != "[]" {
-		t.Errorf("WriteJSON(nil) = %q, want an empty array", js.String())
-	}
-	js.Reset()
-	if err := WriteJSON(&js, diags); err != nil {
-		t.Fatal(err)
-	}
-	var back []Diagnostic
-	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
-		t.Fatalf("WriteJSON output does not round-trip: %v", err)
-	}
-	if len(back) != 1 || back[0] != diags[0] {
-		t.Errorf("round-trip = %+v, want %+v", back, diags)
 	}
 }
 

@@ -23,13 +23,11 @@ type CallSite struct {
 	Pkg    *Package // package containing the call expression
 }
 
-// CallGraph holds the call sites and per-function indices.
+// CallGraph holds the call sites and each declared function's body.
 type CallGraph struct {
-	Sites    []CallSite // deterministic: package order, file order, position order
-	decls    map[*types.Func]*ast.FuncDecl
-	declPkg  map[*types.Func]*Package
-	bySitee  map[*types.Func][]int // callee -> indices into Sites
-	byCaller map[*types.Func][]int
+	Sites   []CallSite // deterministic: package order, file order, position order
+	decls   map[*types.Func]*ast.FuncDecl
+	declPkg map[*types.Func]*Package
 }
 
 // Decl returns the AST declaration of fn, or nil when fn is not
@@ -39,24 +37,12 @@ func (g *CallGraph) Decl(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
 // DeclPkg returns the package declaring fn, or nil when external.
 func (g *CallGraph) DeclPkg(fn *types.Func) *Package { return g.declPkg[fn] }
 
-// CallsTo returns every resolved call site whose callee is fn.
-func (g *CallGraph) CallsTo(fn *types.Func) []CallSite {
-	idx := g.bySitee[fn]
-	sites := make([]CallSite, len(idx))
-	for i, j := range idx {
-		sites[i] = g.Sites[j]
-	}
-	return sites
-}
-
 // buildCallGraph resolves every direct call in the module. pkgs must
 // be in deterministic order (LoadDir sorts by import path).
 func buildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
-		decls:    make(map[*types.Func]*ast.FuncDecl),
-		declPkg:  make(map[*types.Func]*Package),
-		bySitee:  make(map[*types.Func][]int),
-		byCaller: make(map[*types.Func][]int),
+		decls:   make(map[*types.Func]*ast.FuncDecl),
+		declPkg: make(map[*types.Func]*Package),
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -80,10 +66,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 					if callee == nil {
 						return true
 					}
-					i := len(g.Sites)
 					g.Sites = append(g.Sites, CallSite{Caller: caller, Callee: callee, Call: call, Pkg: pkg})
-					g.bySitee[callee] = append(g.bySitee[callee], i)
-					g.byCaller[caller] = append(g.byCaller[caller], i)
 					return true
 				})
 			}

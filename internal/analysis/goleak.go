@@ -261,7 +261,7 @@ func waitGroupCalls(info *types.Info, body ast.Node, method string) []wgCall {
 		if !ok || sel.Sel.Name != method {
 			return true
 		}
-		if t := info.TypeOf(sel.X); t == nil || !syncType(t, "WaitGroup") {
+		if t := info.TypeOf(sel.X); t == nil || !isWaitGroup(t) {
 			return true
 		}
 		var c wgCall
@@ -399,4 +399,56 @@ func (gs *goleakScan) doneChannelHandshake(info *types.Info, lit *ast.FuncLit, e
 		return true
 	})
 	return found
+}
+
+// rootIdent returns the root identifier of a selector/index/deref/
+// address chain (x for &x.f[i].g), or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	e = unparen(e)
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = unparen(x.X)
+		case *ast.IndexExpr:
+			e = unparen(x.X)
+		case *ast.StarExpr:
+			e = unparen(x.X)
+		case *ast.UnaryExpr:
+			if x.Op != token.AND {
+				return nil
+			}
+			e = unparen(x.X)
+		default:
+			return nil
+		}
+	}
+}
+
+// isPackageLevel reports whether obj is a package-scope variable.
+func isPackageLevel(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	if !ok {
+		return false
+	}
+	pkg := v.Pkg()
+	return pkg != nil && pkg.Scope() == v.Parent()
+}
+
+// isWaitGroup reports whether t (through pointers) is sync.WaitGroup.
+func isWaitGroup(t types.Type) bool {
+	for {
+		p, ok := t.(*types.Pointer)
+		if !ok {
+			break
+		}
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
 }

@@ -7,8 +7,8 @@ import (
 
 // Program is the whole-module state shared by every Pass of one Run.
 // The PR 2 checks are per-package AST walks and ignore it; the
-// dataflow checks (unitcheck, planfreeze, budgetflow) need structures
-// that span package boundaries — the call graph, unit summaries,
+// dataflow checks (unitcheck, planfreeze, budgetflow) and goleak need
+// structures that span package boundaries — the call graph, unit summaries,
 // frozen-struct mutator sets — which are built here once, lazily, and
 // shared. All lazy builders are sync.Once-guarded so a parallel Run
 // can request them from several workers at once.
@@ -24,15 +24,6 @@ type Program struct {
 
 	frozenOnce sync.Once
 	frozen     *frozenWorld
-
-	confineOnce sync.Once
-	confine     *confineWorld
-
-	lockOnce sync.Once
-	lock     *lockWorld
-
-	allocOnce sync.Once
-	alloc     *allocWorld
 }
 
 // NewProgram wraps the loaded packages. pkgs should be LoadDir output
@@ -66,27 +57,6 @@ func (prog *Program) unitWorld() *unitWorld {
 func (prog *Program) frozenWorld() *frozenWorld {
 	prog.frozenOnce.Do(func() { prog.frozen = buildFrozenWorld(prog) })
 	return prog.frozen
-}
-
-// confineWorld returns the goroutine-confinement state, building it on
-// first use.
-func (prog *Program) confineWorld() *confineWorld {
-	prog.confineOnce.Do(func() { prog.confine = buildConfineWorld(prog) })
-	return prog.confine
-}
-
-// lockWorld returns the lock-discipline state, building it on first
-// use.
-func (prog *Program) lockWorld() *lockWorld {
-	prog.lockOnce.Do(func() { prog.lock = buildLockWorld(prog) })
-	return prog.lock
-}
-
-// allocWorld returns the allocation-discipline state, building it on
-// first use.
-func (prog *Program) allocWorld() *allocWorld {
-	prog.allocOnce.Do(func() { prog.alloc = buildAllocWorld(prog) })
-	return prog.alloc
 }
 
 // pathHasSuffix reports whether the import path ends in suffix at a

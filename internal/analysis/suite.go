@@ -1,23 +1,19 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Suite returns the project's full analyzer suite: the per-package
 // checks (determinism, obsnilsafe, floatcmp, errchecklite), the
-// dataflow checks (unitcheck, planfreeze, budgetflow), the
-// concurrency-safety checks (confine, lockcheck, goleak), the
-// allocation-discipline check (alloccheck), plus the suppress audit
-// (which knows the other checks' names so it can flag typos in
-// directives).
+// dataflow checks (unitcheck, planfreeze, budgetflow), the goroutine
+// termination check (goleak), plus the suppress audit (which knows the
+// other checks' names so it can flag typos in directives).
 func Suite() []*Check {
 	checks := []*Check{
 		newDeterminismCheck(),
@@ -27,10 +23,7 @@ func Suite() []*Check {
 		newUnitCheck(),
 		newPlanfreezeCheck(),
 		newBudgetflowCheck(),
-		newConfineCheck(),
-		newLockcheckCheck(),
 		newGoleakCheck(),
-		newAllocCheck(),
 	}
 	names := make([]string, len(checks))
 	for i, c := range checks {
@@ -71,13 +64,6 @@ func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 	return RunWorkers(pkgs, checks, 0)
 }
 
-// CheckTiming is one check's accumulated wall time across every
-// (package, check) task, as reported by RunWorkersTimed.
-type CheckTiming struct {
-	Name    string
-	Elapsed time.Duration
-}
-
 // RunWorkers is Run with an explicit worker count (0 means NumCPU).
 // Every (package, check) pair is one task; each task collects into its
 // own slice and the slices merge in task order before the final sort,
@@ -85,17 +71,6 @@ type CheckTiming struct {
 // interprocedural state lives in one Program whose lazy builders are
 // sync.Once-guarded.
 func RunWorkers(pkgs []*Package, checks []*Check, workers int) []Diagnostic {
-	diags, _ := RunWorkersTimed(pkgs, checks, workers)
-	return diags
-}
-
-// RunWorkersTimed is RunWorkers plus per-check timing: each check's
-// entry sums the wall time of its tasks across all packages, sorted
-// slowest first (ties by name). Because the Program's interprocedural
-// state (call graph, alloc/confine worlds) is built lazily under
-// sync.Once, its construction cost lands on whichever check touches it
-// first — timings are a profile, not an isolated benchmark.
-func RunWorkersTimed(pkgs []*Package, checks []*Check, workers int) ([]Diagnostic, []CheckTiming) {
 	prog := NewProgram(pkgs)
 	type task struct {
 		pkg   *Package
@@ -120,7 +95,6 @@ func RunWorkersTimed(pkgs []*Package, checks []*Check, workers int) ([]Diagnosti
 		workers = 1
 	}
 	results := make([][]Diagnostic, len(tasks))
-	elapsed := make([]time.Duration, len(tasks))
 	ch := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -139,9 +113,7 @@ func RunWorkersTimed(pkgs []*Package, checks []*Check, workers int) ([]Diagnosti
 						}
 					},
 				}
-				start := time.Now()
 				t.check.Run(pass)
-				elapsed[i] = time.Since(start)
 			}
 		}()
 	}
@@ -167,26 +139,7 @@ func RunWorkersTimed(pkgs []*Package, checks []*Check, workers int) ([]Diagnosti
 		}
 		return a.Check < b.Check
 	})
-	// Every selected check appears in the profile, even one whose
-	// Applies filter matched no package (it shows 0s).
-	perCheck := make(map[string]time.Duration, len(checks))
-	for _, c := range checks {
-		perCheck[c.Name] = 0
-	}
-	for i, t := range tasks {
-		perCheck[t.check.Name] += elapsed[i]
-	}
-	timings := make([]CheckTiming, 0, len(perCheck))
-	for name, d := range perCheck {
-		timings = append(timings, CheckTiming{Name: name, Elapsed: d})
-	}
-	sort.Slice(timings, func(i, j int) bool {
-		if timings[i].Elapsed != timings[j].Elapsed {
-			return timings[i].Elapsed > timings[j].Elapsed
-		}
-		return timings[i].Name < timings[j].Name
-	})
-	return diags, timings
+	return diags
 }
 
 // WriteText prints one "file:line:col: [check] message" line per
@@ -198,14 +151,4 @@ func WriteText(w io.Writer, diags []Diagnostic) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON emits the diagnostics as one indented JSON array.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(diags)
 }

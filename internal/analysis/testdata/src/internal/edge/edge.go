@@ -1,7 +1,6 @@
-// Package edge collects the call-graph and CFG shapes the concurrency
-// checks lean on, all of them clean: method values, defer with a
-// closure over a named result, go on a method expression, and
-// channel-direction conversions.
+// Package edge collects the call-graph and CFG shapes the checks lean
+// on, all of them clean: method values, defer with a closure over a
+// named result, and go on a method expression.
 package edge
 
 // Runner owns a done channel and blocks until it closes.
@@ -39,11 +38,4 @@ func Deferred(xs []int) (sum int) {
 		sum += x
 	}
 	return sum
-}
-
-// Directions narrows a bidirectional channel both ways.
-func Directions(ch chan int) (chan<- int, <-chan int) {
-	var in chan<- int = ch
-	var out <-chan int = ch
-	return in, out
 }

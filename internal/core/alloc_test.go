@@ -6,13 +6,11 @@ import (
 	"prospector/internal/network"
 )
 
-// TestParametricSolveAllocFree pins the runtime half of paramLP.solve's
-// //alloc:none claim: once the program is built and the basis chain is
+// TestParametricSolveAllocFree pins the zero-allocation contract of
+// paramLP.solve: once the program is built and the basis chain is
 // established, serving a budget from the warm chain performs zero heap
-// allocations. The static checker verifies the same path transitively
-// through lp's annotated warm chain; the blessed call edge's cold
-// cases (first solve, broken-chain recovery) never fire here because
-// the chain stays intact.
+// allocations. The cold cases (first solve, broken-chain recovery)
+// never fire here because the chain stays intact.
 func TestParametricSolveAllocFree(t *testing.T) {
 	s := makeScenario(t, 5, 30, 6, 8)
 	pl, err := NewLPNoFilter(s.cfg)
@@ -55,8 +53,8 @@ func coverageDeltaScenario(tb testing.TB) (Config, []int, *poolTable) {
 	return s.cfg, p.Bandwidth, tab
 }
 
-// TestCoverageDeltaAllocFree pins the runtime half of poolTable.moved's
-// //alloc:none claim: scoring every ±1 step of a filled table
+// TestCoverageDeltaAllocFree pins the zero-allocation contract of
+// poolTable.moved: scoring every ±1 step of a filled table
 // allocates nothing.
 func TestCoverageDeltaAllocFree(t *testing.T) {
 	cfg, bw, tab := coverageDeltaScenario(t)

@@ -188,8 +188,6 @@ func (t *poolTable) fill(cfg Config, bandwidth []int) {
 // whole pool and has room to spare, pool[a] < bandwidth[a]. Lowering
 // is the mirror: pool[v] >= bandwidth[v] at v, and pool[a] <=
 // bandwidth[a] on the path, so the lost value was not replaced above.
-//
-//alloc:none
 func (t *poolTable) moved(net *network.Network, bandwidth []int, v network.NodeID, raise bool) int {
 	s := 0
 	if raise {

@@ -55,8 +55,6 @@ func (f *frontier) clear() {
 
 // lookup interpolates the support at right-hand side r into f.x when
 // a known piece holds r.
-//
-//alloc:none
 func (f *frontier) lookup(r float64) ([]float64, bool) {
 	// The last piece with lo <= r.
 	i, j := 0, len(f.pieces)

@@ -146,8 +146,8 @@ func frontierScenario(tb testing.TB) *paramLP {
 	return c
 }
 
-// TestFrontierLookupAllocFree pins the runtime half of
-// frontier.lookup's //alloc:none claim.
+// TestFrontierLookupAllocFree pins that frontier.lookup allocates
+// nothing.
 func TestFrontierLookupAllocFree(t *testing.T) {
 	c := frontierScenario(t)
 	allocs := testing.AllocsPerRun(50, func() {

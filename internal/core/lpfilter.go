@@ -34,8 +34,6 @@ import (
 // slide drops or appends (see lpfilterProgram.slide).
 // LPFilter caches its LP across Plan calls (see paramLP) and is
 // therefore not safe for concurrent use; build one per goroutine.
-//
-//confine:goroutine
 type LPFilter struct{ paramLP }
 
 // lpfilterProgram is what LP+LF rounding and a slide need of its

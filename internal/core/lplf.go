@@ -30,8 +30,6 @@ import (
 // solutions coincide.
 // LPNoFilter caches its LP across Plan calls (see paramLP) and is
 // therefore not safe for concurrent use; build one per goroutine.
-//
-//confine:goroutine
 type LPNoFilter struct{ paramLP }
 
 // lplfProgram is what LP-LF rounding and a slide need of its model.

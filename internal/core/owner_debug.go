@@ -7,7 +7,7 @@ import (
 	"runtime"
 )
 
-// owner is the dynamic twin of the static confine contract: under the
+// owner enforces the planners' single-goroutine contract: under the
 // prospector_debug build tag a planner records the goroutine that
 // first touches its LP cache and panics on any call from another one.
 // Release builds compile this to nothing (owner_release.go).
@@ -52,7 +52,7 @@ func (o *owner) assert(what string) {
 	}
 	if o.gid != g {
 		panic(fmt.Sprintf(
-			"core: %s used from goroutine %d but owned by goroutine %d; planners are //confine:goroutine — build one per goroutine or hand it off explicitly",
+			"core: %s used from goroutine %d but owned by goroutine %d; planners are single-goroutine — build one per goroutine or hand it off explicitly",
 			what, g, o.gid))
 	}
 }

@@ -30,7 +30,7 @@ func TestOwnerCrossGoroutinePanics(t *testing.T) {
 		t.Fatal("cross-goroutine assert did not panic")
 	}
 	msg, ok := v.(string)
-	if !ok || !strings.Contains(msg, "confine:goroutine") {
-		t.Fatalf("panic = %v, want a message pointing at the confine contract", v)
+	if !ok || !strings.Contains(msg, "single-goroutine") {
+		t.Fatalf("panic = %v, want a message pointing at the single-goroutine contract", v)
 	}
 }

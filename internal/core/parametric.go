@@ -79,8 +79,6 @@ type program interface {
 // any change, rebuild. A paramLP (and therefore any planner holding
 // one) is not safe for concurrent use; experiment trials each build
 // their own planners.
-//
-//confine:goroutine
 type paramLP struct {
 	cfg  Config
 	name string
@@ -104,8 +102,8 @@ type paramLP struct {
 	// solve; a solve that follows one ranges nothing.
 	edited bool
 	front  frontier
-	// own enforces the //confine:goroutine contract dynamically under
-	// the prospector_debug build tag; zero-cost otherwise.
+	// own enforces the single-goroutine contract dynamically under the
+	// prospector_debug build tag; zero-cost otherwise.
 	own owner
 }
 
@@ -295,12 +293,11 @@ func (c *paramLP) install(model *lp.Model, budgetRow int, fixed float64) {
 // figure sweeps' inner loop and stays off the heap; the blessed call
 // edges below mark where the cold and error paths are allowed to
 // allocate (TestParametricSolveAllocFree pins the runtime truth).
-//
-//alloc:none
 func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 	c.own.assert("parametric planner")
 	if c.budgetRow >= 0 {
-		//alloc:amortized SetRHS writes one float in place; it allocates only to construct an invalid-row error
+		// SetRHS writes one float in place; it allocates only to construct an
+		// invalid-row error.
 		if err := c.model.SetRHS(c.budgetRow, budget-c.fixed); err != nil {
 			return nil, err
 		}
@@ -309,7 +306,9 @@ func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
 	opts.Workspace = c.ws
 	opts.KeepBasis = true
 	opts.Warm = c.basis
-	//alloc:amortized first solve and broken-chain recovery run cold; warm re-solves reuse the workspace (lp's annotated warm chain, BenchmarkWarmResolveSteadyState)
+	// The first solve and broken-chain recovery run cold; warm re-solves
+	// reuse the workspace (lp's warm chain,
+	// BenchmarkWarmResolveSteadyState).
 	sol, err := c.model.Solve(opts)
 	if err != nil {
 		return nil, err

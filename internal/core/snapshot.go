@@ -70,8 +70,8 @@ func newServable(kind string, cfg Config) (servable, error) {
 // Snapshot is a frozen, shareable parametric-planning state: the
 // sample window deep-copied at a fixed generation, plus one prototype
 // planner whose parametric LP is built once from it. It is the
-// concurrency bridge between the single-goroutine planners
-// (//confine:goroutine, warm basis chains keyed on sample generation)
+// concurrency bridge between the single-goroutine planners (warm
+// basis chains keyed on sample generation)
 // and a serving tier: the snapshot itself is immutable and safe for
 // concurrent use, and NewPlanner stamps out independent planners —
 // each with its own model clone, lp.Workspace, and warm chain — that
@@ -132,6 +132,6 @@ func (s *Snapshot) K() int { return s.k }
 // the prototype's prebuilt program is cloned, so the first Plan call
 // skips the program build and goes straight to a chain-opening cold
 // solve. Safe to call concurrently; the returned planner is
-// //confine:goroutine like any other and must be owned by exactly one
+// single-goroutine like any other and must be owned by exactly one
 // goroutine.
 func (s *Snapshot) NewPlanner() (Planner, error) { return s.proto.clone(), nil }

@@ -173,8 +173,8 @@ func TestSnapshotPlannersAreIndependent(t *testing.T) {
 		}
 		wg.Add(1)
 		// Each planner is handed to exactly one goroutine, honoring the
-		// //confine:goroutine contract.
-		//confine:transfer each stamped planner is owned by the spawned worker alone; the spawning goroutine never touches it again
+		// single-goroutine contract: the spawning goroutine never touches
+		// it again.
 		go func(w int, pl Planner) {
 			defer wg.Done()
 			// Workers sweep in different rotations so chains diverge.

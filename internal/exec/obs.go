@@ -182,7 +182,8 @@ func (e *execObs) msg(v network.NodeID, nValues, contentBytes int, cost float64)
 	if e.trace != nil {
 		// "dst" (not "parent"): parented events already use the parent
 		// key for the enclosing span's ID.
-		//alloc:amortized the scratch grows to the widest record once, then is reused per event
+		// The scratch grows to the widest record once, then is reused per
+		// event.
 		e.fields = append(e.fields[:0],
 			obs.FInt("node", int64(v)),
 			obs.FInt("dst", int64(e.net.Parent(v))),
@@ -213,7 +214,8 @@ func (e *execObs) trigger(p *plan.Plan) {
 					e.nodeEnergy[v].Add(c)
 				}
 				if e.trace != nil {
-					//alloc:amortized the scratch grows to the widest record once, then is reused per event
+					// The scratch grows to the widest record once, then is
+					// reused per event.
 					e.fields = append(e.fields[:0],
 						obs.FInt("node", int64(v)),
 						obs.FFloat("energy_mj", c))
@@ -229,8 +231,6 @@ func (e *execObs) trigger(p *plan.Plan) {
 // request records one request message (mop-up or naive pull) down the
 // edge above v. Like msg it runs once per message and must stay off
 // the heap.
-//
-//alloc:none
 func (e *execObs) request(v network.NodeID, cost float64) {
 	if e == nil {
 		return
@@ -239,7 +239,8 @@ func (e *execObs) request(v network.NodeID, cost float64) {
 	e.requests.Inc()
 	e.requestEnergy.Add(cost)
 	if e.trace != nil {
-		//alloc:amortized the scratch grows to the widest record once, then is reused per event
+		// The scratch grows to the widest record once, then is reused per
+		// event.
 		e.fields = append(e.fields[:0],
 			obs.FInt("node", int64(v)),
 			obs.FFloat("energy_mj", cost))

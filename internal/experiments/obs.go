@@ -19,9 +19,9 @@ import (
 // concurrency-safe) across goroutines.
 var (
 	obsMu     sync.RWMutex
-	obsReg    *obs.Registry //guarded-by:obsMu
-	obsTracer *obs.Tracer   //guarded-by:obsMu
-	obsSpan   *obs.Span     //guarded-by:obsMu
+	obsReg    *obs.Registry // guarded by obsMu
+	obsTracer *obs.Tracer   // guarded by obsMu
+	obsSpan   *obs.Span     // guarded by obsMu
 )
 
 // SetObs attaches a metrics registry and/or tracer to every scenario
@@ -37,7 +37,8 @@ func SetObs(r *obs.Registry, tr *obs.Tracer) {
 // groups the work by experiment. Nil detaches.
 func SetSpan(s *obs.Span) {
 	obsMu.Lock()
-	//confine:transfer cmd/experiments publishes the figure span before any trial goroutine starts; the obsMu release orders the write
+	// cmd/experiments publishes the figure span before any trial
+	// goroutine starts; the obsMu release orders the write.
 	obsSpan = s
 	obsMu.Unlock()
 }

@@ -77,7 +77,8 @@ func (s *solver) adoptEdited(m *Model, b *Basis, ws *Workspace) bool {
 			}
 		}
 		if i == m0 || b.rowIDs[i] != id {
-			sc.newRows = append(sc.newRows, r) //alloc:amortized grows to the most rows one edit adds, then is reused
+			// Grows to the most rows one edit adds, then is reused.
+			sc.newRows = append(sc.newRows, r)
 			continue
 		}
 		mp[art0+i] = int32(s.artStart + r)
@@ -199,7 +200,7 @@ func (s *solver) park(sc *carryScratch, j int) {
 		return
 	}
 	s.stat[j] = atLower // nonbasic at its interior value until crossover
-	//alloc:amortized grows to the most columns one edit parks, then is reused
+	// Grows to the most columns one edit parks, then is reused.
 	sc.cross = append(sc.cross, j)
 }
 
@@ -256,7 +257,8 @@ func (s *solver) replaceDependent(ws *Workspace, pos, rows []int32, unit []int) 
 	for k, p := range pos {
 		if j := s.basis[p]; j >= 0 {
 			if s.interior(j) {
-				//alloc:amortized grows to the most columns one carry replaces, then is reused
+				// Grows to the most columns one carry replaces, then is
+				// reused.
 				sc.back = append(sc.back, j)
 				s.stat[j] = atLower // nonbasic until it is brought back
 			} else {

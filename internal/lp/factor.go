@@ -91,7 +91,8 @@ type luScratch struct {
 func (f *factor) clearEtas() {
 	f.etaRow = f.etaRow[:0]
 	f.etaPiv = f.etaPiv[:0]
-	//alloc:amortized first clear allocates the one-element offset slice; later clears reuse it
+	// The first clear allocates the one-element offset slice; later
+	// clears reuse it.
 	f.etaOff = append(f.etaOff[:0], 0)
 	f.etaIdx = f.etaIdx[:0]
 	f.etaVal = f.etaVal[:0]
@@ -108,20 +109,17 @@ func (f *factor) luNnz() int { return f.m + len(f.lu.uVal) + len(f.lu.lVal) }
 // appendEta records the pivot (w, leaveRow): the next B^-1 is E·B^-1
 // with E built from spike w. Only the spike's nonzeros are stored.
 func (f *factor) appendEta(w []float64, leaveRow int) {
-	//alloc:amortized eta arenas grow to the between-refactorization high-water mark, then are truncated in place
+	// Eta arenas grow to the between-refactorization high-water mark, then are
+	// truncated in place.
 	f.etaRow = append(f.etaRow, int32(leaveRow))
-	//alloc:amortized eta arenas grow to the between-refactorization high-water mark, then are truncated in place
 	f.etaPiv = append(f.etaPiv, w[leaveRow])
 	for i, wi := range w {
 		if i == leaveRow || isZero(wi) {
 			continue
 		}
-		//alloc:amortized eta arenas grow to the between-refactorization high-water mark, then are truncated in place
 		f.etaIdx = append(f.etaIdx, int32(i))
-		//alloc:amortized eta arenas grow to the between-refactorization high-water mark, then are truncated in place
 		f.etaVal = append(f.etaVal, wi)
 	}
-	//alloc:amortized eta arenas grow to the between-refactorization high-water mark, then are truncated in place
 	f.etaOff = append(f.etaOff, int32(len(f.etaVal)))
 	f.pivotsSince++
 }
@@ -199,8 +197,6 @@ func (lu *luFactors) solveT(y, work []float64) {
 
 // ftranCol computes out = B^-1 A_j for column col of the sparse
 // column store.
-//
-//alloc:none
 func (f *factor) ftranCol(col []centry, out []float64) {
 	c := f.work[:f.m]
 	for i := range c {
@@ -214,8 +210,6 @@ func (f *factor) ftranCol(col []centry, out []float64) {
 }
 
 // ftranDense computes v = B^-1 v in place for a dense v.
-//
-//alloc:none
 func (f *factor) ftranDense(v []float64) {
 	c := f.work[:f.m]
 	copy(c, v)
@@ -225,8 +219,6 @@ func (f *factor) ftranDense(v []float64) {
 
 // btran computes y = yᵀ B^-1 in place: the eta file runs in reverse
 // (each eta adjusts only y[r]), then B0's factors apply transposed.
-//
-//alloc:none
 func (f *factor) btran(y []float64) {
 	for e := len(f.etaRow) - 1; e >= 0; e-- {
 		r := f.etaRow[e]
@@ -243,8 +235,6 @@ func (f *factor) btran(y []float64) {
 // holds column basis[p] of cs, wiping the eta file and accumulated
 // floating-point drift. Returns false (leaving the factor untouched)
 // when the basis matrix is numerically singular.
-//
-//alloc:none
 func (f *factor) refactorize(basis []int, cs *colStore) bool {
 	_, _, ok := f.factorize(basis, cs, nil)
 	return ok
@@ -267,8 +257,6 @@ func (f *factor) refactorize(basis []int, cs *colStore) bool {
 // replacements made, so the caller must make them too. Both slices
 // alias scratch valid until the next factorization. ok is false only
 // in strict mode.
-//
-//alloc:none
 func (f *factor) factorize(basis []int, cs *colStore, unit []int) (pos, rows []int32, ok bool) {
 	f.peels++
 	k, ok := f.peel(basis, cs, unit == nil)
@@ -339,7 +327,9 @@ func (f *factor) peel(basis []int, cs *colStore, strict bool) (k int, ok bool) {
 	stack := sc.stack[:0]
 	for p := 0; p < m; p++ {
 		if sc.colCnt[p] == 1 {
-			stack = append(stack, int32(p)) //alloc:amortized pushes fill the length-m stack carved above; each column is pushed at most once
+			// Pushes fill the length-m stack carved above; each column is
+			// pushed at most once.
+			stack = append(stack, int32(p))
 		}
 	}
 	for len(stack) > 0 {
@@ -371,7 +361,7 @@ func (f *factor) peel(basis []int, cs *colStore, strict bool) (k int, ok bool) {
 			lu.pushU(c, sc.rowVal[q])
 			sc.colCnt[c]--
 			if sc.colCnt[c] == 1 {
-				stack = append(stack, c) //alloc:amortized pushes fill the length-m stack carved above; each column is pushed at most once
+				stack = append(stack, c)
 			}
 		}
 		lu.endU()
@@ -383,7 +373,9 @@ func (f *factor) peel(basis []int, cs *colStore, strict bool) (k int, ok bool) {
 	// entries become L multipliers.
 	for i := 0; i < m; i++ {
 		if sc.rowPos[i] < 0 && sc.rowCnt[i] == 1 {
-			stack = append(stack, int32(i)) //alloc:amortized pushes fill the length-m stack carved above; each row is pushed at most once
+			// Pushes fill the length-m stack carved above; each row is pushed
+			// at most once.
+			stack = append(stack, int32(i))
 		}
 	}
 	for len(stack) > 0 {
@@ -416,7 +408,7 @@ func (f *factor) peel(basis []int, cs *colStore, strict bool) (k int, ok bool) {
 			lu.pushL(e.row, e.coef/v)
 			sc.rowCnt[e.row]--
 			if sc.rowCnt[e.row] == 1 {
-				stack = append(stack, int32(e.row)) //alloc:amortized pushes fill the length-m stack carved above; each row is pushed at most once
+				stack = append(stack, int32(e.row))
 			}
 		}
 		lu.endL()
@@ -466,7 +458,9 @@ func (f *factor) factorBump(basis []int, cs *colStore, unit []int, k int) (pos, 
 			if unit == nil {
 				return nil, nil, false
 			}
-			pos = append(pos, int32(p)) //alloc:amortized the length-m stack carved by peel holds at most one entry per bump column
+			// The length-m stack carved by peel holds at most one entry per
+			// bump column.
+			pos = append(pos, int32(p))
 		default:
 			sc.bumpCol[nc] = int32(p)
 			nc++
@@ -512,7 +506,7 @@ func (f *factor) factorBump(basis []int, cs *colStore, unit []int, k int) (pos, 
 			if unit == nil {
 				return nil, nil, false
 			}
-			pos = append(pos, sc.bumpCol[c]) //alloc:amortized the length-m stack carved by peel holds at most one entry per bump column
+			pos = append(pos, sc.bumpCol[c])
 			continue
 		}
 		if piv != rank {
@@ -635,38 +629,37 @@ func (lu *luFactors) reset(m int) {
 }
 
 func (lu *luFactors) pushPivot(row, col int32, v float64) {
-	//alloc:amortized pivot arrays are carved to length m by reset
+	// Pivot arrays are carved to length m by reset.
 	lu.pivRow = append(lu.pivRow, row)
-	//alloc:amortized pivot arrays are carved to length m by reset
 	lu.pivCol = append(lu.pivCol, col)
-	//alloc:amortized pivot arrays are carved to length m by reset
 	lu.pivVal = append(lu.pivVal, v)
 }
 
 func (lu *luFactors) pushU(col int32, v float64) {
-	//alloc:amortized factor arenas grow to the largest factorization's fill, then are truncated in place
+	// Factor arenas grow to the largest factorization's fill, then are
+	// truncated in place.
 	lu.uIdx = append(lu.uIdx, col)
-	//alloc:amortized factor arenas grow to the largest factorization's fill, then are truncated in place
 	lu.uVal = append(lu.uVal, v)
 }
 
 // endU closes the current pivot's row of U.
 func (lu *luFactors) endU() {
-	//alloc:amortized row offsets are carved to length m+1 by reset
+	// Row offsets are carved to length m+1 by reset.
 	lu.uOff = append(lu.uOff, int32(len(lu.uIdx)))
 }
 
 // beginL opens an L column for the pivot on constraint row row;
 // endL drops it again if no multiplier was pushed.
 func (lu *luFactors) beginL(row int32) {
-	//alloc:amortized factor arenas grow to the largest factorization's fill, then are truncated in place
+	// Factor arenas grow to the largest factorization's fill, then are
+	// truncated in place.
 	lu.lRow = append(lu.lRow, row)
 }
 
 func (lu *luFactors) pushL(row int, l float64) {
-	//alloc:amortized factor arenas grow to the largest factorization's fill, then are truncated in place
+	// Factor arenas grow to the largest factorization's fill, then are
+	// truncated in place.
 	lu.lIdx = append(lu.lIdx, int32(row))
-	//alloc:amortized factor arenas grow to the largest factorization's fill, then are truncated in place
 	lu.lVal = append(lu.lVal, l)
 }
 
@@ -676,7 +669,8 @@ func (lu *luFactors) endL() {
 		lu.lRow = lu.lRow[:len(lu.lRow)-1]
 		return
 	}
-	//alloc:amortized factor arenas grow to the largest factorization's fill, then are truncated in place
+	// Factor arenas grow to the largest factorization's fill, then are
+	// truncated in place.
 	lu.lOff = append(lu.lOff, n)
 }
 
@@ -687,7 +681,7 @@ func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	//alloc:amortized buffers grow to the high-water mark and are retained by their owner
+	// Buffers grow to the high-water mark and are retained by their owner.
 	return make([]T, n, headroom(cap(buf), n))
 }
 

@@ -28,8 +28,6 @@ const rangeSlack = 1e-12
 // may pass its bound by rangeSlack, and one that ended the solve
 // already past a bound (within the solver's tolerance) is measured
 // from where it stands, so lo <= rhs <= hi always holds.
-//
-//alloc:none
 func (ws *Workspace) RangeRHS(m *Model, row int, vars []VarID, x0, dx []float64) (lo, hi float64, ok bool) {
 	s := &ws.s
 	if !ws.lastOptimal || ws.lastModel != m || ws.lastVersion != m.structVersion ||

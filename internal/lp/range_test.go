@@ -214,8 +214,8 @@ func TestRangeRHSRefusesStale(t *testing.T) {
 	}
 }
 
-// TestRangeRHSAllocFree pins the runtime half of RangeRHS's
-// //alloc:none claim once its scratch is sized.
+// TestRangeRHSAllocFree pins that RangeRHS allocates nothing once its
+// scratch is sized.
 func TestRangeRHSAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomFeasibleModel(rng, 20, 12)

@@ -267,8 +267,6 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 // run executes phase 1 then phase 2 and returns the final status.
 // Phase 1 runs under its own costs in s.c, and m's are loaded back
 // after it.
-//
-//alloc:none
 func (s *solver) run(m *Model) Status {
 	// Initial nonbasic point: every structural/slack column at its
 	// finite bound nearest zero; free columns at zero.

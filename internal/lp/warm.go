@@ -21,7 +21,8 @@ import "math"
 // was. A basis captured from another Model degrades to a cold solve;
 // it never corrupts a result.
 //
-//confine:goroutine
+// A Basis belongs to one goroutine: the next solve through the
+// Workspace that captured it overwrites it.
 type Basis struct {
 	model         *Model
 	structVersion uint64
@@ -80,8 +81,6 @@ func (k solveKind) String() string {
 // cold run is the arbiter for every non-optimal outcome, so a warm
 // chain can never misreport feasibility and callers never see a
 // warm-only failure.
-//
-//alloc:none
 func (s *solver) warmRun(m *Model, b *Basis, ws *Workspace) (Status, solveKind) {
 	var adopted bool
 	switch {

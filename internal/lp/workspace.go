@@ -18,8 +18,6 @@ import "math"
 // same model — even after in-place RHS/objective/bound mutations —
 // skips canonicalization entirely, while any structural edit or a
 // different model triggers a rebuild.
-//
-//confine:goroutine
 type Workspace struct {
 	s solver
 	f factor
@@ -63,8 +61,6 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // prepare sizes the solver shell for m and refreshes the per-solve
 // inputs (costs, bounds, right-hand sides) from the model, reusing the
 // cached column store when the structure is unchanged.
-//
-//alloc:none
 func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	rows := len(m.rows)
 	opts = opts.withDefaults(rows)
@@ -222,8 +218,6 @@ func (ws *Workspace) buildCols(m *Model, rows int) {
 // takeSolution assembles the solve result into the workspace-owned
 // Solution. X and Duals are filled for Optimal and IterationLimit
 // outcomes and zeroed otherwise.
-//
-//alloc:none
 func (ws *Workspace) takeSolution(m *Model, s *solver, st Status) *Solution {
 	ws.x = grow(ws.x, s.nStruct)
 	ws.duals = grow(ws.duals, s.m)
@@ -270,8 +264,6 @@ func (ws *Workspace) takeSolution(m *Model, s *solver, st Status) *Solution {
 // captureBasis snapshots the final basis into the workspace-owned
 // Basis for a later warm re-solve. It runs after takeSolution, whose
 // X it copies.
-//
-//alloc:none
 func (ws *Workspace) captureBasis(m *Model, s *solver) *Basis {
 	b := &ws.basisOut
 	b.model = m
@@ -302,8 +294,6 @@ func (ws *Workspace) captureBasis(m *Model, s *solver) *Basis {
 // noteSolved records which solve the factor's state corresponds to, so
 // the next warm solve through this workspace can reuse it, and whether
 // it ended Optimal.
-//
-//alloc:none
 func (ws *Workspace) noteSolved(m *Model, st Status) {
 	ws.lastSeq = ws.seq
 	ws.lastModel = m

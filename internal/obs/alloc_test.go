@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestFastPathsAllocFree pins the runtime half of the //alloc:none
-// claims in this package: counter/gauge/histogram updates and trace
+// TestFastPathsAllocFree pins the zero-allocation contract of this
+// package's fast paths: counter/gauge/histogram updates and trace
 // emission through a warmed tracer perform zero heap allocations. The
-// field slices are built once and spread, matching how the annotated
-// production emitters pass their scratch.
+// field slices are built once and spread, matching how the production
+// emitters pass their scratch.
 func TestFastPathsAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x")

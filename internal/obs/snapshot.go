@@ -106,8 +106,6 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 // instead of cumulative counts). counts has len(bounds)+1 entries, the
 // last being the overflow bucket; count and sum are the matching
 // totals.
-//
-//alloc:none
 func BucketQuantile(bounds []float64, counts []int64, count int64, sum float64, q float64) float64 {
 	if count == 0 || len(counts) != len(bounds)+1 {
 		return 0

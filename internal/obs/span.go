@@ -28,8 +28,6 @@ type SpanID int64
 // Span is an in-progress traced interval. Create one with
 // Tracer.StartSpan or Span.Child; finish it with End. A Span handle is
 // a single-goroutine object (the tracer behind it is what's shared).
-//
-//confine:goroutine
 type Span struct {
 	t      *Tracer
 	id     SpanID
@@ -80,8 +78,6 @@ func (s *Span) Name() string {
 // End closes the span at time end, attaching the final fields (summary
 // totals such as energy_mj or messages belong here). Multiple Ends
 // emit once; a nil span ignores the call.
-//
-//alloc:none
 func (s *Span) End(end float64, fields ...Field) {
 	if s == nil {
 		return
@@ -97,8 +93,6 @@ func (s *Span) End(end float64, fields ...Field) {
 
 // Event emits an instantaneous record parented to this span. A nil
 // span ignores the call (matching Tracer.Event on a nil tracer).
-//
-//alloc:none
 func (s *Span) Event(name string, at float64, fields ...Field) {
 	if s == nil {
 		return
@@ -122,8 +116,6 @@ func (s *Span) Child(name string, start float64, fields ...Field) *Span {
 // [start, end]; its ID is the record's seq. Used for fine-grained
 // leaves (one message transfer) where begin/end pairs would double the
 // trace volume. A nil span ignores the call.
-//
-//alloc:none
 func (s *Span) Span(name string, start, end float64, fields ...Field) {
 	if s == nil {
 		return

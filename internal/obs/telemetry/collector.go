@@ -16,7 +16,7 @@ import (
 // Sampling is split in two so the hot half stays allocation-free:
 // Sync discovers series the registry has grown since the last call
 // (allocating probes and rings for them — cold, amortized over the
-// run), and Tick samples every known probe (//alloc:none). Sample
+// run), and Tick samples every known probe without allocating. Sample
 // composes both and is the normal entry point; in steady state, when
 // no new series appeared, it performs zero allocations end to end.
 type Collector struct {
@@ -166,8 +166,6 @@ func (c *Collector) Sync() {
 // interval ticker passes wall seconds. dt <= 0 (first tick, clock
 // reset, or interleaved clock domains) yields a rate of 0 rather than
 // a division blow-up.
-//
-//alloc:none
 func (c *Collector) Tick(now float64) {
 	if c == nil {
 		return
@@ -197,8 +195,6 @@ func (c *Collector) Sample(now float64) {
 }
 
 // sample pushes one tick's worth of derived values for this probe.
-//
-//alloc:none
 func (p *probe) sample(dt float64) {
 	switch p.kind {
 	case counterProbe:

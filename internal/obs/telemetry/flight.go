@@ -14,7 +14,7 @@ import (
 // any buffering; see Tracer.Tee).
 //
 // Append copies the record into a reused per-slot buffer, so steady-
-// state recording allocates nothing (//alloc:none); each slot grows
+// state recording allocates nothing; each slot grows
 // once to the record-size high-water mark.
 type Flight struct {
 	mu      sync.Mutex
@@ -36,8 +36,6 @@ func NewFlight(capacity int) *Flight {
 // Append records one trace record (a full JSON line), evicting the
 // oldest when the ring is full. The bytes are copied; the caller may
 // reuse rec. No-op on a nil recorder.
-//
-//alloc:none
 func (f *Flight) Append(rec []byte) {
 	if f == nil {
 		return
@@ -54,13 +52,11 @@ func (f *Flight) Append(rec []byte) {
 		f.dropped++
 	}
 	f.total++
-	//alloc:amortized each slot grows once to the record-size high-water mark, then is reused
+	// Each slot grows once to the record-size high-water mark, then is reused.
 	f.slots[i] = append(f.slots[i][:0], rec...)
 }
 
 // Write implements io.Writer over Append, for Tracer.Tee.
-//
-//alloc:none
 func (f *Flight) Write(p []byte) (int, error) {
 	f.Append(p)
 	return len(p), nil

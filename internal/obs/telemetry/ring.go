@@ -31,7 +31,7 @@
 //     by every CLI.
 //
 // The sampling tick (Collector.Tick) and the flight-recorder append
-// (Flight.Append) honor the //alloc:none discipline, so the layer is
+// (Flight.Append) allocate nothing in steady state, so the layer is
 // safe to leave on in the hot path.
 package telemetry
 
@@ -53,8 +53,6 @@ func newRing(capacity int) *Ring {
 }
 
 // Push appends v, evicting the oldest value when full.
-//
-//alloc:none
 func (r *Ring) Push(v float64) {
 	if r.n < len(r.buf) {
 		r.buf[(r.head+r.n)%len(r.buf)] = v
@@ -72,8 +70,6 @@ func (r *Ring) Len() int { return r.n }
 func (r *Ring) Cap() int { return len(r.buf) }
 
 // Last returns the newest value and whether one exists.
-//
-//alloc:none
 func (r *Ring) Last() (float64, bool) {
 	if r.n == 0 {
 		return 0, false

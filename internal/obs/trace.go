@@ -20,11 +20,11 @@ import (
 // mutex, so seq numbers are strictly increasing across goroutines.
 type Tracer struct {
 	mu  sync.Mutex
-	w   io.Writer     //guarded-by:mu
-	bw  *bufio.Writer //guarded-by:mu — non-nil iff NewBufferedTracer; w aliases it
-	seq int64         //guarded-by:mu
-	err error         //guarded-by:mu
-	buf []byte        //guarded-by:mu
+	w   io.Writer     // guarded by mu
+	bw  *bufio.Writer // guarded by mu; non-nil iff NewBufferedTracer; w aliases it
+	seq int64         // guarded by mu
+	err error         // guarded by mu
+	buf []byte        // guarded by mu
 }
 
 // NewTracer wraps a writer. The caller owns closing/flushing the
@@ -86,7 +86,7 @@ const (
 // Field is one key/value pair of a trace record. The value is a tagged
 // union converted to its wire shape at construction time, so building
 // and emitting fields never boxes through interface{} and the trace
-// hot path stays allocation-free (enforced by alloccheck).
+// hot path stays allocation-free (pinned by TestFastPathsAllocFree).
 type Field struct {
 	Key  string
 	kind fieldKind
@@ -136,8 +136,6 @@ func F(key string, val interface{}) Field {
 }
 
 // Event emits one instantaneous record at time at.
-//
-//alloc:none
 func (t *Tracer) Event(name string, at float64, fields ...Field) {
 	if t == nil {
 		return
@@ -146,8 +144,6 @@ func (t *Tracer) Event(name string, at float64, fields ...Field) {
 }
 
 // Span emits one interval record covering [start, end].
-//
-//alloc:none
 func (t *Tracer) Span(name string, start, end float64, fields ...Field) {
 	if t == nil {
 		return
@@ -168,8 +164,6 @@ func (t *Tracer) Err() error {
 // emit serializes one record. kindVal carries the value of the kind
 // key (its Key is ignored): a name for ev/span/begin records, a span
 // ID for end records.
-//
-//alloc:none
 func (t *Tracer) emit(kind string, kindVal Field, head, fields []Field) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -178,15 +172,14 @@ func (t *Tracer) emit(kind string, kindVal Field, head, fields []Field) {
 
 // emitLocked is emit with t.mu already held (StartSpan needs the next
 // seq and the record write to be one atomic step).
-//
-//alloc:none
 func (t *Tracer) emitLocked(kind string, kindVal Field, head, fields []Field) {
 	if t.err != nil {
 		return
 	}
 	t.seq++
 	t.buf = appendRecord(t.buf[:0], t.seq, kind, kindVal, head, fields)
-	//alloc:amortized sink write: the sink is caller-chosen; NewBufferedTracer amortizes it to a memcpy
+	// Sink write: the sink is caller-chosen; NewBufferedTracer amortizes it to
+	// a memcpy.
 	if _, err := t.w.Write(t.buf); err != nil {
 		t.err = err
 	}

@@ -73,8 +73,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 // shed records one shed on its cause counter and the total. Runs on
 // the admission and dispatch hot paths; counter bumps are atomic adds.
-//
-//alloc:none
 func (m *metrics) shed(cause *obs.Counter) {
 	cause.Inc()
 	m.shedTotal.Inc()

@@ -1,7 +1,6 @@
 // Package serve is the concurrent plan-serving tier: a long-running
 // service that turns the single-goroutine parametric planners
-// (internal/core, //confine:goroutine) into a pool that serves many
-// concurrent clients.
+// (internal/core) into a pool that serves many concurrent clients.
 //
 // Requests are keyed by (network, sample generation, planner kind, k)
 // — the identity of one frozen planning state (core.Snapshot). Per
@@ -133,17 +132,14 @@ type Service struct {
 	provider Provider
 	m        *metrics
 
-	mu sync.Mutex
-	//guarded-by:mu
+	// mu guards keys, states, pending and closed.
+	mu   sync.Mutex
 	keys map[Key]*keyState
 	// states mirrors keys in insertion order, so shutdown walks the
 	// pools deterministically instead of in map order.
-	//guarded-by:mu
-	states []*keyState
-	//guarded-by:mu
+	states  []*keyState
 	pending int
-	//guarded-by:mu
-	closed bool
+	closed  bool
 	// wg joins the worker goroutines; Close waits on it.
 	wg sync.WaitGroup
 }
@@ -265,7 +261,6 @@ func (s *Service) openKey(key Key) (*keyState, error) {
 		// The planner was stamped on this goroutine and is handed to the
 		// worker whole; nothing here touches it again. The `go` statement
 		// is the happens-before edge.
-		//confine:transfer worker takes sole ownership of its freshly stamped planner; the spawning goroutine drops every reference
 		go s.worker(ks, &poolWorker{src: src, pl: pl})
 	}
 	s.mu.Unlock()

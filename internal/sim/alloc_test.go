@@ -10,8 +10,8 @@ import (
 	"prospector/internal/plan"
 )
 
-// TestDrainAllocFree pins the runtime half of drain's //alloc:none
-// claim (and seedTriggers'): once newSim has carved the arenas and one
+// TestDrainAllocFree pins the zero-allocation contract of drain (and
+// seedTriggers): once newSim has carved the arenas and one
 // epoch has warmed the event heap and the trace scratch, replaying
 // epochs performs zero heap allocations — with metrics and tracing
 // enabled. The medium is lossless so every epoch replays the same

@@ -136,7 +136,8 @@ func (o *simObs) delivered(v network.NodeID, nValues, contentBytes int, start, e
 	if o.trace != nil {
 		// "dst" (not "parent"): the record's parent key is taken by the
 		// enclosing span's ID.
-		//alloc:amortized the scratch grows to the widest record once, then is reused per event
+		// The scratch grows to the widest record once, then is reused per
+		// event.
 		o.fields = append(o.fields[:0],
 			obs.FInt("node", int64(v)),
 			obs.FInt("dst", int64(o.net.Parent(v))),
@@ -158,7 +159,7 @@ func (o *simObs) installed(v network.NodeID, bytes int, start, end, txMJ, rxMJ f
 	if o == nil || o.trace == nil {
 		return
 	}
-	//alloc:amortized the scratch grows to the widest record once, then is reused per event
+	// The scratch grows to the widest record once, then is reused per event.
 	o.fields = append(o.fields[:0],
 		obs.FInt("node", int64(v)),
 		obs.FInt("dst", int64(o.net.Parent(v))),
@@ -178,7 +179,8 @@ func (o *simObs) trigger(v network.NodeID, at, energyMJ float64) {
 	}
 	o.triggers.Inc()
 	if o.trace != nil {
-		//alloc:amortized the scratch grows to the widest record once, then is reused per event
+		// The scratch grows to the widest record once, then is reused per
+		// event.
 		o.fields = append(o.fields[:0],
 			obs.FInt("node", int64(v)),
 			obs.FFloat("energy_mj", energyMJ))
@@ -192,7 +194,8 @@ func (o *simObs) deferred(v network.NodeID, at, until float64) {
 	}
 	o.deferrals.Inc()
 	if o.trace != nil {
-		//alloc:amortized the scratch grows to the widest record once, then is reused per event
+		// The scratch grows to the widest record once, then is reused per
+		// event.
 		o.fields = append(o.fields[:0],
 			obs.FInt("node", int64(v)),
 			obs.FFloat("until", until))
@@ -209,7 +212,8 @@ func (o *simObs) loss(v, sender network.NodeID, at float64, attempt int, txMJ fl
 	}
 	o.retrans.Inc()
 	if o.trace != nil {
-		//alloc:amortized the scratch grows to the widest record once, then is reused per event
+		// The scratch grows to the widest record once, then is reused per
+		// event.
 		o.fields = append(o.fields[:0],
 			obs.FInt("node", int64(v)),
 			obs.FInt("sender", int64(sender)),
@@ -225,7 +229,8 @@ func (o *simObs) drop(v network.NodeID, at float64) {
 	}
 	o.dropped.Inc()
 	if o.trace != nil {
-		//alloc:amortized the scratch grows to the widest record once, then is reused per event
+		// The scratch grows to the widest record once, then is reused per
+		// event.
 		o.fields = append(o.fields[:0], obs.FInt("node", int64(v)))
 		o.emitEvent("sim.drop", at, o.fields...)
 	}
@@ -236,7 +241,8 @@ func (o *simObs) deadline(v network.NodeID, at float64) {
 		return
 	}
 	if o.trace != nil {
-		//alloc:amortized the scratch grows to the widest record once, then is reused per event
+		// The scratch grows to the widest record once, then is reused per
+		// event.
 		o.fields = append(o.fields[:0], obs.FInt("node", int64(v)))
 		o.emitEvent("sim.deadline", at, o.fields...)
 	}

@@ -135,7 +135,8 @@ func (q *eventQueue) less(i, j int) bool {
 }
 
 func (q *eventQueue) push(e event) {
-	//alloc:amortized the heap grows to the epoch's outstanding-event high-water mark, then is reused
+	// The heap grows to the epoch's outstanding-event high-water mark, then is
+	// reused.
 	q.items = append(q.items, e)
 	i := len(q.items) - 1
 	for i > 0 {
@@ -383,8 +384,6 @@ func (s *sim) run() {
 
 // seedTriggers queues the trigger arrival of every participating node:
 // depth-d nodes hear the rebroadcast chain after d trigger-hops.
-//
-//alloc:none
 func (s *sim) seedTriggers() {
 	net := s.cfg.Net
 	trigDur := s.msgDuration(0, 0) / 2
@@ -399,8 +398,6 @@ func (s *sim) seedTriggers() {
 // path: every handler works in state pre-carved by newSim (the typed
 // event heap, the arena-backed value pools, the resolved metric
 // handles), so a drained epoch allocates nothing at steady state.
-//
-//alloc:none
 func (s *sim) drain() {
 	for !s.queue.empty() {
 		e := s.queue.pop()
@@ -487,7 +484,8 @@ func (s *sim) chargeDelivery(v, parent network.NodeID, nValues int, cost float64
 // onTrigger initializes a node: it reads its sensor, arms its deadline,
 // and — if it awaits no children — queues its transmission.
 func (s *sim) onTrigger(v network.NodeID) {
-	//alloc:amortized the pool's capacity is pre-carved to the subtree size in newSim; appends never grow
+	// The pool's capacity is pre-carved to the subtree size in newSim; appends
+	// never grow.
 	s.lists[v] = append(s.lists[v], exec.ValueAt{Node: v, Val: s.values[v]})
 	// Deadline: enough slots for the whole subtree below to drain.
 	s.deadline[v] = s.now + float64(s.subHeight[v]+1)*s.slot
@@ -598,7 +596,8 @@ func (s *sim) outgoing(v network.NodeID) ([]exec.ValueAt, int) {
 // the parent's own transmission.
 func (s *sim) onDelivery(v network.NodeID) {
 	parent := s.cfg.Net.Parent(v)
-	//alloc:amortized the pool's capacity is pre-carved to the subtree size in newSim; appends never grow
+	// The pool's capacity is pre-carved to the subtree size in newSim; appends
+	// never grow.
 	s.lists[parent] = append(s.lists[parent], s.childList[v]...)
 	if parent == network.Root {
 		if s.now > s.res.Latency {

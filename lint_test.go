@@ -1,11 +1,10 @@
 // Lint gate: running the whole analyzer suite (analysis.Suite, the
-// twelve checks `go run ./cmd/lint -list` describes) inside `go test
+// nine checks `go run ./cmd/lint -list` describes) inside `go test
 // ./...` makes tier-1 the enforcement point — a finding anywhere in the
 // tree fails the build, not just `make lint`.
 package prospector
 
 import (
-	"strings"
 	"testing"
 
 	"prospector/internal/analysis"
@@ -98,69 +97,5 @@ func BenchmarkLintRepo(b *testing.B) {
 				analysis.RunWorkers(pkgs, analysis.Suite(), bm.workers)
 			}
 		})
-	}
-}
-
-// benchmarkOneCheck times a single check end to end over the
-// pre-loaded repository. Each iteration goes through RunWorkers with a
-// fresh Program, so the cost includes rebuilding the check's
-// interprocedural world (call graph included) — the price one
-// incremental lint run actually pays.
-func benchmarkOneCheck(b *testing.B, name string) {
-	pkgs, err := analysis.LoadDir(".")
-	if err != nil {
-		b.Fatalf("loading repository: %v", err)
-	}
-	checks, err := analysis.SelectChecks(analysis.Suite(), []string{name})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.RunWorkers(pkgs, checks, 0)
-	}
-}
-
-// BenchmarkConfine measures the goroutine-confinement analysis:
-// directive scan, escape-site walk, and the leak-mask fixpoint.
-func BenchmarkConfine(b *testing.B) { benchmarkOneCheck(b, "confine") }
-
-// BenchmarkLockcheck measures the lock-discipline analysis: the
-// per-function may/must dataflows plus the guarded-by call-site pass.
-func BenchmarkLockcheck(b *testing.B) { benchmarkOneCheck(b, "lockcheck") }
-
-// BenchmarkAlloccheck measures the allocation-discipline analysis:
-// directive scan, per-function allocation-site classification with the
-// escape approximation, and the BFS from every //alloc:none root.
-func BenchmarkAlloccheck(b *testing.B) { benchmarkOneCheck(b, "alloccheck") }
-
-// TestConcurrencyChecksRerunDeterministic pins byte determinism of the
-// interprocedural checks specifically: independent runs (fresh
-// interprocedural worlds each time) at different worker counts must
-// render the identical diagnostic stream.
-func TestConcurrencyChecksRerunDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole repository; skipped with -short")
-	}
-	pkgs, err := analysis.LoadDir(".")
-	if err != nil {
-		t.Fatalf("loading repository: %v", err)
-	}
-	checks, err := analysis.SelectChecks(analysis.Suite(), []string{"confine", "lockcheck", "goleak", "alloccheck"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func(workers int) string {
-		var buf strings.Builder
-		if err := analysis.WriteText(&buf, analysis.RunWorkers(pkgs, checks, workers)); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	first := render(1)
-	for run, workers := range []int{8, 1, 0} {
-		if got := render(workers); got != first {
-			t.Errorf("re-run %d (workers=%d) diverged:\n--- first\n%s\n--- got\n%s", run, workers, first, got)
-		}
 	}
 }
