@@ -25,10 +25,10 @@ test:
 race:
 	go test -race ./...
 
-# Project analyzer suite (internal/analysis): determinism, obsnilsafe,
-# floatcmp, errchecklite, unitcheck, planfreeze, budgetflow, goleak,
-# suppress. `go run ./cmd/lint -list` describes each; also enforced by
-# lint_test.go inside `go test ./...`.
+# Project analyzer suite (internal/analysis), in `go run ./cmd/lint
+# -list` order: budgetflow, determinism, errchecklite, floatcmp,
+# goleak, obsnilsafe, planfreeze, suppress, unitcheck. `-list`
+# describes each; also enforced by lint_test.go inside `go test ./...`.
 lint:
 	go run ./cmd/lint
 

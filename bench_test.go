@@ -233,9 +233,12 @@ func BenchmarkProofPlan30(b *testing.B) {
 
 // benchBudgetSweep runs one planner across a whole Figure-3-style
 // budget axis per iteration: the workload the parametric pipeline
-// targets. Warm keeps one planner's cached model and basis chain (one
-// cold solve amortized across all iterations); cold builds a fresh
-// planner per Plan call, so every call rebuilds and cold-solves.
+// targets. Warm builds one planner per iteration, so each sweep pays
+// one build and cold solve and then re-solves warm from the chained
+// basis (a planner kept across iterations would serve every later
+// sweep from its budget frontier, and the figure would depend on
+// -benchtime); cold builds a fresh planner per Plan call, so every
+// call rebuilds and cold-solves.
 func benchBudgetSweep(b *testing.B, cold bool) {
 	b.Helper()
 	s := benchGaussian(b, 27, 60, 10, 15)
@@ -245,15 +248,12 @@ func benchBudgetSweep(b *testing.B, cold bool) {
 	}
 	base := naive.CollectionCost(s.cfg.Net, s.cfg.Costs)
 	fracs := []float64{0.06, 0.1, 0.16, 0.24, 0.34, 0.46, 0.6, 0.8}
-	pl, err := core.NewLPNoFilter(s.cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, f := range fracs {
-			if cold {
+		var pl *core.LPNoFilter
+		for j, f := range fracs {
+			if cold || j == 0 {
 				if pl, err = core.NewLPNoFilter(s.cfg); err != nil {
 					b.Fatal(err)
 				}

@@ -11,7 +11,7 @@
 //	           [-describe] [-dot FILE] [-sim] [-loss P]
 //	           [-metrics FILE] [-trace FILE] [-listen ADDR] [-pprof ADDR|DIR] [-manifest FILE]
 //	           [-flight FILE] [-flight-rules FILE] [-hold DURATION]
-//	           [-serve] [-serve-for D] [-serve-queue N] [-serve-workers N] [-serve-batch N]
+//	           [-serve] [-serve-for D] [-serve-queue N]
 //
 // -sim executes through the discrete-event mote simulator (reporting
 // latency and per-node energy) instead of the analytic executor;
@@ -41,16 +41,16 @@
 //
 // Serving: -serve turns the process into a long-lived plan service
 // (internal/serve) instead of a one-shot run. The planning state is
-// frozen into snapshots at startup, and /plan answers concurrent
-// budget queries from a pool of warm-chain planner workers with
-// budget-sorted batching, request coalescing, and admission control
-// (see internal/serve). Requires -listen; -planner picks the default
-// kind (greedy, lp-lf, lp+lf, or proof — exact and naive are not
-// servable) and /plan?planner= overrides it per request. -serve-for
-// bounds the service lifetime (0: until SIGINT/SIGTERM); -serve-queue,
-// -serve-workers, and -serve-batch tune admission and dispatch. With
-// -flight but no -flight-rules, the serving tier's stock rules
-// (queue saturation, any shed, p99 solve latency) arm the recorder.
+// frozen into snapshots, and /plan answers concurrent budget queries
+// from one planner per planner kind, taking turns on it, behind
+// admission control (see internal/serve). Requires -listen; -planner
+// picks the default kind (greedy, lp-lf, lp+lf, or proof — exact and
+// naive cannot be served) and /plan?planner= overrides it per
+// request. -serve-for bounds the service lifetime (0: until
+// SIGINT/SIGTERM); -serve-queue bounds the requests waiting for a
+// planner before the service sheds. With -flight but no -flight-rules,
+// the serving tier's stock rules (queue saturation, any shed, p99
+// solve latency) arm the recorder.
 package main
 
 import (
@@ -150,11 +150,9 @@ func run(args []string) (err error) {
 		flightRls  = fs.String("flight-rules", "", "JSON rules (regress grammar) judged against live windowed series")
 		hold       = fs.Duration("hold", 0, "keep the -listen endpoints up this long after the run completes")
 
-		serveMode    = fs.Bool("serve", false, "run as a long-lived plan service on -listen instead of a one-shot run")
-		serveFor     = fs.Duration("serve-for", 0, "shut the plan service down after this long (0: until SIGINT/SIGTERM)")
-		serveQueue   = fs.Int("serve-queue", 64, "plan service admission bound: max queued requests before shedding")
-		serveWorkers = fs.Int("serve-workers", 1, "plan service workers (warm chains) per planner key")
-		serveBatch   = fs.Int("serve-batch", 16, "max requests one worker dispatch serves as a single sorted sweep")
+		serveMode  = fs.Bool("serve", false, "run as a long-lived plan service on -listen instead of a one-shot run")
+		serveFor   = fs.Duration("serve-for", 0, "shut the plan service down after this long (0: until SIGINT/SIGTERM)")
+		serveQueue = fs.Int("serve-queue", 64, "plan service admission bound: max queued requests before shedding")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -251,7 +249,7 @@ func run(args []string) (err error) {
 	if *serveMode {
 		return serveLoop(sess, cfg, serveSettings{
 			listen: *listen, kind: core.CanonicalKind(*planner), seed: *seed, nodes: *nodes, k: *k,
-			queue: *serveQueue, workers: *serveWorkers, batch: *serveBatch, dur: *serveFor,
+			queue: *serveQueue, dur: *serveFor,
 		})
 	}
 
@@ -329,15 +327,14 @@ func run(args []string) (err error) {
 
 // serveSettings carries the -serve* flags into serveLoop.
 type serveSettings struct {
-	listen, kind          string
-	seed                  int64
-	nodes, k              int
-	queue, workers, batch int
-	dur                   time.Duration
+	listen, kind    string
+	seed            int64
+	nodes, k, queue int
+	dur             time.Duration
 }
 
 // serveLoop runs the process as a plan service: freeze the planning
-// state into snapshots, stand up the worker pool, mount the serving
+// state into snapshots, stand up the service, mount the serving
 // surface on -listen, and drain cleanly on SIGINT/SIGTERM or after
 // -serve-for elapses.
 func serveLoop(sess *telemetry.Session, cfg core.Config, st serveSettings) error {
@@ -347,8 +344,8 @@ func serveLoop(sess *telemetry.Session, cfg core.Config, st serveSettings) error
 		Planner: st.kind,
 		K:       st.k,
 	}
-	// One snapshot per planner kind, built lazily and shared by every
-	// worker of that kind's pool key.
+	// One snapshot per planner kind, built lazily; the service stamps
+	// each key's planner from it.
 	var mu sync.Mutex
 	snaps := make(map[string]*core.Snapshot)
 	getSnap := func(kind string) (*core.Snapshot, error) {
@@ -378,8 +375,7 @@ func serveLoop(sess *telemetry.Session, cfg core.Config, st serveSettings) error
 		return getSnap(key.Planner)
 	}
 	svc, err := serve.New(serve.Options{
-		QueueDepth: st.queue, WorkersPerKey: st.workers, BatchMax: st.batch,
-		Now: time.Now, Obs: cfg.Obs,
+		QueueDepth: st.queue, Now: time.Now, Obs: cfg.Obs,
 	}, provider)
 	if err != nil {
 		return err

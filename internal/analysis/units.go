@@ -43,9 +43,6 @@ type Unit struct {
 	dims map[string]int
 }
 
-// dimensionless reports whether u is the empty product.
-func (u *Unit) dimensionless() bool { return u != nil && len(u.dims) == 0 }
-
 func (u *Unit) equal(o *Unit) bool {
 	if u == nil || o == nil {
 		return u == o

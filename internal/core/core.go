@@ -84,7 +84,10 @@ func (c Config) validate() error {
 }
 
 // Planner builds an approximate top-k query plan within an energy
-// budget for one collection phase.
+// budget for one collection phase. The LP planners keep their program,
+// warm basis and budget frontier across calls, so a Planner is not
+// safe for concurrent use: serialize the calls on one planner, or
+// build one planner per goroutine.
 type Planner interface {
 	// Name identifies the algorithm in experiment output.
 	Name() string

@@ -29,11 +29,6 @@ func NewGreedy(cfg Config) (*Greedy, error) {
 // Name implements Planner.
 func (g *Greedy) Name() string { return "Greedy" }
 
-// Greedy recomputes from the samples per call; there is no program to
-// freeze, and a copy shares nothing it writes.
-func (g *Greedy) freeze()        {}
-func (g *Greedy) clone() Planner { c := *g; return &c }
-
 // Plan implements Planner.
 func (g *Greedy) Plan(budget float64) (*plan.Plan, error) {
 	cfg := g.cfg

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"prospector/internal/lp"
 	"prospector/internal/network"
@@ -60,8 +59,6 @@ func NewLPFilter(cfg Config) (*LPFilter, error) {
 	return &LPFilter{paramLP{cfg: cfg, name: "LP+LF", prog: &lpfilterProgram{}}}, nil
 }
 
-func (p *LPFilter) clone() Planner { return &LPFilter{p.paramLP.clone()} }
-
 // round rounds bandwidths to integers, restores structural feasibility
 // (no used edge under an unused one), then repairs the budget.
 func (prog *lpfilterProgram) round(cfg Config, x []float64, budget float64) (*plan.Plan, error) {
@@ -96,15 +93,6 @@ func (prog *lpfilterProgram) support(dst []lp.VarID) []lp.VarID {
 		}
 	}
 	return dst
-}
-
-func (prog *lpfilterProgram) clone() program {
-	blocks := make([][]lp.VarID, len(prog.blocks))
-	for j, b := range prog.blocks {
-		blocks[j] = slices.Clone(b)
-	}
-	return &lpfilterProgram{ys: slices.Clone(prog.ys), bs: slices.Clone(prog.bs),
-		caps: slices.Clone(prog.caps), blocks: blocks}
 }
 
 // build assembles the LP+LF model.

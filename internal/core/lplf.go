@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 
 	"prospector/internal/lp"
@@ -51,8 +50,6 @@ func NewLPNoFilter(cfg Config) (*LPNoFilter, error) {
 	return &LPNoFilter{paramLP{cfg: cfg, name: "LP-LF", prog: &lplfProgram{}}}, nil
 }
 
-func (p *LPNoFilter) clone() Planner { return &LPNoFilter{p.paramLP.clone()} }
-
 // round rounds at 1/2 (the paper's scheme), then repairs the budget.
 func (prog *lplfProgram) round(cfg Config, x []float64, budget float64) (*plan.Plan, error) {
 	chosen := make([]bool, cfg.Net.Size())
@@ -77,11 +74,6 @@ func (prog *lplfProgram) support(dst []lp.VarID) []lp.VarID {
 		dst = append(dst, prog.xs[i])
 	}
 	return dst
-}
-
-func (prog *lplfProgram) clone() program {
-	return &lplfProgram{xs: slices.Clone(prog.xs), ys: slices.Clone(prog.ys),
-		cands: slices.Clone(prog.cands), needed: slices.Clone(prog.needed)}
 }
 
 // build assembles the LP-LF model.

@@ -4,55 +4,27 @@ package core
 
 import (
 	"fmt"
-	"runtime"
+	"sync/atomic"
 )
 
-// owner enforces the planners' single-goroutine contract: under the
-// prospector_debug build tag a planner records the goroutine that
-// first touches its LP cache and panics on any call from another one.
-// Release builds compile this to nothing (owner_release.go).
+// owner enforces that a planner is not used concurrently: under the
+// prospector_debug build tag a planner marks itself busy for the
+// length of each Plan call and panics when a call starts while another
+// is still running. Calls from several goroutines are fine as long as
+// they do not overlap (a mutex around the planner, as the serve tier
+// keeps). Release builds compile this to nothing (owner_release.go).
 type owner struct {
-	gid int64
-	// buf receives the stack header. A field rather than a local: a
-	// local array escapes through runtime.Stack, and the planners' warm
-	// paths are pinned allocation-free under this tag too.
-	buf [64]byte
+	busy atomic.Bool
 }
 
-// goroutineID parses the current goroutine's id out of the stack
-// header ("goroutine 17 [running]:") without allocating. Slow, which
-// is fine: it only exists under the debug tag.
-func (o *owner) goroutineID() int64 {
-	const prefix = "goroutine "
-	b := o.buf[:runtime.Stack(o.buf[:], false)]
-	if len(b) <= len(prefix) || string(b[:len(prefix)]) != prefix {
-		return -1
-	}
-	id, digits := int64(0), 0
-	for _, c := range b[len(prefix):] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-		digits++
-	}
-	if digits == 0 {
-		return -1
-	}
-	return id
-}
-
-// assert claims ownership on first use and panics on a cross-goroutine
-// call.
-func (o *owner) assert(what string) {
-	g := o.goroutineID()
-	if o.gid == 0 {
-		o.gid = g
-		return
-	}
-	if o.gid != g {
+// enter marks the planner busy, panicking if a call is already in it.
+func (o *owner) enter(what string) {
+	if !o.busy.CompareAndSwap(false, true) {
 		panic(fmt.Sprintf(
-			"core: %s used from goroutine %d but owned by goroutine %d; planners are single-goroutine — build one per goroutine or hand it off explicitly",
-			what, g, o.gid))
+			"core: %s called while another call is running on it; planners are not safe for concurrent use — serialize the calls or build one planner per goroutine",
+			what))
 	}
 }
+
+// leave ends the call enter began.
+func (o *owner) leave() { o.busy.Store(false) }

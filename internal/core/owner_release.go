@@ -3,9 +3,10 @@
 package core
 
 // owner is a no-op in release builds; the prospector_debug tag swaps
-// in the asserting version (owner_debug.go) that records the owning
-// goroutine and panics on cross-goroutine planner use.
+// in the asserting version (owner_debug.go) that panics when two
+// calls on one planner overlap.
 type owner struct{}
 
-// assert is free in release builds: no goroutine id, no branch.
-func (o *owner) assert(string) {}
+// enter and leave are free in release builds: no flag, no branch.
+func (o *owner) enter(string) {}
+func (o *owner) leave()       {}

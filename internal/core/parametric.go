@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"prospector/internal/lp"
 	"prospector/internal/plan"
@@ -48,8 +47,6 @@ type program interface {
 	// support appends to dst the variables round reads, which are all
 	// a budget frontier piece keeps of x.
 	support(dst []lp.VarID) []lp.VarID
-	// clone deep-copies the program for a planner of its own.
-	clone() program
 }
 
 // paramLP is the one body of the LP planners (LP-LF, LP+LF, PROOF):
@@ -77,8 +74,9 @@ type program interface {
 // program follows it on the live model instead of rebuilding (see
 // program.slide); a window with no sample left in common, and PROOF on
 // any change, rebuild. A paramLP (and therefore any planner holding
-// one) is not safe for concurrent use; experiment trials each build
-// their own planners.
+// one) is not safe for concurrent use: calls may come from several
+// goroutines only if something serializes them, as the serve tier's
+// per-key mutex does; experiment trials each build their own planners.
 type paramLP struct {
 	cfg  Config
 	name string
@@ -102,8 +100,8 @@ type paramLP struct {
 	// solve; a solve that follows one ranges nothing.
 	edited bool
 	front  frontier
-	// own enforces the single-goroutine contract dynamically under the
-	// prospector_debug build tag; zero-cost otherwise.
+	// own panics on overlapping Plan calls under the prospector_debug
+	// build tag; zero-cost otherwise.
 	own owner
 }
 
@@ -114,6 +112,8 @@ func (c *paramLP) Name() string { return c.name }
 // or build it afresh), find the optimum for budget on the frontier or
 // re-solve for it, and round the optimum.
 func (c *paramLP) Plan(budget float64) (*plan.Plan, error) {
+	c.own.enter("parametric planner")
+	defer c.own.leave()
 	cfg := c.cfg
 	d, ok := c.window()
 	if ok && d.moved() {
@@ -166,25 +166,6 @@ func (c *paramLP) forget() {
 	c.edited = true
 }
 
-// freeze builds the program ahead of the first budget, as a Snapshot
-// prototype. The budget row gets a placeholder right-hand side — every
-// solve re-points it at the request's budget first.
-func (c *paramLP) freeze() { c.install(c.prog.build(c.cfg, 0)) }
-
-// clone copies a built body for a planner of its own: the program and
-// the model are cloned (a Basis is pointer-keyed to its model, so
-// chains cannot cross), and there is neither a workspace, a basis nor
-// a frontier, so the copy's first Plan opens its chain with a cold
-// solve.
-func (c *paramLP) clone() paramLP {
-	cp := paramLP{cfg: c.cfg, name: c.name, prog: c.prog.clone(),
-		budgetRow: c.budgetRow, fixed: c.fixed, ids: slices.Clone(c.ids), built: c.built, edited: true}
-	if c.model != nil {
-		cp.model = c.model.Clone()
-	}
-	return cp
-}
-
 // windowSlide is how cfg's sample window moved since the program was
 // built: the program's samples that left (as indices into paramLP.ids)
 // and the window's samples that joined (as sample indices).
@@ -198,7 +179,6 @@ type windowSlide struct {
 // empty program, or no sample is left in common. A window that did not
 // move returns ok with an empty slide.
 func (c *paramLP) window() (d windowSlide, ok bool) {
-	c.own.assert("parametric planner")
 	if !c.built {
 		return d, false
 	}
@@ -294,7 +274,6 @@ func (c *paramLP) install(model *lp.Model, budgetRow int, fixed float64) {
 // edges below mark where the cold and error paths are allowed to
 // allocate (TestParametricSolveAllocFree pins the runtime truth).
 func (c *paramLP) solve(cfg Config, budget float64) (*lp.Solution, error) {
-	c.own.assert("parametric planner")
 	if c.budgetRow >= 0 {
 		// SetRHS writes one float in place; it allocates only to construct an
 		// invalid-row error.

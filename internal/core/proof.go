@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"prospector/internal/exec"
@@ -65,8 +64,6 @@ func newProofPlanner(cfg Config, strictC3 bool) (*ProofPlanner, error) {
 	return &ProofPlanner{paramLP{cfg: cfg, name: "Proof", prog: &proofProgram{strictC3: strictC3}}}, nil
 }
 
-func (p *ProofPlanner) clone() Planner { return &ProofPlanner{p.paramLP.clone()} }
-
 // MinBudget returns the smallest budget any proof-carrying plan can
 // meet: one message with one value on every edge, plus the
 // proven-count reserve.
@@ -122,10 +119,6 @@ func (prog *proofProgram) round(cfg Config, x []float64, budget float64) (*plan.
 // support is every edge's bandwidth, the variables round reads.
 func (prog *proofProgram) support(dst []lp.VarID) []lp.VarID {
 	return append(dst, prog.bs[1:]...)
-}
-
-func (prog *proofProgram) clone() program {
-	return &proofProgram{strictC3: prog.strictC3, bs: slices.Clone(prog.bs)}
 }
 
 // build assembles the PROOF model via the lazy builder.

@@ -45,8 +45,8 @@ func TestCatalog(t *testing.T) {
 	}
 }
 
-// TestSnapshotPlannerMatchesCold: a planner stamped from a snapshot —
-// pre-installed program, cloned model, own warm chain — must emit
+// TestSnapshotPlannerMatchesCold: a planner built from a snapshot —
+// over the frozen samples, with its own program and warm chain — must emit
 // plans bitwise-identical to the cold reference (a fresh planner per
 // budget: rebuild + cold solve), for every catalog kind, over its
 // budget axis. This is the snapshot-side analog of
@@ -136,9 +136,9 @@ func TestSnapshotFreezesSamples(t *testing.T) {
 	}
 }
 
-// TestSnapshotPlannersAreIndependent: many planners stamped from one
+// TestSnapshotPlannersAreIndependent: many planners built from one
 // snapshot, each driven concurrently through its own budget sweep,
-// must all match the sequential single-planner answers — the clones
+// must all match the sequential single-planner answers — the planners
 // share no LP state (run under -race to prove it).
 func TestSnapshotPlannersAreIndependent(t *testing.T) {
 	s := makeScenario(t, 31, 25, 5, 6)
@@ -172,9 +172,9 @@ func TestSnapshotPlannersAreIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		// Each planner is handed to exactly one goroutine, honoring the
-		// single-goroutine contract: the spawning goroutine never touches
-		// it again.
+		// Each planner is handed to exactly one goroutine, as planners
+		// are not safe for concurrent use: the spawning goroutine never
+		// touches it again.
 		go func(w int, pl Planner) {
 			defer wg.Done()
 			// Workers sweep in different rotations so chains diverge.

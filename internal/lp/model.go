@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync/atomic"
 )
 
 // VarID names a variable within a Model.
@@ -74,12 +73,6 @@ type Model struct {
 	colKey  []uint64
 	rowIDs  []rowID
 	nextKey uint64
-	// termsShared is set once Clone has handed this model's row term
-	// slices to another model (see Clone): RemoveVars then builds new
-	// ones instead of renumbering them in place. It is atomic because
-	// Clone sets it on the source, and clones of one model may be
-	// taken concurrently.
-	termsShared atomic.Bool
 	// Edit scratch: termPos[v] is 1 + the position of variable v in the
 	// row AddConstr is merging (0 when absent, the state between calls,
 	// also beyond its length up to its capacity); varMap and rowMap
@@ -334,7 +327,6 @@ func (m *Model) AddTerm(i int, v VarID, coef float64) error {
 	if math.IsNaN(coef) || math.IsInf(coef, 0) {
 		return fmt.Errorf("lp: AddTerm coefficient %g on variable %d", coef, v)
 	}
-	// Term slices may be shared with clones: build a new one.
 	old := m.rows[i].terms
 	terms := make([]Term, 0, len(old)+1)
 	merged := false
@@ -405,22 +397,15 @@ rows:
 				continue rows
 			}
 		}
-		terms := r.terms
-		if m.termsShared.Load() {
-			terms = make([]Term, len(r.terms))
-		}
 		for q, t := range r.terms {
-			terms[q] = Term{Var: varMap[t.Var], Coef: t.Coef}
+			r.terms[q] = Term{Var: varMap[t.Var], Coef: t.Coef}
 		}
-		r.terms = terms
 		m.rows[k], rowMap[i] = r, k
 		m.rowIDs[k] = m.rowIDs[i]
 		k++
 	}
 	clear(m.rows[k:])
 	m.rows, m.rowIDs = m.rows[:k], m.rowIDs[:k]
-	// Every surviving row now has a term slice of its own.
-	m.termsShared.Store(false)
 	m.structVersion++
 	return varMap, rowMap, nil
 }

@@ -183,8 +183,8 @@ func TestWarmAfterObjChange(t *testing.T) {
 // TestWarmStaleBasisFallsBack pins the two fates of a captured basis
 // after the model moves on. Appending a variable and a row carries the
 // basis over and stays warm; a basis captured from another model
-// (here a clone, which shares the structure but not the identity) is
-// stale, and the solve falls back cold. Both must match a cold solve.
+// (here one built the same way, which shares the structure but not
+// the identity) is stale, and the solve falls back cold. Both must match a cold solve.
 func TestWarmStaleBasisFallsBack(t *testing.T) {
 	m := NewModel()
 	x := m.MustVar(0, 4, -1, "x")
@@ -216,10 +216,11 @@ func TestWarmStaleBasisFallsBack(t *testing.T) {
 	}
 
 	// A basis from another model is stale: the solve falls back cold.
-	other := m.Clone()
-	if err := other.SetRHS(1, 4); err != nil {
-		t.Fatal(err)
-	}
+	other := NewModel()
+	ox := other.MustVar(0, 4, -1, "x")
+	other.MustConstr([]Term{{ox, 1}}, LE, 3)
+	oy := other.MustVar(0, 4, -2, "y")
+	other.MustConstr([]Term{{ox, 1}, {oy, 1}}, LE, 4)
 	warm, err := other.Solve(Options{Workspace: ws, Warm: appended.Basis})
 	if err != nil {
 		t.Fatalf("warm from another model: %v", err)

@@ -17,7 +17,7 @@ import (
 
 // faultySource stamps real planners from a snapshot, wrapped so that
 // a plan for faultBudget panics and the first Plan call of all waits
-// for the gate: tests load the queue while the worker is stalled.
+// for the gate: tests load the queue while the planner is stalled.
 type faultySource struct {
 	snap    *core.Snapshot
 	stamps  atomic.Int64
@@ -55,10 +55,10 @@ func (p *faultyPlanner) Plan(budget float64) (*plan.Plan, error) {
 	return p.inner.Plan(budget)
 }
 
-// TestServePlannerPanicIsContained panics one planner in the middle of
-// a batch. Only the faulted request fails, with ErrPlannerFault; every
-// other waiter in the batch gets the plan a fresh planner makes, the
-// worker counts one restart and re-stamps its planner, and the key
+// TestServePlannerPanicIsContained panics one planner while requests
+// wait on its key. Only the faulted request fails, with
+// ErrPlannerFault; every other waiter gets the plan a fresh planner
+// makes, the key counts one restart and re-stamps its planner, and it
 // keeps serving on the new planner, which contains a second fault the
 // same way.
 func TestServePlannerPanicIsContained(t *testing.T) {
@@ -69,7 +69,7 @@ func TestServePlannerPanicIsContained(t *testing.T) {
 	}
 	src := &faultySource{snap: snap, started: make(chan struct{}, 1), gate: make(chan struct{})}
 	reg := obs.NewRegistry()
-	svc, err := serve.New(serve.Options{QueueDepth: 32, BatchMax: 16, Now: time.Now, Obs: reg}, sourceProvider(src))
+	svc, err := serve.New(serve.Options{QueueDepth: 32, Now: time.Now, Obs: reg}, sourceProvider(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestServePlannerPanicIsContained(t *testing.T) {
 			continue
 		}
 		if r.err != nil || !plansEqual(r.plan, want(b)) {
-			t.Fatalf("budget %g after the fault in its batch: plan %v err %v", b, r.plan, r.err)
+			t.Fatalf("budget %g after the fault: plan %v err %v", b, r.plan, r.err)
 		}
 	}
 	if got := reg.Counter("serve.worker_restarts").Value(); got != 1 {

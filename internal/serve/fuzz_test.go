@@ -24,7 +24,7 @@ import (
 // seed corpus lives in testdata/fuzz/FuzzPlanParams.
 func FuzzPlanParams(f *testing.F) {
 	cfg := makeConfig(f, 13, 20, 4, 5)
-	svc, err := serve.New(serve.Options{QueueDepth: 8, BatchMax: 4, Now: time.Now}, snapshotProvider(cfg))
+	svc, err := serve.New(serve.Options{QueueDepth: 8, Now: time.Now}, snapshotProvider(cfg))
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 //
 //	/plan             answer one plan query (GET or POST)
 //	/healthz          liveness: the process is up
-//	/readyz           readiness: telemetry ticking AND the pool
+//	/readyz           readiness: telemetry ticking AND the service
 //	                  accepting work without shedding (503 when the
 //	                  queue is pinned at its cap or the service closed)
 //	/debug/telemetry  the windowed series document
@@ -36,10 +36,10 @@ import (
 //	             most maxDeadlineMS (the longest time.Duration)
 //
 // Status mapping: 200 a plan; 400 bad parameters or an unknown
-// (planner, k); 429 the deadline passed before a worker dispatched
-// the request; 503 the queue is full or the service is shutting down
+// (planner, k); 429 the deadline passed before the request took the
+// key's planner; 503 the queue is full or the service is shutting down
 // (with Retry-After: 1); 500 the planner panicked on this request
-// (ErrPlannerFault; the worker re-stamps its planner).
+// (ErrPlannerFault; the key re-stamps its planner).
 
 // maxDeadlineMS is the longest deadline_ms a time.Duration holds
 // (~292 years); larger values would overflow it.
@@ -55,7 +55,7 @@ type planDoc struct {
 	Chosen    []bool  `json:"chosen,omitempty"`
 }
 
-// Handler serves /plan against the pool. base supplies the network
+// Handler serves /plan against the service. base supplies the network
 // identity and generation every request inherits, plus the default
 // planner kind and k; its Planner/K can be overridden per request.
 func Handler(s *Service, base Key) http.Handler {
@@ -124,7 +124,7 @@ func Handler(s *Service, base Key) http.Handler {
 
 // ReadyHandler answers readiness for a serving process: ready only
 // when the telemetry collector has ticked (the plain telemetry
-// contract) and the pool has admission headroom.
+// contract) and the service has admission headroom.
 func ReadyHandler(s *Service, c *telemetry.Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -159,19 +159,19 @@ func Endpoints(s *Service, base Key, c *telemetry.Collector) []obs.Endpoint {
 // telemetry.Monitor): dump the flight ring when the queue pins at its
 // admission cap, when any request sheds, or when dispatch latency p99
 // leaves the interactive envelope, or when a planner panics and its
-// worker restarts.
+// key re-stamps it.
 func DefaultFlightRules(queueDepth int) []regress.Rule {
 	if queueDepth <= 0 {
 		queueDepth = 64
 	}
 	return []regress.Rule{
 		{Series: "serve.queue_depth", Kind: "abs<=", Value: 0, Tolerance: float64(queueDepth - 1),
-			Note: "queue pinned at the admission cap: the pool is saturated and about to shed"},
+			Note: "queue pinned at the admission cap: the service is saturated and about to shed"},
 		{Series: "serve.shed_total.delta", Kind: "exact", Value: 0,
 			Note: "any shed (full queue, missed deadline, closed) dumps the flight ring"},
 		{Series: "serve.plan_ms.p99", Kind: "abs<=", Value: 0, Tolerance: 250,
-			Note: "p99 solve latency above 250ms: warm chains are breaking or requests stopped coalescing"},
+			Note: "p99 solve latency above 250ms: frontier misses are paying cold solves"},
 		{Series: "serve.worker_restarts.delta", Kind: "exact", Value: 0,
-			Note: "a planner panicked: its request got a 500 and its worker re-stamped the planner"},
+			Note: "a planner panicked: its request got a 500 and its key re-stamped the planner"},
 	}
 }

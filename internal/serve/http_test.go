@@ -53,7 +53,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 }
 
 func TestHTTPPlanOK(t *testing.T) {
-	svc, srv, base := newHTTPFixture(t, serve.Options{QueueDepth: 32, BatchMax: 8})
+	svc, srv, base := newHTTPFixture(t, serve.Options{QueueDepth: 32})
 	defer svc.Close()
 
 	status, body, _ := get(t, srv.URL+"/plan?budget=120")
@@ -77,7 +77,7 @@ func TestHTTPPlanOK(t *testing.T) {
 		t.Fatal("empty bandwidth vector in plan document")
 	}
 
-	// Planner override hits the other pool key.
+	// Planner override hits the other key.
 	status, body, _ = get(t, srv.URL+"/plan?budget=120&planner="+core.KindLPNoFilter)
 	if status != http.StatusOK {
 		t.Fatalf("planner override: status %d, body %s", status, body)
@@ -104,7 +104,7 @@ func TestHTTPPlanOK(t *testing.T) {
 }
 
 func TestHTTPPlanBadRequests(t *testing.T) {
-	svc, srv, _ := newHTTPFixture(t, serve.Options{QueueDepth: 32, BatchMax: 8})
+	svc, srv, _ := newHTTPFixture(t, serve.Options{QueueDepth: 32})
 	defer svc.Close()
 
 	for _, tc := range []struct{ name, query string }{
@@ -135,7 +135,7 @@ func TestHTTPShedStatuses(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := newFakeClock(time.Microsecond)
 	svc, err := serve.New(serve.Options{
-		QueueDepth: 1, BatchMax: 4, Now: clock.Now, Obs: reg,
+		QueueDepth: 1, Now: clock.Now, Obs: reg,
 	}, sourceProvider(src))
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestHTTPShedStatuses(t *testing.T) {
 	srv := httptest.NewServer(obs.Handler(reg, serve.Endpoints(svc, base, collector)...))
 	defer srv.Close()
 
-	// Pin the worker and fill the 1-deep queue.
+	// Pin the planner and fill the 1-deep queue.
 	stall := submitAsync(svc, base, 1)
 	<-src.started
 	queued := submitAsync(svc, base, 2)

@@ -81,7 +81,7 @@ func (c *fakeClock) Now() time.Time {
 
 // blockingSource is a controllable PlannerSource: every Plan call
 // signals started and waits for one release, so tests can stall the
-// worker with the queue in a known state.
+// key's planner with the queue in a known state.
 type blockingSource struct {
 	started chan struct{}
 	release chan struct{}
@@ -140,68 +140,6 @@ func waitGauge(t *testing.T, g *obs.Gauge, want float64) {
 	}
 }
 
-// TestServeCoalescesEqualBudgets pins the coalescing contract
-// deterministically: with the worker stalled and the queue loaded
-// with 5 requests at budget X and 3 at budget Y, releasing the worker
-// must produce exactly one solve per distinct budget, with every
-// duplicate answered from the shared plan.
-func TestServeCoalescesEqualBudgets(t *testing.T) {
-	src := newBlockingSource(t)
-	reg := obs.NewRegistry()
-	svc, err := serve.New(serve.Options{
-		QueueDepth: 64, BatchMax: 16, Now: newFakeClock(time.Microsecond).Now, Obs: reg,
-	}, sourceProvider(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		go drain(src)
-		svc.Close()
-	}()
-	key := serve.Key{Network: "test", Planner: "blocking", K: 1}
-
-	// Stall the worker on a sentinel request.
-	stall := submitAsync(svc, key, 999)
-	<-src.started
-
-	// Load the queue while the worker is busy.
-	const xDup, yDup = 5, 3
-	var resps []chan submitResult
-	for i := 0; i < xDup; i++ {
-		resps = append(resps, submitAsync(svc, key, 10))
-	}
-	for i := 0; i < yDup; i++ {
-		resps = append(resps, submitAsync(svc, key, 20))
-	}
-	waitGauge(t, reg.Gauge("serve.queue_depth"), float64(xDup+yDup))
-
-	// Release the stall, then the two batched solves (X once, Y once).
-	src.release <- struct{}{} // sentinel completes
-	<-src.started             // batch dispatch: solve for X
-	src.release <- struct{}{}
-	<-src.started // solve for Y
-	src.release <- struct{}{}
-
-	if r := <-stall; r.err != nil {
-		t.Fatalf("sentinel: %v", r.err)
-	}
-	for i, ch := range resps {
-		r := <-ch
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
-		}
-		if !plansEqual(r.plan, src.plan) {
-			t.Fatalf("request %d: wrong plan %v", i, r.plan)
-		}
-	}
-	if got := src.solves.Load(); got != 3 {
-		t.Fatalf("solves = %d, want 3 (sentinel + one per distinct budget)", got)
-	}
-	if got := reg.Counter("serve.coalesced").Value(); got != xDup+yDup-2 {
-		t.Fatalf("serve.coalesced = %d, want %d", got, xDup+yDup-2)
-	}
-}
-
 type submitResult struct {
 	plan *plan.Plan
 	err  error
@@ -227,7 +165,7 @@ func drain(src *blockingSource) {
 	}
 }
 
-// TestServeShedsWhenQueueFull: with the worker stalled and the queue
+// TestServeShedsWhenQueueFull: with the planner stalled and the queue
 // at its depth bound, the next submission sheds immediately with
 // ErrQueueFull, Ready reports the saturation, and the shed counters
 // advance.
@@ -235,7 +173,7 @@ func TestServeShedsWhenQueueFull(t *testing.T) {
 	src := newBlockingSource(t)
 	reg := obs.NewRegistry()
 	svc, err := serve.New(serve.Options{
-		QueueDepth: 3, BatchMax: 16, Now: newFakeClock(time.Microsecond).Now, Obs: reg,
+		QueueDepth: 3, Now: newFakeClock(time.Microsecond).Now, Obs: reg,
 	}, sourceProvider(src))
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +185,7 @@ func TestServeShedsWhenQueueFull(t *testing.T) {
 	key := serve.Key{Network: "test", Planner: "blocking", K: 1}
 
 	stall := submitAsync(svc, key, 1)
-	<-src.started // worker busy; queue empty
+	<-src.started // planner busy; queue empty
 	var queued []chan submitResult
 	for i := 0; i < 3; i++ {
 		queued = append(queued, submitAsync(svc, key, float64(10+i)))
@@ -283,12 +221,12 @@ func TestServeShedsWhenQueueFull(t *testing.T) {
 }
 
 // TestServeCloseDrainsThenRejects: Close lets queued requests finish,
-// joins the workers, and rejects later submissions with ErrClosed.
+// waits for them, and rejects later submissions with ErrClosed.
 func TestServeCloseDrainsThenRejects(t *testing.T) {
 	src := newBlockingSource(t)
 	reg := obs.NewRegistry()
 	svc, err := serve.New(serve.Options{
-		QueueDepth: 16, BatchMax: 4, Now: newFakeClock(time.Microsecond).Now, Obs: reg,
+		QueueDepth: 16, Now: newFakeClock(time.Microsecond).Now, Obs: reg,
 	}, sourceProvider(src))
 	if err != nil {
 		t.Fatal(err)
@@ -319,9 +257,6 @@ func TestServeCloseDrainsThenRejects(t *testing.T) {
 		}
 	}
 	<-closed
-	if got := reg.Gauge("serve.workers").Value(); got != 0 {
-		t.Fatalf("serve.workers = %g after Close, want 0", got)
-	}
 	if _, err := svc.Submit(key, 5, time.Time{}); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("submit after Close: %v, want ErrClosed", err)
 	}
@@ -339,7 +274,7 @@ func TestServeDeadlineShed(t *testing.T) {
 	// guaranteed stale at dispatch.
 	clock := newFakeClock(10 * time.Millisecond)
 	svc, err := serve.New(serve.Options{
-		QueueDepth: 16, BatchMax: 4, Now: clock.Now, Obs: reg,
+		QueueDepth: 16, Now: clock.Now, Obs: reg,
 	}, sourceProvider(src))
 	if err != nil {
 		t.Fatal(err)
@@ -380,11 +315,11 @@ func submitAsync2(svc *serve.Service, key serve.Key, budget float64, deadline ti
 }
 
 // TestServePlannerErrorIsIsolated: a failing budget answers only its
-// own request; neighbors in the same batch still get plans.
+// own request; neighbors on the same key still get plans.
 func TestServePlannerErrorIsIsolated(t *testing.T) {
 	src := newBlockingSource(t)
 	svc, err := serve.New(serve.Options{
-		QueueDepth: 16, BatchMax: 8, Now: newFakeClock(time.Microsecond).Now,
+		QueueDepth: 16, Now: newFakeClock(time.Microsecond).Now,
 	}, sourceProvider(src))
 	if err != nil {
 		t.Fatal(err)
@@ -404,10 +339,10 @@ func TestServePlannerErrorIsIsolated(t *testing.T) {
 }
 
 // TestServeCoalescedShuffledMatchesCold is the serving-tier
-// determinism gate (the pool analog of TestWarmDifferentialMatchesCold):
-// a shuffled, duplicate-heavy budget axis submitted concurrently
-// through the pool — batched, budget-sorted, coalesced, warm-solved —
-// must return plans bitwise-identical to serving each budget on a
+// determinism gate (the service analog of
+// TestWarmDifferentialMatchesCold): a shuffled, duplicate-heavy budget
+// axis submitted concurrently through the service — one shared
+// planner, warm-solved or served from its frontier — must return plans bitwise-identical to serving each budget on a
 // fresh planner (rebuild + cold solve).
 func TestServeCoalescedShuffledMatchesCold(t *testing.T) {
 	cfg := makeConfig(t, 7, 25, 5, 6)
@@ -415,7 +350,7 @@ func TestServeCoalescedShuffledMatchesCold(t *testing.T) {
 	obsCfg := cfg
 	obsCfg.Obs = reg
 	svc, err := serve.New(serve.Options{
-		QueueDepth: 256, BatchMax: 16, Now: time.Now, Obs: reg,
+		QueueDepth: 256, Now: time.Now, Obs: reg,
 	}, snapshotProvider(obsCfg))
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +393,7 @@ func TestServeCoalescedShuffledMatchesCold(t *testing.T) {
 				return
 			}
 			if !plansEqual(p, want[b]) {
-				errs[i] = fmt.Errorf("budget %.1f: pool plan %v != cold plan %v", b, p, want[b])
+				errs[i] = fmt.Errorf("budget %.1f: served plan %v != cold plan %v", b, p, want[b])
 			}
 		}(i, b)
 	}
@@ -468,14 +403,14 @@ func TestServeCoalescedShuffledMatchesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The pool's chains must actually be warm: one cold solve per
-	// worker, everything else a warm re-solve or a frontier hit.
+	// The key's planner must actually be warm: one cold solve to open
+	// its chain, everything else a warm re-solve or a frontier hit.
 	if colds := reg.Counter("lp.cold_solves").Value(); colds < 1 {
-		t.Fatal("no cold solve recorded; the pool never opened a chain")
+		t.Fatal("no cold solve recorded; the planner never opened a chain")
 	}
 	warms, hits := reg.Counter("lp.warm_resolves").Value(), reg.Counter("core.frontier_hits").Value()
 	if warms+hits == 0 {
-		t.Fatal("no warm resolves or frontier hits recorded; the pool is not serving from warm chains")
+		t.Fatal("no warm resolves or frontier hits recorded; the planner is not serving warm")
 	}
 }
 

@@ -16,12 +16,12 @@ import (
 	"prospector/internal/serve"
 )
 
-// TestServeStress drives the pool the way production would under
+// TestServeStress drives the service the way production would under
 // load, built to be run with -race: at least 8 client goroutines
 // spread over two planner keys hammer Submit with mixed budgets while
 // scraper goroutines concurrently pull /metrics, /debug/telemetry,
 // and /readyz, and the collector ticks. Any data
-// race between the workers, the admission path, the registry, and the
+// race between the planners, the admission path, the registry, and the
 // HTTP surface surfaces here.
 func TestServeStress(t *testing.T) {
 	cfg := makeConfig(t, 11, 20, 4, 5)
@@ -29,7 +29,7 @@ func TestServeStress(t *testing.T) {
 	obsCfg := cfg
 	obsCfg.Obs = reg
 	svc, err := serve.New(serve.Options{
-		QueueDepth: 128, BatchMax: 8, Now: time.Now, Obs: reg,
+		QueueDepth: 128, Now: time.Now, Obs: reg,
 	}, snapshotProvider(obsCfg))
 	if err != nil {
 		t.Fatal(err)

@@ -5,20 +5,42 @@
 package prospector
 
 import (
+	"sync"
 	"testing"
 
 	"prospector/internal/analysis"
 )
 
+// serialLint is one serial load of the repository and the suite's
+// diagnostics over it, shared by the tests below: the load (parse and
+// type-check, the standard library from source) is nearly all of
+// their cost.
+var serialLint struct {
+	once  sync.Once
+	pkgs  []*analysis.Package
+	diags []analysis.Diagnostic
+	err   error
+}
+
+func loadSerialLint(t *testing.T) ([]*analysis.Package, []analysis.Diagnostic) {
+	t.Helper()
+	serialLint.once.Do(func() {
+		serialLint.pkgs, serialLint.err = analysis.LoadDirWorkers(".", 1)
+		if serialLint.err == nil {
+			serialLint.diags = analysis.RunWorkers(serialLint.pkgs, analysis.Suite(), 1)
+		}
+	})
+	if serialLint.err != nil {
+		t.Fatalf("loading repository: %v", serialLint.err)
+	}
+	return serialLint.pkgs, serialLint.diags
+}
+
 func TestLintRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lint type-checks the whole repository; skipped with -short")
 	}
-	pkgs, err := analysis.LoadDir(".")
-	if err != nil {
-		t.Fatalf("loading repository: %v", err)
-	}
-	diags := analysis.Run(pkgs, analysis.Suite())
+	_, diags := loadSerialLint(t)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
@@ -34,10 +56,7 @@ func TestLoadDirWorkersDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole repository twice; skipped with -short")
 	}
-	serial, err := analysis.LoadDirWorkers(".", 1)
-	if err != nil {
-		t.Fatalf("serial load: %v", err)
-	}
+	serial, sd := loadSerialLint(t)
 	parallel, err := analysis.LoadDirWorkers(".", 8)
 	if err != nil {
 		t.Fatalf("parallel load: %v", err)
@@ -50,7 +69,6 @@ func TestLoadDirWorkersDeterministic(t *testing.T) {
 			t.Errorf("package %d: serial %s, parallel %s", i, serial[i].Path, parallel[i].Path)
 		}
 	}
-	sd := analysis.RunWorkers(serial, analysis.Suite(), 1)
 	pd := analysis.RunWorkers(parallel, analysis.Suite(), 8)
 	if len(sd) != len(pd) {
 		t.Fatalf("serial run produced %d diagnostics, parallel %d", len(sd), len(pd))
