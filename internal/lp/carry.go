@@ -227,13 +227,13 @@ func (s *solver) crossover(cols []int) {
 		t, r := s.rowLimit(sigma, span)
 		if r < 0 {
 			s.xN[j] = target
-			for i := range s.xB[:s.m] {
-				s.xB[i] -= sigma * span * s.w[i]
+			for _, i := range s.w.idx {
+				s.xB[i] -= sigma * span * s.w.v[i]
 			}
 			continue
 		}
 		leaveStat := atUpper
-		if sigma*s.w[r] > 0 {
+		if sigma*s.w.v[r] > 0 {
 			leaveStat = atLower
 		}
 		s.pivot(j, sigma, t, r, leaveStat)
@@ -246,11 +246,11 @@ func (s *solver) crossover(cols []int) {
 // the unit columns, nonbasic until now, also do. An interior column
 // replaced (the peel can pivot an at-bound column first) is brought
 // back by a basis exchange against a position that holds a column at
-// a bound; the factor absorbs each exchange as an eta. Such a position
-// exists while the interior columns are independent, as a vertex's
-// are. Removed rows can make them dependent (two columns may have
-// differed only there), and an interior column with no position left
-// is parked for crossover.
+// a bound; the factor absorbs each exchange as an update. Such a
+// position exists while the interior columns are independent, as a
+// vertex's are. Removed rows can make them dependent (two columns may
+// have differed only there), and an interior column with no position
+// left, or whose exchange the update refuses, is parked for crossover.
 func (s *solver) replaceDependent(ws *Workspace, pos, rows []int32, unit []int) {
 	sc := &ws.carry
 	sc.back = sc.back[:0]
@@ -271,19 +271,18 @@ func (s *solver) replaceDependent(ws *Workspace, pos, rows []int32, unit []int) 
 	for _, j := range sc.back {
 		s.ftran(j)
 		p, best := -1, dualPivotTol
-		for r := 0; r < s.m; r++ {
-			if w := math.Abs(s.w[r]); w > best && !s.interior(s.basis[r]) {
-				p, best = r, w
+		for _, r := range s.w.idx {
+			if w := math.Abs(s.w.v[r]); w > best && !s.interior(s.basis[r]) {
+				p, best = int(r), w
 			}
 		}
-		if p < 0 {
+		if p < 0 || !ws.f.update(p) {
 			s.park(sc, j)
 			continue
 		}
 		leave := s.basis[p]
 		s.rest(leave, s.xN[leave])
 		s.basis[p], s.stat[j] = j, basic
-		ws.f.appendEta(s.w, p)
 	}
 }
 

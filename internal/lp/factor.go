@@ -2,54 +2,118 @@ package lp
 
 import "math"
 
-// factor maintains the basis inverse as a sparse LU factorization of
-// the basis at the last refactorization with a product-form eta file
-// on top:
+// factor maintains the basis inverse as a sparse LU factorization
+// kept current by Forrest–Tomlin updates:
 //
-//	B^-1 = E_k · ... · E_1 · B0^-1,   P·B0·Q = L·U
+//	R_k ··· R_1 · L⁻¹ · B = U
 //
-// factorize peels B0's column singletons (slack and artificial unit
-// columns, and structurals touching one remaining row) into the upper
-// triangle, then its row singletons into the lower one, and LU-factors
-// only the remaining bump densely with partial pivoting. LP bases are
-// nearly triangular, so the bump is small and Ftran/Btran are sparse
-// triangular solves costing O(m + nnz(L) + nnz(U)). Each eta matrix E
-// records one pivot made since, as the sparse spike w = B^-1 A_enter
-// it eliminated, so a pivot costs O(nnz(w)); the eta file is folded
-// into a fresh LU once it outgrows the factors (see solver.etaBudget)
+// with U upper triangular in a pivot order that the updates permute.
+// factorize peels the basis's column singletons (slack and artificial
+// unit columns, and structurals touching one remaining row) into the
+// upper triangle, then its row singletons into the lower one, and
+// LU-factors only the remaining bump densely with partial pivoting.
+// LP bases are nearly triangular, so the bump is small.
+//
+// A pivot that replaces the column at basis position p with a_q puts
+// the spike L⁻¹a_q (after the R etas so far, as the Ftran of a_q left
+// it) into U in place of p's column, moves p's pivot to the end of the
+// order, and eliminates that pivot's old U row with one row eta R
+// (Forrest & Tomlin 1972). An update costs about the nonzeros it
+// touches, Ftran and Btran run on the current factors, and the factors
+// are rebuilt only once U and R outgrow their storage bound (see grown)
 // or the drift-control pivot counter fires (see solver.refactorEvery).
 //
-// All storage is flat and reused (the factors, the eta arenas, the
-// refactorization scratch), so a Workspace can replay thousands of
-// solves without allocating.
+// These LPs are hypersparse: a column's spike has a handful of
+// nonzeros and B⁻¹a_q a few dozen of some hundreds of rows. Ftran and
+// Btran therefore visit only the pivots a sparse right-hand side
+// reaches (Gilbert & Peierls 1988; Hall & McKinnon 2005), found by a
+// bitset over the pivot order that also yields them in that order, so
+// the arithmetic is the dense loop's, bit for bit, without its pass
+// over every pivot (see kernel.go).
+//
+// All storage is flat and reused (the factors, the update arenas, the
+// solve scratch), so a Workspace can replay thousands of solves
+// without allocating.
 type factor struct {
 	m int
-	// lu holds B0's factors; factorize builds into spare and swaps,
-	// so a singular basis leaves lu untouched.
+	// lu holds the last factorization; factorize builds into spare and
+	// swaps, so a singular basis leaves lu untouched. Its L stays in
+	// force until the next factorization; its pivots and U are copied to
+	// the live storage below, which the updates edit.
 	lu, spare luFactors
-	// lu's U again by columns, for the scatter form of Ftran: column k
-	// holds the entries of earlier pivots at basis position
-	// lu.pivCol[k], as (the pivot's constraint row ucRow, ucVal) in
-	// [ucOff[k], ucOff[k+1]).
-	ucOff []int32
-	ucRow []int32
-	ucVal []float64
-	// Eta file: eta e pivots on row etaRow[e] with pivot value
-	// etaPiv[e]; its off-pivot nonzeros are etaIdx/etaVal in
-	// [etaOff[e], etaOff[e+1]).
-	etaRow []int32
-	etaPiv []float64
-	etaOff []int32
-	etaIdx []int32
-	etaVal []float64
+
+	// The live pivots, indexed by rank, their place in the current
+	// pivot order: pivot k sits at constraint row kRow[k] and basis
+	// position kPos[k] with diagonal kDiag[k]. The factorization's
+	// pivots take ranks 0..m-1; an update gives the pivot it moves the
+	// next rank and sets kRow at its old one to -1. rowRank and posRank
+	// map a constraint row and a basis position to their pivot's rank.
+	kRow    []int32
+	kPos    []int32
+	kDiag   []float64
+	rowRank []int32
+	posRank []int32
+
+	// U by rows for Btran: the row of pivot k holds (the rank of the
+	// entry's column urRank, urVal) in [urBeg[k], urBeg[k]+urLen[k]),
+	// with room for urCap[k] entries; a row that outgrows its room moves
+	// to the end of the arena.
+	urBeg, urLen, urCap []int32
+	urRank              []int32
+	urVal               []float64
+	// U by columns for Ftran: the column of pivot k holds (the rank of
+	// the entry's row ucRank, ucVal) in [ucBeg[k], ucBeg[k]+ucLen[k]);
+	// an update writes its spike to the end of the arena. An entry's
+	// ranks stay valid: an update moves a pivot only once its row and
+	// column have left U.
+	ucBeg, ucLen []int32
+	ucRank       []int32
+	ucVal        []float64
+
+	// L stays in the factorization's pivot order: slot s is lu's pivot
+	// s, and rowSlot maps a constraint row to its slot. By rows, for the
+	// scatter form of Btran, the row of slot s holds (the constraint row
+	// of an earlier pivot's L column lrRow, its multiplier lrVal) in
+	// [lrOff[s], lrOff[s+1]). lCol[s] is the index of slot s's L column
+	// in lu, -1 when it has none.
+	rowSlot []int32
+	lrOff   []int32
+	lrRow   []int32
+	lrVal   []float64
+	lCol    []int32
+
+	// R etas: eta e replaces the value at constraint row rRow[e] with
+	// itself minus the sum of rVal[k]·(value at row rIdx[k]) over
+	// [rOff[e], rOff[e+1]).
+	rRow []int32
+	rOff []int32
+	rIdx []int32
+	rVal []float64
+
+	// base is the U and R storage a factorization leaves; grown
+	// measures the updates against it.
+	base int
 	// pivotsSince counts pivots since the last refactorization (drift
 	// control, carried across warm solves sharing this factor).
 	pivotsSince int
 	// peels counts the factorizations begun, failed ones included.
 	peels int
-	// work is the length-m vector the triangular solves run in.
-	work []float64
-	sc   luScratch
+
+	// Solve scratch, all kept zero (false) between calls: c by
+	// constraint row, kw by rank (U's stages run in it), mark by
+	// constraint row, bits one bit per slot, rank, row or position. rows
+	// is a list scratch of up to m rows. spike is the last ftranCol's
+	// L⁻¹a after the R etas, by constraint row, its nonzeros listed in
+	// spikeIdx.
+	c        []float64
+	kw       []float64
+	mark     []bool
+	bits     []uint64
+	rows     []int32
+	spike    []float64
+	spikeIdx []int32
+
+	sc luScratch
 }
 
 // luFactors is P·B0·Q = L·U in pivot order. Pivot k sits at
@@ -88,151 +152,8 @@ type luScratch struct {
 	bump           []float64
 }
 
-func (f *factor) clearEtas() {
-	f.etaRow = f.etaRow[:0]
-	f.etaPiv = f.etaPiv[:0]
-	// The first clear allocates the one-element offset slice; later
-	// clears reuse it.
-	f.etaOff = append(f.etaOff[:0], 0)
-	f.etaIdx = f.etaIdx[:0]
-	f.etaVal = f.etaVal[:0]
-}
-
-// nnz returns the eta-file size (off-pivot nonzeros), the quantity the
-// refactorization budget bounds.
-func (f *factor) nnz() int { return len(f.etaVal) }
-
-// luNnz returns the work one triangular solve pass costs: a step per
-// pivot plus the off-diagonal nonzeros of L and U.
-func (f *factor) luNnz() int { return f.m + len(f.lu.uVal) + len(f.lu.lVal) }
-
-// appendEta records the pivot (w, leaveRow): the next B^-1 is E·B^-1
-// with E built from spike w. Only the spike's nonzeros are stored.
-func (f *factor) appendEta(w []float64, leaveRow int) {
-	// Eta arenas grow to the between-refactorization high-water mark, then are
-	// truncated in place.
-	f.etaRow = append(f.etaRow, int32(leaveRow))
-	f.etaPiv = append(f.etaPiv, w[leaveRow])
-	for i, wi := range w {
-		if i == leaveRow || isZero(wi) {
-			continue
-		}
-		f.etaIdx = append(f.etaIdx, int32(i))
-		f.etaVal = append(f.etaVal, wi)
-	}
-	f.etaOff = append(f.etaOff, int32(len(f.etaVal)))
-	f.pivotsSince++
-}
-
-// applyEtas runs the eta file forward over v (the Ftran direction):
-// for each eta, t = v[r]/piv; v[i] -= w_i·t; v[r] = t.
-func (f *factor) applyEtas(v []float64) {
-	for e := 0; e < len(f.etaRow); e++ {
-		r := f.etaRow[e]
-		vr := v[r]
-		if isZero(vr) {
-			continue
-		}
-		t := vr / f.etaPiv[e]
-		for k := f.etaOff[e]; k < f.etaOff[e+1]; k++ {
-			v[f.etaIdx[k]] -= f.etaVal[k] * t
-		}
-		v[r] = t
-	}
-}
-
-// solve sets out = B0^-1 c: c is indexed by constraint row and is
-// consumed, out by basis position. L runs forward by columns and U
-// backward by columns, each skipping zero multiplicands, so a sparse
-// solve costs little more than a pass over the pivots.
-func (f *factor) solve(c, out []float64) {
-	lu := &f.lu
-	for e, r := range lu.lRow {
-		t := c[r]
-		if isZero(t) {
-			continue
-		}
-		for k := lu.lOff[e]; k < lu.lOff[e+1]; k++ {
-			c[lu.lIdx[k]] -= lu.lVal[k] * t
-		}
-	}
-	for k := len(lu.pivRow) - 1; k >= 0; k-- {
-		t := c[lu.pivRow[k]]
-		if isZero(t) {
-			out[lu.pivCol[k]] = 0
-			continue
-		}
-		t /= lu.pivVal[k]
-		out[lu.pivCol[k]] = t
-		for u := f.ucOff[k]; u < f.ucOff[k+1]; u++ {
-			c[f.ucRow[u]] -= f.ucVal[u] * t
-		}
-	}
-}
-
-// solveT sets y = B0^-T y in place: y comes in indexed by basis
-// position and leaves indexed by constraint row; work (length m) holds
-// the input while Uᵀ runs forward by rows, then Lᵀ runs backward by
-// columns.
-func (lu *luFactors) solveT(y, work []float64) {
-	copy(work, y)
-	for k, col := range lu.pivCol {
-		g := work[col] / lu.pivVal[k]
-		y[lu.pivRow[k]] = g
-		if isZero(g) {
-			continue
-		}
-		for u := lu.uOff[k]; u < lu.uOff[k+1]; u++ {
-			work[lu.uIdx[u]] -= lu.uVal[u] * g
-		}
-	}
-	for e := len(lu.lRow) - 1; e >= 0; e-- {
-		s := y[lu.lRow[e]]
-		for k := lu.lOff[e]; k < lu.lOff[e+1]; k++ {
-			s -= lu.lVal[k] * y[lu.lIdx[k]]
-		}
-		y[lu.lRow[e]] = s
-	}
-}
-
-// ftranCol computes out = B^-1 A_j for column col of the sparse
-// column store.
-func (f *factor) ftranCol(col []centry, out []float64) {
-	c := f.work[:f.m]
-	for i := range c {
-		c[i] = 0
-	}
-	for _, e := range col {
-		c[e.row] = e.coef
-	}
-	f.solve(c, out)
-	f.applyEtas(out)
-}
-
-// ftranDense computes v = B^-1 v in place for a dense v.
-func (f *factor) ftranDense(v []float64) {
-	c := f.work[:f.m]
-	copy(c, v)
-	f.solve(c, v)
-	f.applyEtas(v)
-}
-
-// btran computes y = yᵀ B^-1 in place: the eta file runs in reverse
-// (each eta adjusts only y[r]), then B0's factors apply transposed.
-func (f *factor) btran(y []float64) {
-	for e := len(f.etaRow) - 1; e >= 0; e-- {
-		r := f.etaRow[e]
-		s := y[r]
-		for k := f.etaOff[e]; k < f.etaOff[e+1]; k++ {
-			s -= y[f.etaIdx[k]] * f.etaVal[k]
-		}
-		y[r] = s / f.etaPiv[e]
-	}
-	f.lu.solveT(y, f.work[:f.m])
-}
-
 // refactorize rebuilds the LU factors of the basis whose position p
-// holds column basis[p] of cs, wiping the eta file and accumulated
+// holds column basis[p] of cs, wiping the updates and accumulated
 // floating-point drift. Returns false (leaving the factor untouched)
 // when the basis matrix is numerically singular.
 func (f *factor) refactorize(basis []int, cs *colStore) bool {
@@ -267,12 +188,126 @@ func (f *factor) factorize(basis []int, cs *colStore, unit []int) (pos, rows []i
 		return nil, nil, false
 	}
 	f.lu, f.spare = f.spare, f.lu
-	f.columnsU(f.sc.colPos)
-	f.m = len(basis)
-	f.work = grow(f.work, f.m)
-	f.clearEtas()
-	f.pivotsSince = 0
+	f.load(len(basis))
 	return pos, rows, true
+}
+
+// load makes the factorization in lu the live factors for a basis of
+// m rows: pivot k at rank k, U copied out by rows and by columns, L
+// copied by rows, no R etas, and the solve scratch sized and cleared.
+func (f *factor) load(m int) {
+	lu := &f.lu
+	f.m = m
+	f.pivotsSince = 0
+	// The pivot tables and the update arenas grow to the high-water
+	// mark, then are truncated in place.
+	f.kRow = append(f.kRow[:0], lu.pivRow...)
+	f.kPos = append(f.kPos[:0], lu.pivCol...)
+	f.kDiag = append(f.kDiag[:0], lu.pivVal...)
+	f.rowRank = grow(f.rowRank, m)
+	f.posRank = grow(f.posRank, m)
+	f.rowSlot = grow(f.rowSlot, m)
+	f.lCol = grow(f.lCol, m)
+	for k := 0; k < m; k++ {
+		f.rowRank[lu.pivRow[k]], f.posRank[lu.pivCol[k]] = int32(k), int32(k)
+		f.lCol[k] = -1
+	}
+	copy(f.rowSlot, f.rowRank)
+
+	// L by rows: count each row's multipliers into lrOff[s+1], take
+	// prefix sums, fill with lrOff[s] as row s's cursor, then shift the
+	// cursors back into offsets (as buildCols does).
+	f.lrOff = grow(f.lrOff, m+1)
+	for s := range f.lrOff {
+		f.lrOff[s] = 0
+	}
+	for _, i := range lu.lIdx {
+		f.lrOff[f.rowSlot[i]+1]++
+	}
+	for s := 0; s < m; s++ {
+		f.lrOff[s+1] += f.lrOff[s]
+	}
+	f.lrRow = grow(f.lrRow, len(lu.lIdx))
+	f.lrVal = grow(f.lrVal, len(lu.lIdx))
+	for e, r := range lu.lRow {
+		f.lCol[f.rowSlot[r]] = int32(e)
+		for q := lu.lOff[e]; q < lu.lOff[e+1]; q++ {
+			s := f.rowSlot[lu.lIdx[q]]
+			f.lrRow[f.lrOff[s]], f.lrVal[f.lrOff[s]] = r, lu.lVal[q]
+			f.lrOff[s]++
+		}
+	}
+	copy(f.lrOff[1:], f.lrOff[:m])
+	f.lrOff[0] = 0
+
+	// U by rows, each row's room exactly its length.
+	f.urBeg = append(f.urBeg[:0], lu.uOff[:m]...)
+	f.urLen = grow(f.urLen, m)
+	for k := 0; k < m; k++ {
+		f.urLen[k] = lu.uOff[k+1] - lu.uOff[k]
+	}
+	f.urCap = append(f.urCap[:0], f.urLen...)
+	f.urRank = grow(f.urRank, len(lu.uIdx))
+	for q, p := range lu.uIdx {
+		f.urRank[q] = f.posRank[p]
+	}
+	f.urVal = append(f.urVal[:0], lu.uVal...)
+
+	// U by columns: count, lay the columns out, fill (the column of
+	// rank j gets row k's entry in it).
+	f.ucLen = grow(f.ucLen, m)
+	for k := 0; k < m; k++ {
+		f.ucLen[k] = 0
+	}
+	for _, p := range lu.uIdx {
+		f.ucLen[f.posRank[p]]++
+	}
+	f.ucBeg = grow(f.ucBeg, m)
+	n := int32(0)
+	for k := 0; k < m; k++ {
+		f.ucBeg[k] = n
+		n += f.ucLen[k]
+		f.ucLen[k] = 0
+	}
+	f.ucRank = grow(f.ucRank, len(lu.uIdx))
+	f.ucVal = grow(f.ucVal, len(lu.uIdx))
+	for k := 0; k < m; k++ {
+		for u := lu.uOff[k]; u < lu.uOff[k+1]; u++ {
+			j := f.urRank[u]
+			q := f.ucBeg[j] + f.ucLen[j]
+			f.ucRank[q], f.ucVal[q] = int32(k), lu.uVal[u]
+			f.ucLen[j]++
+		}
+	}
+
+	f.rRow = f.rRow[:0]
+	f.rOff = append(f.rOff[:0], 0)
+	f.rIdx = f.rIdx[:0]
+	f.rVal = f.rVal[:0]
+	f.base = len(f.urRank) + len(f.ucRank)
+
+	f.c = grow(f.c, m)
+	f.kw = grow(f.kw, m)
+	f.spike = grow(f.spike, m)
+	f.mark = grow(f.mark, m)
+	for i := 0; i < m; i++ {
+		f.c[i], f.kw[i], f.spike[i], f.mark[i] = 0, 0, 0, false
+	}
+	f.bits = grow(f.bits, words(m))
+	for w := range f.bits {
+		f.bits[w] = 0
+	}
+	f.rows = grow(f.rows, m)[:0]
+	f.spikeIdx = grow(f.spikeIdx, m)[:0]
+}
+
+// grown reports whether the updates since the last factorization have
+// grown U's arenas (live entries and the room moved rows left behind)
+// and the R etas past twice what the factorization left plus m, or
+// moved more pivots to the end of the order than the basis has: time
+// to rebuild the factors, which costs about one pass over them.
+func (f *factor) grown() bool {
+	return len(f.urRank)+len(f.ucRank)+len(f.rIdx) > 2*f.base+f.m || len(f.kRow) > 2*f.m
 }
 
 // peel starts a factorization into f.spare: it lays B0 out by rows
@@ -577,39 +612,6 @@ func (lu *luFactors) dropU(k int, pos []int32, mark []int32) {
 	}
 	lu.uOff[k] = w
 	lu.uIdx, lu.uVal = lu.uIdx[:w], lu.uVal[:w]
-}
-
-// columnsU copies the live factors' U by columns (see ucOff). at
-// (one entry per basis position) is clobbered.
-func (f *factor) columnsU(at []int32) {
-	lu := &f.lu
-	n := len(lu.pivRow)
-	for k, p := range lu.pivCol {
-		at[p] = int32(k)
-	}
-	f.ucOff = grow(f.ucOff, n+1)
-	for k := range f.ucOff {
-		f.ucOff[k] = 0
-	}
-	for _, p := range lu.uIdx {
-		f.ucOff[at[p]+1]++
-	}
-	for k := 0; k < n; k++ {
-		f.ucOff[k+1] += f.ucOff[k]
-	}
-	f.ucRow = grow(f.ucRow, len(lu.uIdx))
-	f.ucVal = grow(f.ucVal, len(lu.uIdx))
-	// Fill with ucOff[k] as column k's cursor, then shift the cursors,
-	// each left at the next column's start, back into offsets.
-	for t := 0; t < n; t++ {
-		for u := lu.uOff[t]; u < lu.uOff[t+1]; u++ {
-			k := at[lu.uIdx[u]]
-			f.ucRow[f.ucOff[k]], f.ucVal[f.ucOff[k]] = lu.pivRow[t], lu.uVal[u]
-			f.ucOff[k]++
-		}
-	}
-	copy(f.ucOff[1:], f.ucOff[:n])
-	f.ucOff[0] = 0
 }
 
 // reset empties the factors for a basis of m rows, keeping storage.

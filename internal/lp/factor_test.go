@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -72,6 +73,14 @@ func randomSparseColumn(rng *rand.Rand, m, maxNnz int) []centry {
 // ±1 unit columns (slacks, artificials), sparse structurals with a
 // dominant entry, and a handful of dense columns forming a bump.
 func randomBasis(rng *rand.Rand, m int) (basis []int, cols [][]centry) {
+	return shapedBasis(rng, m, m)
+}
+
+// shapedBasis is randomBasis with at most bumpNnz entries in each bump
+// column: a bumpNnz below m gives the hypersparse bases of the
+// planners' LPs, and then each bump column also gets an entry on its
+// own row, so that the basis is rarely singular.
+func shapedBasis(rng *rand.Rand, m, bumpNnz int) (basis []int, cols [][]centry) {
 	perm := rng.Perm(m)
 	for p := 0; p < m; p++ {
 		diag := perm[p]
@@ -87,12 +96,24 @@ func randomBasis(rng *rand.Rand, m int) (basis []int, cols [][]centry) {
 				}
 			}
 		default:
-			col = randomSparseColumn(rng, m, m)
+			col = randomSparseColumn(rng, m, bumpNnz)
+			if bumpNnz < m && !hasRow(col, diag) {
+				col = append(col, centry{row: diag, coef: 1 + rng.Float64()})
+			}
 		}
 		cols = append(cols, col)
 		basis = append(basis, p)
 	}
 	return basis, cols
+}
+
+func hasRow(col []centry, row int) bool {
+	for _, e := range col {
+		if e.row == row {
+			return true
+		}
+	}
+	return false
 }
 
 // storeOf lays cols out as a column store, with every column's
@@ -117,8 +138,9 @@ func denseOf(col []centry, m int) []float64 {
 	return v
 }
 
-// checkAgainstOracle compares ftranCol, ftranDense and btran on f with
-// the dense inverse of the basis.
+// checkAgainstOracle compares ftranCol, ftranDense, btran and
+// btranSparse on f with the dense inverse of the basis, and checks the
+// index lists the sparse forms return.
 func checkAgainstOracle(t *testing.T, label string, f *factor, basis []int, cols [][]centry, rng *rand.Rand) {
 	t.Helper()
 	m := len(basis)
@@ -143,9 +165,11 @@ func checkAgainstOracle(t *testing.T, label string, f *factor, basis []int, cols
 			want[r] += inv[r*m+i] * ad[i]
 		}
 	}
-	got := make([]float64, m)
-	f.ftranCol(a, got)
-	near("ftranCol", got, want)
+	var h hvec
+	h.reset(m)
+	f.ftranCol(a, &h)
+	checkList(t, label+": ftranCol", &h)
+	near("ftranCol", h.v, want)
 
 	v := make([]float64, m)
 	for i := range v {
@@ -172,19 +196,56 @@ func checkAgainstOracle(t *testing.T, label string, f *factor, basis []int, cols
 			want[i] += y[r] * inv[r*m+i]
 		}
 	}
+	h.clear()
+	for i, v := range y {
+		if !isZero(v) {
+			h.v[i] = v
+			h.idx = append(h.idx, int32(i))
+		}
+	}
 	f.btran(y)
 	near("btran", y, want)
+	f.btranSparse(&h)
+	checkList(t, label+": btranSparse", &h)
+	near("btranSparse", h.v, want)
 }
 
-// TestFactorMatchesDenseOracle checks the sparse LU, alone and with a
-// product-form eta file on top, against a dense Gauss-Jordan inverse on
-// random sparse bases.
+// checkList fails unless h's list is ascending, without repeats, and
+// names every nonzero of h.
+func checkList(t *testing.T, label string, h *hvec) {
+	t.Helper()
+	listed := make([]bool, len(h.v))
+	for k, i := range h.idx {
+		if k > 0 && i <= h.idx[k-1] {
+			t.Fatalf("%s: list %v not ascending", label, h.idx)
+		}
+		listed[i] = true
+	}
+	for i, v := range h.v {
+		if !isZero(v) && !listed[i] {
+			t.Fatalf("%s: nonzero %d (%g) not listed", label, i, v)
+		}
+	}
+}
+
+// TestFactorMatchesDenseOracle checks the sparse LU, alone and after
+// Forrest–Tomlin updates, against a dense Gauss-Jordan inverse on
+// random sparse bases, and the hypersparse Ftran and Btran stages
+// against the dense loops bit for bit on the same factors (see
+// checkHyperMatchesDense). The last 60 bases are larger and
+// hypersparse, as the planners' are.
 func TestFactorMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	f := &factor{}
-	for trial := 0; trial < 300; trial++ {
-		m := 1 + rng.Intn(40)
-		basis, cols := randomBasis(rng, m)
+	for trial := 0; trial < 360; trial++ {
+		m, bumpNnz := 1+rng.Intn(40), 0
+		if trial >= 300 {
+			m, bumpNnz = 50+rng.Intn(100), 6
+		}
+		if bumpNnz == 0 {
+			bumpNnz = m
+		}
+		basis, cols := shapedBasis(rng, m, bumpNnz)
 		if _, ok := denseInverse(basis, cols); !ok {
 			continue
 		}
@@ -192,27 +253,100 @@ func TestFactorMatchesDenseOracle(t *testing.T) {
 			t.Fatalf("trial %d: refactorize rejected a nonsingular basis", trial)
 		}
 		checkAgainstOracle(t, "trial", f, basis, cols, rng)
+		checkHyperMatchesDense(t, "trial", f, rng)
 		// Pivot random entering columns in, as the simplex does, so the
-		// eta file composes with the factors.
-		w := make([]float64, m)
+		// updates compose with the factors.
+		var w hvec
+		w.reset(m)
 		for pivots := 0; pivots < 6; pivots++ {
 			enter := randomSparseColumn(rng, m, 5)
-			f.ftranCol(enter, w)
+			f.ftranCol(enter, &w)
 			leave := -1
-			for r := range w {
-				if math.Abs(w[r]) > 0.2 && (leave < 0 || rng.Intn(2) == 0) {
-					leave = r
+			for _, r := range w.idx {
+				if math.Abs(w.v[r]) > 0.2 && (leave < 0 || rng.Intn(2) == 0) {
+					leave = int(r)
 				}
 			}
 			if leave < 0 {
 				continue
 			}
-			f.appendEta(w, leave)
+			if !f.update(leave) {
+				t.Fatalf("trial %d: update refused a pivot of %g", trial, w.v[leave])
+			}
 			cols = append(cols, enter)
 			basis[leave] = len(cols) - 1
-			checkAgainstOracle(t, "after eta", f, basis, cols, rng)
+			checkAgainstOracle(t, "after update", f, basis, cols, rng)
+			checkHyperMatchesDense(t, "after update", f, rng)
 		}
 	}
+}
+
+// checkHyperMatchesDense runs Ftran and Btran of random sparse
+// right-hand sides through the hypersparse stages whatever their
+// density (hyperFtran, hyperBtran) and through the dense loops
+// (ftranDense, btran), and fails unless the results are equal entry
+// for entry.
+func checkHyperMatchesDense(t *testing.T, label string, f *factor, rng *rand.Rand) {
+	t.Helper()
+	m := f.m
+	var h hvec
+	h.reset(m)
+	for rep := 0; rep < 4; rep++ {
+		a := randomSparseColumn(rng, m, 1+m/10)
+		dense := denseOf(a, m)
+		f.ftranDense(dense)
+		hyperFtran(f, a, &h)
+		checkList(t, label+": hyperFtran", &h)
+		for i, v := range dense {
+			if !sameFloat(h.v[i], v) {
+				t.Fatalf("%s: Ftran[%d]: hypersparse %.17g, dense %.17g", label, i, h.v[i], v)
+			}
+		}
+
+		h.clear()
+		dense = make([]float64, m)
+		for _, p := range rng.Perm(m)[:1+rng.Intn(1+m/10)] {
+			v := rng.Float64()*2 - 1
+			h.v[p], dense[p] = v, v
+			h.idx = append(h.idx, int32(p))
+		}
+		f.btran(dense)
+		hyperBtran(f, &h)
+		checkList(t, label+": hyperBtran", &h)
+		for i, v := range dense {
+			if !sameFloat(h.v[i], v) {
+				t.Fatalf("%s: Btran[%d]: hypersparse %.17g, dense %.17g", label, i, h.v[i], v)
+			}
+		}
+	}
+}
+
+// hyperFtran is ftranCol with every stage in its hypersparse form.
+func hyperFtran(f *factor, col []centry, out *hvec) {
+	rows := f.rows[:0]
+	for _, e := range col {
+		f.c[e.row] = e.coef
+		rows = append(rows, int32(e.row))
+	}
+	rows = f.rForward(f.c, f.lSparse(f.c, rows))
+	for _, i := range rows {
+		f.mark[i] = false
+	}
+	out.clear()
+	f.uSparse(f.c, rows, out)
+	sortIdx(out.idx, f.bits[:words(f.m)])
+}
+
+// hyperBtran is btranSparse with every stage in its hypersparse form.
+func hyperBtran(f *factor, y *hvec) {
+	for _, p := range y.idx {
+		k := f.posRank[p]
+		f.kw[k], y.v[p] = y.v[p], 0
+		setBit(f.bits, k)
+	}
+	rows := f.rBackward(y.v, f.uTSparse(y.v, y.idx[:0]))
+	y.idx = f.lTSparse(y.v, rows)
+	sortIdx(y.idx, f.bits[:words(f.m)])
 }
 
 // TestFactorRejectsSingular covers the three ways a basis is singular
@@ -373,5 +507,135 @@ func TestRevealingFactorRepairs(t *testing.T) {
 	}
 	if repaired < 100 {
 		t.Errorf("only %d repaired bases: the repair went unexercised", repaired)
+	}
+}
+
+// TestFTUpdateMatchesDenseOracle replaces columns of random hypersparse
+// bases by Forrest–Tomlin updates until the factor asks to be rebuilt
+// (grown), and checks Ftran and Btran against the dense inverse of the
+// current basis within 1e-9 after every update. Every fifth step tries
+// a replacement that makes the basis singular (the column already at
+// another position): update must refuse it and leave factors that
+// still solve the unchanged basis and take further updates.
+func TestFTUpdateMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(109))
+	f := &factor{}
+	updates, refused, full := 0, 0, 0
+	for trial := 0; trial < 120; trial++ {
+		m := 20 + rng.Intn(60)
+		basis, cols := shapedBasis(rng, m, 6)
+		if _, ok := denseInverse(basis, cols); !ok {
+			continue
+		}
+		if !f.refactorize(basis, storeOf(cols)) {
+			t.Fatalf("trial %d: refactorize rejected a nonsingular basis", trial)
+		}
+		var w hvec
+		w.reset(m)
+		for step := 0; step < 4*m && !f.grown(); step++ {
+			if step%5 == 4 {
+				p, q := rng.Intn(m), rng.Intn(m-1)
+				if q >= p {
+					q++
+				}
+				f.ftranCol(cols[basis[q]], &w)
+				if f.update(p) {
+					t.Fatalf("trial %d step %d: update accepted a singular replacement", trial, step)
+				}
+				refused++
+				checkAgainstOracle(t, "after a refused update", f, basis, cols, rng)
+				continue
+			}
+			enter := randomSparseColumn(rng, m, 4)
+			f.ftranCol(enter, &w)
+			// Leave on a large entry, as a ratio test favours, so the
+			// bases stay well enough conditioned for the oracle.
+			top := 0.0
+			for _, r := range w.idx {
+				top = math.Max(top, math.Abs(w.v[r]))
+			}
+			leave := -1
+			for _, r := range w.idx {
+				if math.Abs(w.v[r]) >= 0.5*top && (leave < 0 || rng.Intn(2) == 0) {
+					leave = int(r)
+				}
+			}
+			if top < 0.1 {
+				continue
+			}
+			if !f.update(leave) {
+				t.Fatalf("trial %d step %d: update refused a pivot of %g", trial, step, w.v[leave])
+			}
+			cols = append(cols, enter)
+			basis[leave] = len(cols) - 1
+			updates++
+			checkAgainstOracle(t, fmt.Sprintf("trial %d after %d updates", trial, f.pivotsSince), f, basis, cols, rng)
+		}
+		if f.grown() {
+			full++
+		}
+	}
+	if updates < 1000 || refused < 100 || full < 20 {
+		t.Errorf("%d updates, %d refused, %d factors grown full: the update went unexercised", updates, refused, full)
+	}
+}
+
+// TestFTUpdateAllocFree pins the Forrest–Tomlin update path at zero
+// allocations once its arenas have grown: a refactorization followed
+// by the same 30 updates, each with the Ftran of its entering column
+// and the Btran of its leaving row, as a simplex pivot makes them.
+func TestFTUpdateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	const m = 80
+	basis, cols := shapedBasis(rng, m, 6)
+	for {
+		if _, ok := denseInverse(basis, cols); ok {
+			break
+		}
+		basis, cols = shapedBasis(rng, m, 6)
+	}
+	cs := storeOf(cols)
+	f := &factor{}
+	if !f.refactorize(basis, cs) {
+		t.Fatal("refactorize rejected a nonsingular basis")
+	}
+	var w, rho hvec
+	w.reset(m)
+	rho.reset(m)
+	type step struct {
+		col   []centry
+		leave int
+	}
+	var steps []step
+	for len(steps) < 30 {
+		enter := randomSparseColumn(rng, m, 4)
+		f.ftranCol(enter, &w)
+		leave := -1
+		for _, r := range w.idx {
+			if leave < 0 || math.Abs(w.v[r]) > math.Abs(w.v[leave]) {
+				leave = int(r)
+			}
+		}
+		if leave < 0 || math.Abs(w.v[leave]) < 0.1 || !f.update(leave) {
+			continue
+		}
+		steps = append(steps, step{enter, leave})
+	}
+	run := func() {
+		if !f.refactorize(basis, cs) {
+			panic("refactorize rejected the basis it accepted before")
+		}
+		for _, st := range steps {
+			f.ftranCol(st.col, &w)
+			rho.unit(st.leave)
+			f.btranSparse(&rho)
+			if !f.update(st.leave) {
+				panic("update refused a step it accepted before")
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("refactorization plus 30 updates allocates %.1f allocs/op, want 0", allocs)
 	}
 }

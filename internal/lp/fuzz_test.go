@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -86,9 +87,11 @@ func FuzzColdSolve(f *testing.F) {
 // by steps of SetRHS, SetObjCoef, SetVarBound, AddVar (with terms in
 // existing rows), AddConstr, AddTerm and RemoveVars. After every step
 // the warm re-solve must agree with a cold-direct solve in status and
-// objective, every optimum must carry a KKT certificate, and ranging
-// one row's right-hand side around each warm optimum must pass
-// checkRangeRHS.
+// objective, every optimum must carry a KKT certificate, ranging one
+// row's right-hand side around each warm optimum must pass
+// checkRangeRHS, and the hypersparse Ftran and Btran on the warm
+// solve's factors must equal the dense loops bit for bit
+// (checkHyperMatchesDense).
 func FuzzWarmEdits(f *testing.F) {
 	f.Fuzz(checkWarmEdits)
 }
@@ -127,6 +130,8 @@ func checkWarmEdits(t *testing.T, data []byte) {
 				// is checked by feasibility and objective, not by X.
 				checkRangeRHS(t, fmt.Sprintf("step %d", step), m, ws, step%nr,
 					[]float64{0, 0.25, 0.5, 1}, rangeOracle{tol: 1e-6})
+				checkHyperMatchesDense(t, fmt.Sprintf("step %d", step), &ws.f,
+					rand.New(rand.NewSource(int64(step))))
 			}
 			basis = warm.Basis
 		}

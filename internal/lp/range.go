@@ -11,6 +11,13 @@ import "math"
 // more moves it by at most 1e-9.
 const rangeSlack = 1e-12
 
+// slopeNoise is the largest slope RangeRHS counts as zero. Such noise
+// on a basic value with room r would end the range r/noise away, some
+// 1e16 for r of 1, and interpolating out there moves that value by the
+// noise times the range: by r, however wrong. A true slope that small
+// moves a value by 1e-12 per unit of right-hand side.
+const slopeNoise = 1e-12
+
 // RangeRHS ranges the right-hand side of row around the solve that
 // just ran through ws on m. It returns the interval [lo, hi] of that
 // right-hand side over which the solve's final basis stays primal
@@ -24,10 +31,11 @@ const rangeSlack = 1e-12
 // ws was an Optimal solve of m and m still has the structure and the
 // row's right-hand side that solve saw; the caller must not have
 // edited m's bounds or costs since either. An end is infinite when no
-// basic variable reaches a bound in that direction. Each basic value
-// may pass its bound by rangeSlack, and one that ended the solve
-// already past a bound (within the solver's tolerance) is measured
-// from where it stands, so lo <= rhs <= hi always holds.
+// basic variable reaches a bound in that direction; a slope of at most
+// slopeNoise counts as zero. Each basic value may pass its bound by
+// rangeSlack, and one that ended the solve already past a bound
+// (within the solver's tolerance) is measured from where it stands, so
+// lo <= rhs <= hi always holds.
 func (ws *Workspace) RangeRHS(m *Model, row int, vars []VarID, x0, dx []float64) (lo, hi float64, ok bool) {
 	s := &ws.s
 	if !ws.lastOptimal || ws.lastModel != m || ws.lastVersion != m.structVersion ||
@@ -35,12 +43,9 @@ func (ws *Workspace) RangeRHS(m *Model, row int, vars []VarID, x0, dx []float64)
 		return 0, 0, false
 	}
 	// w = B⁻¹e_row: d x_B / d rhs, by basis position.
-	w := s.rho[:s.m]
-	for i := range w {
-		w[i] = 0
-	}
-	w[row] = 1
-	ws.f.ftranDense(w)
+	ws.unitCol[0] = centry{row: row, coef: 1}
+	ws.f.ftranCol(ws.unitCol[:], &s.rho)
+	w := s.rho.v
 
 	ws.rangeDx = grow(ws.rangeDx, s.nStruct)
 	slope := ws.rangeDx
@@ -48,8 +53,9 @@ func (ws *Workspace) RangeRHS(m *Model, row int, vars []VarID, x0, dx []float64)
 		slope[j] = 0
 	}
 	up, down := math.Inf(1), math.Inf(1)
-	for p, wp := range w {
-		if isZero(wp) {
+	for _, p := range s.rho.idx {
+		wp := w[p]
+		if math.Abs(wp) <= slopeNoise {
 			continue
 		}
 		j := s.basis[p]

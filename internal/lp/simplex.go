@@ -44,7 +44,10 @@ type Options struct {
 	// Tol is the feasibility/optimality tolerance; 0 means 1e-7.
 	Tol float64
 	// RefactorEvery overrides the pivot budget between explicit basis
-	// refactorizations; 0 keeps the size-based default. Mainly for
+	// refactorizations, which bounds the floating-point drift the
+	// Forrest–Tomlin updates of the factors accumulate; 0 keeps the
+	// size-based default. The factors are also rebuilt, whatever the
+	// budget, once the updates outgrow their storage bound. Mainly for
 	// tests and numerically hostile models.
 	RefactorEvery int
 	// Workspace, when non-nil, supplies all per-solve scratch (solver
@@ -110,9 +113,9 @@ type Solution struct {
 	DegeneratePivots int
 	BoundFlips       int
 	// Refactorizations counts rebuilds of the basis factorization: the
-	// periodic ones that fold the eta file back into fresh LU factors,
-	// and a warm start's factorization of a basis not already live in
-	// its Workspace.
+	// periodic ones that replace the updated factors with fresh LU
+	// factors, and a warm start's factorization of a basis not already
+	// live in its Workspace.
 	Refactorizations int
 	// Warm reports that this solve reused the supplied Basis (possibly
 	// with recovery pivots); false for cold solves and for warm
@@ -151,12 +154,12 @@ type solver struct {
 
 	basis []int // basis[r] = column basic in row r
 	stat  []vstat
-	f     *factor   // basis inverse: sparse LU plus eta file
+	f     *factor   // basis inverse: sparse LU with Forrest–Tomlin updates
 	xB    []float64 // values of basic variables
 	xN    []float64 // current value of every column (authoritative for nonbasic)
 	y     []float64 // duals scratch
-	w     []float64 // entering column in basis coordinates
-	rho   []float64 // row r of B^-1, the pivot row's multipliers
+	w     hvec      // entering column in basis coordinates
+	rho   hvec      // row r of B^-1, the pivot row's multipliers
 	resid []float64 // recomputeBasics right-hand side scratch; dual flips' A·Δx
 
 	// Pricing state. d holds the reduced costs of the nonbasic
@@ -385,7 +388,7 @@ func (s *solver) reducedCost(cost []float64, j int) float64 {
 
 // ftran computes w = B^-1 A_j.
 func (s *solver) ftran(j int) {
-	s.f.ftranCol(s.cols.col(j), s.w)
+	s.f.ftranCol(s.cols.col(j), &s.w)
 }
 
 // stallLimit is the number of consecutive degenerate pivots after
@@ -461,7 +464,7 @@ func (s *solver) primal(cost []float64, phase1 bool) Status {
 		// Leaving variable rests at whichever bound it hit: the basic
 		// value was driven toward its lower bound when sigma*w > 0.
 		leaveStat := atUpper
-		if sigma*s.w[leaveRow] > 0 {
+		if sigma*s.w.v[leaveRow] > 0 {
 			leaveStat = atLower
 		}
 		s.updatePrimalCosts(enter, leaveRow)
@@ -534,13 +537,9 @@ func (s *solver) gainAll() {
 // columns the row reaches get their gains again; the caller sets the
 // entering and leaving columns' once the pivot has moved them.
 func (s *solver) updatePrimalCosts(enter, leaveRow int) {
-	rho := s.rho[:s.m]
-	for i := range rho {
-		rho[i] = 0
-	}
-	rho[leaveRow] = 1
-	s.f.btran(rho)
-	theta := s.d[enter] / s.w[leaveRow]
+	s.rho.unit(leaveRow)
+	s.f.btranSparse(&s.rho)
+	theta := s.d[enter] / s.w.v[leaveRow]
 	for _, j := range s.cands[:s.primalRow()] {
 		s.d[j] -= theta * s.alpha[j]
 		s.gain[j] = s.gainOf(int(j))
@@ -553,13 +552,14 @@ func (s *solver) updatePrimalCosts(enter, leaveRow int) {
 }
 
 // primalRow forms the pivot row α_j = ρᵀA_j of the nonbasic structural
-// and slack columns row-wise, over ρ's nonzeros only: each row i with
-// ρ_i ≠ 0 adds ρ_i times its terms, and its slack's coefficient. It
-// lists the columns reached in s.cands, marks them in s.inRow for the
-// caller to clear, and returns their count.
+// and slack columns row-wise, over ρ's listed nonzeros only, in row
+// order: each row i with ρ_i ≠ 0 adds ρ_i times its terms, and its
+// slack's coefficient. It lists the columns reached in s.cands, marks
+// them in s.inRow for the caller to clear, and returns their count.
 func (s *solver) primalRow() int {
 	nc := 0
-	for i, ri := range s.rho[:s.m] {
+	for _, i := range s.rho.idx {
+		ri := s.rho.v[i]
 		if isZero(ri) {
 			continue
 		}
@@ -610,11 +610,14 @@ func (s *solver) ratioTest(enter int, sigma float64) (t float64, leaveRow int, f
 // in s.w moving in direction sigma by at most t: it returns the step
 // and the row whose basic value reaches a bound first, or t and -1
 // when none does within it. A basic value already past the bound it
-// moves toward blocks at a zero step.
+// moves toward blocks at a zero step. It visits w's listed nonzeros,
+// in row order.
 func (s *solver) rowLimit(sigma, t float64) (float64, int) {
 	leaveRow := -1
-	for r := 0; r < s.m; r++ {
-		wr := sigma * s.w[r]
+	w := s.w.v
+	for _, r32 := range s.w.idx {
+		r := int(r32)
+		wr := sigma * w[r]
 		if math.Abs(wr) <= 1e-11 {
 			continue
 		}
@@ -638,7 +641,7 @@ func (s *solver) rowLimit(sigma, t float64) (float64, int) {
 		// Prefer the tightest limit; on near-ties keep the row with
 		// the largest pivot magnitude for stability.
 		if lim < t-1e-10 || (lim < t+1e-10 && leaveRow >= 0 &&
-			math.Abs(s.w[r]) > math.Abs(s.w[leaveRow])) {
+			math.Abs(w[r]) > math.Abs(w[leaveRow])) {
 			t = lim
 			leaveRow = r
 		}
@@ -656,8 +659,8 @@ func (s *solver) applyBoundFlip(enter int, sigma, t float64) {
 		s.stat[enter] = atLower
 		s.xN[enter] = s.lo[enter]
 	}
-	for r := 0; r < s.m; r++ {
-		s.xB[r] -= sigma * t * s.w[r]
+	for _, r := range s.w.idx {
+		s.xB[r] -= sigma * t * s.w.v[r]
 	}
 }
 
@@ -670,9 +673,9 @@ func (s *solver) pivot(enter int, sigma, t float64, leaveRow int, leaveStat vsta
 	// New value of the entering variable.
 	newVal := s.xN[enter] + sigma*t
 	// Update basic values.
-	for r := 0; r < s.m; r++ {
-		if r != leaveRow {
-			s.xB[r] -= sigma * t * s.w[r]
+	for _, r := range s.w.idx {
+		if int(r) != leaveRow {
+			s.xB[r] -= sigma * t * s.w.v[r]
 		}
 	}
 	// A fixed column rests at its lower bound whichever side it left
@@ -694,12 +697,17 @@ func (s *solver) pivot(enter int, sigma, t float64, leaveRow int, leaveStat vsta
 	s.stat[enter] = basic
 	s.xB[leaveRow] = newVal
 	s.pivotsTotal++
-	s.f.appendEta(s.w, leaveRow)
+	if !s.f.update(leaveRow) {
+		// The new basis is near singular for the update; factor it
+		// afresh, or keep the factors as they are when it is singular,
+		// as maybeRefactor does.
+		s.refactorNow()
+	}
 }
 
 // refactorEvery is the pivot budget between explicit refactorizations
-// of the basis, bounding the floating-point drift the eta file
-// accumulates.
+// of the basis, bounding the floating-point drift the Forrest–Tomlin
+// updates accumulate.
 func (s *solver) refactorEvery() int {
 	if s.opts.RefactorEvery > 0 {
 		return s.opts.RefactorEvery
@@ -710,37 +718,28 @@ func (s *solver) refactorEvery() int {
 	return 1500
 }
 
-// etaBudget bounds the eta file's off-pivot nonzeros. Every Ftran and
-// Btran replays the whole file on top of one pass over the LU factors,
-// and a refactorization costs only a few such passes (B0 is nearly
-// triangular), so the file is folded back into the factors once
-// replaying it costs as much as the factors themselves.
-func (s *solver) etaBudget() int {
-	b := s.f.luNnz()
-	if b < 128 {
-		b = 128
-	}
-	return b
-}
-
-// maybeRefactor rebuilds the factor when the drift budget or the eta
-// growth budget is exhausted, and reports whether it tried: callers
-// then recompute what they keep from the old factor. A singular basis
-// keeps the stale factor (and resets the counter so the rebuild is not
-// retried every pivot).
+// maybeRefactor rebuilds the factor when the drift budget is
+// exhausted or the updates have outgrown their storage bound (see
+// factor.grown), and reports whether it tried: callers then recompute
+// what they keep from the old factor.
 func (s *solver) maybeRefactor() bool {
-	f := s.f
-	if f.pivotsSince < s.refactorEvery() &&
-		!(f.pivotsSince >= 32 && f.nnz() > s.etaBudget()) {
+	if s.f.pivotsSince < s.refactorEvery() && !s.f.grown() {
 		return false
 	}
-	if !f.refactorize(s.basis, s.cols) {
-		f.pivotsSince = 0
-		return true
+	s.refactorNow()
+	return true
+}
+
+// refactorNow rebuilds the factor from the current basis and the basic
+// values from it. A singular basis keeps the stale factor (and resets
+// the counter so the rebuild is not retried every pivot).
+func (s *solver) refactorNow() {
+	if !s.f.refactorize(s.basis, s.cols) {
+		s.f.pivotsSince = 0
+		return
 	}
 	s.refactors++
 	s.recomputeBasics()
-	return true
 }
 
 // recomputeBasics sets xB = B^-1 (b - N x_N) from authoritative

@@ -315,12 +315,8 @@ func (s *solver) dualIterate() Status {
 			return Infeasible
 		}
 		s.iters++
-		rho := s.rho[:s.m]
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[leaveRow] = 1
-		s.f.btran(rho)
+		s.rho.unit(leaveRow)
+		s.f.btranSparse(&s.rho)
 		nc := s.pivotRow(leaveToUpper)
 		enter, sigma, flipped := s.dualRatio(nc, leaveToUpper, delta)
 		if enter < 0 {
@@ -337,7 +333,7 @@ func (s *solver) dualIterate() Status {
 			}
 		}
 		s.ftran(enter)
-		alpha := s.w[leaveRow]
+		alpha := s.w.v[leaveRow]
 		if math.Abs(alpha) <= 1e-11 {
 			// Btran/Ftran disagree badly; the factor has drifted.
 			return Infeasible
@@ -405,7 +401,8 @@ func (s *solver) dualLeaving() (leaveRow int, toUpper bool, delta float64) {
 func (s *solver) updateDevex(leaveRow int, alpha float64) {
 	br := s.devex[leaveRow]
 	scale := br / (alpha * alpha)
-	for i, wi := range s.w[:s.m] {
+	for _, i := range s.w.idx {
+		wi := s.w.v[i]
 		if v := wi * wi * scale; v > s.devex[i] {
 			s.devex[i] = v
 		}
@@ -426,7 +423,7 @@ func (s *solver) pivotRow(toUpper bool) int {
 		}
 		a := 0.0
 		for _, e := range s.cols.col(j) {
-			a += s.rho[e.row] * e.coef
+			a += s.rho.v[e.row] * e.coef
 		}
 		s.alpha[j] = a
 		if !isZero(s.dualDir(j, toUpper)) {

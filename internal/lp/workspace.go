@@ -50,8 +50,10 @@ type Workspace struct {
 	lastVersion uint64
 	lastOptimal bool
 
-	// rangeDx is RangeRHS's scratch: the slope of every structural.
+	// rangeDx and unitCol are RangeRHS's scratch: the slope of every
+	// structural, and the unit column it solves for.
 	rangeDx []float64
+	unitCol [1]centry
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use
@@ -111,8 +113,8 @@ func (ws *Workspace) prepare(m *Model, opts Options) *solver {
 	s.xB = grow(s.xB, rows)
 	s.xN = grow(s.xN, s.nTotal)
 	s.y = grow(s.y, rows)
-	s.w = grow(s.w, rows)
-	s.rho = grow(s.rho, rows)
+	s.w.reset(rows)
+	s.rho.reset(rows)
 	s.resid = grow(s.resid, rows)
 	s.d = grow(s.d, s.artStart)
 	s.gain = grow(s.gain, s.artStart)
@@ -242,7 +244,13 @@ func (ws *Workspace) takeSolution(m *Model, s *solver, st Status) *Solution {
 			}
 		}
 		sol.Objective = m.Objective(sol.X)
-		s.computeDuals(s.c)
+		if st != Optimal {
+			// An Optimal solve ends on the pricing pass that found no
+			// entering column, whose duals s.y already are, from the
+			// phase-2 costs and the final factors; a cut-short one does
+			// not.
+			s.computeDuals(s.c)
+		}
 		copy(sol.Duals, s.y[:s.m])
 		if m.maximize {
 			for r := range sol.Duals {

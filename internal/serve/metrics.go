@@ -43,8 +43,13 @@ type metrics struct {
 }
 
 // latencyMSBounds buckets the wait and solve latencies in
-// milliseconds.
-var latencyMSBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
+// milliseconds. A plan served from the frontier, and most waits, take
+// microseconds, so the buckets start at 1 µs: with 0.05 ms as the
+// first bound every such latency shared one bucket, and p95 and p99
+// read as interpolations inside it. The bounds at and above 0.05 ms
+// are the ones the flight rule on serve.plan_ms.p99 was written
+// against.
+var latencyMSBounds = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000}
 
 func newMetrics(reg *obs.Registry) *metrics {
 	return &metrics{
