@@ -16,8 +16,13 @@ fmt:
 vet:
 	go vet ./...
 
+# The benchmark module (bench/) is a separate module that compiles
+# against this one's internal API; building it here catches an API
+# change that breaks it before the benchmark does. -o /dev/null keeps
+# its command binary out of the tree.
 build:
 	go build ./...
+	cd bench && go build -o /dev/null ./...
 
 test:
 	go test ./...
@@ -27,8 +32,10 @@ race:
 
 # Project analyzer suite (internal/analysis), in `go run ./cmd/lint
 # -list` order: budgetflow, determinism, errchecklite, floatcmp,
-# goleak, obsnilsafe, planfreeze, suppress, unitcheck. `-list`
-# describes each; also enforced by lint_test.go inside `go test ./...`.
+# goleak, obsnilsafe, planfreeze, suppress. `-list` describes each;
+# also enforced by lint_test.go inside `go test ./...`. The cost
+# model's dimensional consistency is not here: its rates are Go types
+# (internal/energy), so a misuse fails `go build`.
 lint:
 	go run ./cmd/lint
 

@@ -48,7 +48,7 @@ func TestExitCodes(t *testing.T) {
 	stdout.Reset()
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Errorf("-list: run = %d, want 0", code)
-	} else if got := strings.Count(stdout.String(), "\n"); got != 9 {
-		t.Errorf("-list printed %d checks, want 9:\n%s", got, stdout.String())
+	} else if got := strings.Count(stdout.String(), "\n"); got != 8 {
+		t.Errorf("-list printed %d checks, want 8:\n%s", got, stdout.String())
 	}
 }

@@ -266,7 +266,7 @@ func TestMedianCheaperThanNaiveK(t *testing.T) {
 	// Exact median needs everything at the root: the all-values cost.
 	all := 0.0
 	for v := 1; v < net.Size(); v++ {
-		all += env.Costs.Msg[v] + env.Costs.Val[v]*float64(net.SubtreeSize(network.NodeID(v)))
+		all += env.Costs.Msg[v] + float64(env.Costs.Val[v])*float64(net.SubtreeSize(network.NodeID(v)))
 	}
 	if res.Ledger.Collection >= all {
 		t.Errorf("q-digest median cost %.1f not below exact %.1f", res.Ledger.Collection, all)

@@ -116,7 +116,7 @@ func collectExact(env exec.Env, kind Kind, values []float64) (*Result, error) {
 		}
 		states[v] = st
 		if v != network.Root {
-			cost := env.Costs.Msg[v] + env.Costs.Model().PerByte*exactStateBytes
+			cost := env.Costs.Msg[v] + env.Costs.Model().ByteCost(exactStateBytes)
 			res.Ledger.Collection += cost
 			res.Ledger.Messages++
 		}
@@ -194,7 +194,7 @@ func collectQuantile(env exec.Env, values []float64, opts Options) (*Result, err
 		digests[v] = d
 		if v != network.Root {
 			bytes := d.Size()*EntryBytes + 16 // entries + min/max floats
-			cost := env.Costs.Msg[v] + env.Costs.Model().PerByte*float64(bytes)
+			cost := env.Costs.Msg[v] + env.Costs.Model().ByteCost(bytes)
 			res.Ledger.Collection += cost
 			res.Ledger.Messages++
 			res.Ledger.Values += d.Size()

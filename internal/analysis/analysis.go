@@ -69,7 +69,8 @@ type Check struct {
 
 // Pass carries one (check, package) execution. Prog exposes the
 // whole-module Program so interprocedural checks can reach the call
-// graph and shared dataflow summaries; per-package checks ignore it.
+// graph and the shared frozen-struct summaries; per-package checks
+// ignore it.
 type Pass struct {
 	Check *Check
 	Pkg   *Package

@@ -80,7 +80,7 @@ func newBudgetflowCheck() *Check {
 						continue
 					}
 					field := "a field"
-					if sel, ok := unparen(lhs).(*ast.SelectorExpr); ok {
+					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
 						field = sel.Sel.Name
 					}
 					pass.Reportf(lhs.Pos(), "energy.Ledger.%s written outside the accounting helpers (%s)", field, names)

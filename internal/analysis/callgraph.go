@@ -78,7 +78,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 // staticCallee resolves the called function of a call expression, or
 // nil for dynamic calls (function values, conversions, builtins).
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
 			return f
@@ -101,7 +101,7 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 // receiverExpr returns the receiver expression of a method call, or
 // nil for ordinary function calls.
 func receiverExpr(info *types.Info, call *ast.CallExpr) ast.Expr {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// The fixture/internal/edge package collects the call-graph and CFG
-// shapes the dataflow checks and goleak lean on: method expressions
-// under go, method values, defers with closures. These tests pin the
-// substrate behavior directly; the golden test separately proves the
-// package is finding-free.
+// The fixture/internal/edge package collects the call-graph shapes
+// planfreeze, budgetflow and goleak lean on: method expressions under
+// go and method values. These tests pin the substrate behavior
+// directly; the golden test separately proves the package is
+// finding-free.
 
 func edgePkg(t *testing.T) *Package {
 	t.Helper()
@@ -75,42 +75,6 @@ func TestCallGraphMethodValueIsDynamic(t *testing.T) {
 		if site.Callee == stop {
 			t.Errorf("unexpected call edge to Stop from %v: method values are dynamic", site.Caller)
 		}
-	}
-}
-
-// TestCFGDeferClosure proves a defer wrapping a closure stays a
-// straight-line node (one block mention) and does not disturb the
-// loop's back edge — the shape the reaching-definitions flow walks.
-func TestCFGDeferClosure(t *testing.T) {
-	pkg := edgePkg(t)
-	fd, _ := edgeDecl(t, pkg, "Deferred")
-	cfg := buildCFG(fd.Body)
-	deferBlocks := 0
-	for _, blk := range cfg.Blocks {
-		for _, n := range blk.Nodes {
-			if _, ok := n.(*ast.DeferStmt); ok {
-				deferBlocks++
-			}
-		}
-	}
-	if deferBlocks != 1 {
-		t.Errorf("defer with closure appears in %d block nodes, want 1", deferBlocks)
-	}
-	// The range loop must produce a cycle: some block reachable from
-	// entry has a successor with a lower index (the back edge).
-	hasBackEdge := false
-	for _, blk := range cfg.Blocks {
-		for _, s := range blk.Succs {
-			if s.Index <= blk.Index && s != cfg.Exit {
-				hasBackEdge = true
-			}
-		}
-	}
-	if !hasBackEdge {
-		t.Error("range loop produced no back edge in the CFG")
-	}
-	if len(cfg.Exit.Preds) == 0 {
-		t.Error("exit block unreachable")
 	}
 }
 

@@ -80,7 +80,7 @@ func (gs *goleakScan) terminates(encl *ast.FuncDecl, g *ast.GoStmt) bool {
 	var body *ast.BlockStmt
 	remap := func(obj types.Object) types.Object { return obj }
 	var lit *ast.FuncLit
-	if l, ok := unparen(g.Call.Fun).(*ast.FuncLit); ok {
+	if l, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
 		lit = l
 		body = l.Body
 	} else if callee := staticCallee(info, g.Call); callee != nil {
@@ -257,7 +257,7 @@ func waitGroupCalls(info *types.Info, body ast.Node, method string) []wgCall {
 		if !ok {
 			return true
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != method {
 			return true
 		}
@@ -271,7 +271,7 @@ func waitGroupCalls(info *types.Info, body ast.Node, method string) []wgCall {
 				c.root = info.Defs[root]
 			}
 		}
-		if inner, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
+		if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
 			c.field = info.Uses[inner.Sel]
 		}
 		if c.root != nil || c.field != nil {
@@ -361,7 +361,7 @@ func (gs *goleakScan) doneChannelHandshake(info *types.Info, lit *ast.FuncLit, e
 				signaled[obj] = true
 			}
 		case *ast.CallExpr:
-			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" && len(n.Args) == 1 {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 					if obj := chanObj(n.Args[0]); obj != nil {
 						signaled[obj] = true
@@ -404,22 +404,22 @@ func (gs *goleakScan) doneChannelHandshake(info *types.Info, lit *ast.FuncLit, e
 // rootIdent returns the root identifier of a selector/index/deref/
 // address chain (x for &x.f[i].g), or nil.
 func rootIdent(e ast.Expr) *ast.Ident {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
 			return x
 		case *ast.SelectorExpr:
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		case *ast.IndexExpr:
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		case *ast.StarExpr:
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		case *ast.UnaryExpr:
 			if x.Op != token.AND {
 				return nil
 			}
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		default:
 			return nil
 		}

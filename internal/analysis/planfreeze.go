@@ -66,15 +66,15 @@ func frozenName(t types.Type) (string, *types.Package, bool) {
 // judged by their own prefixes.
 func prefixChain(lhs ast.Expr) []ast.Expr {
 	var chain []ast.Expr
-	e := unparen(lhs)
+	e := ast.Unparen(lhs)
 	for {
 		switch x := e.(type) {
 		case *ast.SelectorExpr:
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		case *ast.IndexExpr:
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		case *ast.StarExpr:
-			e = unparen(x.X)
+			e = ast.Unparen(x.X)
 		default:
 			return chain
 		}
@@ -219,7 +219,7 @@ func buildFrozenWorld(prog *Program) *frozenWorld {
 				if arg == nil {
 					continue
 				}
-				id, ok := unparen(arg).(*ast.Ident)
+				id, ok := ast.Unparen(arg).(*ast.Ident)
 				if !ok {
 					continue
 				}

@@ -6,21 +6,18 @@ import (
 )
 
 // Program is the whole-module state shared by every Pass of one Run.
-// The PR 2 checks are per-package AST walks and ignore it; the
-// dataflow checks (unitcheck, planfreeze, budgetflow) and goleak need
-// structures that span package boundaries — the call graph, unit summaries,
-// frozen-struct mutator sets — which are built here once, lazily, and
-// shared. All lazy builders are sync.Once-guarded so a parallel Run
-// can request them from several workers at once.
+// The per-package checks are AST walks and ignore it; planfreeze,
+// budgetflow and goleak need structures that span package boundaries —
+// the call graph and the frozen-struct mutator sets — which are built
+// here once, lazily, and shared. All lazy builders are
+// sync.Once-guarded so a parallel Run can request them from several
+// workers at once.
 type Program struct {
 	Pkgs   []*Package
 	byPath map[string]*Package
 
 	cgOnce sync.Once
 	cg     *CallGraph
-
-	unitsOnce sync.Once
-	units     *unitWorld
 
 	frozenOnce sync.Once
 	frozen     *frozenWorld
@@ -44,12 +41,6 @@ func (prog *Program) Package(path string) *Package { return prog.byPath[path] }
 func (prog *Program) CallGraph() *CallGraph {
 	prog.cgOnce.Do(func() { prog.cg = buildCallGraph(prog.Pkgs) })
 	return prog.cg
-}
-
-// unitWorld returns the unit-inference state, building it on first use.
-func (prog *Program) unitWorld() *unitWorld {
-	prog.unitsOnce.Do(func() { prog.units = buildUnitWorld(prog) })
-	return prog.units
 }
 
 // frozenWorld returns the plan-immutability state, building it on

@@ -11,7 +11,7 @@ import (
 
 // Suite returns the project's full analyzer suite: the per-package
 // checks (determinism, obsnilsafe, floatcmp, errchecklite), the
-// dataflow checks (unitcheck, planfreeze, budgetflow), the goroutine
+// interprocedural checks (planfreeze, budgetflow), the goroutine
 // termination check (goleak), plus the suppress audit (which knows the
 // other checks' names so it can flag typos in directives).
 func Suite() []*Check {
@@ -20,7 +20,6 @@ func Suite() []*Check {
 		newObsNilsafeCheck(),
 		newFloatcmpCheck(),
 		newErrcheckCheck(),
-		newUnitCheck(),
 		newPlanfreezeCheck(),
 		newBudgetflowCheck(),
 		newGoleakCheck(),

@@ -1,44 +1,8 @@
-// Package core misuses the cost model the way a hurried planner
-// would: per-value coefficients added straight into energy totals
-// (unitcheck) and plans patched after construction (planfreeze).
+// Package core misuses plans the way a hurried planner would: it
+// patches them after construction (planfreeze).
 package core
 
 import "fixture/internal/plan"
-
-// PathCost folds the per-value coefficient into an energy total
-// without multiplying by a value count.
-func PathCost(c *plan.Costs, v int) float64 {
-	total := c.Msg[v]
-	total += c.Val[v] // want unitcheck "mixed units: mJ += mJ/val"
-	return total
-}
-
-// EdgeCost adds a message cost to a per-value coefficient.
-func EdgeCost(c *plan.Costs, v int) float64 {
-	return c.Msg[v] + c.Val[v] // want unitcheck "mixed units: mJ + mJ/val"
-}
-
-// Misconvert passes an energy total where a value count belongs.
-func Misconvert(c *plan.Costs, v int) float64 {
-	total := c.Msg[v]
-	return c.ValueCost(v, int(total)) // want unitcheck "wants val, got mJ"
-}
-
-// WeighedCost multiplies the coefficient out first; legal.
-//
-//unit:n=val
-func WeighedCost(c *plan.Costs, v, n int) float64 {
-	return c.Msg[v] + c.ValueCost(v, n)
-}
-
-// CalibrationFudge knowingly treats the coefficient as a flat cost
-// while sweeping calibration constants.
-func CalibrationFudge(c *plan.Costs, v int) float64 {
-	//lint:ignore unitcheck fixture demonstrating an honored suppression
-	return c.Msg[v] + c.Val[v]
-}
-
-//unit:mJ a stray directive attaches to nothing // want unitcheck "attached to no declaration"
 
 // Widen writes through a frozen plan outside its defining package.
 func Widen(p *plan.Plan, v int) {

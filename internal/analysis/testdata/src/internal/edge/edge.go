@@ -1,6 +1,5 @@
-// Package edge collects the call-graph and CFG shapes the checks lean
-// on, all of them clean: method values, defer with a closure over a
-// named result, and go on a method expression.
+// Package edge collects the call-graph shapes the checks lean on, all
+// of them clean: method values and go on a method expression.
 package edge
 
 // Runner owns a done channel and blocks until it closes.
@@ -27,15 +26,4 @@ func Launch(r *Runner) func() {
 	go (*Runner).Run(r)
 	stop := r.Stop
 	return stop
-}
-
-// Deferred doubles a named result in a deferred closure.
-func Deferred(xs []int) (sum int) {
-	defer func() {
-		sum *= 2
-	}()
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
 }

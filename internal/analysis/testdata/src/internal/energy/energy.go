@@ -1,18 +1,7 @@
-// Package energy anchors the dataflow fixtures: the unit table tags
-// these fields by (package suffix, type, name) exactly as it does in
-// the real tree, and budgetflow recognizes this Ledger wherever it is
-// written.
+// Package energy anchors the budgetflow fixtures: budgetflow
+// recognizes this Ledger, by package suffix and type name exactly as in
+// the real tree, wherever it is written.
 package energy
-
-// Model mirrors the tagged fields of the real cost model.
-type Model struct {
-	PerMessage    float64
-	PerByte       float64
-	BytesPerValue int
-}
-
-// PerValue returns the energy of moving one value across a link.
-func (m Model) PerValue() float64 { return m.PerByte * float64(m.BytesPerValue) }
 
 // Ledger mirrors the real accounting ledger.
 type Ledger struct {

@@ -1,6 +1,6 @@
-// Package plan defines the fixture twins of the frozen plan type and
-// its per-edge cost vectors. Inside this package plans may be built
-// and mutated freely; planfreeze locks them everywhere else.
+// Package plan defines the fixture twin of the frozen plan type.
+// Inside this package plans may be built and mutated freely;
+// planfreeze locks them everywhere else.
 package plan
 
 // Plan is immutable once a constructor returns it.
@@ -14,15 +14,3 @@ func New(n int) *Plan { return &Plan{Bandwidth: make([]int, n)} }
 // Grow raises the bandwidth of the edge above v. Legal here; calling
 // it with a frozen plan from another package is a planfreeze finding.
 func (p *Plan) Grow(v, n int) { p.Bandwidth[v] += n }
-
-// Costs mirrors the real per-edge cost table: Msg is the fixed cost of
-// a message on the edge above v, Val the marginal cost of one value.
-type Costs struct {
-	Msg []float64
-	Val []float64
-}
-
-// ValueCost converts a value count into energy on the edge above v.
-//
-//unit:n=val return=mJ
-func (c *Costs) ValueCost(v, n int) float64 { return c.Val[v] * float64(n) }

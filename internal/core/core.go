@@ -111,7 +111,7 @@ func selectionCost(cfg Config, chosen []bool) float64 {
 	total := 0.0
 	for v := 1; v < cfg.Net.Size(); v++ {
 		if counts[v] > 0 {
-			total += cfg.Costs.Msg[v] + cfg.Costs.Val[v]*float64(counts[v])
+			total += cfg.Costs.Msg[v] + cfg.Costs.ValueCost(network.NodeID(v), counts[v])
 		}
 	}
 	return total
@@ -222,7 +222,7 @@ func bandwidthCost(cfg Config, bandwidth []int) float64 {
 	total := 0.0
 	for v := 1; v < cfg.Net.Size(); v++ {
 		if bandwidth[v] > 0 {
-			total += cfg.Costs.Msg[v] + cfg.Costs.Val[v]*float64(bandwidth[v])
+			total += cfg.Costs.Msg[v] + cfg.Costs.ValueCost(network.NodeID(v), bandwidth[v])
 		}
 	}
 	return total

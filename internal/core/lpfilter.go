@@ -70,7 +70,7 @@ func (prog *lpfilterProgram) round(cfg Config, x []float64, budget float64) (*pl
 	}
 	for v := 1; v < n; v++ {
 		if prog.caps[v] > 0 {
-			bw[v] = int(math.Floor(x[prog.bs[v]] + 0.5))
+			bw[v] = roundBandwidth(x[prog.bs[v]])
 			if bw[v] > int(prog.caps[v]) {
 				bw[v] = int(prog.caps[v])
 			}
@@ -140,7 +140,7 @@ func (prog *lpfilterProgram) build(cfg Config, budget float64) (*lp.Model, int, 
 		ys[v], bs[v] = addEdgeVars(m, cfg, v)
 		costTerms = append(costTerms,
 			lp.Term{Var: ys[v], Coef: cfg.Costs.Msg[v]},
-			lp.Term{Var: bs[v], Coef: cfg.Costs.Val[v]})
+			lp.Term{Var: bs[v], Coef: float64(cfg.Costs.Val[v])})
 	}
 	for v := 1; v < n; v++ {
 		if ys[v] >= 0 {
@@ -276,7 +276,7 @@ func (prog *lpfilterProgram) slide(c *paramLP, d windowSlide) (bool, error) {
 		case prog.ys[v] < 0:
 			prog.ys[v], prog.bs[v] = addEdgeVars(m, cfg, v)
 			ed.term(c.budgetRow, prog.ys[v], cfg.Costs.Msg[v])
-			ed.term(c.budgetRow, prog.bs[v], cfg.Costs.Val[v])
+			ed.term(c.budgetRow, prog.bs[v], float64(cfg.Costs.Val[v]))
 			opened = append(opened, v)
 		default:
 			ed.bound(prog.ys[v], 0, 1)

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"prospector/internal/energy"
 	"prospector/internal/lp"
 	"prospector/internal/network"
 	"prospector/internal/plan"
@@ -107,7 +108,7 @@ func (prog *lplfProgram) build(cfg Config, budget float64) (*lp.Model, int, floa
 
 	var costTerms []lp.Term
 	for _, i := range cands {
-		costTerms = append(costTerms, lp.Term{Var: xs[i], Coef: pathValueCost(cfg, i)})
+		costTerms = append(costTerms, lp.Term{Var: xs[i], Coef: float64(pathValueCost(cfg, i))})
 		// x_i <= y_{edge above i}.
 		m.MustConstr([]lp.Term{{Var: xs[i], Coef: 1}, {Var: ys[i], Coef: -1}}, lp.LE, 0)
 	}
@@ -138,10 +139,10 @@ func candidateObj(cfg Config, i network.NodeID) float64 {
 	return float64(cfg.Samples.ColumnSum(int(i))) + tieEps*float64(n-int(i))/float64(n)
 }
 
-// pathValueCost is what choosing i pays in per-value costs along its
-// whole path to the root.
-func pathValueCost(cfg Config, i network.NodeID) float64 {
-	c := 0.0
+// pathValueCost is what choosing i pays per value along its whole
+// path to the root: the sum of the per-value rates of its edges.
+func pathValueCost(cfg Config, i network.NodeID) energy.MJPerValue {
+	var c energy.MJPerValue
 	cfg.Net.AncestorEdges(i, func(e network.NodeID) { c += cfg.Costs.Val[e] })
 	return c
 }
@@ -207,7 +208,7 @@ func (prog *lplfProgram) slide(c *paramLP, _ windowSlide) (bool, error) {
 		obj := candidateObj(cfg, i)
 		if prog.xs[i] < 0 {
 			prog.xs[i] = m.MustVarIndexed(0, 1, obj, "x", int(i))
-			ed.term(c.budgetRow, prog.xs[i], pathValueCost(cfg, i))
+			ed.term(c.budgetRow, prog.xs[i], float64(pathValueCost(cfg, i)))
 			m.MustConstr([]lp.Term{{Var: prog.xs[i], Coef: 1}, {Var: prog.ys[i], Coef: -1}}, lp.LE, 0)
 			continue
 		}

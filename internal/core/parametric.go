@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"prospector/internal/lp"
 	"prospector/internal/plan"
@@ -20,6 +21,16 @@ import (
 // stay far below the objective's integral gaps (1.0) to never change
 // which plans are genuinely optimal.
 const tieEps = 1e-5
+
+// roundSlack is how far below a half-integer an LP bandwidth may sit
+// and still round up. A vertex where a bandwidth is exactly k+0.5 can
+// come out of the solver as k+0.5 or one ulp below it, depending on the
+// pivot path; without the slack that noise would pick the plan.
+const roundSlack = 1e-9
+
+// roundBandwidth rounds an LP bandwidth to the nearest integer, halves
+// up, treating values within roundSlack below a half as the half.
+func roundBandwidth(x float64) int { return int(math.Floor(x + 0.5 + roundSlack)) }
 
 // program is what one LP planner kind adds to the shared parametric
 // body (paramLP): how to build its model, how to edit it when the

@@ -575,3 +575,29 @@ func TestLongBudgetJumpsStayWarm(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundBandwidthHalfIntegers pins the rounding of LP bandwidths at
+// a half-integer: k+0.5 and the one-ulp-low k+0.5 a different pivot
+// path can return both round up, so the solver's last-bit noise cannot
+// pick the plan, while a value genuinely below the half rounds down.
+func TestRoundBandwidthHalfIntegers(t *testing.T) {
+	for k := 0; k <= 40; k++ {
+		half := float64(k) + 0.5
+		cases := []struct {
+			x    float64
+			want int
+		}{
+			{half, k + 1},
+			{math.Nextafter(half, 0), k + 1},
+			{half - 1e-6, k},
+			{float64(k), k},
+			{float64(k) + 1e-12, k},
+			{float64(k) - 1e-12, k},
+		}
+		for _, c := range cases {
+			if got := roundBandwidth(c.x); got != c.want {
+				t.Errorf("roundBandwidth(%.17g) = %d, want %d", c.x, got, c.want)
+			}
+		}
+	}
+}

@@ -101,7 +101,7 @@ func (prog *proofProgram) round(cfg Config, x []float64, budget float64) (*plan.
 	n := net.Size()
 	bw := make([]int, n)
 	for v := 1; v < n; v++ {
-		bw[v] = int(math.Floor(x[prog.bs[v]] + 0.5))
+		bw[v] = roundBandwidth(x[prog.bs[v]])
 		if bw[v] < 1 {
 			bw[v] = 1
 		}
@@ -225,7 +225,7 @@ func fillProof(cfg Config, bw []int, budget float64) {
 			if gain <= 0 {
 				continue
 			}
-			if score := gain / cfg.Costs.Val[v]; score > bestScore {
+			if score := gain / float64(cfg.Costs.Val[v]); score > bestScore {
 				best, bestScore = v, score
 			}
 		}
@@ -367,7 +367,7 @@ func (b *proofBuilder) addCostRow(budget float64) (int, float64) {
 		if len(cfg.Net.Children(network.NodeID(v))) > 0 {
 			fixed += cfg.Costs.ProofMetaCost() // proven-count reserve
 		}
-		terms = append(terms, lp.Term{Var: b.bs[v], Coef: cfg.Costs.Val[v]})
+		terms = append(terms, lp.Term{Var: b.bs[v], Coef: float64(cfg.Costs.Val[v])})
 	}
 	return b.m.MustConstr(terms, lp.LE, budget-fixed), fixed
 }

@@ -10,9 +10,23 @@
 // on, is that Cm is large compared with the cost of one value
 // (Cb*BytesPerValue): merely contacting a node is expensive regardless
 // of how little it transmits.
+//
+// Energy is a plain float64 in millijoules (mJ): totals, budgets and
+// ledgers all share it. The model's two rates are defined types of
+// their own (MJPerByte, MJPerValue), so adding a rate to an energy
+// total as if it were a flat cost does not compile. A rate becomes
+// energy only by multiplying out a count: ByteCost, Unicast and Request
+// here, and plan's Costs.ValueCost and Costs.ProofMetaCost.
 package energy
 
 import "fmt"
+
+// MJPerByte is an energy rate per byte of message content (mJ/B).
+type MJPerByte float64
+
+// MJPerValue is an energy rate per sensor value carried across one
+// link (mJ/val).
+type MJPerValue float64
 
 // Model holds the parameters of the communication cost model. All costs
 // are in millijoules (mJ). The zero value is not useful; use DefaultModel
@@ -25,7 +39,7 @@ type Model struct {
 	PerMessage float64
 	// PerByte (Cb) is the combined send+receive cost of one byte of
 	// message content.
-	PerByte float64
+	PerByte MJPerByte
 	// BytesPerValue is the encoded size of one sensor reading.
 	BytesPerValue int
 	// BytesPerRequest is the encoded size of a mop-up request triple
@@ -64,7 +78,13 @@ func DefaultModel() Model {
 
 // PerValue returns the cost of carrying one sensor value across one
 // link, excluding the per-message overhead.
-func (m Model) PerValue() float64 { return m.PerByte * float64(m.BytesPerValue) }
+func (m Model) PerValue() MJPerValue {
+	return MJPerValue(float64(m.PerByte) * float64(m.BytesPerValue))
+}
+
+// ByteCost returns the energy of carrying bytes of message content
+// across one link, excluding the per-message overhead.
+func (m Model) ByteCost(bytes int) float64 { return float64(m.PerByte) * float64(bytes) }
 
 // TxFraction is the sender's share of a link cost, from the MICA2
 // power draw ratio (transmit ~81 mW vs receive ~30 mW). The
@@ -73,21 +93,15 @@ func (m Model) PerValue() float64 { return m.PerByte * float64(m.BytesPerValue) 
 const TxFraction = 81.0 / (81.0 + 30.0)
 
 // TxShare returns the sender's part of a combined link cost.
-//
-//unit:cost=mJ
 func (m Model) TxShare(cost float64) float64 { return cost * TxFraction }
 
 // RxShare returns the receiver's part of a combined link cost.
-//
-//unit:cost=mJ
 func (m Model) RxShare(cost float64) float64 { return cost * (1 - TxFraction) }
 
 // Unicast returns the total cost of one unicast message carrying
 // nValues sensor readings plus extraBytes of other content.
-//
-//unit:nValues=val extraBytes=B
 func (m Model) Unicast(nValues, extraBytes int) float64 {
-	return m.PerMessage + m.PerByte*float64(nValues*m.BytesPerValue+extraBytes)
+	return m.PerMessage + m.ByteCost(nValues*m.BytesPerValue+extraBytes)
 }
 
 // Trigger returns the cost of one broadcast trigger message used to
@@ -96,7 +110,7 @@ func (m Model) Trigger() float64 { return m.PerMessage * m.TriggerFraction }
 
 // Request returns the cost of one mop-up request message.
 func (m Model) Request() float64 {
-	return m.PerMessage + m.PerByte*float64(m.BytesPerRequest)
+	return m.PerMessage + m.ByteCost(m.BytesPerRequest)
 }
 
 // Validate reports an error if the model's parameters are not usable.

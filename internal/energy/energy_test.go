@@ -13,13 +13,14 @@ func TestDefaultModelValid(t *testing.T) {
 	}
 	// The property all the paper's tradeoffs rest on: contacting a
 	// node (one message) costs much more than carrying one value.
-	if m.PerMessage < 4*m.PerValue() {
-		t.Errorf("PerMessage %.3f not well above per-value %.3f", m.PerMessage, m.PerValue())
+	perValue := float64(m.PerValue())
+	if m.PerMessage < 4*perValue {
+		t.Errorf("PerMessage %.3f not well above per-value %.3f", m.PerMessage, perValue)
 	}
 	// But a value is not free either, or local filtering could never
 	// pay (Figure 5's crossover).
-	if m.PerValue() < m.PerMessage/20 {
-		t.Errorf("per-value %.4f negligible against PerMessage %.3f", m.PerValue(), m.PerMessage)
+	if perValue < m.PerMessage/20 {
+		t.Errorf("per-value %.4f negligible against PerMessage %.3f", perValue, m.PerMessage)
 	}
 }
 
@@ -30,11 +31,11 @@ func TestUnicastCost(t *testing.T) {
 		t.Errorf("empty unicast = %g", base)
 	}
 	one := m.Unicast(1, 0)
-	if got, want := one-base, m.PerValue(); math.Abs(got-want) > 1e-12 {
+	if got, want := one-base, float64(m.PerValue()); math.Abs(got-want) > 1e-12 {
 		t.Errorf("marginal value cost %g, want %g", got, want)
 	}
 	withExtra := m.Unicast(2, 3)
-	want := m.PerMessage + m.PerByte*float64(2*m.BytesPerValue+3)
+	want := m.PerMessage + float64(m.PerByte)*float64(2*m.BytesPerValue+3)
 	if math.Abs(withExtra-want) > 1e-12 {
 		t.Errorf("unicast(2,3) = %g, want %g", withExtra, want)
 	}

@@ -134,7 +134,7 @@ func (e Env) chargeMsg(led *energy.Ledger, v network.NodeID, nValues, extraBytes
 	m := e.Costs.Model()
 	// Per-edge Msg/Val costs come from the (possibly failure-inflated)
 	// cost table; extra bytes are charged at the base rate.
-	c := e.reroute(v, e.Costs.Msg[v]+e.Costs.Val[v]*float64(nValues)+m.PerByte*float64(extraBytes))
+	c := e.reroute(v, e.Costs.Msg[v]+e.Costs.ValueCost(v, nValues)+m.ByteCost(extraBytes))
 	led.Collection += c
 	led.Messages++
 	led.Values += nValues

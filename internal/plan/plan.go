@@ -151,19 +151,20 @@ func (p *Plan) Participants() int {
 }
 
 // Costs holds the per-edge cost parameters planning and accounting
-// use: Msg[v] is the fixed cost of a message on the edge above v,
-// Val[v] the marginal cost of one value on it. Derived from an
+// use: Msg[v] is the fixed cost of a message on the edge above v (mJ),
+// Val[v] the marginal cost of one value on it (mJ/val). Derived from an
 // energy.Model, optionally inflated for failure-prone links (§4.4).
 type Costs struct {
-	Msg, Val []float64
-	model    energy.Model
+	Msg   []float64
+	Val   []energy.MJPerValue
+	model energy.Model
 }
 
 // NewCosts derives uniform per-edge costs from the energy model.
 func NewCosts(net *network.Network, m energy.Model) *Costs {
 	c := &Costs{
 		Msg:   make([]float64, net.Size()),
-		Val:   make([]float64, net.Size()),
+		Val:   make([]energy.MJPerValue, net.Size()),
 		model: m,
 	}
 	for i := 1; i < net.Size(); i++ {
@@ -177,13 +178,11 @@ func NewCosts(net *network.Network, m energy.Model) *Costs {
 func (c *Costs) Model() energy.Model { return c.model }
 
 // ValueCost returns the cost of carrying n values on the edge above v.
-// Val is a per-value coefficient (mJ/val); multiplying by the value
-// count is the only sanctioned way to turn it into energy, and
-// unitcheck flags Val used directly in an energy sum.
-//
-//unit:n=val return=mJ
+// Val is a per-value rate (energy.MJPerValue); multiplying out the
+// value count here is how it becomes energy, since a Val added to an
+// energy total does not compile.
 func (c *Costs) ValueCost(v network.NodeID, n int) float64 {
-	return c.Val[v] * float64(n)
+	return float64(c.Val[v]) * float64(n)
 }
 
 // InflateForFailures raises each edge's costs by its expected reroute
@@ -200,21 +199,19 @@ func (c *Costs) InflateForFailures(failProb []float64, rerouteFactor float64) er
 		}
 		mult := 1 + p*rerouteFactor
 		c.Msg[i] *= mult
-		c.Val[i] *= mult
+		c.Val[i] *= energy.MJPerValue(mult)
 	}
 	return nil
 }
 
 // proofMetaBytes is the per-message overhead of a Proof plan: the
 // proven-count field on each internal edge (§4.3).
-const proofMetaBytes = 1 //unit:B
+const proofMetaBytes = 1
 
 // ProofMetaCost returns the energy reserved per internal edge for the
-// proven-count field of Proof plans (§4.3). PerByte alone is mJ/B;
-// this is the sanctioned conversion to energy.
-//
-//unit:return=mJ
-func (c *Costs) ProofMetaCost() float64 { return c.model.PerByte * proofMetaBytes }
+// proven-count field of Proof plans (§4.3): the field's bytes at the
+// model's per-byte rate.
+func (c *Costs) ProofMetaCost() float64 { return c.model.ByteCost(proofMetaBytes) }
 
 // CollectionCost returns the static energy cost of one collection
 // phase of the plan: a message on every used edge plus the per-value
@@ -266,7 +263,7 @@ func (p *Plan) InstallCost(net *network.Network, c *Costs) float64 {
 		if !p.UsesEdge(v) {
 			continue
 		}
-		total += c.Msg[i] + c.model.PerByte*float64(p.BundleBytes(net, v))
+		total += c.Msg[i] + c.model.ByteCost(p.BundleBytes(net, v))
 	}
 	return total
 }

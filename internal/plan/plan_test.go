@@ -62,7 +62,8 @@ func TestCollectionCostBreakdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := c.Model()
-	want := (m.PerMessage + 2*m.PerValue()) + (m.PerMessage + 1*m.PerValue())
+	perValue := float64(m.PerValue())
+	want := (m.PerMessage + 2*perValue) + (m.PerMessage + 1*perValue)
 	if got := p.CollectionCost(net, c); math.Abs(got-want) > 1e-12 {
 		t.Errorf("CollectionCost = %g, want %g", got, want)
 	}
@@ -71,7 +72,7 @@ func TestCollectionCostBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantProof := want + m.PerByte // node 1 is internal; node 2 is a leaf
+	wantProof := want + float64(m.PerByte) // node 1 is internal; node 2 is a leaf
 	if got := pp.CollectionCost(net, c); math.Abs(got-wantProof) > 1e-12 {
 		t.Errorf("proof CollectionCost = %g, want %g", got, wantProof)
 	}

@@ -163,7 +163,7 @@ func TestInstallCostUsesRealBytes(t *testing.T) {
 		for _, d := range net.Descendants(v) {
 			bundle += len(p.EncodeSubplan(net, d))
 		}
-		want += c.Msg[i] + c.Model().PerByte*float64(bundle)
+		want += c.Msg[i] + float64(c.Model().PerByte)*float64(bundle)
 	}
 	if got := p.InstallCost(net, c); got != want {
 		t.Errorf("InstallCost = %g, want %g", got, want)

@@ -78,7 +78,7 @@ func (in *installer) trySend(v network.NodeID) {
 		return
 	}
 	in.occupyMedium(parent, dur)
-	cost := in.cfg.Model.PerMessage + in.cfg.Model.PerByte*float64(bytes)
+	cost := in.cfg.Model.Unicast(0, bytes)
 	in.attempts[v]++
 	in.res.EdgeAttempts[v]++
 	firstTry := in.firstTry[v]

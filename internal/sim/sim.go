@@ -539,7 +539,7 @@ func (s *sim) onTrySend(v network.NodeID) {
 	s.occupyMedium(v, dur)
 	// Energy: every attempt costs the sender its TX share; the
 	// receiver pays its RX share only on successful delivery.
-	cost := s.cfg.Model.PerMessage + s.cfg.Model.PerByte*float64(len(payload)*s.cfg.Model.BytesPerValue+extra)
+	cost := s.cfg.Model.Unicast(len(payload), extra)
 	parent := s.cfg.Net.Parent(v)
 	s.attempts[v]++
 	s.res.EdgeAttempts[v]++

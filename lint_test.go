@@ -1,5 +1,5 @@
 // Lint gate: running the whole analyzer suite (analysis.Suite, the
-// nine checks `go run ./cmd/lint -list` describes) inside `go test
+// eight checks `go run ./cmd/lint -list` describes) inside `go test
 // ./...` makes tier-1 the enforcement point — a finding anywhere in the
 // tree fails the build, not just `make lint`.
 package prospector
