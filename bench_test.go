@@ -12,8 +12,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"prospector/internal/aggregate"
-
 	"prospector/internal/core"
 	"prospector/internal/energy"
 	"prospector/internal/exec"
@@ -481,66 +479,6 @@ func BenchmarkQueryParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAggregateCollect measures the TAG aggregation layer.
-func BenchmarkAggregateCollect(b *testing.B) {
-	s := benchGaussian(b, 25, 150, 10, 3)
-	vals := s.cfg.Samples.Values(0)
-	for _, tc := range []struct {
-		name string
-		kind aggregate.Kind
-	}{{"Max", aggregate.Max}, {"Avg", aggregate.Avg}, {"Median", aggregate.Median}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := aggregate.Collect(s.env, tc.kind, vals, aggregate.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkQDigest measures digest insertion and merging.
-func BenchmarkQDigest(b *testing.B) {
-	rng := rand.New(rand.NewSource(26))
-	data := make([]uint64, 1000)
-	for i := range data {
-		data[i] = uint64(rng.Intn(1 << 12))
-	}
-	b.Run("Add1000", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			q, err := aggregate.NewQDigest(12, 10)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, x := range data {
-				if err := q.Add(x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("Merge", func(b *testing.B) {
-		mk := func(seed int64) *aggregate.QDigest {
-			r := rand.New(rand.NewSource(seed))
-			q, _ := aggregate.NewQDigest(12, 10)
-			for i := 0; i < 500; i++ {
-				_ = q.Add(uint64(r.Intn(1 << 12)))
-			}
-			return q
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			a := mk(1)
-			if err := a.Merge(mk(2)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkLPFilterPlan200 exercises the solver at the paper's full

@@ -4,17 +4,21 @@
 // planners.
 //
 //	query -q "SELECT TOP 8 FROM sensors BUDGET 30% USING LP+LF"
-//	query -q "SELECT MEDIAN(value) FROM sensors"
+//	query -q "SELECT * FROM sensors WHERE value > 55 BUDGET 25%"
 //	echo "SELECT TOP 5 FROM sensors EXACT" | query
 //
 // The network and workload are synthetic (seeded Gaussian field); use
 // -nodes / -seed to vary them. Each query plans against the observation
 // window and executes on a fresh epoch. -manifest writes the session's
 // run ledger (engine + planner metrics) at exit for `regress check`.
+//
+// A -q query that fails to parse or run exits 1; the REPL prints the
+// error and reads the next line.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -30,25 +34,39 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "query:", err)
+	if err := run(os.Args[1:]); err != nil {
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "query: ") { // the engine's own errors carry it
+			msg = "query: " + msg
+		}
+		fmt.Fprintln(os.Stderr, msg)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
+// usageError is a command line that parses but asks for something
+// meaningless; main exits 2 on it, as the flag package does on a
+// malformed one.
+type usageError struct{ error }
+
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	var (
-		nodes    = flag.Int("nodes", 40, "network size")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		warmup   = flag.Int("warmup", 15, "observation epochs before querying")
-		oneShot  = flag.String("q", "", "run a single query and exit")
-		manifest = flag.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
+		nodes    = fs.Int("nodes", 40, "network size")
+		seed     = fs.Int64("seed", 1, "workload seed")
+		warmup   = fs.Int("warmup", 15, "observation epochs before querying")
+		oneShot  = fs.String("q", "", "run a single query and exit")
+		manifest = fs.String("manifest", "", "write the run manifest (JSON) here at exit ('-' for stdout)")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "query: unexpected argument %q (a query goes in -q or on stdin)\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		fs.Usage()
+		return usageError{fmt.Errorf("unexpected argument %q (a query goes in -q or on stdin)", fs.Arg(0))}
 	}
 	sess, err := telemetry.Start("query", telemetry.Flags{Manifest: *manifest})
 	if err != nil {
@@ -82,22 +100,19 @@ func run() (err error) {
 	}
 	fmt.Printf("network %v; %d epochs observed\n", net, eng.Observations())
 
-	execute := func(text string) {
+	execute := func(text string) error {
 		q, err := query.Parse(text)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return err
 		}
 		truth := src.Next()
 		ans, err := eng.Run(q, truth)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return err
 		}
-		// Keep observing so standing queries adapt.
+		// The answered epoch joins the window the next query plans on.
 		if err := eng.Observe(truth); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return
+			return err
 		}
 		tag := "approximate"
 		if ans.Exact {
@@ -110,11 +125,11 @@ func run() (err error) {
 		if q.Kind == query.TopK {
 			fmt.Printf("  (ground-truth accuracy %.0f%%)\n", 100*exec.Accuracy(ans.Values, truth, q.K))
 		}
+		return nil
 	}
 
 	if *oneShot != "" {
-		execute(*oneShot)
-		return nil
+		return execute(*oneShot)
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("> ")
@@ -127,7 +142,9 @@ func run() (err error) {
 		if strings.EqualFold(line, "quit") || strings.EqualFold(line, "exit") {
 			break
 		}
-		execute(line)
+		if err := execute(line); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
 		fmt.Print("> ")
 	}
 	return sc.Err()

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"strconv"
+
 	"prospector/internal/energy"
 	"prospector/internal/network"
 	"prospector/internal/obs"
@@ -101,27 +103,11 @@ func newExecObs(r *obs.Registry, tr *obs.Tracer, net *network.Network, model ene
 }
 
 func levelMetric(depth int, what string) string {
-	return "exec.level." + itoa(depth) + "." + what
+	return "exec.level." + strconv.Itoa(depth) + "." + what
 }
 
 func nodeMetric(id int) string {
-	return "exec.node." + itoa(id) + ".energy_mj"
-}
-
-// itoa avoids strconv in metric-name construction (names are built only
-// at handle-resolution time, but keeping the helper dependency-light).
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return "exec.node." + strconv.Itoa(id) + ".energy_mj"
 }
 
 // begin opens an exec.epoch span on the step clock, parented to the

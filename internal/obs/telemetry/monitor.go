@@ -8,28 +8,12 @@ import (
 	"sync"
 
 	"prospector/internal/regress"
+	"prospector/internal/traceanalysis"
 )
 
 // FlightSchema identifies the flight-dump header line. Bump on any
 // change that would make `tracetool flight` misread a dump.
-const FlightSchema = "prospector/flight/v1"
-
-// FlightHeader is the first line of a flight dump: which rule
-// breached, with what observed value, at which tick, over how many
-// retained records. Everything after it is a plain JSON-lines trace
-// fragment (the flight ring, oldest record first).
-type FlightHeader struct {
-	Flight  string  `json:"flight"` // FlightSchema
-	Series  string  `json:"series"`
-	Kind    string  `json:"kind"`
-	Got     float64 `json:"got"`
-	Want    string  `json:"want"`
-	Tick    int64   `json:"tick"`
-	Now     float64 `json:"now"`
-	Records int     `json:"records"`
-	Dropped int64   `json:"dropped"`
-	Note    string  `json:"note,omitempty"`
-}
+const FlightSchema = traceanalysis.FlightSchemaPrefix + "v1"
 
 // LoadRules reads a JSON array of regress rules (the same grammar the
 // CI baseline gate uses) from path and validates it. Live rules judge
@@ -129,7 +113,7 @@ func (m *Monitor) Sample(now float64) error {
 		// Latch before writing: a failing dump should not retry (and
 		// re-fail) on every subsequent tick.
 		m.dumped = true
-		hdr := FlightHeader{
+		hdr := traceanalysis.FlightHeader{
 			Flight: FlightSchema,
 			Series: rule.Series, Kind: rule.Kind, Got: got, Want: v.Want,
 			Tick: m.collector.Ticks() - 1, Now: now,
@@ -145,7 +129,7 @@ func (m *Monitor) Sample(now float64) error {
 }
 
 // writeDump emits the header line followed by the flight ring.
-func writeDump(path string, hdr FlightHeader, f *Flight) error {
+func writeDump(path string, hdr traceanalysis.FlightHeader, f *Flight) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
@@ -159,7 +143,7 @@ func writeDump(path string, hdr FlightHeader, f *Flight) error {
 
 // WriteDump writes one flight dump document: the header as a single
 // JSON line, then the retained trace records oldest-first.
-func WriteDump(w io.Writer, hdr FlightHeader, f *Flight) error {
+func WriteDump(w io.Writer, hdr traceanalysis.FlightHeader, f *Flight) error {
 	b, err := json.Marshal(hdr)
 	if err != nil {
 		return err

@@ -13,6 +13,7 @@ import (
 
 	"prospector/internal/obs"
 	"prospector/internal/regress"
+	"prospector/internal/traceanalysis"
 )
 
 func TestRingEvictsOldest(t *testing.T) {
@@ -206,7 +207,7 @@ func TestMonitorDumpsOnBreachOnce(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("dump has %d lines, want header + 1 record:\n%s", len(lines), b)
 	}
-	var hdr FlightHeader
+	var hdr traceanalysis.FlightHeader
 	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
 		t.Fatalf("header not JSON: %v", err)
 	}

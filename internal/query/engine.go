@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"prospector/internal/aggregate"
 	"prospector/internal/core"
 	"prospector/internal/energy"
 	"prospector/internal/exec"
@@ -121,9 +120,6 @@ func (e *Engine) Run(q *Query, truth []float64) (*Answer, error) {
 	if len(truth) != e.net.Size() {
 		return nil, fmt.Errorf("query: %d readings for %d nodes", len(truth), e.net.Size())
 	}
-	if q.Kind == Aggregate {
-		return e.runAggregate(q, truth)
-	}
 	if len(e.epochs) == 0 {
 		return nil, fmt.Errorf("query: no observations yet; call Observe first")
 	}
@@ -215,45 +211,6 @@ func (e *Engine) Run(q *Query, truth []float64) (*Answer, error) {
 		}
 		return e.recordAnswer(&Answer{Values: vals, Ledger: res.Ledger, Plan: p.String()}), nil
 	}
-}
-
-// runAggregate executes an in-network aggregate (TAG-style, one
-// message per node; no samples or budget involved). The scalar result
-// arrives as a single root-attributed value.
-func (e *Engine) runAggregate(q *Query, truth []float64) (*Answer, error) {
-	var kind aggregate.Kind
-	switch q.Agg {
-	case "MAX":
-		kind = aggregate.Max
-	case "MIN":
-		kind = aggregate.Min
-	case "SUM":
-		kind = aggregate.Sum
-	case "COUNT":
-		kind = aggregate.Count
-	case "AVG":
-		kind = aggregate.Avg
-	case "MEDIAN":
-		kind = aggregate.Median
-	default:
-		return nil, fmt.Errorf("query: unknown aggregate %q", q.Agg)
-	}
-	env := exec.Env{Net: e.net, Costs: e.costs, Obs: e.obs, Trace: e.trace}
-	res, err := aggregate.Collect(env, kind, truth, aggregate.Options{})
-	if err != nil {
-		return nil, err
-	}
-	exact := kind != aggregate.Median
-	plan := fmt.Sprintf("in-network %s, one message per node", q.Agg)
-	if !exact {
-		plan += fmt.Sprintf(" (q-digest, rank error <= %d)", res.RankErrorBound)
-	}
-	return e.recordAnswer(&Answer{
-		Values: []exec.ValueAt{{Node: network.Root, Val: res.Value}},
-		Exact:  exact,
-		Ledger: res.Ledger,
-		Plan:   plan,
-	}), nil
 }
 
 // buildSamples derives the query's Boolean matrix from the raw window

@@ -32,8 +32,6 @@ const (
 	tokGE
 	tokLE
 	tokEQ
-	tokLParen
-	tokRParen
 )
 
 type token struct {
@@ -55,9 +53,14 @@ func (t token) String() string {
 }
 
 // lex tokenizes a query string. Words are case-insensitive; "LP+LF"
-// and "LP-LF" lex as single words.
+// and "LP-LF" lex as single words. On a lexical error it still returns
+// the tokens before the offending text, ended by tokEOF, so that Parse
+// can report whichever error comes first in the query.
 func lex(s string) ([]token, error) {
 	var toks []token
+	fail := func(pos int, err error) ([]token, error) {
+		return append(toks, token{kind: tokEOF, pos: pos}), err
+	}
 	i := 0
 	for i < len(s) {
 		c := rune(s[i])
@@ -69,12 +72,6 @@ func lex(s string) ([]token, error) {
 			i++
 		case c == '%':
 			toks = append(toks, token{kind: tokPercent, text: "%", pos: i})
-			i++
-		case c == '(':
-			toks = append(toks, token{kind: tokLParen, text: "(", pos: i})
-			i++
-		case c == ')':
-			toks = append(toks, token{kind: tokRParen, text: ")", pos: i})
 			i++
 		case c == '>':
 			if i+1 < len(s) && s[i+1] == '=' {
@@ -108,12 +105,9 @@ func lex(s string) ([]token, error) {
 				i++
 			}
 			text := s[start:i]
-			if dots > 1 {
-				return nil, fmt.Errorf("query: malformed number %q at offset %d", text, start)
-			}
 			var num float64
-			if _, err := fmt.Sscanf(text, "%g", &num); err != nil {
-				return nil, fmt.Errorf("query: malformed number %q at offset %d", text, start)
+			if _, err := fmt.Sscanf(text, "%g", &num); dots > 1 || err != nil {
+				return fail(start, fmt.Errorf("query: malformed number %q at offset %d", text, start))
 			}
 			// A number may carry a unit suffix like "900mJ".
 			toks = append(toks, token{kind: tokNumber, text: text, num: num, pos: start})
@@ -125,7 +119,7 @@ func lex(s string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tokWord, text: strings.ToUpper(s[start:i]), pos: start})
 		default:
-			return nil, fmt.Errorf("query: unexpected character %q at offset %d", c, i)
+			return fail(i, fmt.Errorf("query: unexpected character %q at offset %d", c, i))
 		}
 	}
 	toks = append(toks, token{kind: tokEOF, pos: len(s)})

@@ -20,19 +20,25 @@ func TestParseErrorMessages(t *testing.T) {
 		{"number with two dots", "SELECT TOP 1.2.3 FROM s", `malformed number "1.2.3"`},
 		{"bare dot number", "SELECT TOP . FROM s", "malformed number"},
 		{"unexpected character", "SELECT TOP 5 @ FROM s", "unexpected character '@'"},
+		{"parenthesis", "SELECT TOP 5 FROM s (", "unexpected character '('"},
+		{"parenthesized k", "SELECT TOP (5) FROM s", "unexpected character '('"},
 
 		// SELECT target errors.
 		{"missing SELECT", "TOP 5 FROM s", "expected SELECT"},
-		{"bad target", "SELECT DOWN 5 FROM s", "expected TOP, *, or an aggregate"},
+		{"bad target", "SELECT DOWN 5 FROM s", "expected TOP or *"},
 		{"TOP without k", "SELECT TOP FROM s", "expected a number"},
 		{"TOP zero", "SELECT TOP 0 FROM s", "TOP wants a positive integer"},
 		{"TOP fractional", "SELECT TOP 2.5 FROM s", "TOP wants a positive integer"},
 
-		// Aggregate shape errors.
-		{"aggregate missing paren", "SELECT MAX value) FROM s", "expected ( after MAX"},
-		{"aggregate wrong column", "SELECT MAX(reading) FROM s", "expected VALUE"},
-		{"aggregate unclosed", "SELECT MAX(value FROM s", "expected ) closing MAX"},
-		{"aggregate with clause", "SELECT MAX(value) FROM s BUDGET 10%", "take no BUDGET clause"},
+		// Aggregates are not queries: whatever follows, the parser
+		// rejects the function name before the lexer reaches a
+		// parenthesis.
+		{"MAX aggregate", "SELECT MAX(value) FROM s", `expected TOP or *, got "MAX"`},
+		{"MEDIAN aggregate", "SELECT MEDIAN(value) FROM s", `expected TOP or *, got "MEDIAN"`},
+		{"aggregate missing paren", "SELECT MAX value) FROM s", `expected TOP or *, got "MAX"`},
+		{"aggregate wrong column", "SELECT MAX(reading) FROM s", `expected TOP or *, got "MAX"`},
+		{"aggregate unclosed", "SELECT MAX(value FROM s", `expected TOP or *, got "MAX"`},
+		{"aggregate with clause", "SELECT MAX(value) FROM s BUDGET 10%", `expected TOP or *, got "MAX"`},
 
 		// FROM errors.
 		{"missing FROM", "SELECT TOP 5 sensors", "expected FROM"},

@@ -15,9 +15,6 @@ const (
 	TopK Kind = iota
 	// Selection returns readings above a threshold.
 	Selection
-	// Aggregate computes MAX/MIN/SUM/COUNT/AVG/MEDIAN in-network
-	// (TAG-style, one message per node).
-	Aggregate
 )
 
 // PlannerName selects the optimization algorithm.
@@ -47,7 +44,6 @@ type Query struct {
 	Kind      Kind
 	K         int     // TopK
 	Threshold float64 // Selection: value > Threshold
-	Agg       string  // Aggregate: MAX, MIN, SUM, COUNT, AVG, MEDIAN
 	Planner   PlannerName
 	Budget    Budget
 	Samples   int // requested sample-window size; 0 = engine default
@@ -61,16 +57,11 @@ func (q *Query) String() string {
 	switch q.Kind {
 	case TopK:
 		fmt.Fprintf(&b, "TOP %d", q.K)
-	case Aggregate:
-		fmt.Fprintf(&b, "%s(value)", q.Agg)
 	default:
 		b.WriteString("*")
 	}
 	b.WriteString(" FROM sensors")
-	switch q.Kind {
-	case Aggregate:
-		return b.String() // aggregates take no planner/budget clauses
-	case Selection:
+	if q.Kind == Selection {
 		fmt.Fprintf(&b, " WHERE value > %s", decimal(q.Threshold))
 	}
 	if !q.Budget.IsZero() {
@@ -97,8 +88,6 @@ func decimal(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
 //	query    := SELECT target FROM ident clause*
 //	target   := TOP number
 //	          | '*'                           (needs a WHERE clause)
-//	          | agg '(' VALUE ')'             (no clauses allowed after)
-//	agg      := MAX | MIN | SUM | COUNT | AVG | MEDIAN
 //	clause   := BUDGET number ('%' | MJ)?    (default: mJ)
 //	          | USING planner
 //	          | WITH PROOF                   (same as USING PROOF)
@@ -107,25 +96,29 @@ func decimal(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
 //	          | WHERE VALUE '>' number
 //	planner  := GREEDY | LP-LF | LP+LF | PROOF | EXACT
 func Parse(s string) (*Query, error) {
-	toks, err := lex(s)
-	if err != nil {
-		return nil, err
-	}
+	toks, lexErr := lex(s)
 	p := &parser{toks: toks}
 	q, err := p.parse()
-	if err != nil {
-		return nil, err
+	if lexErr != nil && (err == nil || p.atEnd) {
+		// The parser got as far as the lexical error: it comes first.
+		return nil, lexErr
 	}
-	return q, nil
+	return q, err
 }
 
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	atEnd bool // the parser has looked at the final tokEOF
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() token {
+	t := p.toks[p.i]
+	p.atEnd = p.atEnd || t.kind == tokEOF
+	return t
+}
+
+func (p *parser) next() token { t := p.cur(); p.i++; return t }
 
 func (p *parser) expectWord(words ...string) (string, error) {
 	t := p.next()
@@ -166,20 +159,8 @@ func (p *parser) parse() (*Query, error) {
 		q.K = int(k)
 	case t.kind == tokStar:
 		q.Kind = Selection
-	case t.kind == tokWord && isAggName(t.text):
-		q.Kind = Aggregate
-		q.Agg = t.text
-		if tok := p.next(); tok.kind != tokLParen {
-			return nil, fmt.Errorf("query: expected ( after %s, got %v", t.text, tok)
-		}
-		if _, err := p.expectWord("VALUE"); err != nil {
-			return nil, err
-		}
-		if tok := p.next(); tok.kind != tokRParen {
-			return nil, fmt.Errorf("query: expected ) closing %s, got %v", t.text, tok)
-		}
 	default:
-		return nil, fmt.Errorf("query: expected TOP, *, or an aggregate, got %v at offset %d", t, t.pos)
+		return nil, fmt.Errorf("query: expected TOP or *, got %v at offset %d", t, t.pos)
 	}
 	if _, err := p.expectWord("FROM"); err != nil {
 		return nil, err
@@ -192,9 +173,6 @@ func (p *parser) parse() (*Query, error) {
 		t := p.next()
 		if t.kind != tokWord {
 			return nil, fmt.Errorf("query: expected a clause keyword, got %v at offset %d", t, t.pos)
-		}
-		if q.Kind == Aggregate {
-			return nil, fmt.Errorf("query: aggregates run in-network (TAG) and take no %s clause", t.text)
 		}
 		switch t.text {
 		case "BUDGET":
@@ -274,13 +252,4 @@ func (p *parser) parse() (*Query, error) {
 		return nil, fmt.Errorf("query: proof/exact execution applies to TOP-k queries")
 	}
 	return q, nil
-}
-
-// isAggName reports whether w is a supported aggregate function.
-func isAggName(w string) bool {
-	switch w {
-	case "MAX", "MIN", "SUM", "COUNT", "AVG", "MEDIAN":
-		return true
-	}
-	return false
 }

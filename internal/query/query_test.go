@@ -374,81 +374,6 @@ func TestStandRejections(t *testing.T) {
 	}
 }
 
-func TestParseAggregates(t *testing.T) {
-	for _, agg := range []string{"MAX", "MIN", "SUM", "COUNT", "AVG", "MEDIAN"} {
-		q, err := Parse("SELECT " + agg + "(value) FROM sensors")
-		if err != nil {
-			t.Fatalf("%s: %v", agg, err)
-		}
-		if q.Kind != Aggregate || q.Agg != agg {
-			t.Errorf("%s parsed as %+v", agg, q)
-		}
-		// Canonical form round-trips.
-		if _, err := Parse(q.String()); err != nil {
-			t.Errorf("%s: re-parse %q: %v", agg, q.String(), err)
-		}
-	}
-	bad := []string{
-		"SELECT MAX(value) FROM s BUDGET 30%",   // clauses forbidden
-		"SELECT MAX(value) FROM s USING GREEDY", // even the default planner
-		"SELECT MAX value FROM s",               // missing parens
-		"SELECT MAX(temp) FROM s",               // unknown column
-		"SELECT FROBNICATE(value) FROM s",       // unknown aggregate
-	}
-	for _, in := range bad {
-		if _, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q) succeeded", in)
-		}
-	}
-}
-
-func TestEngineAggregates(t *testing.T) {
-	eng, src := testEngine(t)
-	truth := src.Next()
-	maxWant := truth[0]
-	sumWant := 0.0
-	for _, v := range truth {
-		if v > maxWant {
-			maxWant = v
-		}
-		sumWant += v
-	}
-	check := func(text string, want float64, tol float64) {
-		q, err := Parse(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ans, err := eng.Run(q, truth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ans.Values) != 1 {
-			t.Fatalf("%s: %d values", text, len(ans.Values))
-		}
-		if diff := ans.Values[0].Val - want; diff > tol || diff < -tol {
-			t.Errorf("%s = %g, want %g", text, ans.Values[0].Val, want)
-		}
-		if ans.Ledger.Messages != eng.Root().Size()-1 {
-			t.Errorf("%s: %d messages", text, ans.Ledger.Messages)
-		}
-	}
-	check("SELECT MAX(value) FROM sensors", maxWant, 1e-9)
-	check("SELECT SUM(value) FROM sensors", sumWant, 1e-9)
-	check("SELECT COUNT(value) FROM sensors", float64(len(truth)), 1e-9)
-	// Median is approximate; just confirm exactness flag and range.
-	q, err := Parse("SELECT MEDIAN(value) FROM sensors")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := eng.Run(q, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Exact {
-		t.Error("median marked exact")
-	}
-}
-
 func TestStandingWithEveryPlanner(t *testing.T) {
 	eng, src := testEngine(t)
 	policy := core.DefaultAdaptivePolicy()

@@ -96,14 +96,6 @@ func TestCollectorValidation(t *testing.T) {
 	}
 }
 
-func TestTopKMarkerMatchesIndices(t *testing.T) {
-	vals := []float64{3, 9, 1, 7}
-	got := TopKMarker(2)(vals)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("TopKMarker = %v", got)
-	}
-}
-
 func TestSetAccessors(t *testing.T) {
 	s := MustNewSet(3, 1, 0)
 	if err := s.AddAll([][]float64{{1, 2, 3}, {4, 5, 6}}); err != nil {

@@ -1,23 +1,14 @@
 package sample
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // Marker identifies, for one sample of readings, which nodes contribute
 // to a query's answer — the generalization of Section 3: the Boolean
 // matrix M works for any query returning a subset of sensor values
-// (top-k, selection, quantile bands), with M[j][i] = 1 iff node i
-// contributes to the answer on sample j. Markers return contributing
-// node indices; order is preserved in Ones.
+// (top-k, selection), with M[j][i] = 1 iff node i contributes to the
+// answer on sample j. Markers return contributing node indices; order
+// is preserved in Ones. Sets made by NewSet mark the top k themselves.
 type Marker func(values []float64) []int
-
-// TopKMarker marks the k highest readings (the paper's headline query).
-func TopKMarker(k int) Marker {
-	return func(values []float64) []int { return TopKIndices(values, k) }
-}
 
 // ThresholdMarker marks every reading strictly above tau (the paper's
 // selection-query example, "return all readings greater than tau").
@@ -28,43 +19,6 @@ func ThresholdMarker(tau float64) Marker {
 			if v > tau {
 				out = append(out, i)
 			}
-		}
-		return out
-	}
-}
-
-// QuantileBandMarker marks readings within the [lo, hi] quantile band
-// of each sample, e.g. (0.9, 1.0] for the hottest decile.
-func QuantileBandMarker(lo, hi float64) Marker {
-	return func(values []float64) []int {
-		n := len(values)
-		if n == 0 {
-			return nil
-		}
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return Before(values, idx[b], idx[a]) })
-		// idx is now ascending by rank; quantile q corresponds to
-		// position q*(n-1). The band keeps positions whose quantile
-		// lies within [lo, hi].
-		start := int(math.Ceil(lo * float64(n-1)))
-		end := int(hi * float64(n-1))
-		if end < start && hi >= lo {
-			// Narrow band between two order statistics: keep the
-			// nearest position so the band is never empty.
-			end = start
-		}
-		if start < 0 {
-			start = 0
-		}
-		if end >= n {
-			end = n - 1
-		}
-		var out []int
-		for p := start; p <= end; p++ {
-			out = append(out, idx[p])
 		}
 		return out
 	}

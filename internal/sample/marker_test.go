@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestThresholdMarker(t *testing.T) {
@@ -15,51 +14,6 @@ func TestThresholdMarker(t *testing.T) {
 	}
 	if got := m([]float64{1, 2}); got != nil {
 		t.Errorf("no contributors expected, got %v", got)
-	}
-}
-
-func TestQuantileBandMarker(t *testing.T) {
-	vals := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	// Top decile of 10 values: the largest only.
-	got := QuantileBandMarker(0.95, 1)(vals)
-	if !reflect.DeepEqual(got, []int{9}) {
-		t.Errorf("top-decile = %v", got)
-	}
-	// Full band covers everyone.
-	if got := QuantileBandMarker(0, 1)(vals); len(got) != 10 {
-		t.Errorf("full band has %d", len(got))
-	}
-	// Median band around 0.5.
-	got = QuantileBandMarker(0.5, 0.5)(vals)
-	if len(got) < 1 || len(got) > 2 {
-		t.Errorf("median band = %v", got)
-	}
-}
-
-func TestQuantileBandProperties(t *testing.T) {
-	f := func(raw []float64, loRaw, hiRaw uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		lo := float64(loRaw%100) / 100
-		hi := lo + float64(hiRaw%uint8(100-int(loRaw%100)+1))/100
-		if hi > 1 {
-			hi = 1
-		}
-		got := QuantileBandMarker(lo, hi)(raw)
-		// No duplicates; all valid indices.
-		seen := map[int]bool{}
-		for _, i := range got {
-			if i < 0 || i >= len(raw) || seen[i] {
-				return false
-			}
-			seen[i] = true
-		}
-		// The band [0,1] must return everything.
-		return len(QuantileBandMarker(0, 1)(raw)) == len(raw)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

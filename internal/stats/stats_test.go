@@ -64,28 +64,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4, 5}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %g", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Errorf("q1 = %g", got)
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("median = %g", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Errorf("q25 = %g", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Quantile of empty slice did not panic")
-		}
-	}()
-	Quantile(nil, 0.5)
-}
-
 func TestSummarize(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 2000)

@@ -18,18 +18,19 @@ import (
 // parses the document and renders the report behind `tracetool flight`.
 
 // FlightSchemaPrefix is the schema-family marker a flight header must
-// carry. The producer (telemetry.FlightSchema) currently writes
-// "prospector/flight/v1"; matching on the prefix lets this reader
-// accept later minor revisions while still rejecting arbitrary JSON
-// lines that merely look header-ish.
+// carry. The producer (telemetry.FlightSchema) appends its version to
+// it; matching on the prefix lets this reader accept later minor
+// revisions while still rejecting arbitrary JSON lines that merely
+// look header-ish.
 const FlightSchemaPrefix = "prospector/flight/"
 
-// FlightHeader mirrors telemetry.FlightHeader, the first line of a
-// flight dump. Declared here rather than imported: telemetry depends
-// (through regress and ledger) on this package, so the reader keeps
-// its own view of the schema. The JSON keys are the contract.
+// FlightHeader is the first line of a flight dump, as telemetry's
+// monitor writes it: which rule breached, with what observed value, at
+// which tick, over how many retained records. Everything after it is a
+// plain JSON-lines trace fragment (the flight ring, oldest record
+// first). The JSON keys are the contract.
 type FlightHeader struct {
-	Flight  string  `json:"flight"`
+	Flight  string  `json:"flight"` // FlightSchemaPrefix plus a version
 	Series  string  `json:"series"`
 	Kind    string  `json:"kind"`
 	Got     float64 `json:"got"`

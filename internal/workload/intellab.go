@@ -157,9 +157,6 @@ func (lab *IntelLab) placeMotes(rng *rand.Rand) {
 	}
 }
 
-// Positions returns the mote positions for spanning-tree construction.
-func (lab *IntelLab) Positions() []network.Point { return lab.pos }
-
 // Network builds the min-hop spanning tree over the motes at the
 // configured (shortened) radio range, growing the range slightly if the
 // random jitter left the graph disconnected.

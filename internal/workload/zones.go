@@ -110,9 +110,6 @@ func NewZoneField(cfg ZoneConfig, rng *rand.Rand) (*ZoneField, error) {
 // Size implements Source.
 func (f *ZoneField) Size() int { return f.cfg.Nodes }
 
-// ZoneStdDev returns the derived standard deviation of zone nodes.
-func (f *ZoneField) ZoneStdDev() float64 { return f.zoneStd }
-
 // Next implements Source.
 func (f *ZoneField) Next() []float64 {
 	v := make([]float64, f.cfg.Nodes)
