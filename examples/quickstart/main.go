@@ -64,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("plan: %v within %.1f mJ budget\n", p, budget)
+	fmt.Printf("plan: %v for a %.1f mJ collection budget\n", p, budget)
 
 	// 4. Execute on a fresh epoch and compare with the truth.
 	truth := src.Next()
@@ -72,8 +72,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("spent %.1f mJ, accuracy %.0f%% of the true top %d\n",
-		res.Ledger.Total(), 100*res.Accuracy(truth, k), k)
+	//    The budget covers the collection phase; the trigger that
+	//    starts the epoch is spent on top of it.
+	fmt.Printf("spent %.1f mJ on collection, %.1f mJ on the trigger\n",
+		res.Ledger.Collection, res.Ledger.Trigger)
+	fmt.Printf("accuracy %.0f%% of the true top %d\n", 100*res.Accuracy(truth, k), k)
 	for i, v := range res.Returned {
 		if i == k {
 			break

@@ -250,3 +250,22 @@ func TestLoadDirRequiresModule(t *testing.T) {
 		t.Fatal("LoadDir on a directory without go.mod did not fail")
 	}
 }
+
+// TestLoadDirNamesImportCycle pins that the depth-first loader stops at
+// an import cycle and names the packages on it, instead of recursing
+// forever or reporting a cycle member as missing.
+func TestLoadDirNamesImportCycle(t *testing.T) {
+	_, err := LoadDir(writeModule(t, map[string]string{
+		"a/a.go": "package a\n\nimport \"scratch/b\"\n\nvar A = b.B\n",
+		"b/b.go": "package b\n\nimport \"scratch/a\"\n\nvar B = a.A\n",
+	}))
+	if err == nil {
+		t.Fatal("LoadDir on a module with an import cycle did not fail")
+	}
+	msg := err.Error()
+	for _, want := range []string{"import cycle", "scratch/a", "scratch/b"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not contain %q", msg, want)
+		}
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // LoadDir parses and type-checks every non-test package under root,
@@ -22,20 +21,10 @@ import (
 // skipped. Module-internal imports resolve to the freshly parsed
 // source; everything else (the standard library) resolves through the
 // stdlib source importer, so no compiled export data is required.
-// Loading runs on a worker pool sized to the machine; see
-// LoadDirWorkers.
+// Every package is parsed first; then each is type-checked after the
+// module packages it imports, depth first, and an import cycle is an
+// error naming the packages on it.
 func LoadDir(root string) ([]*Package, error) {
-	return LoadDirWorkers(root, 0)
-}
-
-// LoadDirWorkers is LoadDir with an explicit worker count (0 means
-// NumCPU). Parsing is embarrassingly parallel; type-checking proceeds
-// in dependency waves — every package in a wave imports only packages
-// from earlier waves, so the packages of one wave check concurrently.
-// The one shared state, the stdlib source importer (which is not safe
-// for concurrent use), is serialized behind the loader's mutex; it
-// memoizes, so only the first import of each stdlib package pays.
-func LoadDirWorkers(root string, workers int) ([]*Package, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -45,120 +34,26 @@ func LoadDirWorkers(root string, workers int) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Stage 1: parse every directory concurrently. The shared FileSet
-	// serializes file registration internally; positions do not depend
-	// on registration order.
-	parsed := make([]*parsedPkg, len(dirs))
-	errs := make([]error, len(dirs))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				parsed[i], errs[i] = ld.parseDir(ld.importPath(dirs[i]), dirs[i])
-			}
-		}()
-	}
-	for i := range dirs {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	for _, err := range errs {
+	var parsed []*parsedPkg
+	for _, dir := range dirs {
+		pp, err := ld.parseDir(ld.importPath(dir), dir)
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	// Stage 2: type-check in dependency waves.
-	var pending []*parsedPkg
-	byPath := make(map[string]*parsedPkg)
-	for _, p := range parsed {
-		if p != nil {
-			pending = append(pending, p)
-			byPath[p.path] = p
+		if pp != nil {
+			parsed = append(parsed, pp)
+			ld.parsed[pp.path] = pp
 		}
 	}
 	var pkgs []*Package
-	for len(pending) > 0 {
-		var wave, rest []*parsedPkg
-		for _, p := range pending {
-			ready := true
-			for _, dep := range p.moduleImports(modPath) {
-				if _, done := ld.lookup(dep); !done {
-					if _, exists := byPath[dep]; exists {
-						ready = false
-						break
-					}
-					// Import of a module path with no loadable package:
-					// let the type-checker produce the error.
-				}
-			}
-			if ready {
-				wave = append(wave, p)
-			} else {
-				rest = append(rest, p)
-			}
-		}
-		if len(wave) == 0 {
-			// An import cycle; the type-checker reports it precisely.
-			wave, rest = rest, nil
-		}
-		checked, err := ld.checkWave(wave, workers)
+	for _, pp := range parsed {
+		p, err := ld.load(pp)
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, checked...)
-		pending = rest
+		pkgs = append(pkgs, p)
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs, nil
-}
-
-// checkWave type-checks one dependency wave on the worker pool.
-func (ld *loader) checkWave(wave []*parsedPkg, workers int) ([]*Package, error) {
-	if workers > len(wave) {
-		workers = len(wave)
-	}
-	out := make([]*Package, len(wave))
-	errs := make([]error, len(wave))
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				out[i], errs[i] = ld.check(wave[i])
-			}
-		}()
-	}
-	for i := range wave {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	var pkgs []*Package
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		if out[i] != nil {
-			pkgs = append(pkgs, out[i])
-		}
-	}
 	return pkgs, nil
 }
 
@@ -261,19 +156,19 @@ func (p *parsedPkg) moduleImports(modPath string) []string {
 	return deps
 }
 
-// loader memoizes per-import-path loading and doubles as the
-// types.Importer for module-internal paths. The mutex guards the
-// memo map and the stdlib source importer, which is not safe for
-// concurrent use; type-checking itself runs outside the lock.
+// loader holds one load's parsed packages, the type-checked ones by
+// import path, and the chain of packages being loaded; it doubles as
+// the types.Importer.
 type loader struct {
 	root    string
 	modPath string
 	fset    *token.FileSet
 	sizes   types.Sizes
+	std     types.Importer
 
-	mu   sync.Mutex
-	std  types.Importer
-	pkgs map[string]*Package
+	parsed  map[string]*parsedPkg
+	pkgs    map[string]*Package
+	loading []string
 }
 
 func newLoader(root, modPath string) *loader {
@@ -284,6 +179,7 @@ func newLoader(root, modPath string) *loader {
 		fset:    fset,
 		std:     importer.ForCompiler(fset, "source", nil),
 		sizes:   types.SizesFor("gc", runtime.GOARCH),
+		parsed:  make(map[string]*parsedPkg),
 		pkgs:    make(map[string]*Package),
 	}
 }
@@ -297,26 +193,16 @@ func (ld *loader) importPath(dir string) string {
 	return ld.modPath + "/" + filepath.ToSlash(rel)
 }
 
-// lookup returns the memoized package for an import path.
-func (ld *loader) lookup(path string) (*Package, bool) {
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
-	p, ok := ld.pkgs[path]
-	return p, ok
-}
-
-// Import implements types.Importer: module-internal paths must already
-// be type-checked (wave order guarantees it), everything else defers
-// to the stdlib source importer under the lock.
+// Import implements types.Importer: module-internal paths were
+// type-checked before their importer (see load), everything else
+// defers to the stdlib source importer.
 func (ld *loader) Import(path string) (*types.Package, error) {
 	if path == ld.modPath || strings.HasPrefix(path, ld.modPath+"/") {
-		if p, ok := ld.lookup(path); ok {
+		if p, ok := ld.pkgs[path]; ok {
 			return p.Types, nil
 		}
 		return nil, fmt.Errorf("analysis: no Go files in %s", path)
 	}
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
 	return ld.std.Import(path)
 }
 
@@ -347,11 +233,29 @@ func (ld *loader) parseDir(path, dir string) (*parsedPkg, error) {
 	return &parsedPkg{path: path, dir: dir, files: files}, nil
 }
 
-// check type-checks one parsed package and memoizes the result.
-func (ld *loader) check(pp *parsedPkg) (*Package, error) {
-	if p, ok := ld.lookup(pp.path); ok {
+// load type-checks pp after the module packages it imports and
+// memoizes the result. A module import with no parsed package is left
+// to the type-checker, which reports it.
+func (ld *loader) load(pp *parsedPkg) (*Package, error) {
+	if p, ok := ld.pkgs[pp.path]; ok {
 		return p, nil
 	}
+	for i, path := range ld.loading {
+		if path == pp.path {
+			return nil, fmt.Errorf("analysis: import cycle: %s -> %s",
+				strings.Join(ld.loading[i:], " -> "), path)
+		}
+	}
+	ld.loading = append(ld.loading, pp.path)
+	for _, dep := range pp.moduleImports(ld.modPath) {
+		if dp := ld.parsed[dep]; dp != nil {
+			if _, err := ld.load(dp); err != nil {
+				return nil, err
+			}
+		}
+	}
+	ld.loading = ld.loading[:len(ld.loading)-1]
+
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -372,8 +276,6 @@ func (ld *loader) check(pp *parsedPkg) (*Package, error) {
 		Info:  info,
 	}
 	collectSuppressions(p)
-	ld.mu.Lock()
 	ld.pkgs[pp.path] = p
-	ld.mu.Unlock()
 	return p, nil
 }

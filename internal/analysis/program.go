@@ -1,26 +1,18 @@
 package analysis
 
-import (
-	"strings"
-	"sync"
-)
+import "strings"
 
 // Program is the whole-module state shared by every Pass of one Run.
 // The per-package checks are AST walks and ignore it; planfreeze,
 // budgetflow and goleak need structures that span package boundaries —
 // the call graph and the frozen-struct mutator sets — which are built
-// here once, lazily, and shared. All lazy builders are
-// sync.Once-guarded so a parallel Run can request them from several
-// workers at once.
+// here once, lazily, and shared.
 type Program struct {
 	Pkgs   []*Package
 	byPath map[string]*Package
 
-	cgOnce sync.Once
 	cg     *CallGraph
-
-	frozenOnce sync.Once
-	frozen     *frozenWorld
+	frozen *frozenWorld
 }
 
 // NewProgram wraps the loaded packages. pkgs should be LoadDir output
@@ -39,14 +31,18 @@ func (prog *Program) Package(path string) *Package { return prog.byPath[path] }
 
 // CallGraph returns the module call graph, building it on first use.
 func (prog *Program) CallGraph() *CallGraph {
-	prog.cgOnce.Do(func() { prog.cg = buildCallGraph(prog.Pkgs) })
+	if prog.cg == nil {
+		prog.cg = buildCallGraph(prog.Pkgs)
+	}
 	return prog.cg
 }
 
 // frozenWorld returns the plan-immutability state, building it on
 // first use.
 func (prog *Program) frozenWorld() *frozenWorld {
-	prog.frozenOnce.Do(func() { prog.frozen = buildFrozenWorld(prog) })
+	if prog.frozen == nil {
+		prog.frozen = buildFrozenWorld(prog)
+	}
 	return prog.frozen
 }
 

@@ -3,10 +3,8 @@ package analysis
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Suite returns the project's full analyzer suite: the per-package
@@ -57,73 +55,29 @@ func SelectChecks(checks []*Check, names []string) ([]*Check, error) {
 }
 
 // Run executes every applicable check over every package and returns
-// the surviving (unsuppressed) diagnostics sorted by position. Checks
-// run on a bounded worker pool sized to the machine; see RunWorkers.
+// the surviving (unsuppressed) diagnostics sorted by position. The
+// checks share one Program, so the interprocedural structures are
+// built once per Run.
 func Run(pkgs []*Package, checks []*Check) []Diagnostic {
-	return RunWorkers(pkgs, checks, 0)
-}
-
-// RunWorkers is Run with an explicit worker count (0 means NumCPU).
-// Every (package, check) pair is one task; each task collects into its
-// own slice and the slices merge in task order before the final sort,
-// so the output is identical for any worker count. Shared
-// interprocedural state lives in one Program whose lazy builders are
-// sync.Once-guarded.
-func RunWorkers(pkgs []*Package, checks []*Check, workers int) []Diagnostic {
 	prog := NewProgram(pkgs)
-	type task struct {
-		pkg   *Package
-		check *Check
-	}
-	var tasks []task
+	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, check := range checks {
 			if check.Applies != nil && !check.Applies(pkg.Path) {
 				continue
 			}
-			tasks = append(tasks, task{pkg, check})
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([][]Diagnostic, len(tasks))
-	ch := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				t := tasks[i]
-				pass := &Pass{
-					Check: t.check,
-					Pkg:   t.pkg,
-					Prog:  prog,
-					report: func(d Diagnostic) {
-						if !t.pkg.suppressed(d) {
-							results[i] = append(results[i], d)
-						}
-					},
-				}
-				t.check.Run(pass)
+			pass := &Pass{
+				Check: check,
+				Pkg:   pkg,
+				Prog:  prog,
+				report: func(d Diagnostic) {
+					if !pkg.suppressed(d) {
+						diags = append(diags, d)
+					}
+				},
 			}
-		}()
-	}
-	for i := range tasks {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	var diags []Diagnostic
-	for _, r := range results {
-		diags = append(diags, r...)
+			check.Run(pass)
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

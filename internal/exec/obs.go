@@ -77,33 +77,33 @@ func newExecObs(r *obs.Registry, tr *obs.Tracer, net *network.Network, model ene
 		collectEnergy: r.Gauge("exec.energy_mj.collection"),
 		triggerEnergy: r.Gauge("exec.energy_mj.trigger"),
 		requestEnergy: r.Gauge("exec.energy_mj.requests"),
-		epochMJ:       r.Histogram("exec.epoch_mj", epochMJBounds),
+		epochMJ:       r.Histogram("exec.epoch_mj", EpochMJBounds),
 		trace:         tr,
 	}
 	if r != nil {
-		maxDepth := 0
-		n := net.Size()
-		for i := 0; i < n; i++ {
-			if d := net.Depth(network.NodeID(i)); d > maxDepth {
-				maxDepth = d
-			}
-		}
-		e.lvlMsgs = make([]*obs.Counter, maxDepth+1)
-		e.lvlBytes = make([]*obs.Counter, maxDepth+1)
-		for d := 0; d <= maxDepth; d++ {
-			e.lvlMsgs[d] = r.Counter(levelMetric(d, "messages"))
-			e.lvlBytes[d] = r.Counter(levelMetric(d, "bytes"))
-		}
-		e.nodeEnergy = make([]*obs.Gauge, n)
-		for i := 0; i < n; i++ {
+		e.lvlMsgs, e.lvlBytes = LevelCounters(r, net, "exec")
+		e.nodeEnergy = make([]*obs.Gauge, net.Size())
+		for i := range e.nodeEnergy {
 			e.nodeEnergy[i] = r.Gauge(nodeMetric(i))
 		}
 	}
 	return e
 }
 
-func levelMetric(depth int, what string) string {
-	return "exec.level." + strconv.Itoa(depth) + "." + what
+// LevelCounters resolves the per-depth data-message counters
+// <prefix>.level.<d>.messages and <prefix>.level.<d>.bytes for every
+// depth of net, indexed by sender depth. The simulator builds its
+// sim.level.* counters here too, so the two stacks' level series
+// mirror each other.
+func LevelCounters(r *obs.Registry, net *network.Network, prefix string) (msgs, bytes []*obs.Counter) {
+	msgs = make([]*obs.Counter, net.Height()+1)
+	bytes = make([]*obs.Counter, net.Height()+1)
+	for d := range msgs {
+		level := prefix + ".level." + strconv.Itoa(d)
+		msgs[d] = r.Counter(level + ".messages")
+		bytes[d] = r.Counter(level + ".bytes")
+	}
+	return msgs, bytes
 }
 
 func nodeMetric(id int) string {
@@ -119,9 +119,10 @@ func (e *execObs) begin(fields ...obs.Field) {
 	e.span = e.trace.StartSpan(e.parent, "exec.epoch", e.step, fields...)
 }
 
-// epochMJBounds buckets per-epoch energy totals: sub-mJ idle epochs up
-// through multi-joule full-collection rounds on large networks.
-var epochMJBounds = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+// EpochMJBounds buckets per-epoch energy totals: sub-mJ idle epochs up
+// through multi-joule full-collection rounds on large networks. The
+// simulator's sim.epoch_mj uses the same buckets.
+var EpochMJBounds = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
 // finish ends the epoch span with the run's ledger totals and observes
 // the epoch's energy into exec.epoch_mj.

@@ -186,9 +186,6 @@ func (net *Network) AncestorEdges(v NodeID, f func(NodeID)) {
 	}
 }
 
-// PathLen returns the number of edges between v and the root.
-func (net *Network) PathLen(v NodeID) int { return net.depth[v] }
-
 // IsAncestor reports whether a is an ancestor of v or v itself.
 func (net *Network) IsAncestor(a, v NodeID) bool {
 	for {
@@ -215,16 +212,6 @@ func (net *Network) OnPathChild(a, v NodeID) NodeID {
 		v = net.parent[v]
 	}
 	return v
-}
-
-// Edges returns the lower endpoints of every tree edge (every node but
-// the root), in increasing ID order.
-func (net *Network) Edges() []NodeID {
-	out := make([]NodeID, 0, net.Size()-1)
-	for i := 1; i < net.Size(); i++ {
-		out = append(out, NodeID(i))
-	}
-	return out
 }
 
 // Leaves returns all nodes without children in increasing ID order.

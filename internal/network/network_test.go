@@ -256,11 +256,8 @@ func TestWriteDOT(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	net := BalancedTree(2, 2)
-	if got := net.Edges(); len(got) != 6 || got[0] != 1 {
-		t.Errorf("Edges = %v", got)
-	}
-	if net.PathLen(3) != 2 {
-		t.Errorf("PathLen(3) = %d", net.PathLen(3))
+	if net.Depth(3) != 2 {
+		t.Errorf("Depth(3) = %d", net.Depth(3))
 	}
 	desc := net.Descendants(1)
 	if len(desc) != 3 || desc[0] != 1 {

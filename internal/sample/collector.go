@@ -39,7 +39,6 @@ type Collector struct {
 	rate  float64
 	rng   *rand.Rand
 	spent float64
-	seen  int
 }
 
 // NewCollector wires a sampling schedule to a sample window. rate is
@@ -63,7 +62,6 @@ func NewCollector(set *Set, net *network.Network, m energy.Model, rate float64, 
 // and its collection energy charged. It reports whether the epoch was
 // sampled.
 func (c *Collector) Observe(values []float64) (sampled bool, err error) {
-	c.seen++
 	if c.rng.Float64() >= c.rate {
 		return false, nil
 	}
@@ -89,6 +87,3 @@ func (c *Collector) Rate() float64 { return c.rate }
 
 // EnergySpent returns the cumulative energy charged to sampling.
 func (c *Collector) EnergySpent() float64 { return c.spent }
-
-// EpochsSeen returns how many epochs have been observed.
-func (c *Collector) EpochsSeen() int { return c.seen }

@@ -45,9 +45,6 @@ func TestCollectorObserveRate(t *testing.T) {
 	if math.Abs(frac-0.3) > 0.04 {
 		t.Errorf("sampling fraction %.3f, want ~0.3", frac)
 	}
-	if col.EpochsSeen() != epochs {
-		t.Errorf("EpochsSeen = %d", col.EpochsSeen())
-	}
 	wantEnergy := float64(sampled) * CollectionCost(net, m)
 	if math.Abs(col.EnergySpent()-wantEnergy) > 1e-9 {
 		t.Errorf("EnergySpent = %g, want %g", col.EnergySpent(), wantEnergy)

@@ -1,9 +1,8 @@
 package sim
 
 import (
-	"strconv"
-
 	"prospector/internal/energy"
+	"prospector/internal/exec"
 	"prospector/internal/network"
 	"prospector/internal/obs"
 )
@@ -77,24 +76,12 @@ func newSimObs(r *obs.Registry, tr *obs.Tracer, net *network.Network) *simObs {
 		deferrals:    r.Counter("sim.deferrals"),
 		dropped:      r.Counter("sim.dropped"),
 		latency:      r.Gauge("sim.latency_seconds"),
-		epochMJ:      r.Histogram("sim.epoch_mj", epochMJBounds),
+		epochMJ:      r.Histogram("sim.epoch_mj", exec.EpochMJBounds),
 		epochLatency: r.Histogram("sim.epoch_latency_seconds", epochLatencyBounds),
 		trace:        tr,
 	}
 	if r != nil {
-		maxDepth := 0
-		for i := 0; i < net.Size(); i++ {
-			if d := net.Depth(network.NodeID(i)); d > maxDepth {
-				maxDepth = d
-			}
-		}
-		o.lvlMsgs = make([]*obs.Counter, maxDepth+1)
-		o.lvlBytes = make([]*obs.Counter, maxDepth+1)
-		for d := 0; d <= maxDepth; d++ {
-			ds := strconv.Itoa(d)
-			o.lvlMsgs[d] = r.Counter("sim.level." + ds + ".messages")
-			o.lvlBytes[d] = r.Counter("sim.level." + ds + ".bytes")
-		}
+		o.lvlMsgs, o.lvlBytes = exec.LevelCounters(r, net, "sim")
 	}
 	return o
 }
@@ -247,10 +234,6 @@ func (o *simObs) deadline(v network.NodeID, at float64) {
 		o.emitEvent("sim.deadline", at, o.fields...)
 	}
 }
-
-// epochMJBounds buckets per-epoch energy totals: sub-mJ idle epochs up
-// through multi-joule full-collection rounds on large networks.
-var epochMJBounds = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
 
 // epochLatencyBounds buckets per-epoch collection latency on the
 // simulated clock (trigger to last root reception).
