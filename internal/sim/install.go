@@ -17,27 +17,25 @@ func RunInstall(cfg Config, p *plan.Plan) (*Result, error) {
 	if err := cfg.validate(p); err != nil {
 		return nil, err
 	}
-	s := newSim(cfg, p, make([]float64, cfg.Net.Size()))
+	s := newState(cfg, p)
+	s.queue.items = make([]event, 0, p.Participants())
 	inst := &installer{sim: s}
 	inst.run()
 	return s.res, nil
 }
 
-// installer reuses the collection simulator's event queue and medium
-// state for the top-down distribution phase.
-type installer struct {
-	*sim
-	// delivered[v] marks nodes whose bundle has arrived.
-	delivered []bool
-}
+// installer reuses the collection simulator's node states, event queue
+// and medium for the top-down distribution phase. It needs no readings,
+// value arena, triggers or deadlines, so RunInstall allocates none.
+type installer struct{ *sim }
 
 func (in *installer) run() {
-	n := in.cfg.Net.Size()
-	in.delivered = make([]bool, n)
-	in.delivered[network.Root] = true
-	in.em.begin("sim.install",
-		obs.FStr("plan", in.plan.Kind.String()),
-		obs.FInt("nodes", int64(n)))
+	in.nodes[network.Root].flags |= flagInstalled
+	if in.em != nil {
+		in.em.begin("sim.install",
+			obs.FStr("plan", in.plan.Kind.String()),
+			obs.FInt("nodes", int64(in.cfg.Net.Size())))
+	}
 	// The queue carries evTrySend events whose node is the RECEIVING
 	// child: the parent transmits that child's bundle.
 	for _, c := range in.cfg.Net.Children(network.Root) {
@@ -50,9 +48,9 @@ func (in *installer) run() {
 		in.now = e.at
 		switch e.kind {
 		case evTrySend:
-			in.trySend(e.node)
+			in.trySend(network.NodeID(e.node))
 		case evDelivery:
-			in.deliver(e.node)
+			in.deliver(network.NodeID(e.node))
 		}
 	}
 	in.em.finish(in.res.Latency, &in.res.Ledger)
@@ -60,7 +58,8 @@ func (in *installer) run() {
 
 // trySend attempts the unicast of child v's bundle from its parent.
 func (in *installer) trySend(v network.NodeID) {
-	if in.delivered[v] {
+	nd := &in.nodes[v]
+	if nd.flags&flagInstalled != 0 {
 		return
 	}
 	parent := in.cfg.Net.Parent(v)
@@ -79,18 +78,17 @@ func (in *installer) trySend(v network.NodeID) {
 	}
 	in.occupyMedium(parent, dur)
 	cost := in.cfg.Model.Unicast(0, bytes)
-	in.attempts[v]++
+	nd.attempts++
 	in.res.EdgeAttempts[v]++
-	firstTry := in.firstTry[v]
-	if firstTry < 0 {
-		firstTry = in.now
-		in.firstTry[v] = firstTry
+	if nd.flags&flagTried == 0 {
+		nd.flags |= flagTried
+		nd.firstTry = in.now
 	}
 	if in.cfg.LossProb != nil && in.cfg.Rng.Float64() < in.cfg.LossProb[v] {
 		in.res.EdgeFailures[v]++
 		in.chargeLoss(parent, cost)
-		in.em.loss(v, parent, in.now, in.attempts[v], in.cfg.Model.TxShare(cost))
-		if in.attempts[v] > in.cfg.MaxRetries {
+		in.em.loss(v, parent, in.now, int(nd.attempts), in.cfg.Model.TxShare(cost))
+		if int(nd.attempts) > in.cfg.MaxRetries {
 			in.res.Dropped++
 			in.res.Abandoned = append(in.res.Abandoned, v)
 			in.em.drop(v, in.now)
@@ -100,7 +98,7 @@ func (in *installer) trySend(v network.NodeID) {
 		return
 	}
 	in.chargeInstall(parent, v, cost)
-	in.em.installed(v, bytes, firstTry, in.now+dur,
+	in.em.installed(v, bytes, nd.firstTry, in.now+dur,
 		in.cfg.Model.TxShare(cost), in.cfg.Model.RxShare(cost))
 	in.schedule(in.now+dur, evDelivery, v)
 }
@@ -122,7 +120,7 @@ func (in *installer) chargeInstall(parent, v network.NodeID, cost float64) {
 
 // deliver marks v installed and forwards its children's bundles.
 func (in *installer) deliver(v network.NodeID) {
-	in.delivered[v] = true
+	in.nodes[v].flags |= flagInstalled
 	if in.now > in.res.Latency {
 		in.res.Latency = in.now
 	}
